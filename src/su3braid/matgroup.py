@@ -14,6 +14,7 @@ generator word found during closure; words are sequences of signed
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -56,6 +57,10 @@ class UnboundNameError(KeyError):
     pass
 
 
+class CayleyTableError(RuntimeError):
+    """A derived multiplication table disagrees with a direct matrix product."""
+
+
 Word = tuple[int, ...]
 
 
@@ -77,7 +82,15 @@ class GpElement:
 
 
 class FiniteMatrixGroup:
-    """A closed set of unitary matrices with a distinguished generator list."""
+    """A closed set of unitary matrices with a distinguished generator list.
+
+    Besides the elements, a group keeps what its closure learned: the BFS
+    provenance (element i is generator `_bfs_mult[i]` times element
+    `_bfs_parent[i]`) and the left-multiplication action of every signed
+    generator as a permutation of element indices.  All index-level
+    structure (the Cayley table, inverses, conjugacy classes, isomorphism
+    search) is composed from these integers.
+    """
 
     def __init__(
         self,
@@ -85,26 +98,19 @@ class FiniteMatrixGroup:
         element_list: tuple[GpElement, ...],
         working_order: int,
         dim: int,
-        bfs_mult: Optional[tuple[int, ...]] = None,
-        bfs_parent: Optional[tuple[int, ...]] = None,
+        bfs_mult: tuple[int, ...],
+        bfs_parent: tuple[int, ...],
+        actions: Mapping[int, tuple[int, ...]],
     ):
         self.generators = generators
         self.element_list = element_list
-        self.elements: dict[bytes, GpElement] = {e.key: e for e in element_list}
+        # the one element index: canonical key -> position in element_list
+        self.elements: dict[bytes, int] = {e.key: i for i, e in enumerate(element_list)}
         self.working_order = working_order
         self.dim = dim
         self._bfs_mult = bfs_mult
         self._bfs_parent = bfs_parent
-        self._index: dict[bytes, int] = {
-            e.key: i for i, e in enumerate(element_list)
-        }
-        # scalar interning: entry value -> small id; matrix id-tuples -> index
-        values: dict = {}
-        ids_index: dict[tuple[int, ...], int] = {}
-        for i, e in enumerate(element_list):
-            ids_index[_id_tuple(e.matrix, values)] = i
-        self._values = values
-        self._ids_index = ids_index
+        self._actions = dict(actions)
         self._cayley: Optional[list[list[int]]] = None
         self._inverse_index: Optional[list[int]] = None
 
@@ -128,80 +134,67 @@ class FiniteMatrixGroup:
         return self.element_list[0]
 
     def index_of(self, element: GpElement) -> int:
-        idx = self._index.get(element.key)
+        idx = self.elements.get(element.key)
         if idx is None:
             raise GeneratorNotInGroupError("element is not in the group")
         return idx
 
-    def lookup(self, matrix: UnitaryMatrix) -> Optional[GpElement]:
-        idx = self._ids_index.get(_id_tuple_checked(matrix, self._values))
-        return None if idx is None else self.element_list[idx]
-
-    def _product_index(self, a: UnitaryMatrix, b: UnitaryMatrix) -> int:
-        return self._ids_index[_id_tuple_checked(a * b, self._values)]
+    def action(self, signed: int) -> tuple[int, ...]:
+        """Left multiplication by generator `signed` (1-based, negative for
+        the inverse) as a permutation: entry x is the index of g * element(x)."""
+        return self._actions[signed]
 
     # -- structure tables -----------------------------------------------------
 
     def cayley_table(self) -> list[list[int]]:
         """Full multiplication table; entry [i][j] is the element index of
-        element(i) * element(j).  Computed once by actual matrix products."""
-        if self._cayley is not None:
-            return self._cayley
-        mats = [e.matrix for e in self.element_list]
-        cols_all = [tuple(zip(*m.rows)) for m in mats]
-        values = self._values
-        ids_index = self._ids_index
-        dim = self.dim
-        krange = range(1, dim)
-        table: list[list[int]] = []
-        for a in mats:
-            arows = a.rows
-            row_out = []
-            for bcols in cols_all:
-                ids = []
-                for r in range(dim):
-                    arow = arows[r]
-                    for bcol in bcols:
-                        acc = arow[0] * bcol[0]
-                        for k in krange:
-                            acc = acc + arow[k] * bcol[k]
-                        ids.append(values[acc])
-                row_out.append(ids_index[tuple(ids)])
-            table.append(row_out)
-        self._cayley = table
-        return table
+        element(i) * element(j).
+
+        Row i is the generator action applied to the row of the BFS parent,
+        since element(i) = g * element(parent).  The result is checked
+        against direct exact products before it is returned."""
+        if self._cayley is None:
+            actions = self._actions
+            mult, parent = self._bfs_mult, self._bfs_parent
+            table = [list(range(self.order))]
+            for i in range(1, self.order):
+                perm = actions[mult[i]]
+                table.append([perm[x] for x in table[parent[i]]])
+            _check_table(self, table)
+            self._cayley = table
+        return self._cayley
 
     def inverse_index(self) -> list[int]:
         if self._inverse_index is None:
-            self._inverse_index = [
-                self._ids_index[_id_tuple_checked(e.matrix.conj_transpose(), self._values)]
-                for e in self.element_list
-            ]
+            self._inverse_index = [row.index(0) for row in self.cayley_table()]
         return self._inverse_index
 
 
-def _id_tuple(matrix: UnitaryMatrix, values: dict) -> tuple[int, ...]:
-    ids = []
-    for row in matrix.rows:
-        for v in row:
-            n = values.get(v)
-            if n is None:
-                n = len(values)
-                values[v] = n
-            ids.append(n)
-    return tuple(ids)
+_TABLE_SAMPLE = 256  # seeded entries checked per derived table, besides the generator rows
 
 
-def _id_tuple_checked(matrix: UnitaryMatrix, values: dict) -> tuple[int, ...]:
-    # like _id_tuple but never grows the intern table (lookup use)
-    ids = []
-    for row in matrix.rows:
-        for v in row:
-            n = values.get(v)
-            if n is None:
-                return (-1,)
-            ids.append(n)
-    return tuple(ids)
+def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
+    """Soundness guard for a derived table: every generator row and
+    inverse-generator row in full, plus a fixed-seed sample of entries,
+    must match the index of the direct exact product."""
+    n = group.order
+    rows: dict[int, None] = {}
+    for g in group.generators:
+        rows[group.index_of(g)] = None
+        inverse = group.elements.get(g.matrix.conj_transpose().key_bytes())
+        if inverse is None:
+            raise CayleyTableError("a generator inverse is missing from the group")
+        rows[inverse] = None
+    cells = [(i, j) for i in rows for j in range(n)]
+    rng = random.Random(0)
+    cells += [(rng.randrange(n), rng.randrange(n)) for _ in range(min(_TABLE_SAMPLE, n * n))]
+    elements = group.element_list
+    for i, j in cells:
+        product = elements[i].matrix * elements[j].matrix
+        if group.elements.get(product.key_bytes()) != table[i][j]:
+            raise CayleyTableError(
+                f"derived table entry ({i}, {j}) disagrees with the exact product"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +205,8 @@ def close(
     generators: Sequence[UnitaryMatrix], cap: int = 100_000
 ) -> FiniteMatrixGroup:
     """Breadth-first closure of the generators and their inverses under
-    left multiplication.  Raises GroupTooLargeError past the cap."""
+    left multiplication, recording each signed generator's action on the
+    element indices.  Raises GroupTooLargeError past the cap."""
     if not generators:
         raise ValueError("need at least one generator")
     if cap < 1:
@@ -225,14 +219,18 @@ def close(
         order = math.lcm(order, g.scalar_order())
     gens = [g.embed(order) for g in generators]
 
+    # distinct multipliers; a signed generator equal to an earlier one
+    # (an involution's inverse, a repeated generator) shares its slot
     multipliers: list[tuple[int, UnitaryMatrix]] = []
-    seen_mult: set[bytes] = set()
+    slot_of_key: dict[bytes, int] = {}
+    slot_of_signed: dict[int, int] = {}
     for i, g in enumerate(gens):
         for signed, mat in ((i + 1, g), (-(i + 1), g.conj_transpose())):
             k = mat.key_bytes()
-            if k not in seen_mult:
-                seen_mult.add(k)
+            if k not in slot_of_key:
+                slot_of_key[k] = len(multipliers)
                 multipliers.append((signed, mat))
+            slot_of_signed[signed] = slot_of_key[k]
 
     identity = UnitaryMatrix.identity(dim)
     id_el = GpElement(identity, identity.key_bytes(), ())
@@ -240,17 +238,25 @@ def close(
     element_list: list[GpElement] = [id_el]
     bfs_mult: list[int] = [0]
     bfs_parent: list[int] = [-1]
+    # action[slot][x] = index of multiplier * element(x); parents are visited
+    # in index order, so appending keeps position x aligned with element x
+    action: list[list[int]] = [[] for _ in multipliers]
 
     frontier = [0]
     while frontier:
         layer: dict[bytes, tuple[Word, UnitaryMatrix, int, int]] = {}
+        pending: list[tuple[int, int, bytes]] = []  # action entries awaiting an index
         for parent_idx in frontier:
             parent = element_list[parent_idx]
-            for signed, mat in multipliers:
+            for slot, (signed, mat) in enumerate(multipliers):
                 product = mat * parent.matrix
                 key = product.key_bytes()
-                if key in elements:
+                idx = elements.get(key)
+                if idx is not None:
+                    action[slot].append(idx)
                     continue
+                action[slot].append(-1)
+                pending.append((slot, parent_idx, key))
                 word = (signed,) + parent.word
                 known = layer.get(key)
                 if known is None or word < known[0]:
@@ -268,7 +274,10 @@ def close(
             bfs_mult.append(signed)
             bfs_parent.append(parent_idx)
             frontier.append(idx)
+        for slot, parent_idx, key in pending:
+            action[slot][parent_idx] = elements[key]
 
+    actions = {signed: tuple(action[slot]) for signed, slot in slot_of_signed.items()}
     gen_elements = tuple(
         element_list[elements[g.key_bytes()]] for g in gens
     )
@@ -279,6 +288,7 @@ def close(
         dim=dim,
         bfs_mult=tuple(bfs_mult),
         bfs_parent=tuple(bfs_parent),
+        actions=actions,
     )
 
 
@@ -327,18 +337,19 @@ def is_normal(group: FiniteMatrixGroup, sub: FiniteMatrixGroup) -> bool:
 
 
 def intersect(s1: FiniteMatrixGroup, s2: FiniteMatrixGroup) -> FiniteMatrixGroup:
-    """Key-set intersection, assembled as a group (no BFS provenance)."""
+    """The common elements as a subgroup of `s1`, closed from a greedy
+    generating set: each common key (in key order) not yet reached joins
+    the generators."""
     if s1.dim != s2.dim:
         raise ValueError("groups live in different dimensions")
-    common = [e for e in s1.element_list if e.key in s2.elements]
-    common.sort(key=lambda e: (e.key != s1.identity.key, e.key))
-    gens = tuple(e for e in common if e.key != s1.identity.key)
-    return FiniteMatrixGroup(
-        generators=gens,
-        element_list=tuple(common),
-        working_order=s1.working_order,
-        dim=s1.dim,
-    )
+    common = sorted(e.key for e in s1.element_list if e.key in s2.elements)
+    gens: list[GpElement] = []
+    meet = subgroup(s1, [s1.identity])
+    for key in common:
+        if key not in meet.elements:
+            gens.append(s1.element_list[s1.elements[key]])
+            meet = subgroup(s1, gens)
+    return meet
 
 
 def abelian_invariants(group: FiniteMatrixGroup) -> tuple[int, ...]:
@@ -429,7 +440,7 @@ def decompose(
         n_matrix = g.matrix * h.matrix.conj_transpose()
         n = normal_part.elements.get(n_matrix.key_bytes())
         if n is not None:
-            matches.append((n, h))
+            matches.append((normal_part.element_list[n], h))
     if not matches:
         raise NoFactorizationError("element has no n*h factorization")
     if len(matches) > 1:
@@ -523,8 +534,39 @@ def _class_sizes(group: FiniteMatrixGroup) -> list[int]:
     sizes = [0] * group.order
     for cls in conjugacy_classes(group):
         for key in cls:
-            sizes[group._index[key]] = len(cls)
+            sizes[group.elements[key]] = len(cls)
     return sizes
+
+
+def extend_to_isomorphism(
+    source: FiniteMatrixGroup, target: FiniteMatrixGroup, images: Sequence[int]
+) -> Optional[list[int]]:
+    """The map on element indices induced by sending source.generators to
+    the target elements `images` (indices), extended along the source's BFS
+    provenance; returned only if it is a bijection that respects the full
+    multiplication tables, else None."""
+    n = source.order
+    if target.order != n or len(images) != len(source.generators):
+        return None
+    t_source = source.cayley_table()
+    t_target = target.cayley_table()
+    inv_target = target.inverse_index()
+    phi = [0] * n
+    for i in range(1, n):
+        signed = source._bfs_mult[i]
+        m = images[abs(signed) - 1]
+        if signed < 0:
+            m = inv_target[m]
+        phi[i] = t_target[m][phi[source._bfs_parent[i]]]
+    if len(set(phi)) != n:
+        return None
+    for i in range(n):
+        target_row = t_target[phi[i]]
+        source_row = t_source[i]
+        for j in range(n):
+            if target_row[phi[j]] != phi[source_row[j]]:
+                return None
+    return phi
 
 
 def find_isomorphism(
@@ -532,19 +574,14 @@ def find_isomorphism(
 ) -> Optional[list[GpElement]]:
     """Search for generator images of `source` in `target` inducing an
     isomorphism; candidates are pruned by element order and conjugacy-class
-    size, and any hit is verified on the full multiplication table.
+    size, and any hit is verified by extend_to_isomorphism.
 
     Returns the image list aligned with source.generators, or None.
     """
     if source.order != target.order:
         return None
-    if source._bfs_parent is None:
-        raise ValueError("source group needs closure provenance")
-    t_source = source.cayley_table()
-    t_target = target.cayley_table()
-    inv_target = target.inverse_index()
-    orders_s = _table_orders(t_source)
-    orders_t = _table_orders(t_target)
+    orders_s = _table_orders(source.cayley_table())
+    orders_t = _table_orders(target.cayley_table())
     sizes_s = _class_sizes(source)
     sizes_t = _class_sizes(target)
 
@@ -564,37 +601,9 @@ def find_isomorphism(
             return None
         candidate_sets.append(candidates)
 
-    n = source.order
-    mult_signs = source._bfs_mult
-    parents = source._bfs_parent
-
-    def build_map(images: list[int]) -> Optional[list[int]]:
-        phi = [0] * n
-        for i in range(1, n):
-            signed = mult_signs[i]
-            m = images[abs(signed) - 1]
-            if signed < 0:
-                m = inv_target[m]
-            phi[i] = t_target[m][phi[parents[i]]]
-        if len(set(phi)) != n:
-            return None
-        return phi
-
-    def verify(phi: list[int]) -> bool:
-        for i in range(n):
-            target_row = t_target[phi[i]]
-            source_row = t_source[i]
-            for j in range(n):
-                if target_row[phi[j]] != phi[source_row[j]]:
-                    return False
-        return True
-
     def backtrack(images: list[int]) -> Optional[list[int]]:
         if len(images) == len(candidate_sets):
-            phi = build_map(images)
-            if phi is not None and verify(phi):
-                return phi
-            return None
+            return extend_to_isomorphism(source, target, images)
         for candidate in candidate_sets[len(images)]:
             result = backtrack(images + [candidate])
             if result is not None:

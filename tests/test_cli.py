@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from su3braid import cli
 from su3braid import matgroup as mg
 from su3braid.cli import (
     CHECK_IDS,
@@ -72,6 +73,35 @@ def test_cli_family(capsys):
     data = json.loads(capsys.readouterr().out)
     assert set(data) == {"E", "F", "D"}
     assert main(["family", "C", "9", "1"]) == 2
+
+
+def test_cli_family_bad_input_exits_2(capsys):
+    assert main(["family", "C", "0", "0", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_group_bad_input_exits_2(capsys):
+    assert main(["group", "--from", "familyC", "9", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: familyC needs n a b")
+    assert main(["group", "--from", "paper", "--cap", "10"]) == 2
+    assert "cap=10" in capsys.readouterr().err
+
+
+def test_cli_rep_bad_input_exits_2(capsys):
+    assert main(["rep", "--r", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_cli_cayley_export_order_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CAYLEY_EXPORT_ORDER", 100)
+    path = tmp_path / "cayley.csv"
+    assert main(["group", "--from", "paper", "--emit-cayley", str(path)]) == 2
+    assert "order at most 100" in capsys.readouterr().err
+    assert not path.exists()
+    # the limit applies to the Cayley export only
+    assert main(["group", "--from", "paper"]) == 0
+    assert "order: 162" in capsys.readouterr().out
 
 
 def test_cli_group_exports(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from su3braid import matgroup as mg
 from su3braid.cyclo import root_of_unity
 from su3braid.matrix import UnitaryMatrix
+from su3braid.su3families import CParams, DParams, d_generators
 
 
 def test_close_small_groups():
@@ -195,6 +196,92 @@ def test_cayley_table_shape(paper_group):
     # every row and column is a permutation
     full = set(range(162))
     assert all(set(row) == full for row in table)
+
+
+def _direct_product_index(group, i, j):
+    a, b = group.element_list[i].matrix, group.element_list[j].matrix
+    return group.elements[(a * b).key_bytes()]
+
+
+@pytest.mark.parametrize("name", ["paper_group", "family_group", "subgroup_n"])
+def test_derived_table_equals_direct_products(request, name):
+    group = request.getfixturevalue(name)
+    n = group.order
+    direct = [[_direct_product_index(group, i, j) for j in range(n)] for i in range(n)]
+    assert group.cayley_table() == direct
+
+
+def test_derived_table_order_648_seeded_entries():
+    group = mg.close(d_generators(DParams(CParams(18, 1, 1), 2, 1, 1)))
+    assert group.order == 648
+    table = group.cayley_table()
+    rng = random.Random(648)
+    for _ in range(300):
+        i, j = rng.randrange(648), rng.randrange(648)
+        assert table[i][j] == _direct_product_index(group, i, j)
+
+
+def test_actions_are_left_multiplication(paper_group):
+    for signed in (1, -1, 2, -2):
+        g = paper_group.generators[abs(signed) - 1].matrix
+        if signed < 0:
+            g = g.conj_transpose()
+        perm = paper_group.action(signed)
+        assert sorted(perm) == list(range(162))
+        for x in (0, 5, 77, 161):
+            product = g * paper_group.element_list[x].matrix
+            assert paper_group.elements[product.key_bytes()] == perm[x]
+    # an involution's inverse shares its action
+    t3 = mg.close([UnitaryMatrix.diagonal([-1, -1, 1])])
+    assert t3.action(1) == t3.action(-1) == (1, 0)
+
+
+def test_corrupted_action_is_caught(paper_matrices):
+    group = mg.close(list(paper_matrices))
+    perm = list(group.action(2))
+    perm[40], perm[41] = perm[41], perm[40]
+    group._actions[2] = tuple(perm)
+    with pytest.raises(mg.CayleyTableError):
+        group.cayley_table()
+
+
+def test_corrupted_provenance_is_caught(paper_matrices):
+    group = mg.close(list(paper_matrices))
+    # re-point the parent of every element past the generator layer
+    group._bfs_parent = group._bfs_parent[:5] + tuple(
+        (p + 1) % group.order for p in group._bfs_parent[5:]
+    )
+    with pytest.raises(mg.CayleyTableError):
+        group.cayley_table()
+
+
+def test_sympy_oracle_on_recorded_actions(paper_group, subgroup_n, named_elements):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    Permutation, PermutationGroup = combinatorics.Permutation, combinatorics.PermutationGroup
+    g = PermutationGroup([Permutation(list(paper_group.action(s))) for s in (1, 2)])
+    assert g.order() == 162
+    assert len(g.conjugacy_classes()) == 22
+    assert len(mg.conjugacy_classes(paper_group)) == 22
+    assert g.derived_subgroup().order() == 27
+    table = paper_group.cayley_table()
+    n = PermutationGroup([
+        Permutation(table[paper_group.index_of(named_elements[k])]) for k in ("A", "B")
+    ])
+    assert n.order() == subgroup_n.order == 27
+    assert n.is_normal(g)
+    assert mg.is_normal(paper_group, subgroup_n)
+    assert tuple(sorted(n.abelian_invariants(), reverse=True)) == (9, 3)
+    assert mg.abelian_invariants(subgroup_n) == (9, 3)
+
+
+def test_extend_to_isomorphism(paper_group, family_group):
+    images = mg.find_isomorphism(paper_group, family_group)
+    image_idx = [family_group.index_of(e) for e in images]
+    phi = mg.extend_to_isomorphism(paper_group, family_group, image_idx)
+    assert phi is not None and sorted(phi) == list(range(162))
+    # identity images cannot extend to a bijection
+    assert mg.extend_to_isomorphism(paper_group, family_group, [0, 0]) is None
+    assert mg.extend_to_isomorphism(paper_group, family_group, image_idx[:1]) is None
 
 
 def test_find_isomorphism_positive(paper_group, family_group):
