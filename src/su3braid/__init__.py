@@ -48,6 +48,7 @@ from .matgroup import (
     word_eval,
 )
 from .su3families import CParams, DParams, c_generators, d_generators
-from .cli import VerificationReport, export_group, query, run_theorem1_verification
+from .verify import VerificationReport, run_theorem1_verification
+from .cli import export_group, query
 
 __version__ = "0.1.0"

@@ -354,7 +354,12 @@ def intersect(s1: FiniteMatrixGroup, s2: FiniteMatrixGroup) -> FiniteMatrixGroup
 
 def abelian_invariants(group: FiniteMatrixGroup) -> tuple[int, ...]:
     """Cyclic factor orders, decreasing, by exhaustive search for a pair of
-    elements with trivially intersecting cyclic spans covering the order."""
+    elements with trivially intersecting cyclic spans covering the order.
+
+    Only groups of rank at most 2 are supported.  The exponent is taken as
+    the largest element order, so a returned result is exact: the group is
+    the internal direct product of the two spans.  A group of rank 3 or
+    more (for example Z2^3) raises `DecompositionNotFoundError`."""
     gens = group.generators or group.element_list
     for i, a in enumerate(gens):
         for b in gens[i + 1:]:

@@ -63,6 +63,6 @@ def subgroup_h(paper_group, named_elements):
 
 @pytest.fixture(scope="session")
 def verification_report():
-    from su3braid.cli import run_theorem1_verification
+    from su3braid.verify import run_theorem1_verification
 
     return run_theorem1_verification()

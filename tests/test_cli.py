@@ -4,16 +4,10 @@ import pytest
 
 from su3braid import cli
 from su3braid import matgroup as mg
-from su3braid.cli import (
-    CHECK_IDS,
-    VerificationReport,
-    export_group,
-    main,
-    query,
-    run_theorem1_verification,
-)
+from su3braid.cli import export_group, main, query
 from su3braid.cyclo import sqrt3
 from su3braid.matrix import UnitaryMatrix
+from su3braid.verify import CHECK_IDS, VerificationReport, run_theorem1_verification
 
 
 def test_report_overall_and_ids(verification_report):
@@ -38,6 +32,21 @@ def test_corrupted_generator_fails_braid_check(paper_matrices):
     assert not report.by_id("REP-G2").passed
     # ids and their order stay stable on failing runs
     assert tuple(c.id for c in report.checks) == CHECK_IDS
+
+
+def test_missing_prerequisites_fail_each_dependent_check():
+    report = run_theorem1_verification(cap=100)
+    assert tuple(c.id for c in report.checks) == CHECK_IDS
+    for check in report.checks:
+        error = (check.witness or {}).get("error", "")
+        if check.id.startswith(("TL-", "REP-")):
+            assert check.passed, check.id
+        elif check.id in ("GRP-ORDER-162", "GRP-D-FAMILY-ORDER"):
+            assert not check.passed and error.startswith("GroupTooLargeError: "), check.id
+        else:
+            assert not check.passed, check.id
+            assert error == "RuntimeError: group closure unavailable (earlier check failed)"
+    assert report.info == {}
 
 
 def test_query_values():
@@ -163,3 +172,21 @@ def test_cli_verify_json(tmp_path, capsys):
     assert "overall: PASS" in captured
     report = VerificationReport.from_json(path.read_text())
     assert report.overall
+
+
+def test_cli_verify_unwritable_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    assert main(["verify", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "overall: PASS" in captured.out
+    assert captured.err.startswith("error: ")
+    assert not path.exists()
+
+
+def test_cli_r_bound_exits_2(capsys):
+    too_large = str(cli.MAX_R + 1)
+    assert main(["query", "delta", "1", "--r", too_large]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --r must be at most {cli.MAX_R}")
+    assert main(["rep", "--r", too_large, "--charge", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: --r must be at most")
+    assert main(["query", "delta", "1", "--r", str(cli.MAX_R)]) == 0

@@ -95,6 +95,10 @@ def test_abelian_invariants(paper_group, named_elements, subgroup_n, subgroup_h)
     assert mg.abelian_invariants(trivial) == ()
     with pytest.raises(mg.NotAbelianError):
         mg.abelian_invariants(subgroup_h)
+    # rank 3 is outside the supported range: Z2^3 from diagonal sign matrices
+    signs = [UnitaryMatrix.diagonal([1] * i + [-1] + [1] * (2 - i)) for i in range(3)]
+    with pytest.raises(mg.DecompositionNotFoundError):
+        mg.abelian_invariants(mg.close(signs))
 
 
 def test_semidirect_verify(paper_group, named_elements, subgroup_n, subgroup_h):
