@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -65,6 +66,18 @@ _QUERIES = {
     "qint": (1, quantum_int),
     "delta": (1, delta_n),
 }
+
+
+# the largest cyclotomic working order: lcm(n, d, 4) for a family,
+# lcm(2*DEN, lcm(4r, 72)) for `rep --phase NUM/DEN`.  Q(zeta_N) tables hold about
+# N * phi(N) integers; the worst case at the bound (2-vCPU Xeon VM, Python
+# 3.11, cold) is `family D 1021 1 1 1021 1 1`, order 4084: 1.0 s, 114 MB.
+MAX_WORKING_ORDER = 4096
+
+
+def _require_order(order: int, what: str) -> None:
+    if order > MAX_WORKING_ORDER:
+        raise ValueError(f"{what} selects cyclotomic order {order}, above {MAX_WORKING_ORDER}")
 
 
 def _theory(r: int) -> TheoryParams:
@@ -132,9 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_phase(text: str) -> Cyclo:
+def _parse_phase(text: str, theory_order: int) -> Cyclo:
     num, _, den = text.partition("/")
     p, q = int(num), int(den or "1")
+    _require_order(math.lcm(2 * q, theory_order), "--phase")
     # e^(i*pi*p/q) = zeta_{2q}^p
     return root_of_unity(2 * q, p % (2 * q))
 
@@ -144,11 +158,15 @@ def _family_generators(series: str, params: Sequence[int]) -> tuple[list[Unitary
     if series == "C":
         if len(params) != 3:
             raise ValueError("familyC needs n a b")
-        return c_generators(CParams(*params)), ["E", "F"]
+        p = CParams(*params)
+        _require_order(math.lcm(p.n, 4), "familyC")
+        return c_generators(p), ["E", "F"]
     if len(params) != 6:
         raise ValueError("familyD needs n a b d r s")
     n, a, b, d, r, s = params
-    return d_generators(DParams(CParams(n, a, b), d, r, s)), ["E", "F", "D"]
+    p = DParams(CParams(n, a, b), d, r, s)
+    _require_order(math.lcm(n, d, 4), "familyD")
+    return d_generators(p), ["E", "F", "D"]
 
 
 def _group_from_spec(spec: Sequence[str], cap: int) -> tuple[mg.FiniteMatrixGroup, list[str]]:
@@ -166,6 +184,8 @@ def _group_from_spec(spec: Sequence[str], cap: int) -> tuple[mg.FiniteMatrixGrou
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    if args.cap < 1:
+        raise ValueError("--cap must be positive")
     report = run_theorem1_verification(cap=args.cap)
     for check in report.checks:
         mark = "ok" if check.passed else "FAIL"
@@ -181,11 +201,12 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def _run_rep(args: argparse.Namespace) -> int:
     t = _theory(args.r)
+    # refuse a bad phase before the basis and generator work
+    phase = _parse_phase(args.phase, t.order) if args.phase else None
     basis = fusion_basis(t, args.charge)
     odd = sigma_odd(t, basis)
     mid = sigma_mid(t, basis)
-    if args.phase:
-        phase = _parse_phase(args.phase)
+    if phase is not None:
         odd = su3_normalize(odd, phase)
         mid = su3_normalize(mid, phase)
     print(json.dumps({

@@ -8,9 +8,10 @@ canonicalization applies: a value that happens to be rational is always
 stored at order 1, whatever order it was computed in.
 
 Arithmetic between values of different orders promotes both to the lcm
-order first.  Hashing is representation-based, so values meant to share a
-dict should share a working order (see :func:`embed`); the group-theory
-layer enforces that by embedding every matrix entry up front.
+order first.  A rational hashes as the equal ``int`` or ``Fraction``.
+Irrational values hash by representation, so cross-order values meant to
+share a dict still need a shared working order (see :func:`embed`); the
+group-theory layer enforces that by embedding every matrix entry up front.
 
 Nothing here ever touches floating point except :meth:`Cyclo.to_complex`,
 which exists for display and cross-checking only.
@@ -146,7 +147,10 @@ class Cyclo:
         self.order = order
         self.nums = nums
         self.den = den
-        self._hash = hash((order, nums, den))
+        if order > 1:
+            self._hash = hash((order, nums, den))
+        else:  # a rational hashes as the equal int or Fraction
+            self._hash = hash(Fraction(nums[0], den) if den > 1 else nums[0])
 
     # -- construction -------------------------------------------------------
 

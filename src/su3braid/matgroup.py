@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Mapping, Optional, Sequence
 
 from .matrix import UnitaryMatrix
@@ -88,7 +88,8 @@ class FiniteMatrixGroup:
     provenance (element i is generator `_bfs_mult[i]` times element
     `_bfs_parent[i]`) and the left-multiplication action of every signed
     generator as a permutation of element indices.  All index-level
-    structure (the Cayley table, inverses, conjugacy classes, isomorphism
+    structure (the Cayley table, inverses, normality, semidirect
+    certificates, abelian invariants, conjugacy classes, isomorphism
     search) is composed from these integers.
     """
 
@@ -313,27 +314,29 @@ def element_order(g: GpElement, cap: int = 1000) -> int:
 
 def subgroup(group: FiniteMatrixGroup, gens: Sequence[GpElement]) -> FiniteMatrixGroup:
     """Closure of elements of `group`; asserts Lagrange on the result."""
-    for g in gens:
-        if g.key not in group.elements:
-            raise GeneratorNotInGroupError("subgroup generator outside the group")
+    if any(g.key not in group.elements for g in gens):
+        raise GeneratorNotInGroupError("subgroup generator outside the group")
     sub = close([g.matrix for g in gens], cap=group.order)
     assert group.order % sub.order == 0, "Lagrange violation: not a subgroup order"
-    for e in sub.element_list:
-        assert e.key in group.elements, "closure escaped the ambient group"
+    _positions(group, sub)
     return sub
+
+
+def _positions(group: FiniteMatrixGroup, sub: FiniteMatrixGroup) -> list[int]:
+    """The `group` indices of the elements of `sub`, in `sub`'s order."""
+    positions = [group.elements.get(e.key) for e in sub.element_list]
+    if None in positions:
+        raise NotASubgroupError("claimed subgroup has an element outside the group")
+    return positions
 
 
 def is_normal(group: FiniteMatrixGroup, sub: FiniteMatrixGroup) -> bool:
     """Whether g n g^-1 stays in `sub` for the generators g of `group`
-    (sufficient by generation)."""
-    _require_subgroup(group, sub)
-    conjugators = group.generators or group.element_list
-    for g in conjugators:
-        ginv = g.matrix.conj_transpose()
-        for n in sub.element_list:
-            if (g.matrix * n.matrix * ginv).key_bytes() not in sub.elements:
-                return False
-    return True
+    (sufficient by generation), read off the Cayley table of `group`."""
+    members = set(_positions(group, sub))
+    table, inverse = group.cayley_table(), group.inverse_index()
+    gens = [group.index_of(g) for g in group.generators]
+    return all(table[table[g][n]][inverse[g]] in members for g in gens for n in members)
 
 
 def intersect(s1: FiniteMatrixGroup, s2: FiniteMatrixGroup) -> FiniteMatrixGroup:
@@ -360,40 +363,29 @@ def abelian_invariants(group: FiniteMatrixGroup) -> tuple[int, ...]:
     the largest element order, so a returned result is exact: the group is
     the internal direct product of the two spans.  A group of rank 3 or
     more (for example Z2^3) raises `DecompositionNotFoundError`."""
-    gens = group.generators or group.element_list
+    table = group.cayley_table()
+    gens = [group.index_of(g) for g in group.generators]
     for i, a in enumerate(gens):
         for b in gens[i + 1:]:
-            if a.matrix * b.matrix != b.matrix * a.matrix:
+            if table[a][b] != table[b][a]:
                 raise NotAbelianError("group is not abelian")
     n = group.order
     if n == 1:
         return ()
-    orders = [element_order(e, cap=n) for e in group.element_list]
+    orders = _table_orders(table)
     max_order = max(orders)
     if max_order == n:
         return (n,)
-    for i, x in enumerate(group.element_list):
-        if orders[i] != max_order:
+    for x in range(n):
+        if orders[x] != max_order:
             continue
-        x_powers = _cyclic_keys(x)
-        for j, y in enumerate(group.element_list):
-            if orders[j] != n // max_order:
-                continue
-            if len(x_powers & _cyclic_keys(y)) == 1:
+        x_span = set(_powers(table, x))
+        for y in range(n):
+            if orders[y] == n // max_order and len(x_span.intersection(_powers(table, y))) == 1:
                 return (max_order, n // max_order)
     raise DecompositionNotFoundError(
         "no two-factor decomposition found; unsupported abelian structure"
     )
-
-
-def _cyclic_keys(g: GpElement) -> set[bytes]:
-    identity = UnitaryMatrix.identity(g.matrix.dim)
-    keys = {identity.key_bytes()}
-    power = g.matrix
-    while power != identity:
-        keys.add(power.key_bytes())
-        power = power * g.matrix
-    return keys
 
 
 @dataclass(frozen=True)
@@ -407,32 +399,21 @@ class SemidirectReport:
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.normal
-            and self.trivial_intersection
-            and self.order_product
-            and self.product_bijective
-        )
+        return all(astuple(self))
 
 
 def semidirect_verify(
     group: FiniteMatrixGroup, normal_part: FiniteMatrixGroup, complement: FiniteMatrixGroup
 ) -> SemidirectReport:
-    _require_subgroup(group, normal_part)
-    _require_subgroup(group, complement)
-    normal = is_normal(group, normal_part)
-    trivial = intersect(normal_part, complement).order == 1
-    order_product = normal_part.order * complement.order == group.order
-    product_keys = set()
-    inside = True
-    for n in normal_part.element_list:
-        for h in complement.element_list:
-            key = (n.matrix * h.matrix).key_bytes()
-            product_keys.add(key)
-            if key not in group.elements:
-                inside = False
-    bijective = inside and len(product_keys) == group.order
-    return SemidirectReport(normal, trivial, order_product, bijective)
+    """The four certificates, read off the Cayley table of `group`."""
+    ns, hs = _positions(group, normal_part), _positions(group, complement)
+    table = group.cayley_table()
+    return SemidirectReport(
+        normal=is_normal(group, normal_part),
+        trivial_intersection=len(set(ns) & set(hs)) == 1,
+        order_product=normal_part.order * complement.order == group.order,
+        product_bijective=len({table[n][h] for n in ns for h in hs}) == group.order,
+    )
 
 
 def decompose(
@@ -497,10 +478,11 @@ def check_relations(
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> tuple[tuple[bytes, ...], ...]:
-    """Orbits of the conjugation action, as ordered key tuples."""
+    """Orbits of the conjugation action, as ordered key tuples.  Conjugating
+    by the generators suffices: in a finite group an inverse is a power."""
     table = group.cayley_table()
     inverse = group.inverse_index()
-    conjugators = [group.index_of(g) for g in (group.generators or group.element_list)]
+    conjugators = [group.index_of(g) for g in group.generators]
     n = group.order
     assigned = [False] * n
     classes: list[tuple[bytes, ...]] = []
@@ -512,27 +494,27 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> tuple[tuple[bytes, ...], ...]
         while stack:
             x = stack.pop()
             for g in conjugators:
-                for gi in (g, inverse[g]):
-                    y = table[table[gi][x]][inverse[gi]]
-                    if y not in orbit:
-                        orbit.add(y)
-                        stack.append(y)
+                y = table[table[g][x]][inverse[g]]
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
         for idx in orbit:
             assigned[idx] = True
         classes.append(tuple(group.element_list[i].key for i in sorted(orbit)))
     return tuple(classes)
 
 
-def _table_orders(table: list[list[int]], identity: int = 0) -> list[int]:
-    orders = []
-    for i in range(len(table)):
-        j = i
-        n = 1
-        while j != identity:
-            j = table[j][i]
-            n += 1
-        orders.append(n)
-    return orders
+def _powers(table: list[list[int]], x: int) -> list[int]:
+    """The cyclic span of element x as e, x, x^2, ... up to its order."""
+    powers, p = [0], x
+    while p:
+        powers.append(p)
+        p = table[p][x]
+    return powers
+
+
+def _table_orders(table: list[list[int]]) -> list[int]:
+    return [len(_powers(table, x)) for x in range(len(table))]
 
 
 def _class_sizes(group: FiniteMatrixGroup) -> list[int]:
@@ -676,9 +658,3 @@ def element_records(
 def cayley_csv(group: FiniteMatrixGroup) -> str:
     table = group.cayley_table()
     return "\n".join(",".join(str(v) for v in row) for row in table) + "\n"
-
-
-def _require_subgroup(group: FiniteMatrixGroup, sub: FiniteMatrixGroup) -> None:
-    for e in sub.element_list:
-        if e.key not in group.elements:
-            raise NotASubgroupError("claimed subgroup has an element outside the group")

@@ -127,8 +127,6 @@ class UnitaryMatrix:
             )
         )
 
-    inverse = conj_transpose
-
     # -- scalar invariants ----------------------------------------------------
 
     def trace(self) -> Cyclo:

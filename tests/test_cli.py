@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from su3braid import cli
+from su3braid import cli, cyclo
 from su3braid import matgroup as mg
 from su3braid.cli import export_group, main, query
 from su3braid.cyclo import sqrt3
@@ -190,3 +190,32 @@ def test_cli_r_bound_exits_2(capsys):
     assert main(["rep", "--r", too_large, "--charge", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: --r must be at most")
     assert main(["query", "delta", "1", "--r", str(cli.MAX_R)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        # just above the bound, so a missing check fails fast instead of hanging
+        (["family", "C", "1031", "1", "1"], 4124),
+        (["group", "--from", "familyC", "1031", "1", "1"], 4124),
+        (["group", "--from", "familyD", "9", "1", "1", "1031", "1", "1"], 37116),
+        (["rep", "--phase", "1/513"], 4104),
+        (["family", "C", "10007", "1", "1"], 40028),
+    ],
+)
+def test_cli_working_order_bound_exits_2(argv, order, capsys):
+    assert order > cli.MAX_WORKING_ORDER
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and f"order {order}, above" in captured.err
+    assert captured.out == ""
+    # refused before any table of that order was built
+    assert order not in cyclo._CONTEXTS
+
+
+def test_cli_verify_cap_below_1_exits_2(capsys):
+    for cap in ("0", "-5"):
+        assert main(["verify", "--cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --cap must be positive\n"
+        assert captured.out == ""  # refused before the checklist runs

@@ -154,7 +154,17 @@ def test_rational_canonicalization():
     z3 = root_of_unity(3)
     assert (z3 + z3.conj()).order == 1
     assert z3 + z3.conj() == -1
+    assert len({z3 + z3.conj(), -1}) == 1  # equal, so equal hashes
     assert (root_of_unity(8) * root_of_unity(8, 7)).order == 1
+
+
+@pytest.mark.parametrize("value", [0, 1, -1, 7, -3, Fraction(1, 2), Fraction(-5, 3)])
+def test_rational_eq_hash_contract(value):
+    # equal values hash equally, so a rational and its Python number share a set
+    c = Cyclo.rational(value)
+    assert c == value and hash(c) == hash(value)
+    assert len({c, value}) == 1
+    assert {value: "python"}[c] == "python"
 
 
 def test_serialization_shape():

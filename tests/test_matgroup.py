@@ -111,6 +111,9 @@ def test_semidirect_verify(paper_group, named_elements, subgroup_n, subgroup_h):
     cyc_a = mg.subgroup(paper_group, [named_elements["A"]])
     small = mg.semidirect_verify(paper_group, cyc_a, subgroup_h)
     assert not small.order_product
+    outside = mg.close([UnitaryMatrix.diagonal([root_of_unity(5), root_of_unity(5, 4), 1])])
+    with pytest.raises(mg.NotASubgroupError):
+        mg.semidirect_verify(paper_group, subgroup_n, outside)
 
 
 def test_decompose(paper_group, named_elements, subgroup_n, subgroup_h):
@@ -357,3 +360,134 @@ def test_deterministic_ordering(paper_matrices):
     second = mg.close([g1, g2])
     assert [e.key for e in first.element_list] == [e.key for e in second.element_list]
     assert [e.word for e in first.element_list] == [e.word for e in second.element_list]
+
+
+# ---------------------------------------------------------------------------
+# the index-based structural queries against exact matrix products
+
+
+def _reference_is_normal(group, sub):
+    for g in group.generators:
+        ginv = g.matrix.conj_transpose()
+        for n in sub.element_list:
+            if (g.matrix * n.matrix * ginv).key_bytes() not in sub.elements:
+                return False
+    return True
+
+
+def _reference_semidirect(group, normal_part, complement):
+    common = [e for e in normal_part.element_list if e.key in complement.elements]
+    products = {
+        (n.matrix * h.matrix).key_bytes()
+        for n in normal_part.element_list
+        for h in complement.element_list
+    }
+    return mg.SemidirectReport(
+        normal=_reference_is_normal(group, normal_part),
+        trivial_intersection=len(common) == 1,
+        order_product=normal_part.order * complement.order == group.order,
+        product_bijective=products <= group.elements.keys() and len(products) == group.order,
+    )
+
+
+def _reference_abelian_invariants(group):
+    gens = group.generators
+    if any(a.matrix * b.matrix != b.matrix * a.matrix for a in gens for b in gens):
+        raise mg.NotAbelianError
+    n = group.order
+    if n == 1:
+        return ()
+
+    def span(g):
+        keys, power = {group.identity.key}, g.matrix
+        while power.key_bytes() != group.identity.key:
+            keys.add(power.key_bytes())
+            power = power * g.matrix
+        return keys
+
+    spans = [span(e) for e in group.element_list]
+    top = max(len(s) for s in spans)
+    if top == n:
+        return (n,)
+    for x in spans:
+        for y in spans:
+            if len(x) == top and len(y) == n // top and len(x & y) == 1:
+                return (top, n // top)
+    raise mg.DecompositionNotFoundError
+
+
+@pytest.fixture(scope="module")
+def named_subgroups(paper_group, named_elements, subgroup_n, subgroup_h):
+    def sub(*names):
+        return mg.subgroup(paper_group, [named_elements[k] for k in names])
+
+    g1 = paper_group.generators[0]
+    return {
+        "1": mg.subgroup(paper_group, [paper_group.identity]),
+        "<G1^6>": mg.subgroup(paper_group, [mg.word_eval((1,) * 6, [g1])]),  # normal, order 3
+        "N": subgroup_n,
+        "H": subgroup_h,
+        "<A>": sub("A"),
+        "<B>": sub("B"),
+        "<T3>": sub("T3"),
+        "<A,B,T3>": sub("A", "B", "T3"),
+        "G": paper_group,
+    }
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (mg.NotAbelianError, mg.DecompositionNotFoundError) as exc:
+        return type(exc)
+
+
+def test_structural_queries_match_matrix_reference(paper_group, named_subgroups):
+    assert named_subgroups["<A,B,T3>"].order == 54
+    assert mg.is_normal(paper_group, named_subgroups["<G1^6>"])
+    for name, sub in named_subgroups.items():
+        assert mg.is_normal(paper_group, sub) == _reference_is_normal(paper_group, sub), name
+        assert _outcome(mg.abelian_invariants, sub) == _outcome(
+            _reference_abelian_invariants, sub
+        ), name
+    assert not mg.is_normal(paper_group, named_subgroups["H"])
+    assert mg.abelian_invariants(named_subgroups["N"]) == (9, 3)
+
+
+@pytest.mark.parametrize(
+    "normal_name, complement_name, all_ok",
+    [
+        ("N", "H", True),
+        ("N", "N", False),
+        ("<A>", "H", False),
+        ("<B>", "<T3>", False),
+        ("<A,B,T3>", "H", False),
+        ("G", "<T3>", False),  # bijective onto G, yet neither trivial nor of order 162
+        ("G", "1", True),
+    ],
+)
+def test_semidirect_flags_match_matrix_reference(
+    paper_group, named_subgroups, normal_name, complement_name, all_ok
+):
+    normal_part = named_subgroups[normal_name]
+    complement = named_subgroups[complement_name]
+    report = mg.semidirect_verify(paper_group, normal_part, complement)
+    assert report == _reference_semidirect(paper_group, normal_part, complement)
+    assert report.all_ok == all_ok
+
+
+def test_structural_queries_make_no_matrix_product(
+    paper_group, named_subgroups, monkeypatch
+):
+    for sub in named_subgroups.values():
+        sub.cayley_table()  # the guarded tables are built (and cached) first
+
+    def no_product(self, other):
+        raise AssertionError("a structural query multiplied matrices")
+
+    monkeypatch.setattr(UnitaryMatrix, "__mul__", no_product)
+    n, h = named_subgroups["N"], named_subgroups["H"]
+    assert mg.is_normal(paper_group, n)
+    assert mg.semidirect_verify(paper_group, n, h).all_ok
+    assert mg.abelian_invariants(n) == (9, 3)
+    assert len(mg.conjugacy_classes(paper_group)) == 22
