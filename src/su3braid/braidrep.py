@@ -24,13 +24,12 @@ from .cyclo import Cyclo, _coerce, root_of_unity, sqrt2, sqrt3
 from .matrix import UnitaryMatrix
 from .recoupling import (
     TheoryParams,
-    ZeroDenominatorError,
     admissible,
     delta_n,
+    inv_theta,
     r_value,
     tet,
     theory,
-    theta,
 )
 
 
@@ -82,10 +81,7 @@ def sigma_mid(t: TheoryParams, basis: FusionBasis) -> UnitaryMatrix:
         raise ValueError("basis was built for a different theory")
     c = basis.charge
     labels = basis.labels
-    thetas = {a: theta(t, c, c, a) for a in labels}
-    for a, th in thetas.items():
-        if th.is_zero():
-            raise ZeroDenominatorError(f"theta({c},{c},{a}) vanishes")
+    inv_thetas = {a: inv_theta(t, c, c, a) for a in labels}
     roots = {a: _sqrt_delta(delta_n(t, a), t.order) for a in labels}
     tets = {
         (i, a): tet(t, c, c, i, c, c, a)
@@ -93,7 +89,7 @@ def sigma_mid(t: TheoryParams, basis: FusionBasis) -> UnitaryMatrix:
         for a in labels
     }
     summand = {
-        i: delta_n(t, i) * r_value(t, i, c, c).conj() / (thetas[i] * thetas[i])
+        i: delta_n(t, i) * r_value(t, i, c, c).conj() * inv_thetas[i] * inv_thetas[i]
         for i in labels
     }
     rows = []
@@ -103,7 +99,7 @@ def sigma_mid(t: TheoryParams, basis: FusionBasis) -> UnitaryMatrix:
             acc = Cyclo.zero()
             for i in labels:
                 acc = acc + summand[i] * tets[(i, a)] * tets[(i, b)]
-            row.append(roots[a] * roots[b] / (thetas[a] * thetas[b]) * acc)
+            row.append(roots[a] * roots[b] * inv_thetas[a] * inv_thetas[b] * acc)
         rows.append(row)
     return UnitaryMatrix.from_rows(rows)
 

@@ -53,8 +53,8 @@ def export_group(target: mg.FiniteMatrixGroup, what: str, path: str,
 # the cost of `query` and `rep` grows with the working order lcm(4r, 72)
 # and with the label range 0..r-2.  Measured worst case for r <= 16 (2-vCPU
 # Xeon VM, Python 3.11, cold process): `query sixj 8 6 8 8 6 8 --r 13`
-# (order 936), 1.2 s and 20 MB.  Above the bound, sixj 10 10 10 10 10 10
-# takes 3.7 s at r = 17, and sixj 20 20 20 20 20 20 at r = 50 about 61 s.
+# (order 936), 0.4-0.5 s and 20 MB.  Above the bound, sixj 10 10 10 10 10 10
+# takes 0.6 s at r = 17, and sixj 20 20 20 20 20 20 at r = 50 3.2 s.
 MAX_R = 16
 
 # query kind -> (number of labels, evaluator taking the theory and the labels)
@@ -73,6 +73,15 @@ _QUERIES = {
 # N * phi(N) integers; the worst case at the bound (2-vCPU Xeon VM, Python
 # 3.11, cold) is `family D 1021 1 1 1021 1 1`, order 4084: 1.0 s, 114 MB.
 MAX_WORKING_ORDER = 4096
+
+
+# the largest `group --cap`, and its default; equal to the Cayley export
+# bound, so every exportable group can be closed.  Closure time grows with
+# the elements closed and with the working order.  Worst case at the bound
+# (2-vCPU Xeon VM, Python 3.11, cold): `group --from familyD 1021 1 1 4084
+# 1 1`, working order 4084, reaches the cap in 40 s and 190 MB
+# (`familyC 1021 1 1`: 15 s, 152 MB).
+MAX_GROUP_CAP = 4096
 
 
 def _require_order(order: int, what: str) -> None:
@@ -136,7 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_group.add_argument("--emit-elements", metavar="PATH")
     p_group.add_argument("--emit-cayley", metavar="PATH")
-    p_group.add_argument("--cap", type=int, default=100_000)
+    p_group.add_argument(
+        "--cap", type=int, default=MAX_GROUP_CAP,
+        help=f"group closure cap, 1 to {MAX_GROUP_CAP}",
+    )
 
     p_family = sub.add_parser("family", help="print family generator matrices")
     p_family.add_argument("series", choices=["C", "D"])
@@ -224,6 +236,8 @@ def _run_query(args: argparse.Namespace) -> int:
 
 
 def _run_group(args: argparse.Namespace) -> int:
+    if not 1 <= args.cap <= MAX_GROUP_CAP:
+        raise ValueError(f"--cap must be between 1 and {MAX_GROUP_CAP}")
     cap = args.cap
     if args.emit_cayley:
         # refuse before closing past the limit, not after building the table

@@ -408,6 +408,9 @@ class Cyclo:
     # -- comparisons / display ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        # same-order values first: every memo-dict lookup lands here
+        if type(other) is Cyclo and self.order == other.order:
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
             other = Cyclo.rational(other)
         if not isinstance(other, Cyclo):

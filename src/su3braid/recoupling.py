@@ -7,7 +7,11 @@ value d = -A^2 - A^(-2), and quantum integers taken at q = A^2:
     [n] = (A^(2n) - A^(-2n)) / (A^2 - A^(-2))
 
 Closed trivalent networks are evaluated through the standard quantum-
-factorial closed forms.  For an admissible triple (a, b, c) with vertex
+factorial closed forms, division-free: every denominator is a product of
+quantum factorials, so each net is a signed product of cached [n]! and
+cached 1/[n]!.  The inverse factorials are built as 1/[n]! = 1/[n-1]! * 1/[n],
+so a theory runs one exact `Cyclo.inv` per quantum integer [1] .. [r-1]
+rather than one per division.  For an admissible triple (a, b, c) with vertex
 exponents m = (a+c-b)/2, n = (a+b-c)/2, p = (b+c-a)/2:
 
     theta(a, b, c) = (-1)^(m+n+p) [m+n+p+1]! [m]! [n]! [p]! / ([a]! [b]! [c]!)
@@ -24,6 +28,9 @@ summed over max(a_i) <= s <= min(b_j).  The 6j-symbol combines the two:
     sixj(a, b, k, c, d, i) = tet(a, b, k, c, d, i) * delta_i
                              / (theta(a, d, i) * theta(c, b, k))
 
+where 1/theta is the theta closed form with numerator and denominator
+factorials swapped (`inv_theta`).
+
 Sign conventions are pinned by golden tests against the level-4 values
 (theta(2,2,2) = 2/sqrt(3), tet table entries, R-value anchors).
 """
@@ -33,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .cyclo import Cyclo, root_of_unity
 
@@ -139,6 +147,32 @@ def quantum_fact(t: TheoryParams, n: int) -> Cyclo:
     return quantum_fact(t, n - 1) * quantum_int(t, n)
 
 
+@lru_cache(maxsize=None)
+def inv_quantum_fact(t: TheoryParams, n: int) -> Cyclo:
+    """1/[n]! = 1/[n-1]! * 1/[n]; raises ZeroDenominatorError for n >= r,
+    where [r] and so every [n]! from there on vanishes."""
+    if n < 0:
+        raise ValueError("quantum factorial needs n >= 0")
+    if n == 0:
+        return Cyclo.one()
+    q = quantum_int(t, n)
+    if q.is_zero():
+        raise ZeroDenominatorError(f"[{n}] vanishes at r = {t.r}")
+    return inv_quantum_fact(t, n - 1) * q.inv()
+
+
+def _factorial_product(
+    t: TheoryParams, odd: bool, up: Iterable[int], down: Iterable[int]
+) -> Cyclo:
+    """(-1)^odd * prod_{u in up} [u]! / prod_{l in down} [l]!, division-free."""
+    value = Cyclo.one()
+    for n in up:
+        value = value * quantum_fact(t, n)
+    for n in down:
+        value = value * inv_quantum_fact(t, n)
+    return -value if odd else value
+
+
 def delta_n(t: TheoryParams, n: int) -> Cyclo:
     """Loop value of the closed n-strand projector: (-1)^n [n+1]."""
     if n < 0:
@@ -157,23 +191,28 @@ def r_value(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
     return -value if half_sum % 2 else value
 
 
-def theta(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
-    """Exact theta-net value of the closed two-vertex network."""
+def _theta_factorials(
+    t: TheoryParams, a: int, b: int, c: int
+) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
+    """(odd sign, numerator, denominator) of the theta closed form: the
+    factorial arguments (m+n+p+1, m, n, p) over (a, b, c)."""
     if not admissible(t, a, b, c):
         raise InadmissibleTripleError(f"({a},{b},{c}) is not admissible")
     v = vertex_exponents(a, b, c)
     s = v.m + v.n + v.p
-    num = (
-        quantum_fact(t, s + 1)
-        * quantum_fact(t, v.m)
-        * quantum_fact(t, v.n)
-        * quantum_fact(t, v.p)
-    )
-    den = quantum_fact(t, a) * quantum_fact(t, b) * quantum_fact(t, c)
-    if den.is_zero():
-        raise ZeroDenominatorError(f"vanishing factorial in theta({a},{b},{c})")
-    value = num / den
-    return -value if s % 2 else value
+    return s % 2 == 1, (s + 1, v.m, v.n, v.p), (a, b, c)
+
+
+def theta(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
+    """Exact theta-net value of the closed two-vertex network."""
+    odd, num, den = _theta_factorials(t, a, b, c)
+    return _factorial_product(t, odd, num, den)
+
+
+def inv_theta(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
+    """1/theta(a, b, c): the same closed form with the factorials swapped."""
+    odd, num, den = _theta_factorials(t, a, b, c)
+    return _factorial_product(t, odd, den, num)
 
 
 def tet(t: TheoryParams, a: int, b: int, e: int, c: int, d: int, f: int) -> Cyclo:
@@ -185,35 +224,18 @@ def tet(t: TheoryParams, a: int, b: int, e: int, c: int, d: int, f: int) -> Cycl
             raise InadmissibleTripleError(f"vertex {triple} is not admissible")
     half = [(x + y + z) // 2 for x, y, z in triples]
     squares = [(b + d + e + f) // 2, (a + c + e + f) // 2, (a + b + c + d) // 2]
-    lo, hi = max(half), min(squares)
-    interior = Cyclo.one()
-    for bj in squares:
-        for ai in half:
-            interior = interior * quantum_fact(t, bj - ai)
-    exterior = Cyclo.one()
-    for edge in (a, b, c, d, e, f):
-        exterior = exterior * quantum_fact(t, edge)
-    if exterior.is_zero():
-        raise ZeroDenominatorError("vanishing edge factorial in tet")
     acc = Cyclo.zero()
-    for s in range(lo, hi + 1):
-        den = Cyclo.one()
-        for ai in half:
-            den = den * quantum_fact(t, s - ai)
-        for bj in squares:
-            den = den * quantum_fact(t, bj - s)
-        if den.is_zero():
-            raise ZeroDenominatorError("vanishing factorial in tet summand")
-        term = quantum_fact(t, s + 1) / den
-        acc = acc - term if s % 2 else acc + term
-    return interior / exterior * acc
+    for s in range(max(half), min(squares) + 1):
+        acc = acc + _factorial_product(
+            t, s % 2 == 1, (s + 1,), [s - ai for ai in half] + [bj - s for bj in squares]
+        )
+    outer = _factorial_product(
+        t, False, [bj - ai for bj in squares for ai in half], (a, b, c, d, e, f)
+    )
+    return outer * acc
 
 
 def sixj(t: TheoryParams, a: int, b: int, k: int, c: int, d: int, i: int) -> Cyclo:
     """6j-symbol {a b k; c d i} = T[a b k; c d i] * delta_i / (theta(a,d,i) theta(c,b,k))."""
-    value = tet(t, a, b, k, c, d, i)
-    th1 = theta(t, a, d, i)
-    th2 = theta(t, c, b, k)
-    if th1.is_zero() or th2.is_zero():
-        raise ZeroDenominatorError("vanishing theta in 6j-symbol")
-    return value * delta_n(t, i) / (th1 * th2)
+    value = tet(t, a, b, k, c, d, i) * delta_n(t, i)
+    return value * inv_theta(t, a, d, i) * inv_theta(t, c, b, k)

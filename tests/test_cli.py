@@ -96,6 +96,16 @@ def test_cli_group_bad_input_exits_2(capsys):
     assert "cap=10" in capsys.readouterr().err
 
 
+def test_cli_group_cap_bound_exits_2(capsys):
+    for cap in (str(cli.MAX_GROUP_CAP + 1), "0", "-3"):
+        assert main(["group", "--from", "paper", "--cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --cap must be between 1 and {cli.MAX_GROUP_CAP}\n"
+        assert captured.out == ""  # refused before the closure
+    args = cli._build_parser().parse_args(["group", "--from", "paper"])
+    assert args.cap == cli.MAX_GROUP_CAP
+
+
 def test_cli_rep_bad_input_exits_2(capsys):
     assert main(["rep", "--r", "5"]) == 2
     captured = capsys.readouterr()

@@ -3,7 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su3braid.cyclo import (
@@ -158,6 +159,14 @@ def test_rational_canonicalization():
     assert (root_of_unity(8) * root_of_unity(8, 7)).order == 1
 
 
+def test_same_order_equality_compares_denominators():
+    z = root_of_unity(72, 5)
+    half = z * Fraction(1, 2)
+    assert half.nums == z.nums and half != z
+    assert half == z / 2 and hash(half) == hash(z / 2)
+    assert z != root_of_unity(72, 6)
+
+
 @pytest.mark.parametrize("value", [0, 1, -1, 7, -3, Fraction(1, 2), Fraction(-5, 3)])
 def test_rational_eq_hash_contract(value):
     # equal values hash equally, so a rational and its Python number share a set
@@ -211,3 +220,48 @@ def test_embedding_preserves_value(x):
     up = x.embed(72) if x.order > 1 else x
     assert up == x
     assert abs(up.to_complex() - x.to_complex()) < 1e-9
+
+
+# -- sympy as a differential oracle ----------------------------------------------
+
+def test_cyclotomic_polynomial_matches_sympy():
+    x = sympy.symbols("x")
+    for n in range(1, 201):
+        theirs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in theirs), n
+
+
+def sparse_values(order):
+    """One or two roots of unity with small coefficients: sparse enough that
+    the inverse of the (dense) inverse stays affordable at degree 144."""
+    term = st.tuples(st.integers(0, order - 1), st.sampled_from([-2, -1, 1, 2]))
+    return st.lists(term, min_size=1, max_size=2).map(
+        lambda terms: sum((c * root_of_unity(order, e) for e, c in terms), Cyclo.zero())
+    ).filter(lambda v: not v.is_zero())
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([288, 360, 504]).flatmap(sparse_values))
+def test_inverse_matches_sympy_and_round_trips(x):
+    inverse = x.inv()
+    assert x * inverse == 1
+    assert inverse.inv() == x
+    if x.order > 1:
+        t = sympy.symbols("t")
+        phi = sympy.Poly(cyclotomic_polynomial(x.order)[::-1], t, domain=sympy.QQ)
+        poly = sympy.Poly([sympy.Rational(c) for c in x.coeffs[::-1]], t, domain=sympy.QQ)
+        theirs = [Fraction(int(c.p), int(c.q)) for c in sympy.invert(poly, phi).all_coeffs()[::-1]]
+        theirs += [Fraction(0)] * (len(inverse.coeffs) - len(theirs))
+        assert inverse.coeffs == tuple(theirs)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([12, 24, 36, 72]).flatmap(
+        lambda order: st.tuples(cyclo_values(order), st.sampled_from([2, 3, 5]))
+    )
+)
+def test_embed_round_trip(case):
+    x, factor = case
+    multiple = x.order * factor
+    assert x.embed(multiple).embed(x.order) == x

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from su3braid import recoupling as rc
-from su3braid.cyclo import root_of_unity, sqrt3
+from su3braid.cyclo import Cyclo, root_of_unity, sqrt3
 
 
 # Independent float oracle at r = 6: q = A^2 = e^(5 i pi/6), so
@@ -165,3 +167,122 @@ def test_theta_is_symmetric(triple):
 def test_level_truncation(r):
     t = rc.theory(r)
     assert rc.delta_n(t, t.k + 1) == 0
+
+
+# -- division-free nets against the division-based closed forms ----------------
+
+def ref_theta(t, a, b, c):
+    """theta as numerator / denominator, one exact inverse per call."""
+    if not rc.admissible(t, a, b, c):
+        raise rc.InadmissibleTripleError(f"({a},{b},{c}) is not admissible")
+    v = rc.vertex_exponents(a, b, c)
+    s = v.m + v.n + v.p
+    num = (
+        rc.quantum_fact(t, s + 1)
+        * rc.quantum_fact(t, v.m)
+        * rc.quantum_fact(t, v.n)
+        * rc.quantum_fact(t, v.p)
+    )
+    den = rc.quantum_fact(t, a) * rc.quantum_fact(t, b) * rc.quantum_fact(t, c)
+    value = num / den
+    return -value if s % 2 else value
+
+
+def ref_tet(t, a, b, e, c, d, f):
+    """tet with one exact division per summand and one for the exterior."""
+    triples = ((a, d, e), (b, c, e), (a, b, f), (c, d, f))
+    for triple in triples:
+        if not rc.admissible(t, *triple):
+            raise rc.InadmissibleTripleError(f"vertex {triple} is not admissible")
+    half = [(x + y + z) // 2 for x, y, z in triples]
+    squares = [(b + d + e + f) // 2, (a + c + e + f) // 2, (a + b + c + d) // 2]
+    interior = Cyclo.one()
+    for bj in squares:
+        for ai in half:
+            interior = interior * rc.quantum_fact(t, bj - ai)
+    exterior = Cyclo.one()
+    for edge in (a, b, c, d, e, f):
+        exterior = exterior * rc.quantum_fact(t, edge)
+    acc = Cyclo.zero()
+    for s in range(max(half), min(squares) + 1):
+        den = Cyclo.one()
+        for ai in half:
+            den = den * rc.quantum_fact(t, s - ai)
+        for bj in squares:
+            den = den * rc.quantum_fact(t, bj - s)
+        term = rc.quantum_fact(t, s + 1) / den
+        acc = acc - term if s % 2 else acc + term
+    return interior / exterior * acc
+
+
+def ref_sixj(t, a, b, k, c, d, i):
+    value = ref_tet(t, a, b, k, c, d, i)
+    return value * rc.delta_n(t, i) / (ref_theta(t, a, d, i) * ref_theta(t, c, b, k))
+
+
+def admissible_thetas(t):
+    return [x for x in itertools.product(t.label_set, repeat=3) if rc.admissible(t, *x)]
+
+
+def admissible_tets(t):
+    """Label sets (a, b, e, c, d, f) whose four tet vertices are admissible."""
+    return [
+        (a, b, e, c, d, f)
+        for a, b, e, c, d, f in itertools.product(t.label_set, repeat=6)
+        if all(rc.admissible(t, *v) for v in ((a, d, e), (b, c, e), (a, b, f), (c, d, f)))
+    ]
+
+
+def admissible_sixjs(t):
+    """Tet label sets whose second 6j normalisation theta(a, d, i) is defined."""
+    return [x for x in admissible_tets(t) if rc.admissible(t, x[0], x[4], x[5])]
+
+
+@pytest.mark.parametrize("r", range(3, 11))
+def test_inverse_quantum_factorials(r):
+    t = rc.theory(r)
+    for n in range(r):
+        assert rc.quantum_fact(t, n) * rc.inv_quantum_fact(t, n) == 1, n
+    with pytest.raises(rc.ZeroDenominatorError):
+        rc.inv_quantum_fact(t, r)
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_division_free_nets_match_division_on_every_label_set(r):
+    t = rc.theory(r)
+    for x in admissible_thetas(t):
+        assert rc.theta(t, *x) == ref_theta(t, *x), x
+        assert rc.theta(t, *x) * rc.inv_theta(t, *x) == 1, x
+    for x in admissible_tets(t):
+        assert rc.tet(t, *x) == ref_tet(t, *x), x
+    for x in admissible_sixjs(t):
+        assert rc.sixj(t, *x) == ref_sixj(t, *x), x
+
+
+@pytest.mark.parametrize("r", [7, 8])
+def test_division_free_nets_match_division_on_a_sample(r):
+    t = rc.theory(r)
+    rng = random.Random(r)
+    for x in rng.sample(admissible_thetas(t), 8):
+        assert rc.theta(t, *x) == ref_theta(t, *x), x
+    for x in rng.sample(admissible_tets(t), 8):
+        assert rc.tet(t, *x) == ref_tet(t, *x), x
+    for x in rng.sample(admissible_sixjs(t), 8):
+        assert rc.sixj(t, *x) == ref_sixj(t, *x), x
+
+
+def test_one_inverse_per_quantum_integer(monkeypatch):
+    t = rc.theory(5)
+    rc.quantum_fact.cache_clear()
+    rc.inv_quantum_fact.cache_clear()
+    calls = []
+    inv = Cyclo.inv
+
+    def counting_inv(self):
+        calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(Cyclo, "inv", counting_inv)
+    for x in admissible_sixjs(t):
+        rc.sixj(t, *x)
+    assert 0 < len(calls) <= t.r - 1
