@@ -206,18 +206,10 @@ class Cyclo:
         (no canonicalization); denominator is unchanged."""
         if self.order == order:
             return list(self.nums)
-        deg = _context(order).deg
+        ctx = _context(order)
         if self.order == 1:
-            return [self.nums[0]] + [0] * (deg - 1)
-        scale = order // self.order
-        powrep = _context(order).powrep
-        out = [0] * deg
-        for e, c in enumerate(self.nums):
-            if c:
-                for i, r in enumerate(powrep[e * scale]):
-                    if r:
-                        out[i] += c * r
-        return out
+            return [self.nums[0]] + [0] * (ctx.deg - 1)
+        return _reindex(ctx, self.nums, order // self.order)
 
     def __add__(self, other: CycloLike) -> "Cyclo":
         other = _coerce(other)
@@ -340,19 +332,7 @@ class Cyclo:
 
     def conj(self) -> "Cyclo":
         """Complex conjugation, i.e. the automorphism zeta |-> zeta^(N-1)."""
-        if self.order == 1:
-            return self
-        ctx = _context(self.order)
-        out = [0] * ctx.deg
-        out[0] = self.nums[0]
-        for e in range(1, ctx.deg):
-            c = self.nums[e]
-            if c:
-                rep = ctx.powrep[self.order - e]
-                for i, r in enumerate(rep):
-                    if r:
-                        out[i] += c * r
-        return Cyclo._make(self.order, out, self.den)
+        return self.galois(self.order - 1)
 
     def galois(self, j: int) -> "Cyclo":
         """Image under zeta |-> zeta^j (j coprime to the order)."""
@@ -360,15 +340,7 @@ class Cyclo:
             return self
         if math.gcd(j, self.order) != 1:
             raise ValueError("galois exponent must be coprime to the order")
-        ctx = _context(self.order)
-        out = [0] * ctx.deg
-        for e, c in enumerate(self.nums):
-            if c:
-                rep = ctx.powrep[(e * j) % self.order]
-                for i, r in enumerate(rep):
-                    if r:
-                        out[i] += c * r
-        return Cyclo._make(self.order, out, self.den)
+        return Cyclo._make(self.order, _reindex(_context(self.order), self.nums, j), self.den)
 
     # -- embeddings ----------------------------------------------------------
 
@@ -384,16 +356,7 @@ class Cyclo:
         if self.order == target_order or self.order == 1:
             return self
         if target_order % self.order == 0:
-            ctx = _context(target_order)
-            scale = target_order // self.order
-            out = [0] * ctx.deg
-            for e, c in enumerate(self.nums):
-                if c:
-                    rep = ctx.powrep[e * scale]
-                    for i, r in enumerate(rep):
-                        if r:
-                            out[i] += c * r
-            return Cyclo._make(target_order, out, self.den)
+            return Cyclo._make(target_order, self._lift_vec(target_order), self.den)
         if self.order % target_order == 0:
             down = _subfield_rep(self, target_order)
             if down is None:
@@ -466,6 +429,17 @@ class Cyclo:
                 else:
                     terms.append(f"{coeff}*z{self.order}^{e}")
         return " + ".join(terms) if terms else "0"
+
+
+def _reindex(ctx: _Context, nums: Iterable[int], step: int) -> list[int]:
+    """Power-basis coefficients at ctx's order of sum_e nums[e] * zeta^(e * step)."""
+    out = [0] * ctx.deg
+    for e, c in enumerate(nums):
+        if c:
+            for i, r in enumerate(ctx.powrep[e * step % ctx.order]):
+                if r:
+                    out[i] += c * r
+    return out
 
 
 def _coerce(value: CycloLike) -> "Cyclo":

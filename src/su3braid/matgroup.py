@@ -9,6 +9,9 @@ Element ordering is deterministic (BFS layer, then key), so exports and
 reports reproduce byte-for-byte.  Every element carries the shortest
 generator word found during closure; words are sequences of signed
 1-based generator indices, negative meaning inverse.
+
+Only :func:`close` closes a group from matrices; subgroups, intersections
+and ``n*h`` factorizations are read off the ambient table and inverse index.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import astuple, dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .matrix import UnitaryMatrix
 
@@ -90,7 +93,8 @@ class FiniteMatrixGroup:
     generator as a permutation of element indices.  All index-level
     structure (the Cayley table, inverses, normality, semidirect
     certificates, abelian invariants, conjugacy classes, isomorphism
-    search) is composed from these integers.
+    search) is composed from these integers, and so are subgroups: they
+    are closed over the ambient table, which `subgroup` builds (n^2 ints).
     """
 
     def __init__(
@@ -98,7 +102,6 @@ class FiniteMatrixGroup:
         generators: tuple[GpElement, ...],
         element_list: tuple[GpElement, ...],
         working_order: int,
-        dim: int,
         bfs_mult: tuple[int, ...],
         bfs_parent: tuple[int, ...],
         actions: Mapping[int, tuple[int, ...]],
@@ -108,7 +111,7 @@ class FiniteMatrixGroup:
         # the one element index: canonical key -> position in element_list
         self.elements: dict[bytes, int] = {e.key: i for i, e in enumerate(element_list)}
         self.working_order = working_order
-        self.dim = dim
+        self.dim = element_list[0].matrix.dim
         self._bfs_mult = bfs_mult
         self._bfs_parent = bfs_parent
         self._actions = dict(actions)
@@ -218,30 +221,45 @@ def close(
         if g.dim != dim:
             raise ValueError("generators must share a dimension")
         order = math.lcm(order, g.scalar_order())
-    gens = [g.embed(order) for g in generators]
-
-    # distinct multipliers; a signed generator equal to an earlier one
-    # (an involution's inverse, a repeated generator) shares its slot
-    multipliers: list[tuple[int, UnitaryMatrix]] = []
-    slot_of_key: dict[bytes, int] = {}
-    slot_of_signed: dict[int, int] = {}
-    for i, g in enumerate(gens):
+    multipliers = []
+    for i, g in enumerate(generators):
+        g = g.embed(order)
         for signed, mat in ((i + 1, g), (-(i + 1), g.conj_transpose())):
-            k = mat.key_bytes()
-            if k not in slot_of_key:
-                slot_of_key[k] = len(multipliers)
-                multipliers.append((signed, mat))
-            slot_of_signed[signed] = slot_of_key[k]
+            multipliers.append((signed, mat.key_bytes(), mat))
+
+    def times(mat: UnitaryMatrix, element: GpElement) -> tuple[bytes, UnitaryMatrix]:
+        product = mat * element.matrix
+        return product.key_bytes(), product
 
     identity = UnitaryMatrix.identity(dim)
-    id_el = GpElement(identity, identity.key_bytes(), ())
-    elements: dict[bytes, int] = {id_el.key: 0}
-    element_list: list[GpElement] = [id_el]
+    return _bfs(GpElement(identity, identity.key_bytes(), ()), multipliers, times, order, cap)
+
+
+def _bfs(
+    identity: GpElement, multipliers: Sequence[tuple[int, bytes, object]],
+    times: Callable[[object, GpElement], tuple[bytes, UnitaryMatrix]], working_order: int, cap: int,
+) -> FiniteMatrixGroup:
+    """The one closure loop over (signed index, key, operand) multipliers,
+    with `times(operand, element)` giving the key and matrix of the product.
+    Each layer keeps the least word per new key and is appended in key order."""
+    # distinct multipliers; a signed generator equal to an earlier one
+    # (an involution's inverse, a repeated generator) shares its slot
+    distinct: list[tuple[int, object]] = []
+    slot_of_key: dict[bytes, int] = {}
+    slot_of_signed: dict[int, int] = {}
+    for signed, key, operand in multipliers:
+        if key not in slot_of_key:
+            slot_of_key[key] = len(distinct)
+            distinct.append((signed, operand))
+        slot_of_signed[signed] = slot_of_key[key]
+
+    elements: dict[bytes, int] = {identity.key: 0}
+    element_list: list[GpElement] = [identity]
     bfs_mult: list[int] = [0]
     bfs_parent: list[int] = [-1]
     # action[slot][x] = index of multiplier * element(x); parents are visited
     # in index order, so appending keeps position x aligned with element x
-    action: list[list[int]] = [[] for _ in multipliers]
+    action: list[list[int]] = [[] for _ in distinct]
 
     frontier = [0]
     while frontier:
@@ -249,9 +267,8 @@ def close(
         pending: list[tuple[int, int, bytes]] = []  # action entries awaiting an index
         for parent_idx in frontier:
             parent = element_list[parent_idx]
-            for slot, (signed, mat) in enumerate(multipliers):
-                product = mat * parent.matrix
-                key = product.key_bytes()
+            for slot, (signed, operand) in enumerate(distinct):
+                key, product = times(operand, parent)
                 idx = elements.get(key)
                 if idx is not None:
                     action[slot].append(idx)
@@ -278,18 +295,13 @@ def close(
         for slot, parent_idx, key in pending:
             action[slot][parent_idx] = elements[key]
 
-    actions = {signed: tuple(action[slot]) for signed, slot in slot_of_signed.items()}
-    gen_elements = tuple(
-        element_list[elements[g.key_bytes()]] for g in gens
-    )
     return FiniteMatrixGroup(
-        generators=gen_elements,
+        generators=tuple(element_list[elements[k]] for s, k, _ in multipliers if s > 0),
         element_list=tuple(element_list),
-        working_order=order,
-        dim=dim,
+        working_order=working_order,
         bfs_mult=tuple(bfs_mult),
         bfs_parent=tuple(bfs_parent),
-        actions=actions,
+        actions={signed: tuple(action[slot]) for signed, slot in slot_of_signed.items()},
     )
 
 
@@ -313,13 +325,23 @@ def element_order(g: GpElement, cap: int = 1000) -> int:
 
 
 def subgroup(group: FiniteMatrixGroup, gens: Sequence[GpElement]) -> FiniteMatrixGroup:
-    """Closure of elements of `group`; asserts Lagrange on the result."""
-    if any(g.key not in group.elements for g in gens):
-        raise GeneratorNotInGroupError("subgroup generator outside the group")
-    sub = close([g.matrix for g in gens], cap=group.order)
-    assert group.order % sub.order == 0, "Lagrange violation: not a subgroup order"
-    _positions(group, sub)
-    return sub
+    """Closure of elements of `group`, read off its Cayley table (built on
+    first use) instead of multiplying matrices.  The result has the element
+    order and words that `close` gives, and shares the ambient elements'
+    matrices and keys."""
+    xs = [group.index_of(g) for g in gens]
+    if not xs:
+        raise ValueError("need at least one generator")
+    table, inverse, ambient = group.cayley_table(), group.inverse_index(), group.element_list
+    multipliers = []
+    for i, x in enumerate(xs):
+        multipliers += [(i + 1, ambient[x].key, x), (-(i + 1), ambient[inverse[x]].key, inverse[x])]
+
+    def times(x: int, element: GpElement) -> tuple[bytes, UnitaryMatrix]:
+        product = ambient[table[x][group.elements[element.key]]]
+        return product.key, product.matrix
+
+    return _bfs(group.identity, multipliers, times, group.working_order, group.order)
 
 
 def _positions(group: FiniteMatrixGroup, sub: FiniteMatrixGroup) -> list[int]:
@@ -417,14 +439,17 @@ def semidirect_verify(
 
 
 def decompose(
-    g: GpElement, normal_part: FiniteMatrixGroup, complement: FiniteMatrixGroup
+    group: FiniteMatrixGroup, g: GpElement,
+    normal_part: FiniteMatrixGroup, complement: FiniteMatrixGroup,
 ) -> tuple[GpElement, GpElement]:
     """The unique (n, h) with g = n h, n in the normal part, h in the
-    complement."""
+    complement, found as n = g h^-1 on the Cayley table of `group`."""
+    x = group.index_of(g)
+    members = {p: i for i, p in enumerate(_positions(group, normal_part))}
+    table, inverse = group.cayley_table(), group.inverse_index()
     matches = []
-    for h in complement.element_list:
-        n_matrix = g.matrix * h.matrix.conj_transpose()
-        n = normal_part.elements.get(n_matrix.key_bytes())
+    for h, p in zip(complement.element_list, _positions(group, complement)):
+        n = members.get(table[x][inverse[p]])
         if n is not None:
             matches.append((normal_part.element_list[n], h))
     if not matches:

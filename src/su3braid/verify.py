@@ -428,15 +428,15 @@ def check_g1sqg2(ctx: _Context):
 
 
 def check_psi_g1(ctx: _Context):
-    g1, _ = ctx.need_group().generators
-    n, h = mg.decompose(g1, ctx.named("N"), ctx.named("H"))
+    g = ctx.need_group()
+    n, h = mg.decompose(g, g.generators[0], ctx.named("N"), ctx.named("H"))
     want_n = ctx.matrix("A") ** 5 * ctx.matrix("B") ** 2
     _require(n.matrix == want_n and h.matrix == ctx.matrix("T3"), "G1 != A^5 B^2 * T3")
 
 
 def check_psi_g2(ctx: _Context):
-    _, g2 = ctx.need_group().generators
-    n, h = mg.decompose(g2, ctx.named("N"), ctx.named("H"))
+    g = ctx.need_group()
+    n, h = mg.decompose(g, g.generators[1], ctx.named("N"), ctx.named("H"))
     want_n = ctx.matrix("A").conj_transpose() * ctx.matrix("B")
     want_h = ctx.matrix("T3") * ctx.matrix("T1") * ctx.matrix("T3")
     _require(n.matrix == want_n and h.matrix == want_h, "G2 != A^-1 B * T3 T1 T3")
@@ -452,7 +452,7 @@ def check_semidirect(ctx: _Context):
     _require(report.all_ok, f"semidirect flags: {report}")
     pairs = set()
     for e in g.element_list:
-        n, h = mg.decompose(e, ctx.named("N"), ctx.named("H"))
+        n, h = mg.decompose(g, e, ctx.named("N"), ctx.named("H"))
         pairs.add((n.key, h.key))
     _require(len(pairs) == g.order, "factorizations are not distinct")
     return {

@@ -208,14 +208,14 @@ def test_c12_psi_and_semidirect(paper_group, named_elements, subgroup_n, subgrou
     g1el, g2el = paper_group.generators
     a, b = named_elements["A"].matrix, named_elements["B"].matrix
     t1, t3 = named_elements["T1"].matrix, named_elements["T3"].matrix
-    n, h = mg.decompose(g1el, subgroup_n, subgroup_h)
+    n, h = mg.decompose(paper_group, g1el, subgroup_n, subgroup_h)
     ok = n.matrix == a ** 5 * b ** 2 and h.matrix == t3
-    n, h = mg.decompose(g2el, subgroup_n, subgroup_h)
+    n, h = mg.decompose(paper_group, g2el, subgroup_n, subgroup_h)
     ok = ok and n.matrix == a ** -1 * b and h.matrix == t3 * t1 * t3
     report = mg.semidirect_verify(paper_group, subgroup_n, subgroup_h)
     ok = ok and report.all_ok
     pairs = {
-        tuple(e.key for e in mg.decompose(el, subgroup_n, subgroup_h))
+        tuple(e.key for e in mg.decompose(paper_group, el, subgroup_n, subgroup_h))
         for el in paper_group.element_list
     }
     ok = ok and len(pairs) == 162

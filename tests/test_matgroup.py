@@ -122,11 +122,11 @@ def test_decompose(paper_group, named_elements, subgroup_n, subgroup_h):
     t3 = named_elements["T3"].matrix
     t1 = named_elements["T1"].matrix
     g1, g2 = paper_group.generators
-    n, h = mg.decompose(g1, subgroup_n, subgroup_h)
+    n, h = mg.decompose(paper_group, g1, subgroup_n, subgroup_h)
     assert n.matrix == a ** 5 * b ** 2 and h.matrix == t3
-    n, h = mg.decompose(g2, subgroup_n, subgroup_h)
+    n, h = mg.decompose(paper_group, g2, subgroup_n, subgroup_h)
     assert n.matrix == a ** -1 * b and h.matrix == t3 * t1 * t3
-    n, h = mg.decompose(paper_group.identity, subgroup_n, subgroup_h)
+    n, h = mg.decompose(paper_group, paper_group.identity, subgroup_n, subgroup_h)
     assert n.matrix == UnitaryMatrix.identity(3)
     assert h.matrix == UnitaryMatrix.identity(3)
 
@@ -134,7 +134,7 @@ def test_decompose(paper_group, named_elements, subgroup_n, subgroup_h):
 def test_decompose_is_a_bijection(paper_group, subgroup_n, subgroup_h):
     pairs = set()
     for element in paper_group.element_list:
-        n, h = mg.decompose(element, subgroup_n, subgroup_h)
+        n, h = mg.decompose(paper_group, element, subgroup_n, subgroup_h)
         pairs.add((n.key, h.key))
     assert len(pairs) == 162
     assert pairs == {
@@ -218,8 +218,13 @@ def test_derived_table_equals_direct_products(request, name):
     assert group.cayley_table() == direct
 
 
-def test_derived_table_order_648_seeded_entries():
-    group = mg.close(d_generators(DParams(CParams(18, 1, 1), 2, 1, 1)))
+@pytest.fixture(scope="module")
+def family_648():
+    return mg.close(d_generators(DParams(CParams(18, 1, 1), 2, 1, 1)))
+
+
+def test_derived_table_order_648_seeded_entries(family_648):
+    group = family_648
     assert group.order == 648
     table = group.cayley_table()
     rng = random.Random(648)
@@ -319,14 +324,20 @@ def test_decompose_error_cases(paper_group, named_elements, subgroup_h):
     missing = 0
     for element in paper_group.element_list:
         try:
-            mg.decompose(element, cyc_a, subgroup_h)
+            mg.decompose(paper_group, element, cyc_a, subgroup_h)
         except mg.NoFactorizationError:
             missing += 1
     assert missing == 162 - 54
     # identity = I*I = T3*T3 inside <T3> * <T3>
     cyc_t3 = mg.subgroup(paper_group, [named_elements["T3"]])
     with pytest.raises(mg.NonUniqueFactorizationError):
-        mg.decompose(paper_group.identity, cyc_t3, cyc_t3)
+        mg.decompose(paper_group, paper_group.identity, cyc_t3, cyc_t3)
+    stranger = UnitaryMatrix.diagonal([root_of_unity(5), root_of_unity(5, 4), 1])
+    with pytest.raises(mg.GeneratorNotInGroupError):
+        mg.decompose(paper_group, mg.GpElement(stranger, stranger.key_bytes()), cyc_t3, cyc_t3)
+    outside = mg.close([stranger])
+    with pytest.raises(mg.NotASubgroupError):
+        mg.decompose(paper_group, paper_group.identity, outside, subgroup_h)
 
 
 def test_find_isomorphism_negative():
@@ -491,3 +502,88 @@ def test_structural_queries_make_no_matrix_product(
     assert mg.semidirect_verify(paper_group, n, h).all_ok
     assert mg.abelian_invariants(n) == (9, 3)
     assert len(mg.conjugacy_classes(paper_group)) == 22
+    assert mg.subgroup(paper_group, [*n.generators, *h.generators]).order == 162
+    assert mg.subgroup(paper_group, n.generators).order == 27
+    cyc_a, cyc_b = named_subgroups["<A>"], named_subgroups["<B>"]
+    assert mg.intersect(cyc_a, cyc_b).order == 1
+    assert mg.intersect(h, n).order == 1
+    assert mg.intersect(n, n).order == 27
+    pairs = {mg.decompose(paper_group, e, n, h) for e in paper_group.element_list}
+    assert len(pairs) == 162
+    with pytest.raises(ValueError):
+        mg.subgroup(paper_group, [])
+
+
+# ---------------------------------------------------------------------------
+# subgroups and factorizations on the table against the matrix closure
+
+
+def _reference_subgroup(group, gens):
+    return mg.close([g.matrix for g in gens], cap=group.order)
+
+
+def _assert_same_closure(sub, ref):
+    assert [e.key for e in sub.element_list] == [e.key for e in ref.element_list]
+    assert [e.word for e in sub.element_list] == [e.word for e in ref.element_list]
+    assert sub._bfs_mult == ref._bfs_mult
+    assert sub._bfs_parent == ref._bfs_parent
+    assert sub._actions == ref._actions
+    assert [g.key for g in sub.generators] == [g.key for g in ref.generators]
+
+
+def test_subgroup_matches_matrix_closure(paper_group, named_subgroups):
+    for sub in named_subgroups.values():
+        if sub is not paper_group:
+            _assert_same_closure(sub, _reference_subgroup(paper_group, sub.generators))
+    whole = mg.subgroup(paper_group, paper_group.generators)
+    _assert_same_closure(whole, paper_group)
+    assert all(a.matrix is b.matrix for a, b in zip(whole.element_list, paper_group.element_list))
+
+
+def test_subgroup_matches_matrix_closure_order_648(family_648):
+    rng = random.Random(18)
+    orders = []
+    for _ in range(5):
+        gens = [rng.choice(family_648.element_list) for _ in range(2)]
+        sub = mg.subgroup(family_648, gens)
+        _assert_same_closure(sub, _reference_subgroup(family_648, gens))
+        orders.append(sub.order)
+    assert len(set(orders)) > 1  # the pairs do not all generate one subgroup
+
+
+def _reference_decompose(g, normal_part, complement):
+    matches = []
+    for h in complement.element_list:
+        n_matrix = g.matrix * h.matrix.conj_transpose()
+        n = normal_part.elements.get(n_matrix.key_bytes())
+        if n is not None:
+            matches.append((normal_part.element_list[n], h))
+    if not matches:
+        raise mg.NoFactorizationError("element has no n*h factorization")
+    if len(matches) > 1:
+        raise mg.NonUniqueFactorizationError("factorization is not unique")
+    return matches[0]
+
+
+def _factorization(fn, *args):
+    try:
+        return [(e.key, e.word) for e in fn(*args)]
+    except (mg.NoFactorizationError, mg.NonUniqueFactorizationError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "normal_name, complement_name, failures",
+    [("N", "H", 0), ("<A>", "H", 108), ("<T3>", "<T3>", 162)],
+)
+def test_decompose_matches_matrix_reference(
+    paper_group, named_subgroups, normal_name, complement_name, failures
+):
+    normal_part = named_subgroups[normal_name]
+    complement = named_subgroups[complement_name]
+    outcomes = []
+    for e in paper_group.element_list:
+        got = _factorization(mg.decompose, paper_group, e, normal_part, complement)
+        assert got == _factorization(_reference_decompose, e, normal_part, complement)
+        outcomes.append(got)
+    assert sum(isinstance(o, type) for o in outcomes) == failures
