@@ -26,11 +26,6 @@ from .verify import run_theorem1_verification
 # data export
 
 
-# the Cayley export holds order^2 Python ints; an order-2592 export peaks
-# near 140 MB resident, and the cost grows as order^2
-MAX_CAYLEY_EXPORT_ORDER = 4096
-
-
 def export_group(target: mg.FiniteMatrixGroup, what: str, path: str,
                  names: Optional[Sequence[str]] = None) -> None:
     """Write deterministic group data: `elements` as JSON records or
@@ -53,8 +48,8 @@ def export_group(target: mg.FiniteMatrixGroup, what: str, path: str,
 # the cost of `query` and `rep` grows with the working order lcm(4r, 72)
 # and with the label range 0..r-2.  Measured worst case for r <= 16 (2-vCPU
 # Xeon VM, Python 3.11, cold process): `query sixj 8 6 8 8 6 8 --r 13`
-# (order 936), 0.4-0.5 s and 20 MB.  Above the bound, sixj 10 10 10 10 10 10
-# takes 0.6 s at r = 17, and sixj 20 20 20 20 20 20 at r = 50 3.2 s.
+# (order 936), 0.15-0.20 s and 20 MB.  Above the bound, sixj 10 10 10 10 10 10
+# takes 0.24 s at r = 17, and sixj 20 20 20 20 20 20 at r = 50 0.8 s.
 MAX_R = 16
 
 # query kind -> (number of labels, evaluator taking the theory and the labels)
@@ -75,9 +70,10 @@ _QUERIES = {
 MAX_WORKING_ORDER = 4096
 
 
-# the largest `group --cap`, and its default; equal to the Cayley export
-# bound, so every exportable group can be closed.  Closure time grows with
-# the elements closed and with the working order.  Worst case at the bound
+# the largest `group --cap`, and its default; it also bounds the Cayley
+# export, which holds order^2 Python ints (an order-2592 export peaks near
+# 140 MB resident).  Closure time grows with the elements closed and with
+# the working order.  Worst case at the bound
 # (2-vCPU Xeon VM, Python 3.11, cold): `group --from familyD 1021 1 1 4084
 # 1 1`, working order 4084, reaches the cap in 40 s and 190 MB
 # (`familyC 1021 1 1`: 15 s, 152 MB).
@@ -171,13 +167,13 @@ def _family_generators(series: str, params: Sequence[int]) -> tuple[list[Unitary
         if len(params) != 3:
             raise ValueError("familyC needs n a b")
         p = CParams(*params)
-        _require_order(math.lcm(p.n, 4), "familyC")
+        _require_order(p.order, "familyC")
         return c_generators(p), ["E", "F"]
     if len(params) != 6:
         raise ValueError("familyD needs n a b d r s")
     n, a, b, d, r, s = params
     p = DParams(CParams(n, a, b), d, r, s)
-    _require_order(math.lcm(n, d, 4), "familyD")
+    _require_order(p.order, "familyD")
     return d_generators(p), ["E", "F", "D"]
 
 
@@ -238,18 +234,7 @@ def _run_query(args: argparse.Namespace) -> int:
 def _run_group(args: argparse.Namespace) -> int:
     if not 1 <= args.cap <= MAX_GROUP_CAP:
         raise ValueError(f"--cap must be between 1 and {MAX_GROUP_CAP}")
-    cap = args.cap
-    if args.emit_cayley:
-        # refuse before closing past the limit, not after building the table
-        cap = min(cap, MAX_CAYLEY_EXPORT_ORDER)
-    try:
-        group, names = _group_from_spec(args.source, cap)
-    except mg.GroupTooLargeError:
-        if cap < args.cap:
-            raise ValueError(
-                f"--emit-cayley supports groups of order at most {MAX_CAYLEY_EXPORT_ORDER}"
-            ) from None
-        raise
+    group, names = _group_from_spec(args.source, args.cap)
     print(f"order: {group.order}")
     if args.emit_elements:
         export_group(group, "elements", args.emit_elements, names)

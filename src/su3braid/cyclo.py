@@ -13,6 +13,11 @@ Irrational values hash by representation, so cross-order values meant to
 share a dict still need a shared working order (see :func:`embed`); the
 group-theory layer enforces that by embedding every matrix entry up front.
 
+Inverses use only the field's own operations: x^-1 is the product of
+the Galois conjugates sigma(x), sigma != 1, times 1/N(x), where the norm
+N(x), the product of all conjugates, is rational.  Division is
+multiplication by that inverse.
+
 Nothing here ever touches floating point except :meth:`Cyclo.to_complex`,
 which exists for display and cross-checking only.
 
@@ -284,31 +289,36 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclo":
-        """Exact inverse via the extended Euclidean algorithm on the
-        coefficient polynomial and Phi_N."""
+        """Exact inverse x^-1 = (prod_{sigma != 1} sigma(x)) / N(x).
+
+        The norm N(x) is built up the unit group (Z/N)^*: with y the
+        product of x's conjugates over a subgroup H, and u a unit of order
+        k modulo H, y * sigma_u(y) * ... * sigma_u^(k-1)(y) is the product
+        over H<u>.  The orbit product takes O(log k) multiplications by
+        binary splitting.  Once H is the whole group, y = N(x) is rational
+        and the cofactor times 1/N(x) is the inverse."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.order == 1:
-            return Cyclo._make(1, [self.den * (1 if self.nums[0] > 0 else -1)], abs(self.nums[0]))
-        p = [Fraction(c, self.den) for c in self.nums]
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, s = _poly_xgcd(p, phi)
-        # Phi_N is irreducible over Q, so g is a nonzero constant.
-        scale = Fraction(1) / g[0]
-        s = [c * scale for c in s]
-        den = math.lcm(*(c.denominator for c in s)) if s else 1
-        nums = [int(c * den) for c in s]
-        nums += [0] * (_context(self.order).deg - len(nums))
-        return Cyclo._make(self.order, nums, den)
+        y, cof = self, _ONE
+        order = self.order
+        subgroup = {1}
+        for u in range(2, order):
+            if u in subgroup or math.gcd(u, order) != 1:
+                continue
+            k, w = 1, u
+            while w not in subgroup:
+                k, w = k + 1, w * u % order
+            c = _orbit_product(y, u, k - 1, order).galois(u)
+            y, cof = y * c, cof * c
+            subgroup = {h * pow(u, t, order) % order for h in subgroup for t in range(k)}
+        # y = N(x) is a nonzero rational; its reciprocal does not re-enter inv
+        sign = 1 if y.nums[0] > 0 else -1
+        return cof * Cyclo._make(1, [sign * y.den], abs(y.nums[0]))
 
     def __truediv__(self, other: CycloLike) -> "Cyclo":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.order == 1:
-            if other.is_zero():
-                raise ZeroDivisionError("division by zero")
-            return self * Cyclo._make(1, [other.den * (1 if other.nums[0] > 0 else -1)], abs(other.nums[0]))
         return self * other.inv()
 
     def __rtruediv__(self, other: CycloLike) -> "Cyclo":
@@ -442,6 +452,19 @@ def _reindex(ctx: _Context, nums: Iterable[int], step: int) -> list[int]:
     return out
 
 
+def _orbit_product(y: Cyclo, u: int, m: int, order: int) -> Cyclo:
+    """prod_{t < m} sigma_u^t(y) for m >= 1, by binary splitting on m:
+    P(2l) = P(l) * sigma_u^l(P(l)) and P(l + 1) = y * sigma_u(P(l))."""
+    prod, length = y, 1
+    for bit in bin(m)[3:]:
+        prod = prod * prod.galois(pow(u, length, order))
+        length *= 2
+        if bit == "1":
+            prod = y * prod.galois(u)
+            length += 1
+    return prod
+
+
 def _coerce(value: CycloLike) -> "Cyclo":
     if isinstance(value, Cyclo):
         return value
@@ -487,56 +510,7 @@ _ONE = Cyclo._make(1, [1], 1)
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over Q (used only by inv and subfield descent)
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = Fraction(1) / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return q, _poly_trim(a)
-
-
-def _poly_xgcd(p: list[Fraction], m: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Return (g, s) with s*p == g mod m for polynomials over Q."""
-    r0, r1 = _poly_trim(list(m)), _poly_trim(list(p))
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        prod = _poly_mul_frac(q, s1)
-        s0, s1 = s1, _poly_trim([a - b for a, b in _zip_pad(s0, prod)])
-    return r0, s0
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _zip_pad(a: list[Fraction], b: list[Fraction]):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
+# subfield descent
 
 
 def _subfield_rep(x: Cyclo, target: int) -> Cyclo | None:

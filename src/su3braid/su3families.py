@@ -31,6 +31,11 @@ class CParams:
         if not (0 <= self.a <= self.n - 1 and 0 <= self.b <= self.n - 1):
             raise ValueError("need 0 <= a, b <= n-1")
 
+    @property
+    def order(self) -> int:
+        """Working cyclotomic order of the generators: lcm(n, 4)."""
+        return math.lcm(self.n, 4)
+
 
 @dataclass(frozen=True)
 class DParams:
@@ -45,6 +50,11 @@ class DParams:
         if not (0 <= self.r <= self.d - 1 and 0 <= self.s <= self.d - 1):
             raise ValueError("need 0 <= r, s <= d-1")
 
+    @property
+    def order(self) -> int:
+        """Working cyclotomic order of the generators: lcm(n, d, 4)."""
+        return math.lcm(self.c.n, self.d, 4)
+
 
 def cycle_matrix() -> UnitaryMatrix:
     """The permutation matrix of the 3-cycle (1,3,2)."""
@@ -52,7 +62,7 @@ def cycle_matrix() -> UnitaryMatrix:
 
 
 def c_generators(p: CParams) -> list[UnitaryMatrix]:
-    order = math.lcm(p.n, 4)
+    order = p.order
     scale = order // p.n
     f = UnitaryMatrix.diagonal(
         [
@@ -65,7 +75,7 @@ def c_generators(p: CParams) -> list[UnitaryMatrix]:
 
 
 def d_generators(p: DParams) -> list[UnitaryMatrix]:
-    order = math.lcm(p.c.n, p.d, 4)
+    order = p.order
     scale = order // p.d
     zero = Cyclo.zero()
     extra = UnitaryMatrix.from_rows(

@@ -112,15 +112,15 @@ def test_cli_rep_bad_input_exits_2(capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
-def test_cli_cayley_export_order_limit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_CAYLEY_EXPORT_ORDER", 100)
+def test_cli_cayley_export_order_limit(tmp_path, capsys):
+    # --cap is the one bound on an export: a larger group is refused before
+    # any table is built
     path = tmp_path / "cayley.csv"
-    assert main(["group", "--from", "paper", "--emit-cayley", str(path)]) == 2
-    assert "order at most 100" in capsys.readouterr().err
+    assert main(["group", "--from", "paper", "--cap", "100", "--emit-cayley", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "cap=100" in captured.err
+    assert captured.out == ""
     assert not path.exists()
-    # the limit applies to the Cayley export only
-    assert main(["group", "--from", "paper"]) == 0
-    assert "order: 162" in capsys.readouterr().out
 
 
 def test_cli_group_exports(tmp_path, capsys):

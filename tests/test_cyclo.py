@@ -241,7 +241,7 @@ def sparse_values(order):
 
 
 @settings(max_examples=12, deadline=None)
-@given(st.sampled_from([288, 360, 504]).flatmap(sparse_values))
+@given(st.sampled_from([97, 288, 360, 504]).flatmap(sparse_values))
 def test_inverse_matches_sympy_and_round_trips(x):
     inverse = x.inv()
     assert x * inverse == 1
@@ -253,6 +253,15 @@ def test_inverse_matches_sympy_and_round_trips(x):
         theirs = [Fraction(int(c.p), int(c.q)) for c in sympy.invert(poly, phi).all_coeffs()[::-1]]
         theirs += [Fraction(0)] * (len(inverse.coeffs) - len(theirs))
         assert inverse.coeffs == tuple(theirs)
+
+
+def test_inverse_round_trip_of_a_generic_three_term_value():
+    # generic rational coefficients at order 504 (phi = 144): the inverse is
+    # dense, with numerators and denominator of about 190 digits
+    x = 3 * root_of_unity(504, 5) + root_of_unity(504, 100) - Fraction(2, 7) * root_of_unity(504, 201)
+    inverse = x.inv()
+    assert x * inverse == 1
+    assert inverse.inv() == x
 
 
 @settings(deadline=None)
