@@ -75,8 +75,9 @@ MAX_WORKING_ORDER = 4096
 # 140 MB resident).  Closure time grows with the elements closed and with
 # the working order.  Worst case at the bound
 # (2-vCPU Xeon VM, Python 3.11, cold): `group --from familyD 1021 1 1 4084
-# 1 1`, working order 4084, reaches the cap in 40 s and 190 MB
-# (`familyC 1021 1 1`: 15 s, 152 MB).
+# 1 1`, working order 4084, reaches the cap in 30 s and 184 MB, nearly all
+# of it dense products of single roots of unity (`familyC 1021 1 1`: 2 s,
+# 144 MB).
 MAX_GROUP_CAP = 4096
 
 

@@ -5,7 +5,9 @@ canonical remainder modulo the N-th cyclotomic polynomial Phi_N) together
 with a positive common denominator.  That representation is unique, so
 equality and hashing are plain structural comparisons.  One global
 canonicalization applies: a value that happens to be rational is always
-stored at order 1, whatever order it was computed in.
+stored at order 1, whatever order it was computed in.  The canonical byte
+form ``order:n0,n1,.../den`` (:meth:`Cyclo.key_bytes`), from which matrix
+keys are joined, is cached in one slot filled on first use.
 
 Arithmetic between values of different orders promotes both to the lcm
 order first.  A rational hashes as the equal ``int`` or ``Fraction``.
@@ -22,8 +24,10 @@ Nothing here ever touches floating point except :meth:`Cyclo.to_complex`,
 which exists for display and cross-checking only.
 
 Values are immutable and all operations are pure, so sharing across
-threads is safe; the per-order tables and operation memos are insert-only
-dicts whose entries are idempotent, safe for concurrent reads once built.
+threads is safe; the lazy byte-form slot is idempotent (every filling
+writes the same bytes), and the per-order tables and operation memos are
+insert-only dicts whose entries are idempotent, safe for concurrent reads
+once built.
 """
 
 from __future__ import annotations
@@ -140,11 +144,12 @@ def _context(order: int) -> _Context:
 class Cyclo:
     """An element of Q(zeta_N), immutable and exactly canonical."""
 
-    __slots__ = ("order", "nums", "den", "_hash")
+    __slots__ = ("order", "nums", "den", "_hash", "_bytes")
 
     order: int
     nums: tuple[int, ...]
     den: int
+    _bytes: bytes | None
 
     def __init__(self, order: int, nums: tuple[int, ...], den: int, _raw: bool = False):
         if not _raw:
@@ -152,6 +157,7 @@ class Cyclo:
         self.order = order
         self.nums = nums
         self.den = den
+        self._bytes = None
         if order > 1:
             self._hash = hash((order, nums, den))
         else:  # a rational hashes as the equal int or Fraction
@@ -217,9 +223,10 @@ class Cyclo:
         return _reindex(ctx, self.nums, order // self.order)
 
     def __add__(self, other: CycloLike) -> "Cyclo":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Cyclo:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         key = (self, other)
         hit = _ADD_MEMO.get(key)
         if hit is not None:
@@ -257,9 +264,10 @@ class Cyclo:
         return other + (-self)
 
     def __mul__(self, other: CycloLike) -> "Cyclo":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Cyclo:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         key = (self, other)
         hit = _MUL_MEMO.get(key)
         if hit is not None:
@@ -402,6 +410,15 @@ class Cyclo:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def key_bytes(self) -> bytes:
+        """Canonical byte form ``order:n0,n1,.../den``, unique per value at a
+        given order; computed on first use and kept."""
+        if self._bytes is None:
+            self._bytes = b"%d:%s/%d" % (
+                self.order, b",".join(b"%d" % n for n in self.nums), self.den
+            )
+        return self._bytes
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import astuple, dataclass
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from .matrix import UnitaryMatrix
@@ -174,26 +175,57 @@ class FiniteMatrixGroup:
         return self._inverse_index
 
 
-_TABLE_SAMPLE = 256  # seeded entries checked per derived table, besides the generator rows
+# seeded entries of every derived table compared with direct exact products;
+# they tie the recorded actions, which the integer checks take as given, to
+# the matrices
+_TABLE_SAMPLE = 256
 
 
 def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
-    """Soundness guard for a derived table: every generator row and
-    inverse-generator row in full, plus a fixed-seed sample of entries,
-    must match the index of the direct exact product."""
+    """Soundness guard for a derived table, on integers plus a fixed-seed
+    sample of direct exact products.
+
+    The integer checks: row 0 and column 0 are the identity, every row and
+    column is a permutation, the row of each signed generator g equals its
+    recorded action, and Light's associativity test (x*a)*y == x*(a*y)
+    holds for every generator index a.  If the actions are the true left
+    multiplications, as `close` records them from exact products and
+    `subgroup` from the guarded ambient table, these force the whole table:
+    when row x is true, x*a is the true product xa, and Light's test makes
+    row(xa) = row(x) composed with the true action of a, so right
+    multiplication by the generators from row 0 reaches every element with
+    its true row.  The sampled products check the actions themselves."""
     n = group.order
-    rows: dict[int, None] = {}
-    for g in group.generators:
-        rows[group.index_of(g)] = None
+    full = set(range(n))
+    if table[0] != list(range(n)) or [row[0] for row in table] != list(range(n)):
+        raise CayleyTableError("derived table row 0 or column 0 is not the identity")
+    if any(len(row) != n or set(row) != full for row in table) or any(
+        set(column) != full for column in zip(*table)
+    ):
+        raise CayleyTableError("derived table is not a Latin square")
+    rows: dict[int, int] = {}  # signed generator -> its element index
+    for s, g in enumerate(group.generators, 1):
+        rows[s] = group.index_of(g)
         inverse = group.elements.get(g.matrix.conj_transpose().key_bytes())
         if inverse is None:
             raise CayleyTableError("a generator inverse is missing from the group")
-        rows[inverse] = None
-    cells = [(i, j) for i in rows for j in range(n)]
+        rows[-s] = inverse
+    for s, a in rows.items():
+        if tuple(table[a]) != group.action(s):
+            raise CayleyTableError(
+                f"derived table row {a} differs from the action of generator {s}"
+            )
+    # Light's test, row x*a against row x composed with row a; the order-1
+    # table [[0]] passed the identity check, and itemgetter needs two indices
+    for a in dict.fromkeys(rows.values()) if n > 1 else ():
+        compose = itemgetter(*table[a])
+        for x, row_x in enumerate(table):
+            if table[row_x[a]] != list(compose(row_x)):
+                raise CayleyTableError(f"derived table fails Light's test at ({x}, {a})")
     rng = random.Random(0)
-    cells += [(rng.randrange(n), rng.randrange(n)) for _ in range(min(_TABLE_SAMPLE, n * n))]
     elements = group.element_list
-    for i, j in cells:
+    for _ in range(min(_TABLE_SAMPLE, n * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
         product = elements[i].matrix * elements[j].matrix
         if group.elements.get(product.key_bytes()) != table[i][j]:
             raise CayleyTableError(

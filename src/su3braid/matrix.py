@@ -84,15 +84,22 @@ class UnitaryMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        bcols = tuple(zip(*other.rows))
+        # zero entries (canonically the order-1 value 0) contribute no term;
+        # each sum starts at its first nonzero product, in index order
+        brows = [[b if b.order != 1 or b.nums[0] else None for b in row] for row in other.rows]
+        columns = range(self.dim)
+        zero = Cyclo.zero()
         out = []
         for arow in self.rows:
+            terms = [(a, brows[k]) for k, a in enumerate(arow) if a.order != 1 or a.nums[0]]
             line = []
-            for bcol in bcols:
-                acc = arow[0] * bcol[0]
-                for a, b in zip(arow[1:], bcol[1:]):
-                    acc = acc + a * b
-                line.append(acc)
+            for j in columns:
+                acc = None
+                for a, brow in terms:
+                    b = brow[j]
+                    if b is not None:
+                        acc = a * b if acc is None else acc + a * b
+                line.append(zero if acc is None else acc)
             out.append(tuple(line))
         return UnitaryMatrix._make(tuple(out))
 
@@ -198,13 +205,7 @@ class UnitaryMatrix:
     def key_bytes(self) -> bytes:
         """Canonical byte key: entry representations are unique per value,
         so equal matrices built from a common working order share keys."""
-        parts = []
-        for row in self.rows:
-            for v in row:
-                parts.append(
-                    b"%d:%s/%d" % (v.order, b",".join(b"%d" % n for n in v.nums), v.den)
-                )
-        return b"%d|" % self.dim + b";".join(parts)
+        return b"%d|" % self.dim + b";".join(v.key_bytes() for row in self.rows for v in row)
 
     def to_dict(self) -> dict:
         floats = [[v.to_complex() for v in row] for row in self.rows]

@@ -36,6 +36,12 @@ def family_group():
 
 
 @pytest.fixture(scope="session")
+def family_648():
+    """D(18,1,1;2,1,1): monomial, order 648, with involutions."""
+    return matgroup.close(d_generators(DParams(CParams(18, 1, 1), 2, 1, 1)))
+
+
+@pytest.fixture(scope="session")
 def named_elements(paper_group):
     """The defining words inside the order-162 group: F, A, B, T1, T2, T3."""
     g1, g2 = paper_group.generators

@@ -5,7 +5,6 @@ import pytest
 from su3braid import matgroup as mg
 from su3braid.cyclo import root_of_unity
 from su3braid.matrix import UnitaryMatrix
-from su3braid.su3families import CParams, DParams, d_generators
 
 
 def test_close_small_groups():
@@ -218,11 +217,6 @@ def test_derived_table_equals_direct_products(request, name):
     assert group.cayley_table() == direct
 
 
-@pytest.fixture(scope="module")
-def family_648():
-    return mg.close(d_generators(DParams(CParams(18, 1, 1), 2, 1, 1)))
-
-
 def test_derived_table_order_648_seeded_entries(family_648):
     group = family_648
     assert group.order == 648
@@ -265,6 +259,165 @@ def test_corrupted_provenance_is_caught(paper_matrices):
     )
     with pytest.raises(mg.CayleyTableError):
         group.cayley_table()
+
+
+def _rebuilt(group, actions=None, bfs_parent=None):
+    """A copy of `group` whose table is not built yet, with the given
+    actions or provenance in place of the closure's."""
+    return mg.FiniteMatrixGroup(
+        group.generators, group.element_list, group.working_order, group._bfs_mult,
+        group._bfs_parent if bfs_parent is None else bfs_parent,
+        group._actions if actions is None else actions,
+    )
+
+
+def test_order_648_corruptions_are_caught(family_648):
+    # a generator that is not an involution: its inverse has its own action
+    signed = next(s for s in family_648._actions if family_648.action(s) != family_648.action(-s))
+    rng = random.Random(6)
+    for _ in range(4):
+        perm = list(family_648.action(signed))
+        x, y = rng.sample(range(648), 2)
+        perm[x], perm[y] = perm[y], perm[x]
+        corrupted = {**family_648._actions, signed: tuple(perm)}
+        with pytest.raises(mg.CayleyTableError):
+            _rebuilt(family_648, actions=corrupted).cayley_table()
+    parent = family_648._bfs_parent
+    repointed = parent[:5] + tuple((p + 1) % 648 for p in parent[5:])
+    with pytest.raises(mg.CayleyTableError):
+        _rebuilt(family_648, bfs_parent=repointed).cayley_table()
+    assert _rebuilt(family_648).cayley_table() == family_648.cayley_table()
+
+
+# ---------------------------------------------------------------------------
+# the integer conditions of the table guard, one bad table each
+
+
+def _generator_indices(group):
+    out = {}
+    for s, g in enumerate(group.generators, 1):
+        out[s] = group.index_of(g)
+        out[-s] = group.elements[g.matrix.conj_transpose().key_bytes()]
+    return out
+
+
+def _failed_conditions(group, table):
+    n = len(table)
+    full = set(range(n))
+    gens = _generator_indices(group)
+    checks = {
+        "identity": table[0] == list(range(n)) and [row[0] for row in table] == list(range(n)),
+        "latin": all(set(row) == full for row in table)
+        and all(set(col) == full for col in zip(*table)),
+        "action": all(tuple(table[a]) == group.action(s) for s, a in gens.items()),
+        "light": all(
+            table[table[x][a]][y] == table[x][table[a][y]]
+            for a in set(gens.values()) for x in range(n) for y in range(n)
+        ),
+    }
+    return {name for name, ok in checks.items() if not ok}
+
+
+def _relabeled(table, sigma):
+    """The table of the same group with element i renamed sigma[i]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[sigma[i]][sigma[j]] = sigma[table[i][j]]
+    return out
+
+
+def _plain_elements(group):
+    """Indices other than the identity and the signed generators, by index."""
+    gens = set(_generator_indices(group).values())
+    return [x for x in range(1, group.order) if x not in gens]
+
+
+def _swap_an_intercalate(group, table):
+    """Exchange u and v in a 2x2 subsquare [[u, v], [v, u]] that avoids
+    row 0, column 0 and the generator rows: the result is a Latin square
+    with the true identity and generator rows, but not a group table.
+    Such a subsquare is x, xt by y, ty for an involution t."""
+    plain = _plain_elements(group)
+    t = next(x for x in range(1, group.order) if table[x][x] == 0)
+    x = next(x for x in plain if table[x][t] in plain)
+    y = next(y for y in range(1, group.order) if table[t][y] != 0)
+    out = [list(row) for row in table]
+    x2, y2 = table[x][t], table[t][y]
+    out[x][y], out[x][y2] = table[x][y2], table[x][y]
+    out[x2][y], out[x2][y2] = table[x2][y2], table[x2][y]
+    return out
+
+
+def _bad_identity(group, table):
+    # the same group with the identity renamed: a group table whose row 0 is not the identity
+    u = _plain_elements(group)[0]
+    sigma = list(range(group.order))
+    sigma[0], sigma[u] = u, 0
+    return _relabeled(table, sigma)
+
+
+def _bad_latin(group, table):
+    out = [list(row) for row in table]
+    x = _plain_elements(group)[0]
+    out[x][2] = out[x][1]
+    return out
+
+
+def _bad_action(group, table):
+    # the same group with two plain elements renamed: associative, true identity
+    u, v = _plain_elements(group)[:2]
+    sigma = list(range(group.order))
+    sigma[u], sigma[v] = v, u
+    return _relabeled(table, sigma)
+
+
+# With the true actions, row 0, the generator rows and Light's test force the
+# true table (see `_check_table`), so no table fails the identity or the
+# Latin condition alone; those two tables fail later conditions as well.
+@pytest.mark.parametrize("condition, build, alone, message", [
+    ("identity", _bad_identity, False, "row 0 or column 0"),
+    ("latin", _bad_latin, False, "Latin square"),
+    ("action", _bad_action, True, "differs from the action"),
+    ("light", _swap_an_intercalate, True, "Light's test"),
+])
+def test_check_table_rejects_each_integer_condition(
+    paper_group, condition, build, alone, message
+):
+    table = paper_group.cayley_table()
+    assert _failed_conditions(paper_group, table) == set()
+    bad = build(paper_group, table)
+    failed = _failed_conditions(paper_group, bad)
+    assert condition in failed
+    if alone:
+        assert failed == {condition}
+    with pytest.raises(mg.CayleyTableError, match=message):
+        mg._check_table(paper_group, bad)
+
+
+def test_guard_makes_only_the_sampled_products(paper_matrices, monkeypatch):
+    group = mg.close(list(paper_matrices))
+    words = ((1, 2, 1), (1, 2, 2, -1), (1, -2, -2, 1))
+    t1, a, b = (mg.word_eval(w, group.generators) for w in words)
+    counted = []
+    product = UnitaryMatrix.__mul__
+
+    def counting(self, other):
+        counted.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(UnitaryMatrix, "__mul__", counting)
+    group.cayley_table()
+    assert len(counted) == 256 == min(256, 162 ** 2)
+    h, n = mg.subgroup(group, [t1]), mg.subgroup(group, [a, b])
+    trivial = mg.subgroup(group, [group.identity])
+    assert (h.order, n.order, trivial.order) == (2, 27, 1)
+    for sub in (h, n, trivial):
+        counted.clear()
+        sub.cayley_table()
+        assert len(counted) == min(256, sub.order ** 2)
+    assert trivial.cayley_table() == [[0]]
 
 
 def test_sympy_oracle_on_recorded_actions(paper_group, subgroup_n, named_elements):

@@ -1,0 +1,130 @@
+"""The sparse exact 3x3 product and the cached matrix keys against the
+plain triple loop and the per-entry key formatter they replace."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from su3braid.cyclo import Cyclo, root_of_unity, sqrt2
+from su3braid.matrix import UnitaryMatrix
+
+
+def _reference_mul(a, b):
+    """The full triple loop: every sum starts at the index-0 product and
+    adds all three products, zero factors included."""
+    bcols = tuple(zip(*b.rows))
+    out = []
+    for arow in a.rows:
+        line = []
+        for bcol in bcols:
+            acc = arow[0] * bcol[0]
+            for x, y in zip(arow[1:], bcol[1:]):
+                acc = acc + x * y
+            line.append(acc)
+        out.append(tuple(line))
+    return UnitaryMatrix._make(tuple(out))
+
+
+def _reference_key(m):
+    parts = []
+    for row in m.rows:
+        for v in row:
+            parts.append(b"%d:%s/%d" % (v.order, b",".join(b"%d" % n for n in v.nums), v.den))
+    return b"%d|" % m.dim + b";".join(parts)
+
+
+def _representation(m):
+    return tuple((v.order, v.nums, v.den) for row in m.rows for v in row)
+
+
+def _assert_same_product(a, b):
+    product, reference = a * b, _reference_mul(a, b)
+    assert product == reference
+    assert _representation(product) == _representation(reference)
+    assert product.key_bytes() == _reference_key(reference)
+
+
+def _seeded_pairs(group, seed, count):
+    rng = random.Random(seed)
+    elements = group.element_list
+    return [(rng.choice(elements).matrix, rng.choice(elements).matrix) for _ in range(count)]
+
+
+def test_product_matches_triple_loop_on_the_paper_group(paper_group):
+    for a, b in _seeded_pairs(paper_group, 72, 120):
+        _assert_same_product(a, b)
+        _assert_same_product(a.conj_transpose(), b)
+
+
+def test_product_matches_triple_loop_on_the_monomial_order_648_group(family_648):
+    # D(18,1,1;2,1,1) is monomial: six of the nine entries of every element are 0
+    assert all(
+        sum(v.is_zero() for v in row) == 2 for e in family_648 for row in e.matrix.rows
+    )
+    for a, b in _seeded_pairs(family_648, 648, 120):
+        _assert_same_product(a, b)
+
+
+def _mixed_order_pool():
+    """Entries of orders 1, 8 and 72, zeros included, so that products and
+    sums lift across orders and some rows and columns vanish."""
+    z8, z72 = root_of_unity(8), root_of_unity(72)
+    return [
+        Cyclo.zero(), Cyclo.zero(), Cyclo.one(), Cyclo.rational(Fraction(-2, 3)),
+        z8, z8 ** 3, sqrt2(8), z8 - Fraction(1, 5),
+        z72, z72 ** 5, z72 ** 9 + z72 ** 40, Fraction(3, 7) * z72 ** 17 - z8,
+    ]
+
+
+def _mixed_matrices(seed, count):
+    pool = _mixed_order_pool()
+    rng = random.Random(seed)
+    out = [UnitaryMatrix._make(tuple(tuple(Cyclo.zero() for _ in range(3)) for _ in range(3)))]
+    for _ in range(count):
+        out.append(UnitaryMatrix._make(
+            tuple(tuple(rng.choice(pool) for _ in range(3)) for _ in range(3))
+        ))
+    return out
+
+
+def test_product_matches_triple_loop_on_mixed_order_entries():
+    matrices = _mixed_matrices(8, 40)
+    orders = {v.order for m in matrices for row in m.rows for v in row}
+    assert orders == {1, 8, 72}
+    for a in matrices:
+        for b in matrices[::5]:
+            _assert_same_product(a, b)
+
+
+def test_charpoly_intermediates_match_triple_loop(paper_matrices, family_648, monkeypatch):
+    # charpoly multiplies by M_k + b_k I, which is not unitary
+    matrices = list(paper_matrices) + _mixed_matrices(3, 10)
+    matrices += [e.matrix for e in family_648.element_list[::97]]
+    sparse = [m.charpoly() for m in matrices]
+    monkeypatch.setattr(UnitaryMatrix, "__mul__", _reference_mul)
+    dense = [m.charpoly() for m in matrices]
+    assert sparse == dense
+    assert [[(v.order, v.nums, v.den) for v in c] for c in sparse] == [
+        [(v.order, v.nums, v.den) for v in c] for c in dense
+    ]
+
+
+@pytest.mark.parametrize("source", ["paper", "648", "mixed"])
+def test_key_bytes_matches_per_entry_formatter(source, paper_group, family_648):
+    if source == "paper":
+        matrices = [e.matrix for e in paper_group.element_list]
+    elif source == "648":
+        matrices = [e.matrix for e in family_648.element_list[::7]]
+    else:
+        matrices = _mixed_matrices(5, 30)
+    for m in matrices:
+        assert m.key_bytes() == _reference_key(m)
+        assert m.key_bytes() == _reference_key(m)  # the cached entry forms are stable
+
+
+def test_cyclo_arithmetic_with_plain_numbers_still_coerces():
+    z = root_of_unity(72, 5)
+    assert z + 1 == 1 + z
+    assert (z * Fraction(1, 2)) * 2 == z
+    assert (z.__add__("x"), z.__mul__(1.5)) == (NotImplemented, NotImplemented)
