@@ -64,9 +64,10 @@ _QUERIES = {
 
 
 # the largest cyclotomic working order: lcm(n, d, 4) for a family,
-# lcm(2*DEN, lcm(4r, 72)) for `rep --phase NUM/DEN`.  Q(zeta_N) tables hold about
-# N * phi(N) integers; the worst case at the bound (2-vCPU Xeon VM, Python
-# 3.11, cold) is `family D 1021 1 1 1021 1 1`, order 4084: 1.0 s, 114 MB.
+# lcm(2*DEN, lcm(4r, 72)) for `rep --phase NUM/DEN`.  Q(zeta_N) keeps only
+# O(phi(N)) integers per order, so values, not tables, set the cost; the
+# worst case at the bound (2-vCPU Xeon VM, Python 3.11, cold) is
+# `family D 1021 1 1 1021 1 1`, order 4084: 0.5 s, 19 MB.
 MAX_WORKING_ORDER = 4096
 
 
@@ -75,9 +76,9 @@ MAX_WORKING_ORDER = 4096
 # 140 MB resident).  Closure time grows with the elements closed and with
 # the working order.  Worst case at the bound
 # (2-vCPU Xeon VM, Python 3.11, cold): `group --from familyD 1021 1 1 4084
-# 1 1`, working order 4084, reaches the cap in 30 s and 184 MB, nearly all
-# of it dense products of single roots of unity (`familyC 1021 1 1`: 2 s,
-# 144 MB).
+# 1 1`, working order 4084, reaches the cap in 29 s and 119 MB, nearly all
+# of it dense products of single roots of unity (`familyC 1021 1 1`: 1.6 s,
+# 80 MB).
 MAX_GROUP_CAP = 4096
 
 
@@ -157,6 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_phase(text: str, theory_order: int) -> Cyclo:
     num, _, den = text.partition("/")
     p, q = int(num), int(den or "1")
+    if q < 1:
+        raise ValueError("--phase denominator must be positive")
     _require_order(math.lcm(2 * q, theory_order), "--phase")
     # e^(i*pi*p/q) = zeta_{2q}^p
     return root_of_unity(2 * q, p % (2 * q))

@@ -9,6 +9,11 @@ stored at order 1, whatever order it was computed in.  The canonical byte
 form ``order:n0,n1,.../den`` (:meth:`Cyclo.key_bytes`), from which matrix
 keys are joined, is cached in one slot filled on first use.
 
+The per-order data is Phi_N's degree and its nonzero lower terms, O(phi(N))
+integers.  Every map from exponents to the power basis (a root of unity, a
+Galois image, an embedding into a multiple order) is one scatter: add each
+coefficient at its exponent mod N, then reduce mod Phi_N.
+
 Arithmetic between values of different orders promotes both to the lcm
 order first.  A rational hashes as the equal ``int`` or ``Fraction``.
 Irrational values hash by representation, so cross-order values meant to
@@ -25,7 +30,7 @@ which exists for display and cross-checking only.
 
 Values are immutable and all operations are pure, so sharing across
 threads is safe; the lazy byte-form slot is idempotent (every filling
-writes the same bytes), and the per-order tables and operation memos are
+writes the same bytes), and the per-order data and operation memos are
 insert-only dicts whose entries are idempotent, safe for concurrent reads
 once built.
 """
@@ -47,7 +52,7 @@ class NonDivisibleOrderError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials and per-order tables
+# cyclotomic polynomials and per-order reduction
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -86,32 +91,16 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class _Context:
-    """Per-order tables: Phi_N, its reduction rule, and canonical
-    representations of every power zeta_N^e for e < N."""
+    """Per-order data: the degree phi(N) of Phi_N and its nonzero lower
+    terms, the reduction rule x^deg = -(tail), O(phi(N)) integers."""
 
-    __slots__ = ("order", "deg", "tail", "powrep")
+    __slots__ = ("order", "deg", "tail")
 
     def __init__(self, order: int):
         phi = cyclotomic_polynomial(order)
-        deg = len(phi) - 1
-        # x^deg == -(sum of tail terms); folding rule used by reduction.
-        tail = tuple((i, c) for i, c in enumerate(phi[:deg]) if c)
-        powrep: list[tuple[int, ...]] = []
-        vec = [0] * deg
-        for e in range(order):
-            if e == 0:
-                vec = [1] + [0] * (deg - 1)
-            else:
-                lead = vec[deg - 1]
-                vec = [0] + vec[: deg - 1]
-                if lead:
-                    for i, c in tail:
-                        vec[i] -= lead * c
-            powrep.append(tuple(vec))
         self.order = order
-        self.deg = deg
-        self.tail = tail
-        self.powrep = tuple(powrep)
+        self.deg = len(phi) - 1
+        self.tail = tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
 
     def reduce(self, coeffs: list[int]) -> list[int]:
         deg = self.deg
@@ -217,10 +206,7 @@ class Cyclo:
         (no canonicalization); denominator is unchanged."""
         if self.order == order:
             return list(self.nums)
-        ctx = _context(order)
-        if self.order == 1:
-            return [self.nums[0]] + [0] * (ctx.deg - 1)
-        return _reindex(ctx, self.nums, order // self.order)
+        return _reindex(_context(order), self.nums, order // self.order)
 
     def __add__(self, other: CycloLike) -> "Cyclo":
         if type(other) is not Cyclo:
@@ -389,13 +375,11 @@ class Cyclo:
     # -- comparisons / display ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is not Cyclo:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         # same-order values first: every memo-dict lookup lands here
-        if type(other) is Cyclo and self.order == other.order:
-            return self.nums == other.nums and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            other = Cyclo.rational(other)
-        if not isinstance(other, Cyclo):
-            return NotImplemented
         if self.order == other.order:
             return self.nums == other.nums and self.den == other.den
         if self.order == 1 or other.order == 1:
@@ -459,14 +443,14 @@ class Cyclo:
 
 
 def _reindex(ctx: _Context, nums: Iterable[int], step: int) -> list[int]:
-    """Power-basis coefficients at ctx's order of sum_e nums[e] * zeta^(e * step)."""
-    out = [0] * ctx.deg
+    """Power-basis coefficients at ctx's order of sum_e nums[e] * zeta^(e * step):
+    scatter each term to its exponent mod N, then reduce mod Phi_N."""
+    order = ctx.order
+    out = [0] * order
     for e, c in enumerate(nums):
         if c:
-            for i, r in enumerate(ctx.powrep[e * step % ctx.order]):
-                if r:
-                    out[i] += c * r
-    return out
+            out[e * step % order] += c
+    return ctx.reduce(out)
 
 
 def _orbit_product(y: Cyclo, u: int, m: int, order: int) -> Cyclo:
@@ -502,8 +486,7 @@ def root_of_unity(order: int, k: int = 1) -> Cyclo:
     """zeta_order^k in canonical reduced form."""
     if order < 1:
         raise ValueError("order must be positive")
-    ctx = _context(order)
-    return Cyclo._make(order, ctx.powrep[k % order], 1)
+    return Cyclo._make(order, _reindex(_context(order), (0, 1), k), 1)
 
 
 def sqrt2(order: int) -> Cyclo:
@@ -536,7 +519,7 @@ def _subfield_rep(x: Cyclo, target: int) -> Cyclo | None:
     ctx = _context(x.order)
     deg_t = _context(target).deg
     scale = x.order // target
-    cols = [ctx.powrep[t * scale] for t in range(deg_t)]
+    cols = [_reindex(ctx, (0, 1), t * scale) for t in range(deg_t)]
     n, m = ctx.deg, deg_t
     rows = [
         [Fraction(cols[j][i]) for j in range(m)] + [Fraction(x.nums[i], x.den)]

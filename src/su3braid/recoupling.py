@@ -128,12 +128,15 @@ def _zeta_pow(t: TheoryParams, e: int) -> Cyclo:
 
 def quantum_int(t: TheoryParams, n: int) -> Cyclo:
     """[n] at q = A^2, computed as the geometric sum q^(n-1) + q^(n-3) + ...
-    + q^(1-n), which avoids any division."""
-    if n < 0:
-        return -quantum_int(t, -n)
+    + q^(1-n), which avoids any division.  q is a root of unity of order
+    p = N / gcd(N, 2 * a_exponent) with q^2 != 1, so [n + p] = [n] and
+    [-n] = -[n] = [p - n]; n is reduced mod p first, so the sum has fewer
+    than p terms for every n."""
+    q_exponent = 2 * t.a_exponent
+    n %= t.order // math.gcd(t.order, q_exponent)
     acc = Cyclo.zero()
     for j in range(n):
-        acc = acc + _zeta_pow(t, 2 * t.a_exponent * (n - 1 - 2 * j))
+        acc = acc + _zeta_pow(t, q_exponent * (n - 1 - 2 * j))
     return acc
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -65,6 +66,12 @@ def test_cli_query(capsys):
     assert data["coeffs"] == ["2"]
     assert main(["query", "theta", "2", "2", "1", "--r", "6"]) == 2
     assert "error" in capsys.readouterr().err
+    # [n] is periodic in n (period 12 at the default r = 6), so a huge label
+    # costs no more than a small one
+    start = time.perf_counter()
+    assert main(["query", "qint", "1000000000000"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out) == query("qint", [10**12 % 12]).to_dict()
 
 
 def test_cli_rep(capsys):
@@ -110,6 +117,11 @@ def test_cli_rep_bad_input_exits_2(capsys):
     assert main(["rep", "--r", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+    for phase in ("1/0", "1/-3"):
+        assert main(["rep", "--phase", phase]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --phase denominator must be positive\n"
+        assert captured.out == ""
 
 
 def test_cli_cayley_export_order_limit(tmp_path, capsys):

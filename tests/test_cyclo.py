@@ -116,6 +116,64 @@ def test_galois_automorphisms():
         x.galois(4)
 
 
+def reference_powers(order):
+    """Canonical remainders of zeta^e for every e < order, built by repeated
+    multiplication by x and folding x^deg = -(tail); an independent reference
+    for the scatter-and-reduce path of the field."""
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    tail = [(i, c) for i, c in enumerate(phi[:deg]) if c]
+    powers = []
+    vec = [1] + [0] * (deg - 1)
+    for _ in range(order):
+        powers.append(vec)
+        lead = vec[-1]
+        vec = [0] + vec[:-1]
+        if lead:
+            for i, c in tail:
+                vec[i] -= lead * c
+    return powers
+
+
+def reference_reindex(powers, nums, step):
+    """sum_e nums[e] * zeta^(e * step) from the reference power table."""
+    order = len(powers)
+    out = [0] * len(powers[0])
+    for e, c in enumerate(nums):
+        if c:
+            for i, r in enumerate(powers[e * step % order]):
+                if r:
+                    out[i] += c * r
+    return out
+
+
+@pytest.mark.parametrize("order", list(range(1, 101)) + [360, 504, 1021])
+def test_reindexing_matches_reference_power_table(order):
+    powers = reference_powers(order)
+    double = reference_powers(2 * order)
+    deg = len(powers[0])
+
+    def same(value, at, nums, den):
+        # Cyclo._make only canonicalizes: sign, gcd, rationals to order 1
+        canonical = Cyclo._make(at, nums, den)
+        assert (value.order, value.nums, value.den) == (
+            canonical.order, canonical.nums, canonical.den
+        )
+
+    for k in range(order):
+        same(root_of_unity(order, k), order, powers[k], 1)
+    nums = [(7 * e + 3) % 11 - 5 for e in range(deg)]
+    x = sum(
+        (Fraction(c, 3) * root_of_unity(order, e) for e, c in enumerate(nums)), Cyclo.zero()
+    )
+    same(x, order, nums, 3)
+    units = [j for j in range(1, order) if math.gcd(j, order) == 1]
+    for j in units[:3] + units[-1:]:
+        same(x.galois(j), order, reference_reindex(powers, nums, j), 3)
+    same(x.embed(2 * order), 2 * order, reference_reindex(double, nums, 2), 3)
+    assert Cyclo.rational(5)._lift_vec(order) == [5] + [0] * (deg - 1)
+
+
 def test_embed_examples():
     minus_one = root_of_unity(2, 1)
     assert minus_one.embed(72) == -1

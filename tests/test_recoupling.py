@@ -46,6 +46,25 @@ def test_quantum_int_values(t6):
         assert abs(rc.quantum_int(t6, n).to_complex() - qint_oracle(n)) < 1e-9
 
 
+@pytest.mark.parametrize("r", range(3, 17))
+def test_quantum_int_equals_the_direct_geometric_sum(r):
+    # [n] = sum_{j < n} q^(n-1-2j) for n >= 0 and [-n] = -[n], summed term by
+    # term with no periodicity assumed: the exponents of [n + 2] are those of
+    # [n] plus n + 1 and -(n + 1)
+    t = rc.theory(r)
+    q = 2 * t.a_exponent
+    period = t.order // math.gcd(t.order, q)
+    assert period in (r, 2 * r)
+    direct = [Cyclo.zero(), Cyclo.one()]
+    while len(direct) < 3 * period:
+        n = len(direct) - 1
+        direct.append(
+            root_of_unity(t.order, q * n) + direct[n - 1] + root_of_unity(t.order, -q * n)
+        )
+    for n in range(-2 * period, 3 * period):
+        assert rc.quantum_int(t, n) == (direct[n] if n >= 0 else -direct[-n])
+
+
 def test_quantum_int_chebyshev_recursion(t6):
     two = rc.quantum_int(t6, 2)
     for n in range(1, 11):
