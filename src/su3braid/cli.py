@@ -65,7 +65,7 @@ _QUERIES = {
 
 # the largest cyclotomic working order: lcm(n, d, 4) for a family,
 # lcm(2*DEN, lcm(4r, 72)) for `rep --phase NUM/DEN`.  Q(zeta_N) keeps only
-# O(phi(N)) integers per order, so values, not tables, set the cost; the
+# O(phi(N)) integers per order, so the cost is in the values; the
 # worst case at the bound (2-vCPU Xeon VM, Python 3.11, cold) is
 # `family D 1021 1 1 1021 1 1`, order 4084: 0.5 s, 19 MB.
 MAX_WORKING_ORDER = 4096
@@ -73,7 +73,7 @@ MAX_WORKING_ORDER = 4096
 
 # the largest `group --cap`, and its default; it also bounds the Cayley
 # export, which holds order^2 Python ints (an order-2592 export peaks near
-# 140 MB resident).  Closure time grows with the elements closed and with
+# 135 MB resident).  Closure time grows with the elements closed and with
 # the working order.  Worst case at the bound
 # (2-vCPU Xeon VM, Python 3.11, cold): `group --from familyD 1021 1 1 4084
 # 1 1`, working order 4084, reaches the cap in 29 s and 119 MB, nearly all
