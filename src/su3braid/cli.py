@@ -29,16 +29,18 @@ from .verify import run_theorem1_verification
 def export_group(target: mg.FiniteMatrixGroup, what: str, path: str,
                  names: Optional[Sequence[str]] = None) -> None:
     """Write deterministic group data: `elements` as JSON records or
-    `cayley` as a CSV index grid."""
+    `cayley` as a CSV index grid.
+
+    The text is rendered in full before PATH is opened, so a failure while
+    rendering (such as a `CayleyTableError`) leaves no partial file."""
     if what == "elements":
-        payload = json.dumps(mg.element_records(target, names), indent=2)
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(payload + "\n")
+        text = mg.elements_json(target, names)
     elif what == "cayley":
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(mg.cayley_csv(target))
+        text = mg.cayley_csv(target)
     else:
         raise ValueError(f"unknown export kind {what!r}")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +75,8 @@ MAX_WORKING_ORDER = 4096
 
 # the largest `group --cap`, and its default; it also bounds the Cayley
 # export, which holds order^2 Python ints (an order-2592 export peaks near
-# 135 MB resident).  Closure time grows with the elements closed and with
-# the working order.  Worst case at the bound
+# 150 MB resident and takes 3 s).  Closure time grows with the elements
+# closed and with the working order.  Worst case at the bound
 # (2-vCPU Xeon VM, Python 3.11, cold): `group --from familyD 1021 1 1 4084
 # 1 1`, working order 4084, reaches the cap in 29 s and 119 MB, nearly all
 # of it dense products of single roots of unity (`familyC 1021 1 1`: 1.6 s,

@@ -16,6 +16,7 @@ and ``n*h`` factorizations are read off the ambient table and inverse index.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import astuple, dataclass
@@ -695,12 +696,15 @@ def render_word(word: Optional[Word], names: Sequence[str]) -> str:
     return "*".join(rendered)
 
 
+def _default_names(group: FiniteMatrixGroup, names: Optional[Sequence[str]]) -> Sequence[str]:
+    return names if names is not None else [f"g{i+1}" for i in range(len(group.generators))]
+
+
 def element_records(
     group: FiniteMatrixGroup, names: Optional[Sequence[str]] = None
 ) -> list[dict]:
     """Deterministic per-element export records."""
-    if names is None:
-        names = [f"g{i+1}" for i in range(len(group.generators))]
+    names = _default_names(group, names)
     return [
         {
             "index": i,
@@ -712,6 +716,59 @@ def element_records(
     ]
 
 
+def _json_list(items: list[str], depth: int) -> str:
+    """Rendered items laid out as ``json.dumps(..., indent=2)`` lays out a
+    nonempty list that opens at indent `depth` (an export has no empty list:
+    a group holds its identity, a matrix at least one row)."""
+    inner = "\n" + " " * (depth + 2)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
+
+
+def elements_json(group: FiniteMatrixGroup, names: Optional[Sequence[str]] = None) -> str:
+    """The text of ``json.dumps(element_records(group, names), indent=2)``
+    plus a newline.
+
+    With `indent` set, CPython's `json` encodes in pure Python, node by node.
+    Here each distinct matrix entry is rendered once, its exact form and its
+    `approx` pair for ``float_rows``, and the records are assembled around
+    those fragments in a fixed indent-2 skeleton."""
+    names = _default_names(group, names)
+    # keyed by canonical bytes, not by value: `to_dict` prints the order, so
+    # equal values held at different orders render differently
+    fragments: dict[bytes, tuple[str, str]] = {}
+    # an entry sits at indent 10: inside the list, record, matrix, rows and row
+    pad = "\n" + " " * 10
+    records = []
+    for i, e in enumerate(group.element_list):
+        exact_rows, approx_rows = [], []
+        for row in e.matrix.rows:
+            exact, approx = [], []
+            for v in row:
+                fragment = fragments.get(v.key_bytes())
+                if fragment is None:
+                    d = v.to_dict()
+                    fragment = fragments[v.key_bytes()] = (
+                        json.dumps(d, indent=2).replace("\n", pad),
+                        json.dumps(d["approx"], indent=2).replace("\n", pad),
+                    )
+                exact.append(fragment[0])
+                approx.append(fragment[1])
+            exact_rows.append(_json_list(exact, 8))
+            approx_rows.append(_json_list(approx, 8))
+        matrix = (
+            f'{{\n      "dim": {e.matrix.dim},\n      "rows": {_json_list(exact_rows, 6)},'
+            f'\n      "float_rows": {_json_list(approx_rows, 6)}\n    }}'
+        )
+        records.append(
+            f'{{\n    "index": {i},\n    "key": {json.dumps(e.key.decode("ascii"))},'
+            f'\n    "word": {json.dumps(render_word(e.word, names))},'
+            f'\n    "matrix": {matrix}\n  }}'
+        )
+    return _json_list(records, 0) + "\n"
+
+
 def cayley_csv(group: FiniteMatrixGroup) -> str:
     table = group.cayley_table()
-    return "\n".join(",".join(str(v) for v in row) for row in table) + "\n"
+    # one label per element, not one str(int) per table entry
+    labels = [str(i) for i in range(group.order)]
+    return "\n".join(",".join(map(labels.__getitem__, row)) for row in table) + "\n"

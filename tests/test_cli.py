@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -175,6 +176,35 @@ def test_trivial_group_cayley_export(tmp_path):
     assert path.read_text() == "0\n"
     with pytest.raises(ValueError):
         export_group(trivial, "everything", str(path))
+
+
+# the Cayley export is integers only, so its digest holds on every platform;
+# elements.json carries libm-derived floats and is compared with its
+# reference encoding in test_matgroup instead
+@pytest.mark.parametrize("spec, digest", [
+    (["paper"], "29ee4b63721a93a469c31d04afb59d92ad36cb00fbd2efdb29e289cd3d689eed"),
+    (["familyD", "9", "1", "1", "2", "1", "1"],
+     "17f3cc3ceff7277f8de54d904aae512e527e08c53c6971b27a78892f7e8a76b8"),
+])
+def test_cayley_export_digest(tmp_path, capsys, spec, digest):
+    path = tmp_path / "cayley.csv"
+    assert main(["group", "--from", *spec, "--emit-cayley", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_failed_export_leaves_no_file(tmp_path, monkeypatch):
+    def reject(group, table):
+        raise mg.CayleyTableError("rejected")
+
+    monkeypatch.setattr(mg, "_check_table", reject)
+    group = mg.close([UnitaryMatrix.diagonal([-1, -1, 1])])  # its table is not built yet
+    path = tmp_path / "cayley.csv"
+    with pytest.raises(mg.CayleyTableError):
+        export_group(group, "cayley", str(path))
+    assert not path.exists()
+    with pytest.raises(IndexError):  # no name for the generator
+        export_group(group, "elements", str(path), names=[])
+    assert not path.exists()
 
 
 def test_paper_group_export_has_162_records(tmp_path, paper_group):

@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from su3braid import matgroup as mg
 from su3braid.cyclo import root_of_unity
 from su3braid.matrix import UnitaryMatrix
+from su3braid.su3families import CParams, c_generators
 
 
 def test_close_small_groups():
@@ -516,6 +519,43 @@ def test_render_word():
     assert mg.render_word((), ["g1", "g2"]) == "e"
     assert mg.render_word((1, 2, 2, -1, -1), ["g1", "g2"]) == "g1*g2^2*g1^-2"
     assert mg.render_word(None, ["g1"]) == ""
+
+
+# groups for the export writers that no shared fixture provides
+_EXPORT_GROUPS = {
+    "familyC 9 1 1": lambda: mg.close(c_generators(CParams(9, 1, 1))),
+    "order 1, dim 1": lambda: mg.close([UnitaryMatrix.identity(1)]),
+    "cyclic 1x1": lambda: mg.close([UnitaryMatrix.diagonal([root_of_unity(6)])]),
+}
+
+
+def _first_difference(got: str, want: str):
+    """Line number and both lines where two texts first differ, or None;
+    pytest's own diff of two texts this long runs for minutes."""
+    for n, (a, b) in enumerate(itertools.zip_longest(got.split("\n"), want.split("\n"))):
+        if a != b:
+            return n, a, b
+    return None
+
+
+@pytest.mark.parametrize("name, names", [
+    ("paper_group", ["g1", "g2"]),
+    ("paper_group", None),
+    ("family_group", ["E", "F", "D"]),
+    ("family_648", ["E", "F", "D"]),
+    ("subgroup_h", None),
+    ("familyC 9 1 1", ["E", "F"]),
+    ("order 1, dim 1", None),
+    # a name that JSON must escape
+    ("cyclic 1x1", ['\u03b6"6']),
+])
+def test_export_writers_match_reference_encoding(request, name, names):
+    group = _EXPORT_GROUPS[name]() if name in _EXPORT_GROUPS else request.getfixturevalue(name)
+    reference = json.dumps(mg.element_records(group, names), indent=2) + "\n"
+    assert _first_difference(mg.elements_json(group, names), reference) is None
+    table = group.cayley_table()
+    reference = "\n".join(",".join(str(v) for v in row) for row in table) + "\n"
+    assert _first_difference(mg.cayley_csv(group), reference) is None
 
 
 def test_deterministic_ordering(paper_matrices):
