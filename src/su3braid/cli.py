@@ -34,13 +34,13 @@ def export_group(target: mg.FiniteMatrixGroup, what: str, path: str,
     The text is rendered in full before PATH is opened, so a failure while
     rendering (such as a `CayleyTableError`) leaves no partial file."""
     if what == "elements":
-        text = mg.elements_json(target, names)
+        chunks = [mg.elements_json(target, names)]
     elif what == "cayley":
-        text = mg.cayley_csv(target)
+        chunks = mg.cayley_csv_lines(target)
     else:
         raise ValueError(f"unknown export kind {what!r}")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +49,11 @@ def export_group(target: mg.FiniteMatrixGroup, what: str, path: str,
 
 # the cost of `query` and `rep` grows with the working order lcm(4r, 72)
 # and with the label range 0..r-2.  Measured worst case for r <= 16 (2-vCPU
-# Xeon VM, Python 3.11, cold process): `query sixj 8 6 8 8 6 8 --r 13`
-# (order 936), 0.15-0.20 s and 20 MB.  Above the bound, sixj 10 10 10 10 10 10
-# takes 0.24 s at r = 17, and sixj 20 20 20 20 20 20 at r = 50 0.8 s.
+# Xeon VM, Python 3.11, cold process, 3 runs): `query sixj 8 6 8 8 6 8 --r 13`
+# (order 936), 0.20-0.23 s and 18 MB, most of it interpreter start and
+# imports.  Above the bound, through the library in a cold process, sixj
+# 10 10 10 10 10 10 takes 0.15 s at r = 17, and sixj 20 20 20 20 20 20 at
+# r = 50 0.42-0.50 s.
 MAX_R = 16
 
 # query kind -> (number of labels, evaluator taking the theory and the labels)
@@ -68,19 +70,20 @@ _QUERIES = {
 # the largest cyclotomic working order: lcm(n, d, 4) for a family,
 # lcm(2*DEN, lcm(4r, 72)) for `rep --phase NUM/DEN`.  Q(zeta_N) keeps only
 # O(phi(N)) integers per order, so the cost is in the values; the
-# worst case at the bound (2-vCPU Xeon VM, Python 3.11, cold) is
-# `family D 1021 1 1 1021 1 1`, order 4084: 0.5 s, 19 MB.
+# worst case at the bound (2-vCPU Xeon VM, Python 3.11, cold, 3 runs) is
+# `family D 1021 1 1 1021 1 1`, order 4084: 0.18 s, 20 MB.
 MAX_WORKING_ORDER = 4096
 
 
 # the largest `group --cap`, and its default; it also bounds the Cayley
-# export, which holds order^2 Python ints (an order-2592 export peaks near
-# 150 MB resident and takes 3 s).  Closure time grows with the elements
-# closed and with the working order.  Worst case at the bound
-# (2-vCPU Xeon VM, Python 3.11, cold): `group --from familyD 1021 1 1 4084
-# 1 1`, working order 4084, reaches the cap in 29 s and 119 MB, nearly all
-# of it dense products of single roots of unity (`familyC 1021 1 1`: 1.6 s,
-# 80 MB).
+# export, which holds order^2 Python ints.  Measured on a 2-vCPU Xeon VM,
+# Python 3.11, cold processes, peak RSS from `wait4`: both exports of an
+# order-2592 group take 2.4-2.5 s and 106 MB, and of order 4050
+# (`familyD 45 1 1 2 1 1`, the largest D(n,1,1;2,1,1) under the cap) 4.6 s
+# and 224 MB.  Closure time grows with the elements closed and with the
+# working order.  Worst case at the bound: `group --from familyD 1021 1 1
+# 4084 1 1`, working order 4084, reaches the cap in 3.6-3.8 s and 119 MB
+# (3 runs).
 MAX_GROUP_CAP = 4096
 
 

@@ -10,9 +10,12 @@ form ``order:n0,n1,.../den`` (:meth:`Cyclo.key_bytes`), from which matrix
 keys are joined, is cached in one slot filled on first use.
 
 The per-order data is Phi_N's degree and its nonzero lower terms, O(phi(N))
-integers.  Every map from exponents to the power basis (a root of unity, a
-Galois image, an embedding into a multiple order) is one scatter: add each
-coefficient at its exponent mod N, then reduce mod Phi_N.
+integers.  Phi_N itself is built from the radical of N, one small exact
+division per distinct prime (see :func:`cyclotomic_polynomial`).  Every map
+from exponents to the power basis (a root of unity, a Galois image, an
+embedding into a multiple order) is one scatter: add each coefficient at
+its exponent mod N, then reduce mod Phi_N.  A product convolves the
+nonzero coefficients of both factors only, then reduces once.
 
 Arithmetic between values of different orders promotes both to the lcm
 order first.  A rational hashes as the equal ``int`` or ``Fraction``.
@@ -59,33 +62,59 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     # num, den: int coefficients low-to-high, den monic; division is exact.
     num = list(num)
     dd = len(den) - 1
+    terms = [(j, d) for j, d in enumerate(den) if d]
     out = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c:
             out[i - dd] = c
-            for j, d in enumerate(den):
+            for j, d in terms:
                 num[i - dd + j] -= c * d
     if any(num):
         raise ArithmeticError("inexact polynomial division")
     return out
 
 
+def _substitute_power(poly: list[int], k: int) -> list[int]:
+    """Coefficients of poly(x^k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return out
+
+
+def _prime_factors(n: int) -> list[int]:
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 _PHI_CACHE: dict[int, tuple[int, ...]] = {}
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, low degree first, computed by dividing
-    x^n - 1 by Phi_d over all proper divisors d of n."""
+    """Integer coefficients of Phi_n, low degree first.
+
+    Built from the radical m = rad(n), the product of n's distinct primes:
+    starting from Phi_1 = x - 1, each prime p not dividing m gives
+    Phi_mp(x) = Phi_m(x^p) / Phi_m(x), one exact division per prime, and
+    then Phi_n(x) = Phi_m(x^(n/m)) (Cohen, GTM 138, section 3.5)."""
     if n in _PHI_CACHE:
         return _PHI_CACHE[n]
     if n < 1:
         raise ValueError("order must be positive")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
-    result = tuple(poly)
+    poly, m = [-1, 1], 1
+    # ascending primes: the last quotient, the longest, has the shortest divisor
+    for p in _prime_factors(n):
+        poly, m = _poly_div_exact(_substitute_power(poly, p), poly), m * p
+    result = tuple(_substitute_power(poly, n // m))
     _PHI_CACHE[n] = result
     return result
 
@@ -269,12 +298,12 @@ class Cyclo:
             order = a.order if a.order == b.order else math.lcm(a.order, b.order)
             an = a._lift_vec(order)
             bn = b._lift_vec(order)
+            bterms = [(j, bj) for j, bj in enumerate(bn) if bj]
             conv = [0] * (2 * len(an) - 1)
             for i, ai in enumerate(an):
                 if ai:
-                    for j, bj in enumerate(bn):
-                        if bj:
-                            conv[i + j] += ai * bj
+                    for j, bj in bterms:
+                        conv[i + j] += ai * bj
             ctx = _context(order)
             result = Cyclo._make(order, ctx.reduce(conv), a.den * b.den)
         _MUL_MEMO[key] = result
@@ -422,7 +451,7 @@ class Cyclo:
         approx = self.to_complex()
         return {
             "order": self.order,
-            "coeffs": [str(Fraction(n, self.den)) for n in self.nums],
+            "coeffs": [_fraction_str(n, self.den) for n in self.nums],
             "approx": [approx.real, approx.imag],
         }
 
@@ -440,6 +469,12 @@ class Cyclo:
                 else:
                     terms.append(f"{coeff}*z{self.order}^{e}")
         return " + ".join(terms) if terms else "0"
+
+
+def _fraction_str(n: int, den: int) -> str:
+    """str(Fraction(n, den)) for den > 0, without building the Fraction."""
+    g = math.gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _reindex(ctx: _Context, nums: Iterable[int], step: int) -> list[int]:

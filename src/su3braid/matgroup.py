@@ -767,8 +767,11 @@ def elements_json(group: FiniteMatrixGroup, names: Optional[Sequence[str]] = Non
     return _json_list(records, 0) + "\n"
 
 
-def cayley_csv(group: FiniteMatrixGroup) -> str:
+def cayley_csv_lines(group: FiniteMatrixGroup) -> list[str]:
+    """The Cayley table as CSV, one newline-terminated line per row.  The
+    lines are never joined: a writer streams them, so the full text is not
+    held a second time."""
     table = group.cayley_table()
     # one label per element, not one str(int) per table entry
     labels = [str(i) for i in range(group.order)]
-    return "\n".join(",".join(map(labels.__getitem__, row)) for row in table) + "\n"
+    return [",".join(map(labels.__getitem__, row)) + "\n" for row in table]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from su3braid.cyclo import (
     Cyclo,
     NonDivisibleOrderError,
+    _context,
     cyclotomic_polynomial,
     root_of_unity,
     sqrt2,
@@ -234,6 +236,80 @@ def test_rational_eq_hash_contract(value):
     assert {value: "python"}[c] == "python"
 
 
+def reference_product(a, b):
+    """The dense convolution of the lifted coefficient vectors, then one
+    reduction mod Phi_N: the product before it looped over nonzero terms."""
+    order = math.lcm(a.order, b.order)
+    an = a._lift_vec(order)
+    bn = b._lift_vec(order)
+    conv = [0] * (2 * len(an) - 1)
+    for i, ai in enumerate(an):
+        if ai:
+            for j, bj in enumerate(bn):
+                if bj:
+                    conv[i + j] += ai * bj
+    return Cyclo._make(order, _context(order).reduce(conv), a.den * b.den)
+
+
+def seeded_value(rng, order, kind):
+    """A root of unity, a sparse value (up to three roots of unity over a
+    small denominator) or a dense one (every power-basis coefficient
+    random)."""
+    if kind == "root":
+        return root_of_unity(order, rng.randrange(order))
+    den = rng.randint(1, 6)
+    if kind == "sparse":
+        return sum(
+            (Fraction(rng.choice([-3, -1, 1, 2]), den) * root_of_unity(order, rng.randrange(order))
+             for _ in range(rng.randint(1, 3))),
+            Cyclo.zero(),
+        )
+    deg = len(cyclotomic_polynomial(order)) - 1
+    return Cyclo._make(order, [rng.randint(-9, 9) for _ in range(deg)], den)
+
+
+@pytest.mark.parametrize("orders, kinds", [
+    ((72, 72), ("root", "root")),
+    ((72, 72), ("root", "sparse")),
+    ((72, 72), ("sparse", "dense")),
+    ((72, 72), ("dense", "dense")),
+    ((97, 97), ("root", "root")),
+    ((97, 97), ("root", "sparse")),
+    ((97, 97), ("sparse", "sparse")),
+    ((97, 97), ("dense", "dense")),
+    ((504, 504), ("root", "root")),
+    ((504, 504), ("sparse", "sparse")),
+    ((504, 504), ("dense", "root")),
+    ((504, 504), ("dense", "dense")),
+    ((4084, 4084), ("root", "root")),
+    ((4084, 4084), ("sparse", "root")),
+    ((4084, 4084), ("dense", "sparse")),
+    ((24, 36), ("dense", "dense")),
+    ((56, 72), ("sparse", "dense")),
+    ((8, 9), ("root", "dense")),
+    ((1021, 4), ("sparse", "root")),
+    ((1, 504), ("dense", "dense")),
+])
+def test_product_matches_dense_reference(orders, kinds):
+    rng = random.Random(f"{orders}{kinds}")
+    a, b = (seeded_value(rng, n, kind) for n, kind in zip(orders, kinds))
+    for x, y in ((a, b), (b, a)):
+        got, want = x * y, reference_product(x, y)
+        assert (got.order, got.nums, got.den) == (want.order, want.nums, want.den)
+
+
+def test_coefficient_strings_match_fraction():
+    # numerators negative, zero and sharing a factor with the denominator
+    x = Cyclo._make(72, [-4, 0, 3, 6, -6, 5, 12, -1] + [0] * 16, 12)
+    assert x.den == 12
+    coeffs = x.to_dict()["coeffs"]
+    assert coeffs == [str(Fraction(n, 12)) for n in x.nums]
+    assert coeffs[:8] == ["-1/3", "0", "1/4", "1/2", "-1/2", "5/12", "1", "-1/12"]
+    assert Cyclo.rational(Fraction(-6, 4)).to_dict()["coeffs"] == ["-3/2"]
+    assert Cyclo.zero().to_dict()["coeffs"] == ["0"]
+    assert root_of_unity(72, 30).to_dict()["coeffs"] == [str(n) for n in root_of_unity(72, 30).nums]
+
+
 def test_serialization_shape():
     d = root_of_unity(72, 15).to_dict()
     assert d["order"] == 72
@@ -284,8 +360,11 @@ def test_embedding_preserves_value(x):
 
 def test_cyclotomic_polynomial_matches_sympy():
     x = sympy.symbols("x")
-    for n in range(1, 201):
-        theirs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+    # every order to 200, then larger ones: the prime power 3^5, the theory
+    # orders lcm(4r, 72) for r = 8, 7 and 13, the prime 1021 and the family
+    # working order 4 * 1021
+    for n in [*range(1, 201), 243, 288, 504, 936, 1021, 4084]:
+        theirs = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
         assert cyclotomic_polynomial(n) == tuple(int(c) for c in theirs), n
 
 

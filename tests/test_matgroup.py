@@ -555,7 +555,7 @@ def test_export_writers_match_reference_encoding(request, name, names):
     assert _first_difference(mg.elements_json(group, names), reference) is None
     table = group.cayley_table()
     reference = "\n".join(",".join(str(v) for v in row) for row in table) + "\n"
-    assert _first_difference(mg.cayley_csv(group), reference) is None
+    assert _first_difference("".join(mg.cayley_csv_lines(group)), reference) is None
 
 
 def test_deterministic_ordering(paper_matrices):
