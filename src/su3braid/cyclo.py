@@ -96,9 +96,6 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
-_PHI_CACHE: dict[int, tuple[int, ...]] = {}
-
-
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, low degree first.
 
@@ -106,17 +103,13 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     starting from Phi_1 = x - 1, each prime p not dividing m gives
     Phi_mp(x) = Phi_m(x^p) / Phi_m(x), one exact division per prime, and
     then Phi_n(x) = Phi_m(x^(n/m)) (Cohen, GTM 138, section 3.5)."""
-    if n in _PHI_CACHE:
-        return _PHI_CACHE[n]
     if n < 1:
         raise ValueError("order must be positive")
     poly, m = [-1, 1], 1
     # ascending primes: the last quotient, the longest, has the shortest divisor
     for p in _prime_factors(n):
         poly, m = _poly_div_exact(_substitute_power(poly, p), poly), m * p
-    result = tuple(_substitute_power(poly, n // m))
-    _PHI_CACHE[n] = result
-    return result
+    return tuple(_substitute_power(poly, n // m))
 
 
 class _Context:

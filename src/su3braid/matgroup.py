@@ -496,39 +496,51 @@ def decompose(
 # words and relations
 
 
+NamedWord = Sequence[tuple[str, int]]
+
+
+def word_product(gens: Mapping, word: NamedWord) -> Optional[UnitaryMatrix]:
+    """The one word evaluator: the product of `gens[name] ** power` over the
+    word, left to right from its first factor (no product by an identity);
+    None for the empty word, whose dimension `gens` does not fix.  `gens`
+    needs only `__getitem__`, so it may build its matrices on demand."""
+    acc = None
+    for name, power in word:
+        try:
+            m = gens[name]
+        except KeyError:
+            raise UnboundNameError(name) from None
+        m = m ** power
+        acc = m if acc is None else acc * m
+    return acc
+
+
 def word_eval(word: Sequence[int], gens: Sequence[GpElement]) -> GpElement:
     """Left-to-right product of signed 1-based generator indices."""
     if not gens:
         raise ValueError("need at least one generator")
-    dim = gens[0].matrix.dim
-    acc = UnitaryMatrix.identity(dim)
     for signed in word:
         if signed == 0 or abs(signed) > len(gens):
             raise IndexError(f"generator index {signed} out of range")
-        m = gens[abs(signed) - 1].matrix
-        acc = acc * (m.conj_transpose() if signed < 0 else m)
+    matrices = {i + 1: g.matrix for i, g in enumerate(gens)}
+    acc = word_product(matrices, [(abs(s), 1 if s > 0 else -1) for s in word])
+    acc = UnitaryMatrix.identity(gens[0].matrix.dim) if acc is None else acc
     return GpElement(acc, acc.key_bytes(), tuple(word))
 
 
-NamedWord = Sequence[tuple[str, int]]
-
-
 def check_relations(
-    gens: Mapping[str, GpElement],
+    gens: Mapping[str, UnitaryMatrix],
     relations: Sequence[tuple[NamedWord, NamedWord]],
 ) -> list[bool]:
-    """For each pair of named words, whether both sides evaluate equally."""
-
-    def evaluate(side: NamedWord) -> UnitaryMatrix:
-        dim = next(iter(gens.values())).matrix.dim
-        acc = UnitaryMatrix.identity(dim)
-        for name, power in side:
-            if name not in gens:
-                raise UnboundNameError(name)
-            acc = acc * gens[name].matrix ** power
-        return acc
-
-    return [evaluate(lhs) == evaluate(rhs) for lhs, rhs in relations]
+    """For each pair of named words, whether both sides evaluate equally;
+    `gens` maps each name to its matrix, and the empty word is the identity."""
+    results = []
+    for lhs, rhs in relations:
+        a, b = word_product(gens, lhs), word_product(gens, rhs)
+        if a is None:  # an empty side (None) is the identity
+            a, b = b, a
+        results.append(a is None or a == (UnitaryMatrix.identity(a.dim) if b is None else b))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -104,16 +104,19 @@ class UnitaryMatrix:
         return UnitaryMatrix._make(tuple(out))
 
     def __pow__(self, exponent: int) -> "UnitaryMatrix":
+        """Binary powering from the first factor, not from the identity:
+        m ** 1 is m with no product, m ** -1 its conjugate transpose, and
+        only m ** 0 builds I."""
         base = self if exponent >= 0 else self.conj_transpose()
         e = abs(exponent)
-        result = UnitaryMatrix.identity(self.dim)
+        result = None
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             if e > 1:
                 base = base * base
             e >>= 1
-        return result
+        return UnitaryMatrix.identity(self.dim) if result is None else result
 
     def scale(self, factor: CycloLike) -> "UnitaryMatrix":
         f = _coerce(factor)

@@ -38,9 +38,8 @@ Sign conventions are pinned by golden tests against the level-4 values
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cyclo import Cyclo, root_of_unity
 
@@ -58,9 +57,9 @@ class ZeroDenominatorError(ZeroDivisionError):
 _BASE_ORDER = 72
 
 
-@dataclass(frozen=True)
-class TheoryParams:
-    """Level data fixing the recoupling theory."""
+class TheoryParams(NamedTuple):
+    """Level data fixing the recoupling theory (a tuple, so it compares and
+    hashes by its fields, as the `lru_cache` keys below need)."""
 
     r: int
     k: int
@@ -94,8 +93,7 @@ def theory(r: int) -> TheoryParams:
     )
 
 
-@dataclass(frozen=True)
-class VertexExponents:
+class VertexExponents(NamedTuple):
     """Strand counts m = (a+c-b)/2, n = (a+b-c)/2, p = (b+c-a)/2 at an
     admissible vertex."""
 

@@ -9,6 +9,13 @@ isomorphism with the three-generator family presentation D(9,1,1;2,1,1).
 Each `fn` takes the shared `_Context` and returns a witness dict (or
 None) or raises.  Failures become report entries, never exceptions, so a
 corrupted input produces a clean red report.
+
+The checks that are exact word identities (the braid relation, the
+conjugation identities, the N*H factorizations, the ten relations) have
+no `fn`: their rows are data in `IDENTITIES`, and so are the named
+elements (`ELEMENTS`) and subgroups (`SUBGROUPS`).  Words are short text
+such as "G2^2 G1^-1", and `matgroup.check_relations` (through its
+`word_product`) is the one evaluator of every word.
 """
 
 from __future__ import annotations
@@ -93,22 +100,33 @@ def _approx(value: Cyclo) -> list[float]:
     return [round(z.real, 12), round(z.imag, 12)]
 
 
-# the named words in the generators g1 (1) and g2 (2) of the closed group
-_WORDS = {
-    "F": (1, 2, -1, -1),
-    "A": (1, 2, 2, -1),
-    "B": (1, -2, -2, 1),
-    "T1": (1, 2, 1),
-    "T2": (2, 1, 1, 1, 1, 1, 1, 1, 1, 1, -2),
+def _word(text: str) -> mg.NamedWord:
+    """A word written as text, "G2^2 G1^-1" (or "" for I), as the (name,
+    power) pairs that `check_relations` evaluates."""
+    return [(name, int(power or 1)) for name, _, power in (f.partition("^") for f in text.split())]
+
+
+# the named elements, as words in G1, G2 and the names before them, and the
+# two subgroups generated by named elements
+ELEMENTS = {
+    "F": "G1 G2 G1^-2",
+    "A": "G1 G2^2 G1^-1",
+    "B": "G1 G2^-2 G1",
+    "T1": "G1 G2 G1",
+    "T2": "G2 G1^9 G2^-1",
+    "T3": "T2 G2 G1^2 T2",
 }
+SUBGROUPS = {"N": ("A", "B"), "H": ("T1", "T3")}
 
 
 class _Context:
     """State the checks share.  `group` and `family_group` are closed once,
     by GRP-ORDER-162 and GRP-D-FAMILY-ORDER, and kept even when their order
     is wrong; they stay None when the closure raised.  The named elements
-    are built lazily, so that a word failure lands in the check that asked
-    for it.  `info` collects the report's informational entries."""
+    and subgroups are built lazily, so that a failure lands in the check
+    that asked for them.  `ctx[name]` is the name -> matrix lookup that
+    words are evaluated with: G1 and G2 are the generators as passed.
+    `info` collects the report's informational entries."""
 
     def __init__(self, generators: tuple[UnitaryMatrix, UnitaryMatrix], cap: int):
         self.g1m, self.g2m = generators
@@ -127,24 +145,19 @@ class _Context:
         return self.group
 
     def named(self, name: str):
-        """F, A, B, T1, T2, T3 as group elements; N = <A, B>, H = <T1, T3>."""
+        """An element of ELEMENTS as a group element, or a subgroup of SUBGROUPS."""
         if name not in self._named:
             g = self.need_group()
-            g1, g2 = g.generators
-            if name == "T3":
-                t2 = self.named("T2")
-                value = mg.word_eval(t2.word + (2, 1, 1) + t2.word, [g1, g2])
-            elif name == "N":
-                value = mg.subgroup(g, [self.named("A"), self.named("B")])
-            elif name == "H":
-                value = mg.subgroup(g, [self.named("T1"), self.named("T3")])
+            if name in SUBGROUPS:
+                value = mg.subgroup(g, [self.named(n) for n in SUBGROUPS[name]])
             else:
-                value = mg.word_eval(_WORDS[name], [g1, g2])
+                m = mg.word_product(self, _word(ELEMENTS[name]))
+                value = mg.GpElement(m, m.key_bytes())
             self._named[name] = value
         return self._named[name]
 
-    def matrix(self, name: str) -> UnitaryMatrix:
-        return self.named(name).matrix
+    def __getitem__(self, name: str) -> UnitaryMatrix:
+        return {"G1": self.g1m, "G2": self.g2m}.get(name) or self.named(name).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +236,6 @@ def check_g2_display(ctx: _Context):
     return {"det": _approx(ctx.g2m.det())}
 
 
-def check_braid(ctx: _Context):
-    g1m, g2m = ctx.g1m, ctx.g2m
-    _require(g1m * g2m * g1m == g2m * g1m * g2m, "braid relation fails")
-
-
-def check_squares_commute(ctx: _Context):
-    g1m, g2m = ctx.g1m, ctx.g2m
-    _require(g1m ** 2 * g2m ** 2 == g2m ** 2 * g1m ** 2, "squares do not commute")
-
-
 def check_order18(ctx: _Context):
     g1m, g2m = ctx.g1m, ctx.g2m
     o1 = mg.element_order(mg.GpElement(g1m, g1m.key_bytes()), cap=200)
@@ -258,7 +261,7 @@ def check_charpoly(ctx: _Context):
 
 
 # ---------------------------------------------------------------------------
-# the group closure, N = <A, B> and its conjugation identities
+# the group closure and N = <A, B>
 
 
 def check_order162(ctx: _Context):
@@ -276,22 +279,11 @@ def check_f_matrix(ctx: _Context):
     return {"entry_00": _approx(f.matrix.rows[0][0])}
 
 
-def check_a_def(ctx: _Context):
-    f = ctx.named("F")
-    a = ctx.named("A")
-    _require((ctx.g2m * f.matrix) ** 2 == a.matrix, "(G2 F)^2 != G1 G2^2 G1^-1")
-
-
 def check_ab_orders(ctx: _Context):
     oa = mg.element_order(ctx.named("A"), cap=50)
     ob = mg.element_order(ctx.named("B"), cap=50)
     _require(oa == 9 and ob == 3, f"|A| = {oa}, |B| = {ob}")
     return {"order_A": oa, "order_B": ob}
-
-
-def check_ab_commute(ctx: _Context):
-    a, b = ctx.matrix("A"), ctx.matrix("B")
-    _require(a * b == b * a, "A and B do not commute")
 
 
 def check_cyclic_intersect(ctx: _Context):
@@ -316,25 +308,6 @@ def check_n_invariants(ctx: _Context):
     return {"order": n.order, "invariants": list(invariants)}
 
 
-def check_g1ag1(ctx: _Context):
-    g1m, g2m = ctx.g1m, ctx.g2m
-    _require(g1m * ctx.matrix("A") * g1m.conj_transpose() == g2m * g2m, "G1 A G1^-1 != G2^2")
-
-
-def check_g2sq_a7b2(ctx: _Context):
-    g2m = ctx.g2m
-    _require(g2m * g2m == ctx.matrix("A") ** 7 * ctx.matrix("B") ** 2, "G2^2 != A^7 B^2")
-
-
-def check_g2ag2(ctx: _Context):
-    g1m, g2m = ctx.g1m, ctx.g2m
-    a = ctx.matrix("A")
-    b = ctx.matrix("B")
-    lhs = g2m * a * g2m.conj_transpose()
-    _require(lhs == g1m * g1m, "G2 A G2^-1 != G1^2")
-    _require(g1m * g1m == a * b, "G1^2 != A B")
-
-
 # ---------------------------------------------------------------------------
 # the complement H = <T1, T3> and the factorizations through N and H
 
@@ -346,7 +319,7 @@ def check_t1t2t3(ctx: _Context):
     o_gg = mg.element_order(mg.GpElement(g2g1sq, g2g1sq.key_bytes()), cap=50)
     _require(o_t1 == 2 and o_t2 == 2 and o_gg == 2, f"orders ({o_t1},{o_t2},{o_gg})")
     _require(
-        ctx.matrix("T3") == UnitaryMatrix.diagonal([-1, -1, 1]),
+        ctx["T3"] == UnitaryMatrix.diagonal([-1, -1, 1]),
         "T3 is not diag(-1,-1,1)",
     )
     return {"orders": [o_t1, o_t2, o_gg]}
@@ -355,8 +328,8 @@ def check_t1t2t3(ctx: _Context):
 def check_h_s3(ctx: _Context):
     h = ctx.named("H")
     _require(h.order == 6, f"|H| = {h.order}")
-    t1 = ctx.matrix("T1")
-    t3 = ctx.matrix("T3")
+    t1 = ctx["T1"]
+    t3 = ctx["T3"]
     _require(t1 * t3 != t3 * t1, "H is abelian")
     order3 = {e.key for e in h.element_list if mg.element_order(e, cap=10) == 3}
     want = {(t1 * t3).key_bytes(), (t3 * t1).key_bytes()}
@@ -366,8 +339,8 @@ def check_h_s3(ctx: _Context):
 
 def check_h_matrices(ctx: _Context):
     h = ctx.named("H")
-    t1 = ctx.matrix("T1")
-    t3 = ctx.matrix("T3")
+    t1 = ctx["T1"]
+    t3 = ctx["T3"]
     half = Fraction(1, 2)
     s = ctx.rt2 / 2
     m_t1 = UnitaryMatrix.from_rows([[-half, -s, -half], [-s, 0, s], [-half, s, -half]])
@@ -389,61 +362,23 @@ def check_hn_trivial(ctx: _Context):
     _require(mg.intersect(ctx.named("H"), ctx.named("N")).order == 1, "H meet N nontrivial")
 
 
-def check_order3_not_listed(ctx: _Context):
-    a = ctx.matrix("A")
-    b = ctx.matrix("B")
-    t1 = ctx.matrix("T1")
-    t3 = ctx.matrix("T3")
-    listed = [
-        a ** 3, a ** 6, a ** 3 * b, a ** 6 * b,
-        a ** 3 * b * b, a ** 6 * b * b, b, b * b,
-    ]
-    for candidate in (t1 * t3, t3 * t1):
-        _require(all(candidate != m for m in listed), "order-3 element found in the list")
-
-
-def check_g2sqg1(ctx: _Context):
-    g1m, g2m = ctx.g1m, ctx.g2m
-    identity3 = UnitaryMatrix.identity(3)
-    a3b = ctx.matrix("A") ** 3 * ctx.matrix("B")
-    t3 = ctx.matrix("T3")
-    g2sqg1 = g2m * g2m * g1m
-    _require((g2m * g1m * g2m) ** 2 == identity3, "(G2 G1 G2)^2 != I")
-    _require((g2m * g1m) ** 3 == identity3, "(G2 G1)^3 != I")
-    _require((g1m * g2m) ** 3 == identity3, "(G1 G2)^3 != I")
-    _require(g2sqg1 * g2sqg1 == identity3, "(G2^2 G1)^2 != I")
-    _require(g2sqg1 == a3b * t3, "G2^2 G1 != A^3 B T3")
-    residue = g2sqg1.conj_transpose() * t3
-    _require(residue == a3b, "(G2^2 G1)^-1 T3 != A^3 B")
-    o = mg.element_order(mg.GpElement(residue, residue.key_bytes()), cap=10)
-    _require(o == 3, f"A^3 B has order {o}")
-
-
-def check_g1sqg2(ctx: _Context):
-    b2 = ctx.matrix("B") ** 2
-    t3t1t3 = ctx.matrix("T3") * ctx.matrix("T1") * ctx.matrix("T3")
-    g1sqg2 = ctx.g1m * ctx.g1m * ctx.g2m
-    _require(g1sqg2 == b2 * t3t1t3, "G1^2 G2 != B^2 T3 T1 T3")
-    _require(g1sqg2.conj_transpose() * t3t1t3 == b2, "(G1^2 G2)^-1 T3 T1 T3 != B^2")
-
-
 def check_psi_g1(ctx: _Context):
     g = ctx.need_group()
     n, h = mg.decompose(g, g.generators[0], ctx.named("N"), ctx.named("H"))
-    want_n = ctx.matrix("A") ** 5 * ctx.matrix("B") ** 2
-    _require(n.matrix == want_n and h.matrix == ctx.matrix("T3"), "G1 != A^5 B^2 * T3")
+    want_n = ctx["A"] ** 5 * ctx["B"] ** 2
+    _require(n.matrix == want_n and h.matrix == ctx["T3"], "G1 != A^5 B^2 * T3")
 
 
 def check_psi_g2(ctx: _Context):
     g = ctx.need_group()
     n, h = mg.decompose(g, g.generators[1], ctx.named("N"), ctx.named("H"))
-    want_n = ctx.matrix("A").conj_transpose() * ctx.matrix("B")
-    want_h = ctx.matrix("T3") * ctx.matrix("T1") * ctx.matrix("T3")
+    want_n = ctx["A"].conj_transpose() * ctx["B"]
+    want_h = ctx["T3"] * ctx["T1"] * ctx["T3"]
     _require(n.matrix == want_n and h.matrix == want_h, "G2 != A^-1 B * T3 T1 T3")
 
 
 # ---------------------------------------------------------------------------
-# the semidirect structure, the presentation and the family isomorphism
+# the semidirect structure and the family isomorphism
 
 
 def check_semidirect(ctx: _Context):
@@ -462,26 +397,6 @@ def check_semidirect(ctx: _Context):
         "product_bijective": report.product_bijective,
         "distinct_factorizations": len(pairs),
     }
-
-
-def check_presentation(ctx: _Context):
-    gens = {name: ctx.named(name) for name in ("A", "B", "T1", "T3")}
-    eye: tuple = ()
-    relations = [
-        ((("A", 9),), eye),
-        ((("B", 3),), eye),
-        ((("T1", 2),), eye),
-        ((("T3", 2),), eye),
-        ((("T1", 1), ("T3", 1)) * 3, eye),
-        ((("T3", 1), ("T1", 1)) * 3, eye),
-        ((("T1", 1), ("A", 1), ("T1", -1)), (("A", 1),)),
-        ((("T3", 1), ("A", 1), ("T3", -1)), (("A", 7), ("B", 2))),
-        ((("T1", 1), ("B", 1), ("T1", -1)), (("A", 6), ("B", 2))),
-        ((("T3", 1), ("B", 1), ("T3", -1)), (("A", 3), ("B", 2))),
-    ]
-    results = mg.check_relations(gens, relations)
-    _require(all(results), f"relation results: {results}")
-    return {"relations_checked": len(results)}
 
 
 def check_family_order(ctx: _Context):
@@ -507,6 +422,65 @@ def check_isomorphism(ctx: _Context):
     return {"generator_images": [e.key.decode("ascii")[:40] + "..." for e in images]}
 
 
+# ---------------------------------------------------------------------------
+# the word identities, by check id: rows (lhs, holds, rhs, failure message),
+# each passing when lhs = rhs is `holds`; "" is the identity.  Rows run in
+# order and a check fails with its first failing row's message.
+IDENTITIES = {
+    "REP-BRAID": [("G1 G2 G1", True, "G2 G1 G2", "braid relation fails")],
+    "REP-SQUARES-COMMUTE": [("G1^2 G2^2", True, "G2^2 G1^2", "squares do not commute")],
+    "GRP-A-DEF": [("G2 F G2 F", True, "A", "(G2 F)^2 != G1 G2^2 G1^-1")],
+    "GRP-AB-COMMUTE": [("A B", True, "B A", "A and B do not commute")],
+    "GRP-G1AG1-G2SQ": [("G1 A G1^-1", True, "G2^2", "G1 A G1^-1 != G2^2")],
+    "GRP-G2SQ-A7B2": [("G2^2", True, "A^7 B^2", "G2^2 != A^7 B^2")],
+    "GRP-G2AG2-AB": [
+        ("G2 A G2^-1", True, "G1^2", "G2 A G2^-1 != G1^2"),
+        ("G1^2", True, "A B", "G1^2 != A B"),
+    ],
+    "GRP-ORDER3-NOT-IN-LIST": [
+        (t, False, n, "order-3 element found in the list")
+        for t in ("T1 T3", "T3 T1")
+        for n in ("A^3", "A^6", "A^3 B", "A^6 B", "A^3 B^2", "A^6 B^2", "B", "B^2")
+    ],
+    "GRP-G2SQG1-FACTOR": [
+        ("G2 G1 G2 G2 G1 G2", True, "", "(G2 G1 G2)^2 != I"),
+        ("G2 G1 G2 G1 G2 G1", True, "", "(G2 G1)^3 != I"),
+        ("G1 G2 G1 G2 G1 G2", True, "", "(G1 G2)^3 != I"),
+        ("G2^2 G1 G2^2 G1", True, "", "(G2^2 G1)^2 != I"),
+        ("G2^2 G1", True, "A^3 B T3", "G2^2 G1 != A^3 B T3"),
+        ("G1^-1 G2^-2 T3", True, "A^3 B", "(G2^2 G1)^-1 T3 != A^3 B"),
+        # these two give A^3 B order exactly 3, since 3 is prime
+        ("A^3 B A^3 B A^3 B", True, "", "(A^3 B)^3 != I"),
+        ("A^3 B", False, "", "A^3 B = I"),
+    ],
+    "GRP-G1SQG2-FACTOR": [
+        ("G1^2 G2", True, "B^2 T3 T1 T3", "G1^2 G2 != B^2 T3 T1 T3"),
+        ("G2^-1 G1^-2 T3 T1 T3", True, "B^2", "(G1^2 G2)^-1 T3 T1 T3 != B^2"),
+    ],
+    "GRP-PRESENTATION": [
+        ("A^9", True, "", "A^9 != I"),
+        ("B^3", True, "", "B^3 != I"),
+        ("T1^2", True, "", "T1^2 != I"),
+        ("T3^2", True, "", "T3^2 != I"),
+        ("T1 T3 T1 T3 T1 T3", True, "", "(T1 T3)^3 != I"),
+        ("T3 T1 T3 T1 T3 T1", True, "", "(T3 T1)^3 != I"),
+        ("T1 A T1^-1", True, "A", "T1 A T1^-1 != A"),
+        ("T3 A T3^-1", True, "A^7 B^2", "T3 A T3^-1 != A^7 B^2"),
+        ("T1 B T1^-1", True, "A^6 B^2", "T1 B T1^-1 != A^6 B^2"),
+        ("T3 B T3^-1", True, "A^3 B^2", "T3 B T3^-1 != A^3 B^2"),
+    ],
+}
+
+
+def _check_identities(ctx: _Context, check_id: str):
+    rows = IDENTITIES[check_id]
+    for lhs, holds, rhs, message in rows:
+        [equal] = mg.check_relations(ctx, [(_word(lhs), _word(rhs))])
+        _require(equal == holds, message)
+    # the presentation's witness counts its relations; other rows witness nothing
+    return {"relations_checked": len(rows)} if check_id == "GRP-PRESENTATION" else None
+
+
 CHECKS = (
     ("TL-DELTAS", "loop values: delta_0 = delta_4 = 1, delta_2 = 2, delta_1 = sqrt(3), delta_5 = 0", check_deltas),
     ("TL-RVALUES", "conjugated twist eigenvalues on a fused charge-2 pair", check_rvalues),
@@ -514,32 +488,32 @@ CHECKS = (
     ("TL-THETA-ID", "theta(2,2,i) equals the tet with one edge labeled 0", check_theta_id),
     ("REP-G1", "phase-normalized odd braid generator equals its explicit display", check_g1_display),
     ("REP-G2", "phase-normalized middle braid generator equals its explicit display", check_g2_display),
-    ("REP-BRAID", "braid relation G1 G2 G1 = G2 G1 G2", check_braid),
-    ("REP-SQUARES-COMMUTE", "the generator squares commute", check_squares_commute),
+    ("REP-BRAID", "braid relation G1 G2 G1 = G2 G1 G2", None),
+    ("REP-SQUARES-COMMUTE", "the generator squares commute", None),
     ("REP-ORDER18", "both generators have exact order 18", check_order18),
     ("REP-CHARPOLY", "equal characteristic polynomials; spectrum as displayed", check_charpoly),
     ("GRP-ORDER-162", "the two generators span a group of order 162", check_order162),
     ("GRP-F-MATRIX", "the word g1 g2 g1^-2 equals the explicit matrix F", check_f_matrix),
-    ("GRP-A-DEF", "(G2 F)^2 equals A = g1 g2^2 g1^-1", check_a_def),
+    ("GRP-A-DEF", "(G2 F)^2 equals A = g1 g2^2 g1^-1", None),
     ("GRP-AB-ORDERS", "A has order 9 and B has order 3", check_ab_orders),
-    ("GRP-AB-COMMUTE", "A and B commute", check_ab_commute),
+    ("GRP-AB-COMMUTE", "A and B commute", None),
     ("GRP-CYCLIC-INTERSECT", "<A> and <B> intersect trivially", check_cyclic_intersect),
     ("GRP-N-NORMAL", "the subgroup <A, B> is normal in the whole group", check_n_normal),
     ("GRP-N-INVARIANTS", "<A, B> is abelian of order 27 with invariants (9, 3)", check_n_invariants),
-    ("GRP-G1AG1-G2SQ", "G1 A G1^-1 equals G2^2", check_g1ag1),
-    ("GRP-G2SQ-A7B2", "G2^2 equals A^7 B^2", check_g2sq_a7b2),
-    ("GRP-G2AG2-AB", "G2 A G2^-1 equals G1^2 equals A B", check_g2ag2),
+    ("GRP-G1AG1-G2SQ", "G1 A G1^-1 equals G2^2", None),
+    ("GRP-G2SQ-A7B2", "G2^2 equals A^7 B^2", None),
+    ("GRP-G2AG2-AB", "G2 A G2^-1 equals G1^2 equals A B", None),
     ("GRP-T1T2T3", "T1, T2, G2 G1^2 have order 2 and T3 = diag(-1,-1,1)", check_t1t2t3),
     ("GRP-H-S3", "<T1, T3> is a non-abelian order-6 group with order-3 elements T1 T3, T3 T1", check_h_s3),
     ("GRP-H-MATRICES", "the six elements of H match their explicit matrices", check_h_matrices),
     ("GRP-HN-TRIVIAL", "H and N intersect trivially", check_hn_trivial),
-    ("GRP-ORDER3-NOT-IN-LIST", "T1 T3 and T3 T1 differ from all eight listed elements of N", check_order3_not_listed),
-    ("GRP-G2SQG1-FACTOR", "G2^2 G1 is an involution factoring as A^3 B * T3", check_g2sqg1),
-    ("GRP-G1SQG2-FACTOR", "G1^2 G2 factors as B^2 * T3 T1 T3", check_g1sqg2),
+    ("GRP-ORDER3-NOT-IN-LIST", "T1 T3 and T3 T1 differ from all eight listed elements of N", None),
+    ("GRP-G2SQG1-FACTOR", "G2^2 G1 is an involution factoring as A^3 B * T3", None),
+    ("GRP-G1SQG2-FACTOR", "G1^2 G2 factors as B^2 * T3 T1 T3", None),
     ("GRP-PSI-G1", "G1 decomposes as (A^5 B^2, T3)", check_psi_g1),
     ("GRP-PSI-G2", "G2 decomposes as (A^-1 B, T3 T1 T3)", check_psi_g2),
     ("GRP-SEMIDIRECT", "all four semidirect-product certificates hold and the 162 factorizations are distinct", check_semidirect),
-    ("GRP-PRESENTATION", "all ten relations of the closing presentation hold exactly", check_presentation),
+    ("GRP-PRESENTATION", "all ten relations of the closing presentation hold exactly", None),
     ("GRP-D-FAMILY-ORDER", "the three family generators of D(9,1,1;2,1,1) span a group of order 162", check_family_order),
     ("GRP-ISO-D91211", "an isomorphism onto D(9,1,1;2,1,1) exists and verifies on the full Cayley table", check_isomorphism),
 )
@@ -559,7 +533,8 @@ def run_theorem1_verification(
     report = VerificationReport(info=ctx.info)
     for check_id, description, fn in CHECKS:
         try:
-            report.checks.append(Check(check_id, description, True, fn(ctx)))
+            witness = fn(ctx) if fn else _check_identities(ctx, check_id)
+            report.checks.append(Check(check_id, description, True, witness))
         except Exception as exc:  # noqa: BLE001 - failures are report entries
             error = {"error": f"{type(exc).__name__}: {exc}"}
             report.checks.append(Check(check_id, description, False, error))

@@ -225,7 +225,7 @@ def test_c12_psi_and_semidirect(paper_group, named_elements, subgroup_n, subgrou
 
 
 def test_c13_presentation(named_elements, verification_report):
-    gens = {k: named_elements[k] for k in ("A", "B", "T1", "T3")}
+    gens = {k: named_elements[k].matrix for k in ("A", "B", "T1", "T3")}
     eye = ()
     relations = [
         ((("A", 9),), eye),

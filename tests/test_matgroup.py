@@ -168,7 +168,7 @@ def test_word_eval(paper_group, named_elements):
 
 
 def test_check_relations(named_elements):
-    gens = {k: named_elements[k] for k in ("A", "B", "T1", "T3")}
+    gens = {k: named_elements[k].matrix for k in ("A", "B", "T1", "T3")}
     eye = ()
     good = [
         ((("A", 9),), eye),

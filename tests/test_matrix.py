@@ -128,3 +128,25 @@ def test_cyclo_arithmetic_with_plain_numbers_still_coerces():
     assert z + 1 == 1 + z
     assert (z * Fraction(1, 2)) * 2 == z
     assert (z.__add__("x"), z.__mul__(1.5)) == (NotImplemented, NotImplemented)
+
+
+def test_power_equals_the_repeated_product(paper_matrices, monkeypatch):
+    g1, g2 = paper_matrices
+    m = g1 * g2
+    identity = UnitaryMatrix.identity(3)
+    for k in range(-3, 6):
+        factor = m if k >= 0 else m.conj_transpose()
+        repeated = identity
+        for _ in range(abs(k)):
+            repeated = repeated * factor
+        assert _representation(m ** k) == _representation(repeated), k
+
+    calls = []
+    mul = UnitaryMatrix.__mul__
+    monkeypatch.setattr(UnitaryMatrix, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert m ** 1 is m
+    assert m ** 0 == identity
+    assert _representation(m ** -1) == _representation(m.conj_transpose())
+    assert calls == []
+    m ** 5  # squares to m^4, then one product: three in all
+    assert len(calls) == 3

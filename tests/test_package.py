@@ -26,7 +26,9 @@ def run_fresh(code: str) -> None:
 def test_import_loads_no_unused_layer():
     run_fresh("""
         import sys
-        UNUSED = ("su3braid.matgroup", "su3braid.verify", "su3braid.cli", "argparse")
+        # dataclasses loads inspect, ast and dis: milliseconds of a cold start
+        UNUSED = ("su3braid.matgroup", "su3braid.verify", "su3braid.cli", "argparse",
+                  "dataclasses")
 
         import su3braid
         loaded = [m for m in UNUSED if m in sys.modules]

@@ -1,0 +1,122 @@
+"""The verify checklist's data: every identity row can fail, the report's
+bytes are pinned, and the order 162 is confirmed by two oracles that share
+no code with `close`, `Cyclo` arithmetic or `key_bytes`."""
+
+import hashlib
+
+import pytest
+from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
+from sympy.combinatorics.free_groups import free_group
+
+from su3braid import cli, verify
+from su3braid.su3families import CParams, DParams, d_generators
+
+# sha256 of `su3braid verify` stdout: check lines and the info line only, no
+# floats, so it holds on every platform (the --json witnesses carry libm
+# floats and are not pinned)
+VERIFY_STDOUT_SHA256 = "b7033d472fd5d37b0dc209c70ada31e1c5804b727c0d5ccf5d387c7a8f782bf7"
+
+
+@pytest.fixture(scope="module")
+def closed_context(paper_matrices, paper_group):
+    ctx = verify._Context(paper_matrices, cap=2000)
+    ctx.group = paper_group
+    return ctx
+
+
+def _perturbed(rows, i):
+    """Row i made false: an equality gains a right factor G1 (G1 != I), an
+    inequality gets its left side on the right."""
+    lhs, holds, rhs, message = rows[i]
+    row = (lhs, holds, f"{rhs} G1".strip() if holds else lhs, message)
+    return rows[:i] + [row] + rows[i + 1:]
+
+
+def test_every_identity_row_can_fail(closed_context, monkeypatch):
+    for check_id, rows in verify.IDENTITIES.items():
+        verify._check_identities(closed_context, check_id)
+        for i, row in enumerate(rows):
+            monkeypatch.setitem(verify.IDENTITIES, check_id, _perturbed(rows, i))
+            with pytest.raises(AssertionError) as failure:
+                verify._check_identities(closed_context, check_id)
+            assert str(failure.value) == row[3], (check_id, i)
+        monkeypatch.setitem(verify.IDENTITIES, check_id, rows)
+        verify._check_identities(closed_context, check_id)
+
+
+def test_verify_stdout_digest_and_identity_witnesses(verification_report, capsys):
+    assert cli.main(["verify"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_STDOUT_SHA256
+    for check_id in verify.IDENTITIES:
+        want = {"relations_checked": 10} if check_id == "GRP-PRESENTATION" else None
+        assert verification_report.by_id(check_id).witness == want, check_id
+
+
+# -- order oracle 1: the generators reduced mod 73 ------------------------------
+# 73 = 1 mod 72, so F_73 holds the 72nd roots of unity; 73 is unramified in
+# Q(zeta_72) and 2 is a unit mod 73, so the reduction is injective on a finite
+# subgroup (Minkowski) and the image has the group's order.
+
+P = 73
+OMEGA = 5  # a primitive root mod 73: the image of zeta_72
+
+
+def _reduce(matrix):
+    """The matrix mod 73 as a 9-tuple, read only from each entry's order,
+    coefficients and denominator."""
+    out = []
+    for row in matrix.rows:
+        for v in row:
+            zeta = pow(OMEGA, 72 // v.order, P)
+            total = sum(n * pow(zeta, i, P) for i, n in enumerate(v.nums))
+            out.append(total * pow(v.den, -1, P) % P)
+    return tuple(out)
+
+
+def _mul(a, b):
+    return tuple(
+        sum(a[3 * i + k] * b[3 * k + j] for k in range(3)) % P
+        for i in range(3) for j in range(3)
+    )
+
+
+def _order_mod_p(generators):
+    gens = [_reduce(m) for m in generators]
+    seen = {(1, 0, 0, 0, 1, 0, 0, 0, 1)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [y for y in {_mul(g, x) for g in gens for x in frontier} if y not in seen]
+        seen.update(frontier)
+        assert len(seen) <= 1000
+    return len(seen)
+
+
+def test_order_162_over_f73(paper_matrices):
+    assert pow(OMEGA, 36, P) != 1 and pow(OMEGA, 24, P) != 1
+    assert _order_mod_p(paper_matrices) == 162
+    assert _order_mod_p(d_generators(DParams(CParams(9, 1, 1), 2, 1, 1))) == 162
+
+
+# -- order oracle 2: coset enumeration of verify's relation rows ----------------
+
+
+def test_presentation_rows_with_ab_commute_present_order_162():
+    """The ten GRP-PRESENTATION rows alone present a group of order 486;
+    with GRP-AB-COMMUTE's [A, B] = 1 the coset enumeration (HLT, sympy)
+    over the trivial subgroup gives 162."""
+    free, *letters = free_group("A B T1 T3")
+    names = dict(zip(("A", "B", "T1", "T3"), letters))
+
+    def word(text):
+        w = free.identity
+        for name, power in verify._word(text):
+            w = w * names[name] ** power
+        return w
+
+    rows = verify.IDENTITIES["GRP-PRESENTATION"] + verify.IDENTITIES["GRP-AB-COMMUTE"]
+    assert all(holds for _, holds, _, _ in rows)
+    relators = [word(lhs) * word(rhs) ** -1 for lhs, _, rhs, _ in rows]
+    cosets = coset_enumeration_r(FpGroup(free, relators), [])
+    cosets.compress()
+    assert len(cosets.table) == 162
