@@ -23,7 +23,7 @@ _PUBLIC = {
         "paper_generators", "sigma_mid", "sigma_odd", "su3_normalize",
     ),
     "matgroup": (
-        "FiniteMatrixGroup", "GpElement", "GroupTooLargeError", "SemidirectReport",
+        "FiniteMatrixGroup", "GroupTooLargeError", "SemidirectReport",
         "abelian_invariants", "check_relations", "close", "conjugacy_classes", "decompose",
         "element_order", "find_isomorphism", "intersect", "is_normal", "semidirect_verify",
         "subgroup", "word_eval",

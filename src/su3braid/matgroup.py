@@ -5,10 +5,12 @@ a generator list.  Equality of elements is byte-exact on canonical scalar
 coefficients; no floating point enters any decision.  Inverses are
 conjugate transposes, which is exact because every element is unitary.
 
-Element ordering is deterministic (BFS layer, then key), so exports and
-reports reproduce byte-for-byte.  Every element carries the shortest
-generator word found during closure; words are sequences of signed
-1-based generator indices, negative meaning inverse.
+An element is named by its index in its group (0 is the identity), and
+every operation takes and returns indices of the group it is called on;
+`index_of` maps a matrix to its index.  Element ordering is deterministic
+(BFS layer, then key), so exports and reports reproduce byte-for-byte.
+Every element has the shortest generator word found during closure: a
+tuple of signed 1-based generator indices, negative meaning inverse.
 
 Only :func:`close` closes a group from matrices; subgroups, intersections
 and ``n*h`` factorizations are read off the ambient table and inverse index.
@@ -69,26 +71,10 @@ class CayleyTableError(RuntimeError):
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GpElement:
-    """A group element: matrix, canonical byte key, optional generator word."""
-
-    matrix: UnitaryMatrix
-    key: bytes
-    word: Optional[Word] = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GpElement):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-
 class FiniteMatrixGroup:
     """A closed set of unitary matrices with a distinguished generator list.
 
+    Element i is stored once, as `matrices[i]`, `keys[i]` and `words[i]`.
     Besides the elements, a group keeps what its closure learned: the BFS
     provenance (element i is generator `_bfs_mult[i]` times element
     `_bfs_parent[i]`) and the left-multiplication action of every signed
@@ -101,19 +87,23 @@ class FiniteMatrixGroup:
 
     def __init__(
         self,
-        generators: tuple[GpElement, ...],
-        element_list: tuple[GpElement, ...],
         working_order: int,
+        matrices: tuple[UnitaryMatrix, ...],
+        keys: tuple[bytes, ...],
+        words: tuple[Word, ...],
+        generators: tuple[int, ...],
         bfs_mult: tuple[int, ...],
         bfs_parent: tuple[int, ...],
         actions: Mapping[int, tuple[int, ...]],
     ):
-        self.generators = generators
-        self.element_list = element_list
-        # the one element index: canonical key -> position in element_list
-        self.elements: dict[bytes, int] = {e.key: i for i, e in enumerate(element_list)}
         self.working_order = working_order
-        self.dim = element_list[0].matrix.dim
+        self.matrices = matrices
+        self.keys = keys
+        self.words = words
+        self.generators = generators
+        # the one element lookup: canonical key -> element index
+        self.elements: dict[bytes, int] = {k: i for i, k in enumerate(keys)}
+        self.dim = matrices[0].dim
         self._bfs_mult = bfs_mult
         self._bfs_parent = bfs_parent
         self._actions = dict(actions)
@@ -124,23 +114,13 @@ class FiniteMatrixGroup:
 
     @property
     def order(self) -> int:
-        return len(self.element_list)
+        return len(self.keys)
 
     def __len__(self) -> int:
-        return len(self.element_list)
+        return len(self.keys)
 
-    def __iter__(self):
-        return iter(self.element_list)
-
-    def __contains__(self, element: GpElement) -> bool:
-        return element.key in self.elements
-
-    @property
-    def identity(self) -> GpElement:
-        return self.element_list[0]
-
-    def index_of(self, element: GpElement) -> int:
-        idx = self.elements.get(element.key)
+    def index_of(self, m: UnitaryMatrix) -> int:
+        idx = self.elements.get(m.key_bytes())
         if idx is None:
             raise GeneratorNotInGroupError("element is not in the group")
         return idx
@@ -206,8 +186,8 @@ def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
         raise CayleyTableError("derived table is not a Latin square")
     rows: dict[int, int] = {}  # signed generator -> its element index
     for s, g in enumerate(group.generators, 1):
-        rows[s] = group.index_of(g)
-        inverse = group.elements.get(g.matrix.conj_transpose().key_bytes())
+        rows[s] = g
+        inverse = group.elements.get(group.matrices[g].conj_transpose().key_bytes())
         if inverse is None:
             raise CayleyTableError("a generator inverse is missing from the group")
         rows[-s] = inverse
@@ -224,10 +204,10 @@ def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
             if table[row_x[a]] != list(compose(row_x)):
                 raise CayleyTableError(f"derived table fails Light's test at ({x}, {a})")
     rng = random.Random(0)
-    elements = group.element_list
+    matrices = group.matrices
     for _ in range(min(_TABLE_SAMPLE, n * n)):
         i, j = rng.randrange(n), rng.randrange(n)
-        product = elements[i].matrix * elements[j].matrix
+        product = matrices[i] * matrices[j]
         if group.elements.get(product.key_bytes()) != table[i][j]:
             raise CayleyTableError(
                 f"derived table entry ({i}, {j}) disagrees with the exact product"
@@ -260,21 +240,25 @@ def close(
         for signed, mat in ((i + 1, g), (-(i + 1), g.conj_transpose())):
             multipliers.append((signed, mat.key_bytes(), mat))
 
-    def times(mat: UnitaryMatrix, element: GpElement) -> tuple[bytes, UnitaryMatrix]:
-        product = mat * element.matrix
+    def times(mat: UnitaryMatrix, element: UnitaryMatrix) -> tuple[bytes, UnitaryMatrix]:
+        product = mat * element
         return product.key_bytes(), product
 
     identity = UnitaryMatrix.identity(dim)
-    return _bfs(GpElement(identity, identity.key_bytes(), ()), multipliers, times, order, cap)
+    matrices, *closure = _bfs((identity.key_bytes(), identity), multipliers, times, cap)
+    return FiniteMatrixGroup(order, tuple(matrices), *closure)
 
 
 def _bfs(
-    identity: GpElement, multipliers: Sequence[tuple[int, bytes, object]],
-    times: Callable[[object, GpElement], tuple[bytes, UnitaryMatrix]], working_order: int, cap: int,
-) -> FiniteMatrixGroup:
-    """The one closure loop over (signed index, key, operand) multipliers,
-    with `times(operand, element)` giving the key and matrix of the product.
-    Each layer keeps the least word per new key and is appended in key order."""
+    identity: tuple[bytes, object], multipliers: Sequence[tuple[int, bytes, object]],
+    times: Callable[[object, object], tuple[bytes, object]], cap: int,
+) -> tuple:
+    """The one closure loop from the identity's (key, value), over (signed
+    index, key, operand) multipliers; `times(operand, value)` gives the key
+    and value of a product, a value being what `times` needs of an element.
+    Each layer keeps the least word per new key and is appended in key
+    order.  Returns the values, then the rest of the `FiniteMatrixGroup`
+    arguments after its matrices."""
     # distinct multipliers; a signed generator equal to an earlier one
     # (an involution's inverse, a repeated generator) shares its slot
     distinct: list[tuple[int, object]] = []
@@ -286,8 +270,10 @@ def _bfs(
             distinct.append((signed, operand))
         slot_of_signed[signed] = slot_of_key[key]
 
-    elements: dict[bytes, int] = {identity.key: 0}
-    element_list: list[GpElement] = [identity]
+    elements: dict[bytes, int] = {identity[0]: 0}
+    keys: list[bytes] = [identity[0]]
+    values: list = [identity[1]]
+    words: list[Word] = [()]
     bfs_mult: list[int] = [0]
     bfs_parent: list[int] = [-1]
     # action[slot][x] = index of multiplier * element(x); parents are visited
@@ -296,10 +282,10 @@ def _bfs(
 
     frontier = [0]
     while frontier:
-        layer: dict[bytes, tuple[Word, UnitaryMatrix, int, int]] = {}
+        layer: dict[bytes, tuple[Word, object, int, int]] = {}
         pending: list[tuple[int, int, bytes]] = []  # action entries awaiting an index
         for parent_idx in frontier:
-            parent = element_list[parent_idx]
+            parent, parent_word = values[parent_idx], words[parent_idx]
             for slot, (signed, operand) in enumerate(distinct):
                 key, product = times(operand, parent)
                 idx = elements.get(key)
@@ -308,7 +294,7 @@ def _bfs(
                     continue
                 action[slot].append(-1)
                 pending.append((slot, parent_idx, key))
-                word = (signed,) + parent.word
+                word = (signed,) + parent_word
                 known = layer.get(key)
                 if known is None or word < known[0]:
                     layer[key] = (word, product, signed, parent_idx)
@@ -319,22 +305,22 @@ def _bfs(
         frontier = []
         for key in sorted(layer):
             word, product, signed, parent_idx = layer[key]
-            idx = len(element_list)
+            idx = len(keys)
             elements[key] = idx
-            element_list.append(GpElement(product, key, word))
+            keys.append(key)
+            values.append(product)
+            words.append(word)
             bfs_mult.append(signed)
             bfs_parent.append(parent_idx)
             frontier.append(idx)
         for slot, parent_idx, key in pending:
             action[slot][parent_idx] = elements[key]
 
-    return FiniteMatrixGroup(
-        generators=tuple(element_list[elements[k]] for s, k, _ in multipliers if s > 0),
-        element_list=tuple(element_list),
-        working_order=working_order,
-        bfs_mult=tuple(bfs_mult),
-        bfs_parent=tuple(bfs_parent),
-        actions={signed: tuple(action[slot]) for signed, slot in slot_of_signed.items()},
+    return (
+        values, tuple(keys), tuple(words),
+        tuple(elements[k] for s, k, _ in multipliers if s > 0),
+        tuple(bfs_mult), tuple(bfs_parent),
+        {signed: tuple(action[slot]) for signed, slot in slot_of_signed.items()},
     )
 
 
@@ -342,44 +328,55 @@ def _bfs(
 # element and subgroup operations
 
 
-def element_order(g: GpElement, cap: int = 1000) -> int:
-    """Least n >= 1 with g^n = I."""
+def element_order(m: UnitaryMatrix, cap: int = 1000) -> int:
+    """Least n >= 1 with m^n = I."""
     if cap < 1:
         raise ValueError("cap must be positive")
-    identity = UnitaryMatrix.identity(g.matrix.dim)
-    power = g.matrix
+    identity = UnitaryMatrix.identity(m.dim)
+    power = m
     n = 1
     while power != identity:
-        power = power * g.matrix
+        power = power * m
         n += 1
         if n > cap:
             raise OrderExceedsCapError(f"order exceeds cap={cap}")
     return n
 
 
-def subgroup(group: FiniteMatrixGroup, gens: Sequence[GpElement]) -> FiniteMatrixGroup:
-    """Closure of elements of `group`, read off its Cayley table (built on
-    first use) instead of multiplying matrices.  The result has the element
-    order and words that `close` gives, and shares the ambient elements'
-    matrices and keys."""
-    xs = [group.index_of(g) for g in gens]
+def _check_indices(group: FiniteMatrixGroup, xs: Sequence[int]) -> None:
+    for x in xs:
+        if not 0 <= x < group.order:
+            raise GeneratorNotInGroupError(f"element index {x} is outside 0..{group.order - 1}")
+
+
+def subgroup(group: FiniteMatrixGroup, xs: Sequence[int]) -> FiniteMatrixGroup:
+    """Closure of the elements `xs` (indices) of `group`, read off its
+    Cayley table (built on first use) instead of multiplying matrices.  The
+    result has the element order and words that `close` gives, and shares
+    the ambient elements' matrices and keys."""
     if not xs:
         raise ValueError("need at least one generator")
-    table, inverse, ambient = group.cayley_table(), group.inverse_index(), group.element_list
+    _check_indices(group, xs)
+    table, inverse, keys = group.cayley_table(), group.inverse_index(), group.keys
     multipliers = []
     for i, x in enumerate(xs):
-        multipliers += [(i + 1, ambient[x].key, x), (-(i + 1), ambient[inverse[x]].key, inverse[x])]
+        multipliers += [(i + 1, keys[x], x), (-(i + 1), keys[inverse[x]], inverse[x])]
 
-    def times(x: int, element: GpElement) -> tuple[bytes, UnitaryMatrix]:
-        product = ambient[table[x][group.elements[element.key]]]
-        return product.key, product.matrix
+    def times(x: int, y: int) -> tuple[bytes, int]:
+        product = table[x][y]
+        return keys[product], product
 
-    return _bfs(group.identity, multipliers, times, group.working_order, group.order)
+    ambient, *closure = _bfs((keys[0], 0), multipliers, times, group.order)
+    matrices = tuple(map(group.matrices.__getitem__, ambient))
+    return FiniteMatrixGroup(group.working_order, matrices, *closure)
 
 
 def _positions(group: FiniteMatrixGroup, sub: FiniteMatrixGroup) -> list[int]:
     """The `group` indices of the elements of `sub`, in `sub`'s order."""
-    positions = [group.elements.get(e.key) for e in sub.element_list]
+    if sub.working_order != group.working_order:
+        orders = f"{sub.working_order}, the group {group.working_order}"
+        raise NotASubgroupError(f"claimed subgroup has working order {orders}")
+    positions = [group.elements.get(k) for k in sub.keys]
     if None in positions:
         raise NotASubgroupError("claimed subgroup has an element outside the group")
     return positions
@@ -389,8 +386,7 @@ def is_normal(group: FiniteMatrixGroup, sub: FiniteMatrixGroup) -> bool:
     """Whether g n g^-1 stays in `sub` for the generators g of `group`
     (sufficient by generation), read off the Cayley table of `group`."""
     members = set(_positions(group, sub))
-    table, inverse = group.cayley_table(), group.inverse_index()
-    gens = [group.index_of(g) for g in group.generators]
+    table, inverse, gens = group.cayley_table(), group.inverse_index(), group.generators
     return all(table[table[g][n]][inverse[g]] in members for g in gens for n in members)
 
 
@@ -400,12 +396,14 @@ def intersect(s1: FiniteMatrixGroup, s2: FiniteMatrixGroup) -> FiniteMatrixGroup
     the generators."""
     if s1.dim != s2.dim:
         raise ValueError("groups live in different dimensions")
-    common = sorted(e.key for e in s1.element_list if e.key in s2.elements)
-    gens: list[GpElement] = []
-    meet = subgroup(s1, [s1.identity])
+    if s1.working_order != s2.working_order:
+        raise ValueError(f"groups have working orders {s1.working_order} and {s2.working_order}")
+    common = sorted(k for k in s1.keys if k in s2.elements)
+    gens: list[int] = []
+    meet = subgroup(s1, [0])
     for key in common:
         if key not in meet.elements:
-            gens.append(s1.element_list[s1.elements[key]])
+            gens.append(s1.elements[key])
             meet = subgroup(s1, gens)
     return meet
 
@@ -418,8 +416,7 @@ def abelian_invariants(group: FiniteMatrixGroup) -> tuple[int, ...]:
     the largest element order, so a returned result is exact: the group is
     the internal direct product of the two spans.  A group of rank 3 or
     more (for example Z2^3) raises `DecompositionNotFoundError`."""
-    table = group.cayley_table()
-    gens = [group.index_of(g) for g in group.generators]
+    table, gens = group.cayley_table(), group.generators
     for i, a in enumerate(gens):
         for b in gens[i + 1:]:
             if table[a][b] != table[b][a]:
@@ -472,19 +469,19 @@ def semidirect_verify(
 
 
 def decompose(
-    group: FiniteMatrixGroup, g: GpElement,
+    group: FiniteMatrixGroup, x: int,
     normal_part: FiniteMatrixGroup, complement: FiniteMatrixGroup,
-) -> tuple[GpElement, GpElement]:
-    """The unique (n, h) with g = n h, n in the normal part, h in the
-    complement, found as n = g h^-1 on the Cayley table of `group`."""
-    x = group.index_of(g)
+) -> tuple[int, int]:
+    """The unique (n, h), indices into the normal part and the complement,
+    with element x = n h, found as n = x h^-1 on the Cayley table of `group`."""
+    _check_indices(group, [x])
     members = {p: i for i, p in enumerate(_positions(group, normal_part))}
     table, inverse = group.cayley_table(), group.inverse_index()
     matches = []
-    for h, p in zip(complement.element_list, _positions(group, complement)):
+    for h, p in enumerate(_positions(group, complement)):
         n = members.get(table[x][inverse[p]])
         if n is not None:
-            matches.append((normal_part.element_list[n], h))
+            matches.append((n, h))
     if not matches:
         raise NoFactorizationError("element has no n*h factorization")
     if len(matches) > 1:
@@ -515,17 +512,15 @@ def word_product(gens: Mapping, word: NamedWord) -> Optional[UnitaryMatrix]:
     return acc
 
 
-def word_eval(word: Sequence[int], gens: Sequence[GpElement]) -> GpElement:
+def word_eval(word: Sequence[int], gens: Sequence[UnitaryMatrix]) -> UnitaryMatrix:
     """Left-to-right product of signed 1-based generator indices."""
     if not gens:
         raise ValueError("need at least one generator")
     for signed in word:
         if signed == 0 or abs(signed) > len(gens):
             raise IndexError(f"generator index {signed} out of range")
-    matrices = {i + 1: g.matrix for i, g in enumerate(gens)}
-    acc = word_product(matrices, [(abs(s), 1 if s > 0 else -1) for s in word])
-    acc = UnitaryMatrix.identity(gens[0].matrix.dim) if acc is None else acc
-    return GpElement(acc, acc.key_bytes(), tuple(word))
+    acc = word_product(dict(enumerate(gens, 1)), [(abs(s), 1 if s > 0 else -1) for s in word])
+    return UnitaryMatrix.identity(gens[0].dim) if acc is None else acc
 
 
 def check_relations(
@@ -547,15 +542,16 @@ def check_relations(
 # conjugacy and isomorphism
 
 
-def conjugacy_classes(group: FiniteMatrixGroup) -> tuple[tuple[bytes, ...], ...]:
-    """Orbits of the conjugation action, as ordered key tuples.  Conjugating
-    by the generators suffices: in a finite group an inverse is a power."""
+def conjugacy_classes(group: FiniteMatrixGroup) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the conjugation action, as ordered index tuples.
+    Conjugating by the generators suffices: in a finite group an inverse is
+    a power."""
     table = group.cayley_table()
     inverse = group.inverse_index()
-    conjugators = [group.index_of(g) for g in group.generators]
+    conjugators = group.generators
     n = group.order
     assigned = [False] * n
-    classes: list[tuple[bytes, ...]] = []
+    classes: list[tuple[int, ...]] = []
     for start in range(n):
         if assigned[start]:
             continue
@@ -570,7 +566,7 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> tuple[tuple[bytes, ...], ...]
                     stack.append(y)
         for idx in orbit:
             assigned[idx] = True
-        classes.append(tuple(group.element_list[i].key for i in sorted(orbit)))
+        classes.append(tuple(sorted(orbit)))
     return tuple(classes)
 
 
@@ -590,8 +586,8 @@ def _table_orders(table: list[list[int]]) -> list[int]:
 def _class_sizes(group: FiniteMatrixGroup) -> list[int]:
     sizes = [0] * group.order
     for cls in conjugacy_classes(group):
-        for key in cls:
-            sizes[group.elements[key]] = len(cls)
+        for x in cls:
+            sizes[x] = len(cls)
     return sizes
 
 
@@ -628,12 +624,13 @@ def extend_to_isomorphism(
 
 def find_isomorphism(
     source: FiniteMatrixGroup, target: FiniteMatrixGroup
-) -> Optional[list[GpElement]]:
+) -> Optional[list[int]]:
     """Search for generator images of `source` in `target` inducing an
     isomorphism; candidates are pruned by element order and conjugacy-class
     size, and any hit is verified by extend_to_isomorphism.
 
-    Returns the image list aligned with source.generators, or None.
+    Returns the target indices of the images, aligned with
+    source.generators, or None.
     """
     if source.order != target.order:
         return None
@@ -642,9 +639,8 @@ def find_isomorphism(
     sizes_s = _class_sizes(source)
     sizes_t = _class_sizes(target)
 
-    gen_indices = [source.index_of(g) for g in source.generators]
     candidate_sets = []
-    for gi in gen_indices:
+    for gi in source.generators:
         profile = (orders_s[gi], sizes_s[gi])
         candidates = [
             j
@@ -652,8 +648,8 @@ def find_isomorphism(
             if (orders_t[j], sizes_t[j]) == profile
         ]
         # try structurally identical elements first (helps the G == G case)
-        gen_key = source.element_list[gi].key
-        candidates.sort(key=lambda j: (target.element_list[j].key != gen_key, j))
+        gen_key = source.keys[gi]
+        candidates.sort(key=lambda j: (target.keys[j] != gen_key, j))
         if not candidates:
             return None
         candidate_sets.append(candidates)
@@ -670,7 +666,7 @@ def find_isomorphism(
     phi = backtrack([])
     if phi is None:
         return None
-    return [target.element_list[phi[gi]] for gi in gen_indices]
+    return [phi[gi] for gi in source.generators]
 
 
 def same_matrix_set(a: FiniteMatrixGroup, b: FiniteMatrixGroup) -> bool:
@@ -679,8 +675,8 @@ def same_matrix_set(a: FiniteMatrixGroup, b: FiniteMatrixGroup) -> bool:
     if a.dim != b.dim or a.order != b.order:
         return False
     common = math.lcm(a.working_order, b.working_order)
-    keys_a = {e.matrix.embed(common).key_bytes() for e in a.element_list}
-    keys_b = {e.matrix.embed(common).key_bytes() for e in b.element_list}
+    keys_a = {m.embed(common).key_bytes() for m in a.matrices}
+    keys_b = {m.embed(common).key_bytes() for m in b.matrices}
     return keys_a == keys_b
 
 
@@ -688,10 +684,8 @@ def same_matrix_set(a: FiniteMatrixGroup, b: FiniteMatrixGroup) -> bool:
 # exports
 
 
-def render_word(word: Optional[Word], names: Sequence[str]) -> str:
+def render_word(word: Word, names: Sequence[str]) -> str:
     """Human form of a signed-index word, e.g. (1, 2, 2, -1) -> g1*g2^2*g1^-1."""
-    if word is None:
-        return ""
     if not word:
         return "e"
     parts: list[tuple[int, int]] = []  # (signed index, run length)
@@ -720,11 +714,11 @@ def element_records(
     return [
         {
             "index": i,
-            "key": e.key.decode("ascii"),
-            "word": render_word(e.word, names),
-            "matrix": e.matrix.to_dict(),
+            "key": key.decode("ascii"),
+            "word": render_word(word, names),
+            "matrix": m.to_dict(),
         }
-        for i, e in enumerate(group.element_list)
+        for i, (key, word, m) in enumerate(zip(group.keys, group.words, group.matrices))
     ]
 
 
@@ -751,9 +745,9 @@ def elements_json(group: FiniteMatrixGroup, names: Optional[Sequence[str]] = Non
     # an entry sits at indent 10: inside the list, record, matrix, rows and row
     pad = "\n" + " " * 10
     records = []
-    for i, e in enumerate(group.element_list):
+    for i, (key, word, m) in enumerate(zip(group.keys, group.words, group.matrices)):
         exact_rows, approx_rows = [], []
-        for row in e.matrix.rows:
+        for row in m.rows:
             exact, approx = [], []
             for v in row:
                 fragment = fragments.get(v.key_bytes())
@@ -768,12 +762,12 @@ def elements_json(group: FiniteMatrixGroup, names: Optional[Sequence[str]] = Non
             exact_rows.append(_json_list(exact, 8))
             approx_rows.append(_json_list(approx, 8))
         matrix = (
-            f'{{\n      "dim": {e.matrix.dim},\n      "rows": {_json_list(exact_rows, 6)},'
+            f'{{\n      "dim": {m.dim},\n      "rows": {_json_list(exact_rows, 6)},'
             f'\n      "float_rows": {_json_list(approx_rows, 6)}\n    }}'
         )
         records.append(
-            f'{{\n    "index": {i},\n    "key": {json.dumps(e.key.decode("ascii"))},'
-            f'\n    "word": {json.dumps(render_word(e.word, names))},'
+            f'{{\n    "index": {i},\n    "key": {json.dumps(key.decode("ascii"))},'
+            f'\n    "word": {json.dumps(render_word(word, names))},'
             f'\n    "matrix": {matrix}\n  }}'
         )
     return _json_list(records, 0) + "\n"

@@ -188,7 +188,7 @@ class UnitaryMatrix:
             a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
         )
 
-    __hash__ = None  # use GpElement keys for hashing in group contexts
+    __hash__ = None  # in a group, hash an element by its key_bytes or use its index
 
     def scalar_order(self) -> int:
         """Smallest cyclotomic order containing every entry."""

@@ -145,19 +145,18 @@ class _Context:
         return self.group
 
     def named(self, name: str):
-        """An element of ELEMENTS as a group element, or a subgroup of SUBGROUPS."""
+        """An element of ELEMENTS as a matrix, or a subgroup of SUBGROUPS."""
         if name not in self._named:
             g = self.need_group()
             if name in SUBGROUPS:
-                value = mg.subgroup(g, [self.named(n) for n in SUBGROUPS[name]])
+                value = mg.subgroup(g, [g.index_of(self.named(n)) for n in SUBGROUPS[name]])
             else:
-                m = mg.word_product(self, _word(ELEMENTS[name]))
-                value = mg.GpElement(m, m.key_bytes())
+                value = mg.word_product(self, _word(ELEMENTS[name]))
             self._named[name] = value
         return self._named[name]
 
     def __getitem__(self, name: str) -> UnitaryMatrix:
-        return {"G1": self.g1m, "G2": self.g2m}.get(name) or self.named(name).matrix
+        return {"G1": self.g1m, "G2": self.g2m}.get(name) or self.named(name)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +236,8 @@ def check_g2_display(ctx: _Context):
 
 
 def check_order18(ctx: _Context):
-    g1m, g2m = ctx.g1m, ctx.g2m
-    o1 = mg.element_order(mg.GpElement(g1m, g1m.key_bytes()), cap=200)
-    o2 = mg.element_order(mg.GpElement(g2m, g2m.key_bytes()), cap=200)
+    o1 = mg.element_order(ctx.g1m, cap=200)
+    o2 = mg.element_order(ctx.g2m, cap=200)
     _require(o1 == 18 and o2 == 18, f"orders are ({o1}, {o2}), expected (18, 18)")
     return {"order_G1": o1, "order_G2": o2}
 
@@ -271,30 +269,33 @@ def check_order162(ctx: _Context):
 
 
 def check_f_matrix(ctx: _Context):
-    f = ctx.named("F")
+    f = ctx["F"]
     a = (Cyclo.rational(-1) + root_of_unity(4) * ctx.rt3) / 4
     b = ctx.rt2 * a
     display = UnitaryMatrix.from_rows([[a, b, -a], [b, 0, b], [a, -b, -a]])
-    _require(f.matrix == display, "F word does not match the explicit matrix")
-    return {"entry_00": _approx(f.matrix.rows[0][0])}
+    _require(f == display, "F word does not match the explicit matrix")
+    return {"entry_00": _approx(f.rows[0][0])}
 
 
 def check_ab_orders(ctx: _Context):
-    oa = mg.element_order(ctx.named("A"), cap=50)
-    ob = mg.element_order(ctx.named("B"), cap=50)
+    oa = mg.element_order(ctx["A"], cap=50)
+    ob = mg.element_order(ctx["B"], cap=50)
     _require(oa == 9 and ob == 3, f"|A| = {oa}, |B| = {ob}")
     return {"order_A": oa, "order_B": ob}
 
 
 def check_cyclic_intersect(ctx: _Context):
     g = ctx.need_group()
-    cyc_a = mg.subgroup(g, [ctx.named("A")])
-    cyc_b = mg.subgroup(g, [ctx.named("B")])
+    cyc_a = mg.subgroup(g, [g.index_of(ctx["A"])])
+    cyc_b = mg.subgroup(g, [g.index_of(ctx["B"])])
     meet = mg.intersect(cyc_a, cyc_b)
     _require(meet.order == 1, f"<A> meet <B> has order {meet.order}")
     return {"intersection_order": meet.order}
 
 
+# REP-BRAID, GRP-G1AG1-G2SQ, GRP-G2SQ-A7B2 and GRP-G2AG2-AB already imply that
+# N is normal (for example G2 G1^2 G2^-1 = G1^-1 G2^2 G1 = A), so no corruption
+# of the generators fails this check alone; its falsifier alters N instead
 def check_n_normal(ctx: _Context):
     _require(mg.is_normal(ctx.need_group(), ctx.named("N")), "N is not normal")
     return {"order_N": ctx.named("N").order}
@@ -313,10 +314,9 @@ def check_n_invariants(ctx: _Context):
 
 
 def check_t1t2t3(ctx: _Context):
-    o_t1 = mg.element_order(ctx.named("T1"), cap=50)
-    o_t2 = mg.element_order(ctx.named("T2"), cap=50)
-    g2g1sq = ctx.g2m * ctx.g1m * ctx.g1m
-    o_gg = mg.element_order(mg.GpElement(g2g1sq, g2g1sq.key_bytes()), cap=50)
+    o_t1 = mg.element_order(ctx["T1"], cap=50)
+    o_t2 = mg.element_order(ctx["T2"], cap=50)
+    o_gg = mg.element_order(ctx.g2m * ctx.g1m * ctx.g1m, cap=50)
     _require(o_t1 == 2 and o_t2 == 2 and o_gg == 2, f"orders ({o_t1},{o_t2},{o_gg})")
     _require(
         ctx["T3"] == UnitaryMatrix.diagonal([-1, -1, 1]),
@@ -331,7 +331,7 @@ def check_h_s3(ctx: _Context):
     t1 = ctx["T1"]
     t3 = ctx["T3"]
     _require(t1 * t3 != t3 * t1, "H is abelian")
-    order3 = {e.key for e in h.element_list if mg.element_order(e, cap=10) == 3}
+    order3 = {k for k, m in zip(h.keys, h.matrices) if mg.element_order(m, cap=10) == 3}
     want = {(t1 * t3).key_bytes(), (t3 * t1).key_bytes()}
     _require(order3 == want, "order-3 elements are not T1 T3 and T3 T1")
     return {"order": h.order}
@@ -363,18 +363,18 @@ def check_hn_trivial(ctx: _Context):
 
 
 def check_psi_g1(ctx: _Context):
-    g = ctx.need_group()
-    n, h = mg.decompose(g, g.generators[0], ctx.named("N"), ctx.named("H"))
-    want_n = ctx["A"] ** 5 * ctx["B"] ** 2
-    _require(n.matrix == want_n and h.matrix == ctx["T3"], "G1 != A^5 B^2 * T3")
+    g, n_sub, h_sub = ctx.need_group(), ctx.named("N"), ctx.named("H")
+    n, h = mg.decompose(g, g.generators[0], n_sub, h_sub)
+    n, h = n_sub.matrices[n], h_sub.matrices[h]
+    _require(n == ctx["A"] ** 5 * ctx["B"] ** 2 and h == ctx["T3"], "G1 != A^5 B^2 * T3")
 
 
 def check_psi_g2(ctx: _Context):
-    g = ctx.need_group()
-    n, h = mg.decompose(g, g.generators[1], ctx.named("N"), ctx.named("H"))
+    g, n_sub, h_sub = ctx.need_group(), ctx.named("N"), ctx.named("H")
+    n, h = mg.decompose(g, g.generators[1], n_sub, h_sub)
+    n, h = n_sub.matrices[n], h_sub.matrices[h]
     want_n = ctx["A"].conj_transpose() * ctx["B"]
-    want_h = ctx["T3"] * ctx["T1"] * ctx["T3"]
-    _require(n.matrix == want_n and h.matrix == want_h, "G2 != A^-1 B * T3 T1 T3")
+    _require(n == want_n and h == ctx["T3"] * ctx["T1"] * ctx["T3"], "G2 != A^-1 B * T3 T1 T3")
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +385,7 @@ def check_semidirect(ctx: _Context):
     g = ctx.need_group()
     report = mg.semidirect_verify(g, ctx.named("N"), ctx.named("H"))
     _require(report.all_ok, f"semidirect flags: {report}")
-    pairs = set()
-    for e in g.element_list:
-        n, h = mg.decompose(g, e, ctx.named("N"), ctx.named("H"))
-        pairs.add((n.key, h.key))
+    pairs = {mg.decompose(g, x, ctx.named("N"), ctx.named("H")) for x in range(g.order)}
     _require(len(pairs) == g.order, "factorizations are not distinct")
     return {
         "normal": report.normal,
@@ -413,13 +410,12 @@ def check_isomorphism(ctx: _Context):
     images = mg.find_isomorphism(g, family)
     _require(images is not None, "no isomorphism found")
     # re-verify the returned generator images on the full tables
-    image_idx = [family.index_of(e) for e in images]
     _require(
-        mg.extend_to_isomorphism(g, family, image_idx) is not None,
+        mg.extend_to_isomorphism(g, family, images) is not None,
         "generator images do not extend to an isomorphism",
     )
     ctx.info["braid_image_equals_family_matrix_set"] = mg.same_matrix_set(g, family)
-    return {"generator_images": [e.key.decode("ascii")[:40] + "..." for e in images]}
+    return {"generator_images": [family.keys[x].decode("ascii")[:40] + "..." for x in images]}
 
 
 # ---------------------------------------------------------------------------

@@ -43,28 +43,33 @@ def family_648():
 
 @pytest.fixture(scope="session")
 def named_elements(paper_group):
-    """The defining words inside the order-162 group: F, A, B, T1, T2, T3."""
-    g1, g2 = paper_group.generators
-    word = lambda *idx: matgroup.word_eval(idx, [g1, g2])
-    out = {
+    """The defining words inside the order-162 group, as matrices: F, A, B,
+    T1, T2, T3."""
+    gens = [paper_group.matrices[g] for g in paper_group.generators]
+    word = lambda *idx: matgroup.word_eval(idx, gens)
+    t2 = (2, 1, 1, 1, 1, 1, 1, 1, 1, 1, -2)
+    return {
         "F": word(1, 2, -1, -1),
         "A": word(1, 2, 2, -1),
         "B": word(1, -2, -2, 1),
         "T1": word(1, 2, 1),
-        "T2": word(2, 1, 1, 1, 1, 1, 1, 1, 1, 1, -2),
+        "T2": word(*t2),
+        "T3": word(*t2, 2, 1, 1, *t2),
     }
-    out["T3"] = matgroup.word_eval(out["T2"].word + (2, 1, 1) + out["T2"].word, [g1, g2])
-    return out
 
 
 @pytest.fixture(scope="session")
 def subgroup_n(paper_group, named_elements):
-    return matgroup.subgroup(paper_group, [named_elements["A"], named_elements["B"]])
+    return matgroup.subgroup(
+        paper_group, [paper_group.index_of(named_elements[k]) for k in ("A", "B")]
+    )
 
 
 @pytest.fixture(scope="session")
 def subgroup_h(paper_group, named_elements):
-    return matgroup.subgroup(paper_group, [named_elements["T1"], named_elements["T3"]])
+    return matgroup.subgroup(
+        paper_group, [paper_group.index_of(named_elements[k]) for k in ("T1", "T3")]
+    )
 
 
 @pytest.fixture(scope="session")

@@ -87,8 +87,8 @@ def test_c05_rep_relations_orders_spectrum(paper_matrices, verification_report):
     identity = UnitaryMatrix.identity(3)
     ok = g1 * g2 * g1 == g2 * g1 * g2
     ok = ok and g1 ** 2 * g2 ** 2 == g2 ** 2 * g1 ** 2
-    ok = ok and mg.element_order(mg.GpElement(g1, g1.key_bytes()), cap=50) == 18
-    ok = ok and mg.element_order(mg.GpElement(g2, g2.key_bytes()), cap=50) == 18
+    ok = ok and mg.element_order(g1, cap=50) == 18
+    ok = ok and mg.element_order(g2, cap=50) == 18
     ok = ok and g1 ** 18 == identity and g2 ** 18 == identity
     ok = ok and g1.charpoly() == g2.charpoly()
     spectrum = (root_of_unity(18, 7), -root_of_unity(18, 4), root_of_unity(18, 16))
@@ -109,10 +109,10 @@ def test_c07_f_matrix_and_a_definition(paper_group, named_elements, verification
     a = (Cyclo.rational(-1) + imag * sqrt3(72)) / 4
     b = sqrt2(72) * a
     f_display = UnitaryMatrix.from_rows([[a, b, -a], [b, 0, b], [a, -b, -a]])
-    _, g2 = (e.matrix for e in paper_group.generators)
+    _, g2 = (paper_group.matrices[g] for g in paper_group.generators)
     f = named_elements["F"]
-    ok = f.matrix == f_display
-    ok = ok and (g2 * f.matrix) ** 2 == named_elements["A"].matrix
+    ok = f == f_display
+    ok = ok and (g2 * f) ** 2 == named_elements["A"]
     ok = ok and verification_report.by_id("GRP-F-MATRIX").passed
     ok = ok and verification_report.by_id("GRP-A-DEF").passed
     _criterion("criterion 07 GRP-F-MATRIX + GRP-A-DEF", ok)
@@ -121,9 +121,9 @@ def test_c07_f_matrix_and_a_definition(paper_group, named_elements, verification
 def test_c08_abelian_subgroup(paper_group, named_elements, subgroup_n, verification_report):
     a, b = named_elements["A"], named_elements["B"]
     ok = mg.element_order(a) == 9 and mg.element_order(b) == 3
-    ok = ok and a.matrix * b.matrix == b.matrix * a.matrix
-    cyc_a = mg.subgroup(paper_group, [a])
-    cyc_b = mg.subgroup(paper_group, [b])
+    ok = ok and a * b == b * a
+    cyc_a = mg.subgroup(paper_group, [paper_group.index_of(a)])
+    cyc_b = mg.subgroup(paper_group, [paper_group.index_of(b)])
     ok = ok and mg.intersect(cyc_a, cyc_b).order == 1
     ok = ok and subgroup_n.order == 27
     ok = ok and mg.abelian_invariants(subgroup_n) == (9, 3)
@@ -133,8 +133,8 @@ def test_c08_abelian_subgroup(paper_group, named_elements, subgroup_n, verificat
 
 
 def test_c09_normality_identities(paper_group, named_elements, subgroup_n, verification_report):
-    g1, g2 = (e.matrix for e in paper_group.generators)
-    a, b = named_elements["A"].matrix, named_elements["B"].matrix
+    g1, g2 = (paper_group.matrices[g] for g in paper_group.generators)
+    a, b = named_elements["A"], named_elements["B"]
     ok = mg.is_normal(paper_group, subgroup_n)
     ok = ok and g1 * a * g1.conj_transpose() == g2 * g2
     ok = ok and g2 * g2 == a ** 7 * b ** 2
@@ -147,16 +147,16 @@ def test_c09_normality_identities(paper_group, named_elements, subgroup_n, verif
 
 def test_c10_symmetric_complement(paper_group, named_elements, subgroup_n, subgroup_h, verification_report):
     t1, t2, t3 = (named_elements[k] for k in ("T1", "T2", "T3"))
-    g1, g2 = (e.matrix for e in paper_group.generators)
+    g1, g2 = (paper_group.matrices[g] for g in paper_group.generators)
     g2g1sq = g2 * g1 * g1
     ok = mg.element_order(t1) == 2 and mg.element_order(t2) == 2
-    ok = ok and mg.element_order(mg.GpElement(g2g1sq, g2g1sq.key_bytes())) == 2
-    ok = ok and t3.matrix == UnitaryMatrix.diagonal([-1, -1, 1])
+    ok = ok and mg.element_order(g2g1sq) == 2
+    ok = ok and t3 == UnitaryMatrix.diagonal([-1, -1, 1])
     ok = ok and subgroup_h.order == 6
-    ok = ok and t1.matrix * t3.matrix != t3.matrix * t1.matrix
-    order3 = {e.key for e in subgroup_h.element_list if mg.element_order(e) == 3}
-    t1t3 = t1.matrix * t3.matrix
-    t3t1 = t3.matrix * t1.matrix
+    ok = ok and t1 * t3 != t3 * t1
+    order3 = {m.key_bytes() for m in subgroup_h.matrices if mg.element_order(m) == 3}
+    t1t3 = t1 * t3
+    t3t1 = t3 * t1
     ok = ok and order3 == {t1t3.key_bytes(), t3t1.key_bytes()}
     half = Fraction(1, 2)
     s = sqrt2(72) / 2
@@ -166,14 +166,14 @@ def test_c10_symmetric_complement(paper_group, named_elements, subgroup_n, subgr
         UnitaryMatrix.from_rows([[half, s, -half], [s, 0, s], [half, -s, -half]]),
         UnitaryMatrix.from_rows([[half, s, half], [s, 0, -s], [-half, s, -half]]),
     ]
-    words = [t1.matrix, t3.matrix * t1.matrix * t3.matrix, t1t3, t3t1]
+    words = [t1, t3 * t1 * t3, t1t3, t3t1]
     ok = ok and all(w == d for w, d in zip(words, displays))
     expected_keys = {
-        UnitaryMatrix.identity(3).key_bytes(), t3.matrix.key_bytes(),
+        UnitaryMatrix.identity(3).key_bytes(), t3.key_bytes(),
     } | {d.key_bytes() for d in displays}
     ok = ok and set(subgroup_h.elements) == expected_keys
     ok = ok and mg.intersect(subgroup_h, subgroup_n).order == 1
-    a, b = named_elements["A"].matrix, named_elements["B"].matrix
+    a, b = named_elements["A"], named_elements["B"]
     listed = [a ** 3, a ** 6, a ** 3 * b, a ** 6 * b, a ** 3 * b * b, a ** 6 * b * b, b, b * b]
     ok = ok and all(t1t3 != m and t3t1 != m for m in listed)
     for check_id in ("GRP-T1T2T3", "GRP-H-S3", "GRP-H-MATRICES", "GRP-HN-TRIVIAL", "GRP-ORDER3-NOT-IN-LIST"):
@@ -182,10 +182,10 @@ def test_c10_symmetric_complement(paper_group, named_elements, subgroup_n, subgr
 
 
 def test_c11_factorizations(paper_group, named_elements, verification_report):
-    g1, g2 = (e.matrix for e in paper_group.generators)
+    g1, g2 = (paper_group.matrices[g] for g in paper_group.generators)
     identity = UnitaryMatrix.identity(3)
-    a, b = named_elements["A"].matrix, named_elements["B"].matrix
-    t1, t3 = named_elements["T1"].matrix, named_elements["T3"].matrix
+    a, b = named_elements["A"], named_elements["B"]
+    t1, t3 = named_elements["T1"], named_elements["T3"]
     g2sqg1 = g2 * g2 * g1
     a3b = a ** 3 * b
     ok = (g2 * g1 * g2) ** 2 == identity
@@ -194,7 +194,7 @@ def test_c11_factorizations(paper_group, named_elements, verification_report):
     ok = ok and g2sqg1 == a3b * t3
     residue = g2sqg1.conj_transpose() * t3
     ok = ok and residue == a3b
-    ok = ok and mg.element_order(mg.GpElement(residue, residue.key_bytes())) == 3
+    ok = ok and mg.element_order(residue) == 3
     g1sqg2 = g1 * g1 * g2
     t3t1t3 = t3 * t1 * t3
     ok = ok and g1sqg2 == b ** 2 * t3t1t3
@@ -206,17 +206,17 @@ def test_c11_factorizations(paper_group, named_elements, verification_report):
 
 def test_c12_psi_and_semidirect(paper_group, named_elements, subgroup_n, subgroup_h, verification_report):
     g1el, g2el = paper_group.generators
-    a, b = named_elements["A"].matrix, named_elements["B"].matrix
-    t1, t3 = named_elements["T1"].matrix, named_elements["T3"].matrix
+    a, b = named_elements["A"], named_elements["B"]
+    t1, t3 = named_elements["T1"], named_elements["T3"]
+    ns, hs = subgroup_n.matrices, subgroup_h.matrices
     n, h = mg.decompose(paper_group, g1el, subgroup_n, subgroup_h)
-    ok = n.matrix == a ** 5 * b ** 2 and h.matrix == t3
+    ok = ns[n] == a ** 5 * b ** 2 and hs[h] == t3
     n, h = mg.decompose(paper_group, g2el, subgroup_n, subgroup_h)
-    ok = ok and n.matrix == a ** -1 * b and h.matrix == t3 * t1 * t3
+    ok = ok and ns[n] == a ** -1 * b and hs[h] == t3 * t1 * t3
     report = mg.semidirect_verify(paper_group, subgroup_n, subgroup_h)
     ok = ok and report.all_ok
     pairs = {
-        tuple(e.key for e in mg.decompose(paper_group, el, subgroup_n, subgroup_h))
-        for el in paper_group.element_list
+        mg.decompose(paper_group, x, subgroup_n, subgroup_h) for x in range(paper_group.order)
     }
     ok = ok and len(pairs) == 162
     for check_id in ("GRP-PSI-G1", "GRP-PSI-G2", "GRP-SEMIDIRECT"):
@@ -225,7 +225,7 @@ def test_c12_psi_and_semidirect(paper_group, named_elements, subgroup_n, subgrou
 
 
 def test_c13_presentation(named_elements, verification_report):
-    gens = {k: named_elements[k].matrix for k in ("A", "B", "T1", "T3")}
+    gens = {k: named_elements[k] for k in ("A", "B", "T1", "T3")}
     eye = ()
     relations = [
         ((("A", 9),), eye),
@@ -253,11 +253,10 @@ def test_c14_family_group_and_isomorphism(paper_group, family_group, verificatio
         t_s = paper_group.cayley_table()
         t_t = family_group.cayley_table()
         inv_t = family_group.inverse_index()
-        image_idx = [family_group.index_of(e) for e in images]
         phi = [0] * 162
         for i in range(1, 162):
             signed = paper_group._bfs_mult[i]
-            m = image_idx[abs(signed) - 1]
+            m = images[abs(signed) - 1]
             if signed < 0:
                 m = inv_t[m]
             phi[i] = t_t[m][phi[paper_group._bfs_parent[i]]]
@@ -295,17 +294,21 @@ def test_c15_property_suites(tmp_path, theory6, paper_group, subgroup_n, subgrou
 
     # unitarity of every stored group element
     identity = UnitaryMatrix.identity(3)
-    sample = [paper_group.element_list[rng.randrange(162)] for _ in range(30)]
-    ok = ok and all(e.matrix * e.matrix.conj_transpose() == identity for e in sample)
+    sample = [rng.randrange(162) for _ in range(30)]
+    ok = ok and all(
+        paper_group.matrices[x] * paper_group.matrices[x].conj_transpose() == identity
+        for x in sample
+    )
 
     # Lagrange for the subgroups in play
     for sub in (subgroup_n, subgroup_h):
         ok = ok and paper_group.order % sub.order == 0
 
     # word provenance on a seeded sample
-    gens = list(paper_group.generators)
+    gens = [paper_group.matrices[g] for g in paper_group.generators]
     ok = ok and all(
-        mg.word_eval(e.word, gens).key == e.key for e in sample
+        mg.word_eval(paper_group.words[x], gens).key_bytes() == paper_group.keys[x]
+        for x in sample
     )
 
     # export determinism

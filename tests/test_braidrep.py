@@ -44,8 +44,7 @@ def test_sigma_odd_order_before_phase(t6):
     # lcm of the orders of the three diagonal phases is 6
     basis = br.fusion_basis(t6, 2)
     odd = br.sigma_odd(t6, basis)
-    el = mg.GpElement(odd, odd.key_bytes())
-    assert mg.element_order(el, cap=50) == 6
+    assert mg.element_order(odd, cap=50) == 6
 
 
 def test_sigma_mid_entries(t6):

@@ -47,8 +47,8 @@ def _assert_same_product(a, b):
 
 def _seeded_pairs(group, seed, count):
     rng = random.Random(seed)
-    elements = group.element_list
-    return [(rng.choice(elements).matrix, rng.choice(elements).matrix) for _ in range(count)]
+    matrices = group.matrices
+    return [(rng.choice(matrices), rng.choice(matrices)) for _ in range(count)]
 
 
 def test_product_matches_triple_loop_on_the_paper_group(paper_group):
@@ -60,7 +60,7 @@ def test_product_matches_triple_loop_on_the_paper_group(paper_group):
 def test_product_matches_triple_loop_on_the_monomial_order_648_group(family_648):
     # D(18,1,1;2,1,1) is monomial: six of the nine entries of every element are 0
     assert all(
-        sum(v.is_zero() for v in row) == 2 for e in family_648 for row in e.matrix.rows
+        sum(v.is_zero() for v in row) == 2 for m in family_648.matrices for row in m.rows
     )
     for a, b in _seeded_pairs(family_648, 648, 120):
         _assert_same_product(a, b)
@@ -100,7 +100,7 @@ def test_product_matches_triple_loop_on_mixed_order_entries():
 def test_charpoly_intermediates_match_triple_loop(paper_matrices, family_648, monkeypatch):
     # charpoly multiplies by M_k + b_k I, which is not unitary
     matrices = list(paper_matrices) + _mixed_matrices(3, 10)
-    matrices += [e.matrix for e in family_648.element_list[::97]]
+    matrices += list(family_648.matrices[::97])
     sparse = [m.charpoly() for m in matrices]
     monkeypatch.setattr(UnitaryMatrix, "__mul__", _reference_mul)
     dense = [m.charpoly() for m in matrices]
@@ -113,9 +113,9 @@ def test_charpoly_intermediates_match_triple_loop(paper_matrices, family_648, mo
 @pytest.mark.parametrize("source", ["paper", "648", "mixed"])
 def test_key_bytes_matches_per_entry_formatter(source, paper_group, family_648):
     if source == "paper":
-        matrices = [e.matrix for e in paper_group.element_list]
+        matrices = paper_group.matrices
     elif source == "648":
-        matrices = [e.matrix for e in family_648.element_list[::7]]
+        matrices = family_648.matrices[::7]
     else:
         matrices = _mixed_matrices(5, 30)
     for m in matrices:

@@ -9,7 +9,8 @@ from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
 from sympy.combinatorics.free_groups import free_group
 
 from su3braid import cli, verify
-from su3braid.su3families import CParams, DParams, d_generators
+from su3braid.cyclo import Cyclo
+from su3braid.su3families import CParams, DParams, c_generators, d_generators
 
 # sha256 of `su3braid verify` stdout: check lines and the info line only, no
 # floats, so it holds on every platform (the --json witnesses carry libm
@@ -42,6 +43,38 @@ def test_every_identity_row_can_fail(closed_context, monkeypatch):
             assert str(failure.value) == row[3], (check_id, i)
         monkeypatch.setitem(verify.IDENTITIES, check_id, rows)
         verify._check_identities(closed_context, check_id)
+
+
+# the six checks that no corruption of the generators fails: each row patches
+# one name in `verify` and expects that check's first failure message
+FALSIFIERS = [
+    ("TL-DELTAS", "delta_n", lambda t, n: Cyclo.one(), "delta_1 mismatch"),
+    ("TL-RVALUES", "r_value", lambda t, a, b, c: Cyclo.one(),
+     "conjugated R-value at label 0 mismatch"),
+    ("TL-TET-TABLE", "tet", lambda t, *labels: Cyclo.zero(), "tet (i,j)=(0,0) mismatch"),
+    ("TL-THETA-ID", "theta", lambda t, a, b, c: Cyclo.one(), "theta identity at 0"),
+    ("GRP-D-FAMILY-ORDER", "d_generators", lambda p: c_generators(p.c), "family group order 81"),
+    ("GRP-N-NORMAL", "SUBGROUPS", {**verify.SUBGROUPS, "N": ("A",)}, "N is not normal"),
+]
+
+
+@pytest.mark.parametrize("check_id, name, patch, message", FALSIFIERS,
+                         ids=[row[0] for row in FALSIFIERS])
+def test_check_fails_under_its_falsifier(
+    paper_matrices, paper_group, monkeypatch, check_id, name, patch, message
+):
+    check = {cid: fn for cid, _, fn in verify.CHECKS}[check_id]
+
+    def context():  # fresh, so that N is rebuilt; the closed group is shared
+        ctx = verify._Context(paper_matrices, cap=2000)
+        ctx.group = paper_group
+        return ctx
+
+    check(context())
+    monkeypatch.setattr(verify, name, patch)
+    with pytest.raises(AssertionError) as failure:
+        check(context())
+    assert str(failure.value) == message
 
 
 def test_verify_stdout_digest_and_identity_witnesses(verification_report, capsys):
