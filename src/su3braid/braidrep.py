@@ -17,8 +17,8 @@ Determinant-normalizing by a phase lands the generators in SU(dim).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclo import Cyclo, _coerce, root_of_unity, sqrt2, sqrt3
 from .matrix import UnitaryMatrix
@@ -41,8 +41,7 @@ class PhaseMismatchError(ValueError):
     """The supplied phase does not normalize the determinant to one."""
 
 
-@dataclass(frozen=True)
-class FusionBasis:
+class FusionBasis(NamedTuple):
     """Ordered internal-edge labels of the four-anyon fusion tree space."""
 
     theory: TheoryParams

@@ -4,6 +4,10 @@ export and recoupling queries.
 `verify` runs the checklist of `su3braid.verify` and prints one line per
 check.  Exit status: 0 success, 1 verify FAIL, 2 bad input (clean message
 on stderr, never a traceback).
+
+Each subcommand imports the layers it uses when it runs: `group --from
+familyD ...` and `family` load neither the verifier, the braid
+representation nor the recoupling layer.
 """
 
 from __future__ import annotations
@@ -12,15 +16,15 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import matgroup as mg
-from .braidrep import fusion_basis, paper_generators, sigma_mid, sigma_odd, su3_normalize
 from .cyclo import Cyclo, root_of_unity
 from .matrix import UnitaryMatrix
-from .recoupling import TheoryParams, delta_n, quantum_int, r_value, sixj, tet, theory, theta
 from .su3families import CParams, DParams, c_generators, d_generators
-from .verify import run_theorem1_verification
+
+if TYPE_CHECKING:
+    from .recoupling import TheoryParams
 
 # ---------------------------------------------------------------------------
 # data export
@@ -56,14 +60,15 @@ def export_group(target: mg.FiniteMatrixGroup, what: str, path: str,
 # r = 50 0.42-0.50 s.
 MAX_R = 16
 
-# query kind -> (number of labels, evaluator taking the theory and the labels)
+# query kind -> (number of labels, the `recoupling` evaluator taking the
+# theory and the labels)
 _QUERIES = {
-    "theta": (3, theta),
-    "tet": (6, tet),
-    "sixj": (6, sixj),
-    "rvalue": (3, r_value),
-    "qint": (1, quantum_int),
-    "delta": (1, delta_n),
+    "theta": (3, "theta"),
+    "tet": (6, "tet"),
+    "sixj": (6, "sixj"),
+    "rvalue": (3, "r_value"),
+    "qint": (1, "quantum_int"),
+    "delta": (1, "delta_n"),
 }
 
 
@@ -82,8 +87,9 @@ MAX_WORKING_ORDER = 4096
 # (`familyD 45 1 1 2 1 1`, the largest D(n,1,1;2,1,1) under the cap) 4.6 s
 # and 224 MB.  Closure time grows with the elements closed and with the
 # working order.  Worst case at the bound: `group --from familyD 1021 1 1
-# 4084 1 1`, working order 4084, reaches the cap in 3.6-3.8 s and 119 MB
-# (3 runs).
+# 4084 1 1`, working order 4084, reaches the cap in 1.3-1.5 s and 80 MB
+# (3 runs; 3.4-3.5 s and 119 MB when the closure also multiplied by the
+# inverse generators).
 MAX_GROUP_CAP = 4096
 
 
@@ -95,6 +101,8 @@ def _require_order(order: int, what: str) -> None:
 def _theory(r: int) -> TheoryParams:
     if r > MAX_R:
         raise ValueError(f"--r must be at most {MAX_R}")
+    from .recoupling import theory
+
     return theory(r)
 
 
@@ -102,10 +110,12 @@ def query(kind: str, args: Sequence[int], r: int = 6) -> Cyclo:
     t = _theory(r)
     if kind not in _QUERIES:
         raise ValueError(f"unknown query kind {kind!r}")
-    arity, evaluate = _QUERIES[kind]
+    arity, name = _QUERIES[kind]
     if len(args) != arity:
         raise ValueError(f"{kind} takes {arity} labels, got {len(args)}")
-    return evaluate(t, *args)
+    from . import recoupling
+
+    return getattr(recoupling, name)(t, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +201,8 @@ def _group_from_spec(spec: Sequence[str], cap: int) -> tuple[mg.FiniteMatrixGrou
     if kind == "paper":
         if len(spec) != 1:
             raise ValueError("--from paper takes no parameters")
+        from .braidrep import paper_generators
+
         g1, g2 = paper_generators()
         return mg.close([g1, g2], cap=cap), ["g1", "g2"]
     params = [int(v) for v in spec[1:]]
@@ -203,6 +215,8 @@ def _group_from_spec(spec: Sequence[str], cap: int) -> tuple[mg.FiniteMatrixGrou
 def _run_verify(args: argparse.Namespace) -> int:
     if args.cap < 1:
         raise ValueError("--cap must be positive")
+    from .verify import run_theorem1_verification
+
     report = run_theorem1_verification(cap=args.cap)
     for check in report.checks:
         mark = "ok" if check.passed else "FAIL"
@@ -220,6 +234,8 @@ def _run_rep(args: argparse.Namespace) -> int:
     t = _theory(args.r)
     # refuse a bad phase before the basis and generator work
     phase = _parse_phase(args.phase, t.order) if args.phase else None
+    from .braidrep import fusion_basis, sigma_mid, sigma_odd, su3_normalize
+
     basis = fusion_basis(t, args.charge)
     odd = sigma_odd(t, basis)
     mid = sigma_mid(t, basis)

@@ -9,6 +9,18 @@ stored at order 1, whatever order it was computed in.  The canonical byte
 form ``order:n0,n1,.../den`` (:meth:`Cyclo.key_bytes`), from which matrix
 keys are joined, is cached in one slot filled on first use.
 
+Values are interned: every constructor ends in one table lookup, so a
+canonical (order, nums, den) is one object, and zero is ``Cyclo.zero()``
+itself.  Each object carries a serial id from a module counter, and the
+product and sum memos are keyed by the pair of operand ids, so a memo hit
+hashes two ints and never calls ``__hash__`` or ``__eq__``; :func:`dot`,
+the entry of a matrix product, sums over those memos.  Ids are never
+reused, so clearing the tables could not alias an old memo entry.
+Nothing clears them yet: the intern table, like the memos, grows for the
+life of the process, and it keeps every value ever built, conjugates,
+Galois images and embeddings included (bounding both is ROADMAP item 3).
+Equality and hashing still go by value (identity is only a fast path).
+
 The per-order data is Phi_N's degree and its nonzero lower terms, O(phi(N))
 integers.  Phi_N itself is built from the radical of N, one small exact
 division per distinct prime (see :func:`cyclotomic_polynomial`).  Every map
@@ -33,13 +45,19 @@ which exists for display and cross-checking only.
 
 Values are immutable and all operations are pure, so sharing across
 threads is safe; the lazy byte-form slot is idempotent (every filling
-writes the same bytes), and the per-order data and operation memos are
-insert-only dicts whose entries are idempotent, safe for concurrent reads
-once built.
+writes the same bytes), and the per-order data, the intern table and the
+operation memos are insert-only dicts whose entries are idempotent, safe
+for concurrent reads once built.  Two threads interning one value at once
+may each build an object; ``dict.setdefault`` keeps the first stored, and
+both return it, so a race costs one discarded object and never a memo
+hit.  Were a second object of one value ever to escape (say, from a
+cleared table), it would still be equal by value and would only miss the
+memo entries keyed by the first.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -155,7 +173,7 @@ def _context(order: int) -> _Context:
 class Cyclo:
     """An element of Q(zeta_N), immutable and exactly canonical."""
 
-    __slots__ = ("order", "nums", "den", "_hash", "_bytes")
+    __slots__ = ("order", "nums", "den", "_hash", "_bytes", "_id")
 
     order: int
     nums: tuple[int, ...]
@@ -169,6 +187,7 @@ class Cyclo:
         self.nums = nums
         self.den = den
         self._bytes = None
+        self._id = next(_SERIALS)
         if order > 1:
             self._hash = hash((order, nums, den))
         else:  # a rational hashes as the equal int or Fraction
@@ -188,7 +207,16 @@ class Cyclo:
         if g > 1:
             den //= g
             nums = [c // g for c in nums]
-        return Cyclo(order, tuple(nums), den, _raw=True)
+        key = (order, tuple(nums), den)
+        value = _INTERNED.get(key)
+        if value is None:
+            value = _INTERNED.setdefault(key, Cyclo(*key, _raw=True))
+        return value
+
+    def __reduce__(self):
+        # a copy or an unpickled value is the interned one, never a second
+        # object carrying another value's serial id
+        return Cyclo._make, (self.order, self.nums, self.den)
 
     @staticmethod
     def rational(value: RationalLike) -> "Cyclo":
@@ -235,7 +263,7 @@ class Cyclo:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        key = (self, other)
+        key = (self._id, other._id)
         hit = _ADD_MEMO.get(key)
         if hit is not None:
             return hit
@@ -276,7 +304,7 @@ class Cyclo:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        key = (self, other)
+        key = (self._id, other._id)
         hit = _MUL_MEMO.get(key)
         if hit is not None:
             return hit
@@ -397,11 +425,12 @@ class Cyclo:
     # -- comparisons / display ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if type(other) is not Cyclo:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        # same-order values first: every memo-dict lookup lands here
         if self.order == other.order:
             return self.nums == other.nums and self.den == other.den
         if self.order == 1 or other.order == 1:
@@ -502,8 +531,36 @@ def _coerce(value: CycloLike) -> "Cyclo":
     return NotImplemented
 
 
-_MUL_MEMO: dict[tuple[Cyclo, Cyclo], Cyclo] = {}
-_ADD_MEMO: dict[tuple[Cyclo, Cyclo], Cyclo] = {}
+# one object per canonical (order, nums, den), numbered in creation order;
+# the memos are keyed by the serial ids of the two operands, so a lookup
+# hashes two ints.  Serial ids are never reused, not even if the tables
+# were cleared, unlike id() of a collected object.
+_INTERNED: dict[tuple[int, tuple[int, ...], int], Cyclo] = {}
+_SERIALS = itertools.count()
+_MUL_MEMO: dict[tuple[int, int], Cyclo] = {}
+_ADD_MEMO: dict[tuple[int, int], Cyclo] = {}
+
+
+def dot(xs: Iterable[Cyclo], ys: Iterable[Cyclo]) -> Cyclo:
+    """sum_k xs[k] * ys[k] over the pairs whose factors are both nonzero,
+    added in index order from the first such product (association decides
+    the order at which a sum that passes through a rational is held), and
+    0 when there is none.  Zero is tested by identity and every product
+    and partial sum is first looked up in the memos, so a hit makes no
+    Python-level call."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if x is _ZERO or y is _ZERO:
+            continue
+        p = _MUL_MEMO.get((x._id, y._id))
+        if p is None:
+            p = x * y
+        if acc is None:
+            acc = p
+        else:
+            total = _ADD_MEMO.get((acc._id, p._id))
+            acc = acc + p if total is None else total
+    return _ZERO if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

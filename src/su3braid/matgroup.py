@@ -12,8 +12,16 @@ every operation takes and returns indices of the group it is called on;
 Every element has the shortest generator word found during closure: a
 tuple of signed 1-based generator indices, negative meaning inverse.
 
-Only :func:`close` closes a group from matrices; subgroups, intersections
-and ``n*h`` factorizations are read off the ambient table and inverse index.
+Only :func:`close` closes a group from matrices, and it multiplies by the
+generators alone: in a finite group an inverse is a power, so the forward
+closure reaches every element, and each inverse generator's action is the
+inverse permutation of its generator's.  The signed closure that fixes
+element order and words is then integer work, the same loop `subgroup`
+runs over rows of the ambient table.  Subgroups, intersections and ``n*h``
+factorizations are read off the ambient table and inverse index.  The
+exact products go through the interned scalars and their memos keyed by
+serial ids (see :mod:`su3braid.cyclo`); threads may share them, a race
+there costing at most one discarded scalar object.
 """
 
 from __future__ import annotations
@@ -21,9 +29,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import astuple, dataclass
 from operator import itemgetter
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .matrix import UnitaryMatrix
 
@@ -170,12 +177,15 @@ def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
     column is a permutation, the row of each signed generator g equals its
     recorded action, and Light's associativity test (x*a)*y == x*(a*y)
     holds for every generator index a.  If the actions are the true left
-    multiplications, as `close` records them from exact products and
-    `subgroup` from the guarded ambient table, these force the whole table:
-    when row x is true, x*a is the true product xa, and Light's test makes
-    row(xa) = row(x) composed with the true action of a, so right
-    multiplication by the generators from row 0 reaches every element with
-    its true row.  The sampled products check the actions themselves."""
+    multiplications, as `close` records them (a generator's from exact
+    products, an inverse generator's inverted from its generator's, and
+    the inverse's row is found here by the key of the conjugate
+    transpose) and `subgroup` from the guarded ambient table, these force
+    the whole table: when row x is true, x*a is the true product xa, and
+    Light's test makes row(xa) = row(x) composed with the true action of
+    a, so right multiplication by the generators from row 0 reaches every
+    element with its true row.  The sampled products check the actions
+    themselves."""
     n = group.order
     full = set(range(n))
     if table[0] != list(range(n)) or [row[0] for row in table] != list(range(n)):
@@ -223,7 +233,13 @@ def close(
 ) -> FiniteMatrixGroup:
     """Breadth-first closure of the generators and their inverses under
     left multiplication, recording each signed generator's action on the
-    element indices.  Raises GroupTooLargeError past the cap."""
+    element indices.  Raises GroupTooLargeError past the cap.
+
+    Only the generators themselves multiply matrices: in a finite group
+    an inverse is a power, so closing under the generators alone reaches
+    every element, and each inverse generator's action is the inverse
+    permutation of its generator's.  The signed closure, with its element
+    order and words, is then the integer closure that `subgroup` runs."""
     if not generators:
         raise ValueError("need at least one generator")
     if cap < 1:
@@ -234,19 +250,42 @@ def close(
         if g.dim != dim:
             raise ValueError("generators must share a dimension")
         order = math.lcm(order, g.scalar_order())
-    multipliers = []
-    for i, g in enumerate(generators):
-        g = g.embed(order)
-        for signed, mat in ((i + 1, g), (-(i + 1), g.conj_transpose())):
-            multipliers.append((signed, mat.key_bytes(), mat))
-
-    def times(mat: UnitaryMatrix, element: UnitaryMatrix) -> tuple[bytes, UnitaryMatrix]:
-        product = mat * element
-        return product.key_bytes(), product
-
+    embedded = [g.embed(order) for g in generators]
     identity = UnitaryMatrix.identity(dim)
-    matrices, *closure = _bfs((identity.key_bytes(), identity), multipliers, times, cap)
-    return FiniteMatrixGroup(order, tuple(matrices), *closure)
+    matrices, keys, _, _, _, _, actions = _bfs(
+        (identity.key_bytes(), identity),
+        [(i, g.key_bytes(), g) for i, g in enumerate(embedded, 1)], _matrix_times, cap,
+    )
+    rows = []
+    for i in range(1, len(generators) + 1):
+        inverse = [0] * len(keys)
+        for x, y in enumerate(actions[i]):
+            inverse[y] = x
+        rows += [(i, actions[i]), (-i, inverse)]
+    return _close_rows(order, matrices, keys, rows)
+
+
+def _matrix_times(mat: UnitaryMatrix, element: UnitaryMatrix) -> tuple[bytes, UnitaryMatrix]:
+    product = mat * element
+    return product.key_bytes(), product
+
+
+def _close_rows(
+    working_order: int, matrices: Sequence[UnitaryMatrix], keys: Sequence[bytes],
+    rows: Sequence[tuple[int, Sequence[int]]],
+) -> FiniteMatrixGroup:
+    """The closure, from element 0 (the identity), of the signed generators
+    given as (signed index, row) pairs, a row being the generator's left
+    multiplication as a permutation of the indices of `keys`; `matrices`
+    and `keys` hold the elements it reaches."""
+
+    def times(row: Sequence[int], x: int) -> tuple[bytes, int]:
+        product = row[x]
+        return keys[product], product
+
+    multipliers = [(signed, keys[row[0]], row) for signed, row in rows]
+    reached, *closure = _bfs((keys[0], 0), multipliers, times, len(keys))
+    return FiniteMatrixGroup(working_order, tuple(map(matrices.__getitem__, reached)), *closure)
 
 
 def _bfs(
@@ -357,18 +396,11 @@ def subgroup(group: FiniteMatrixGroup, xs: Sequence[int]) -> FiniteMatrixGroup:
     if not xs:
         raise ValueError("need at least one generator")
     _check_indices(group, xs)
-    table, inverse, keys = group.cayley_table(), group.inverse_index(), group.keys
-    multipliers = []
-    for i, x in enumerate(xs):
-        multipliers += [(i + 1, keys[x], x), (-(i + 1), keys[inverse[x]], inverse[x])]
-
-    def times(x: int, y: int) -> tuple[bytes, int]:
-        product = table[x][y]
-        return keys[product], product
-
-    ambient, *closure = _bfs((keys[0], 0), multipliers, times, group.order)
-    matrices = tuple(map(group.matrices.__getitem__, ambient))
-    return FiniteMatrixGroup(group.working_order, matrices, *closure)
+    table, inverse = group.cayley_table(), group.inverse_index()
+    rows = []
+    for i, x in enumerate(xs, 1):
+        rows += [(i, table[x]), (-i, table[inverse[x]])]
+    return _close_rows(group.working_order, group.matrices, group.keys, rows)
 
 
 def _positions(group: FiniteMatrixGroup, sub: FiniteMatrixGroup) -> list[int]:
@@ -440,8 +472,7 @@ def abelian_invariants(group: FiniteMatrixGroup) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class SemidirectReport:
+class SemidirectReport(NamedTuple):
     """The four facts that certify an inner semidirect product."""
 
     normal: bool
@@ -451,7 +482,7 @@ class SemidirectReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(astuple(self))
+        return all(self)
 
 
 def semidirect_verify(
@@ -496,20 +527,45 @@ def decompose(
 NamedWord = Sequence[tuple[str, int]]
 
 
-def word_product(gens: Mapping, word: NamedWord) -> Optional[UnitaryMatrix]:
-    """The one word evaluator: the product of `gens[name] ** power` over the
-    word, left to right from its first factor (no product by an identity);
-    None for the empty word, whose dimension `gens` does not fix.  `gens`
-    needs only `__getitem__`, so it may build its matrices on demand."""
-    acc = None
-    for name, power in word:
-        try:
-            m = gens[name]
-        except KeyError:
-            raise UnboundNameError(name) from None
-        m = m ** power
-        acc = m if acc is None else acc * m
-    return acc
+class WordEvaluator:
+    """The one word evaluator: products of named words over `gens`, a name ->
+    matrix lookup that needs only `__getitem__` (so it may build its
+    matrices on demand).  A word multiplies `gens[name] ** power` left to
+    right from its first factor (no product by an identity).  Every prefix
+    it multiplies is kept for the life of the evaluator, so words that share
+    a prefix, or a factor such as ("A", 3), multiply it once."""
+
+    def __init__(self, gens: Mapping):
+        self.gens = gens
+        self._prefixes: dict = {}
+
+    def __call__(self, word: NamedWord) -> Optional[UnitaryMatrix]:
+        """The product of `word`; None for the empty word, whose dimension
+        `gens` does not fix."""
+        word = tuple(word)
+        known = len(word)
+        while known and word[:known] not in self._prefixes:
+            known -= 1
+        acc = self._prefixes[word[:known]] if known else None
+        for k in range(known, len(word)):
+            factor = self._prefixes.get(word[k:k + 1])  # a one-factor prefix
+            if factor is None:
+                name, power = word[k]
+                try:
+                    m = self.gens[name]
+                except KeyError:
+                    raise UnboundNameError(name) from None
+                factor = self._prefixes[word[k:k + 1]] = m ** power
+            acc = factor if acc is None else acc * factor
+            self._prefixes[word[:k + 1]] = acc
+        return acc
+
+    def equal(self, lhs: NamedWord, rhs: NamedWord) -> bool:
+        """Whether both words evaluate equally; the empty word is the identity."""
+        a, b = self(lhs), self(rhs)
+        if a is None:
+            a, b = b, a
+        return a is None or a == (UnitaryMatrix.identity(a.dim) if b is None else b)
 
 
 def word_eval(word: Sequence[int], gens: Sequence[UnitaryMatrix]) -> UnitaryMatrix:
@@ -519,7 +575,7 @@ def word_eval(word: Sequence[int], gens: Sequence[UnitaryMatrix]) -> UnitaryMatr
     for signed in word:
         if signed == 0 or abs(signed) > len(gens):
             raise IndexError(f"generator index {signed} out of range")
-    acc = word_product(dict(enumerate(gens, 1)), [(abs(s), 1 if s > 0 else -1) for s in word])
+    acc = WordEvaluator(dict(enumerate(gens, 1)))([(abs(s), 1 if s > 0 else -1) for s in word])
     return UnitaryMatrix.identity(gens[0].dim) if acc is None else acc
 
 
@@ -529,13 +585,8 @@ def check_relations(
 ) -> list[bool]:
     """For each pair of named words, whether both sides evaluate equally;
     `gens` maps each name to its matrix, and the empty word is the identity."""
-    results = []
-    for lhs, rhs in relations:
-        a, b = word_product(gens, lhs), word_product(gens, rhs)
-        if a is None:  # an empty side (None) is the identity
-            a, b = b, a
-        results.append(a is None or a == (UnitaryMatrix.identity(a.dim) if b is None else b))
-    return results
+    words = WordEvaluator(gens)
+    return [words.equal(lhs, rhs) for lhs, rhs in relations]
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +726,18 @@ def same_matrix_set(a: FiniteMatrixGroup, b: FiniteMatrixGroup) -> bool:
     if a.dim != b.dim or a.order != b.order:
         return False
     common = math.lcm(a.working_order, b.working_order)
-    keys_a = {m.embed(common).key_bytes() for m in a.matrices}
-    keys_b = {m.embed(common).key_bytes() for m in b.matrices}
-    return keys_a == keys_b
+    # a group's keys hold its entries at its working order, so only a group
+    # below the common order is embedded
+    if a.working_order == common:
+        keys_a = a.elements
+    else:
+        keys_a = {m.embed(common).key_bytes() for m in a.matrices}
+    if b.working_order == common:
+        keys_b = b.keys
+    else:
+        keys_b = (m.embed(common).key_bytes() for m in b.matrices)
+    # the orders are equal, so b inside a means equal sets; stop at a miss
+    return all(key in keys_a for key in keys_b)
 
 
 # ---------------------------------------------------------------------------

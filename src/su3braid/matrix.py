@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .cyclo import Cyclo, CycloLike, _coerce
+from .cyclo import Cyclo, CycloLike, _coerce, dot
 
 
 class NotUnitaryError(ValueError):
@@ -84,24 +84,12 @@ class UnitaryMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        # zero entries (canonically the order-1 value 0) contribute no term;
-        # each sum starts at its first nonzero product, in index order
-        brows = [[b if b.order != 1 or b.nums[0] else None for b in row] for row in other.rows]
-        columns = range(self.dim)
-        zero = Cyclo.zero()
-        out = []
-        for arow in self.rows:
-            terms = [(a, brows[k]) for k, a in enumerate(arow) if a.order != 1 or a.nums[0]]
-            line = []
-            for j in columns:
-                acc = None
-                for a, brow in terms:
-                    b = brow[j]
-                    if b is not None:
-                        acc = a * b if acc is None else acc + a * b
-                line.append(zero if acc is None else acc)
-            out.append(tuple(line))
-        return UnitaryMatrix._make(tuple(out))
+        # each entry sums its nonzero products in index order through the
+        # scalar memos (see cyclo.dot); lists build faster than generators
+        columns = tuple(zip(*other.rows))
+        return UnitaryMatrix._make(
+            tuple([tuple([dot(row, column) for column in columns]) for row in self.rows])
+        )
 
     def __pow__(self, exponent: int) -> "UnitaryMatrix":
         """Binary powering from the first factor, not from the identity:

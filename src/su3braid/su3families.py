@@ -13,23 +13,25 @@ be embedded into a larger working order for comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cyclo import Cyclo, root_of_unity
 from .matrix import UnitaryMatrix
 
 
-@dataclass(frozen=True)
-class CParams:
-    n: int
-    a: int
-    b: int
+# the parameter records are validated tuples: a NamedTuple cannot override
+# __new__ itself, so each class validates in a subclass of its field tuple
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class CParams(NamedTuple("CParams", [("n", int), ("a", int), ("b", int)])):
+    __slots__ = ()
+
+    def __new__(cls, n: int, a: int, b: int):
+        if n < 1:
             raise ValueError("n must be positive")
-        if not (0 <= self.a <= self.n - 1 and 0 <= self.b <= self.n - 1):
+        if not (0 <= a <= n - 1 and 0 <= b <= n - 1):
             raise ValueError("need 0 <= a, b <= n-1")
+        return super().__new__(cls, n, a, b)
 
     @property
     def order(self) -> int:
@@ -37,18 +39,15 @@ class CParams:
         return math.lcm(self.n, 4)
 
 
-@dataclass(frozen=True)
-class DParams:
-    c: CParams
-    d: int
-    r: int
-    s: int
+class DParams(NamedTuple("DParams", [("c", CParams), ("d", int), ("r", int), ("s", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __new__(cls, c: CParams, d: int, r: int, s: int):
+        if d < 1:
             raise ValueError("d must be positive")
-        if not (0 <= self.r <= self.d - 1 and 0 <= self.s <= self.d - 1):
+        if not (0 <= r <= d - 1 and 0 <= s <= d - 1):
             raise ValueError("need 0 <= r, s <= d-1")
+        return super().__new__(cls, c, d, r, s)
 
     @property
     def order(self) -> int:

@@ -14,16 +14,16 @@ The checks that are exact word identities (the braid relation, the
 conjugation identities, the N*H factorizations, the ten relations) have
 no `fn`: their rows are data in `IDENTITIES`, and so are the named
 elements (`ELEMENTS`) and subgroups (`SUBGROUPS`).  Words are short text
-such as "G2^2 G1^-1", and `matgroup.check_relations` (through its
-`word_product`) is the one evaluator of every word.
+such as "G2^2 G1^-1", and one `matgroup.WordEvaluator` (the evaluator
+behind `check_relations` and `word_eval`) evaluates every word of a run,
+so a prefix or factor that rows share is multiplied once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import matgroup as mg
 from .braidrep import paper_generators
@@ -33,8 +33,7 @@ from .recoupling import delta_n, r_value, tet, theory, theta
 from .su3families import CParams, DParams, d_generators
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     id: str
     description: str
     passed: bool
@@ -47,10 +46,9 @@ class Check:
         return out
 
 
-@dataclass
-class VerificationReport:
-    checks: list[Check] = field(default_factory=list)
-    info: dict = field(default_factory=dict)
+class VerificationReport(NamedTuple):
+    checks: list[Check]
+    info: dict
 
     @property
     def overall(self) -> bool:
@@ -102,7 +100,7 @@ def _approx(value: Cyclo) -> list[float]:
 
 def _word(text: str) -> mg.NamedWord:
     """A word written as text, "G2^2 G1^-1" (or "" for I), as the (name,
-    power) pairs that `check_relations` evaluates."""
+    power) pairs that `matgroup.WordEvaluator` evaluates."""
     return [(name, int(power or 1)) for name, _, power in (f.partition("^") for f in text.split())]
 
 
@@ -126,7 +124,8 @@ class _Context:
     and subgroups are built lazily, so that a failure lands in the check
     that asked for them.  `ctx[name]` is the name -> matrix lookup that
     words are evaluated with: G1 and G2 are the generators as passed.
-    `info` collects the report's informational entries."""
+    `words` evaluates every word of the run, keeping each prefix it
+    multiplies.  `info` collects the report's informational entries."""
 
     def __init__(self, generators: tuple[UnitaryMatrix, UnitaryMatrix], cap: int):
         self.g1m, self.g2m = generators
@@ -138,6 +137,7 @@ class _Context:
         self.family_group: Optional[mg.FiniteMatrixGroup] = None
         self.info: dict = {}
         self._named: dict = {}
+        self.words = mg.WordEvaluator(self)
 
     def need_group(self) -> mg.FiniteMatrixGroup:
         if self.group is None:
@@ -151,7 +151,7 @@ class _Context:
             if name in SUBGROUPS:
                 value = mg.subgroup(g, [g.index_of(self.named(n)) for n in SUBGROUPS[name]])
             else:
-                value = mg.word_product(self, _word(ELEMENTS[name]))
+                value = self.words(_word(ELEMENTS[name]))
             self._named[name] = value
         return self._named[name]
 
@@ -471,8 +471,7 @@ IDENTITIES = {
 def _check_identities(ctx: _Context, check_id: str):
     rows = IDENTITIES[check_id]
     for lhs, holds, rhs, message in rows:
-        [equal] = mg.check_relations(ctx, [(_word(lhs), _word(rhs))])
-        _require(equal == holds, message)
+        _require(ctx.words.equal(_word(lhs), _word(rhs)) == holds, message)
     # the presentation's witness counts its relations; other rows witness nothing
     return {"relations_checked": len(rows)} if check_id == "GRP-PRESENTATION" else None
 
@@ -526,7 +525,7 @@ def run_theorem1_verification(
     that corrupted inputs are caught); `cap` bounds the group closure.
     """
     ctx = _Context(paper_generators() if generators is None else generators, cap)
-    report = VerificationReport(info=ctx.info)
+    report = VerificationReport([], ctx.info)
     for check_id, description, fn in CHECKS:
         try:
             witness = fn(ctx) if fn else _check_identities(ctx, check_id)

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,11 +10,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su3braid import cyclo
 from su3braid.cyclo import (
     Cyclo,
     NonDivisibleOrderError,
     _context,
     cyclotomic_polynomial,
+    dot,
     root_of_unity,
     sqrt2,
     sqrt3,
@@ -316,6 +320,50 @@ def test_serialization_shape():
     assert len(d["coeffs"]) == 24
     assert d["coeffs"][15] == "1"
     assert len(d["approx"]) == 2
+
+
+# -- interning and the memos ----------------------------------------------------
+
+def test_equal_canonical_values_are_one_object():
+    z72 = root_of_unity(72)
+    assert root_of_unity(8).embed(72) is root_of_unity(72, 9) is root_of_unity(72, 81) is z72 ** 9
+    assert sqrt2(72) is root_of_unity(72, 9) + root_of_unity(72, 63)
+    assert Cyclo.rational(0) is Cyclo.zero() is z72 - z72 is 0 * z72
+    assert Cyclo.rational(Fraction(4, 2)) is Cyclo.rational(2) is sqrt2(8) * sqrt2(8)
+    z3 = root_of_unity(3)
+    assert z3 + z3.conj() is Cyclo.rational(-1) is -Cyclo.one()
+    x = Fraction(3, 7) * z72 ** 17 - root_of_unity(8)
+    assert Cyclo._make(72, x.nums, x.den) is x
+    assert Cyclo._make(72, [-2 * c for c in x.nums], -2 * x.den) is x
+    assert (x * 2) / 2 is x and x.inv().inv() is x and x.conj().conj() is x
+    assert copy.copy(x) is x and copy.deepcopy(x) is x and pickle.loads(pickle.dumps(x)) is x
+    # equal values held at different orders are different objects, still equal
+    assert root_of_unity(4) == root_of_unity(8, 2) and root_of_unity(4) is not root_of_unity(8, 2)
+
+
+def _reference_dot(xs, ys):
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
+
+
+@given(any_cyclo, any_cyclo, any_cyclo, st.sampled_from([Cyclo.zero(), Cyclo.one()]))
+def test_memo_hits_equal_a_fresh_computation(x, y, z, c):
+    pairs = [([x, y], [y, z]), ([c, x, z], [z, c, y]), ([c], [x])]
+
+    def kernel():
+        return [x * y, y * x, x + y, y + x, z * c, z + c] + [dot(a, b) for a, b in pairs]
+
+    kernel()  # fills the memos, so the next run reads every result from them
+    remembered = kernel()
+    cyclo._MUL_MEMO.clear()
+    cyclo._ADD_MEMO.clear()
+    fresh = kernel()
+    assert [v.key_bytes() for v in remembered] == [v.key_bytes() for v in fresh]
+    assert [v.key_bytes() for v in remembered[6:]] == [
+        _reference_dot(a, b).key_bytes() for a, b in pairs
+    ]
 
 
 # -- field axioms (property tests) ---------------------------------------------

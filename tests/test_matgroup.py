@@ -1,13 +1,15 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 from su3braid import matgroup as mg
+from su3braid.braidrep import paper_generators
 from su3braid.cyclo import root_of_unity
 from su3braid.matrix import UnitaryMatrix
-from su3braid.su3families import CParams, c_generators
+from su3braid.su3families import CParams, DParams, c_generators, d_generators
 
 
 def test_close_small_groups():
@@ -207,6 +209,22 @@ def test_check_relations(named_elements):
     assert mg.check_relations(gens, [((("A", 8),), eye)]) == [False]
     with pytest.raises(KeyError):
         mg.check_relations(gens, [((("X", 1),), eye)])
+
+
+def test_word_evaluator_multiplies_each_prefix_once(named_elements, monkeypatch):
+    a, b, t3 = (named_elements[k] for k in ("A", "B", "T3"))
+    a3b = a * a * a * b
+    products = []
+    product = UnitaryMatrix.__mul__
+    monkeypatch.setattr(UnitaryMatrix, "__mul__", lambda x, y: products.append(1) or product(x, y))
+    words = mg.WordEvaluator({"A": a, "B": b, "T3": t3})
+    assert words([("A", 3), ("B", 1)]) == a3b
+    assert len(products) == 3  # A^3 two products, then B one
+    assert words([("A", 3), ("B", 1), ("T3", 1)]) is words([("A", 3), ("B", 1), ("T3", 1)])
+    assert len(products) == 4  # one past the known prefix A^3 B
+    assert words([("B", 1), ("A", 3)]).key_bytes() == a3b.key_bytes()
+    assert len(products) == 5  # the factor A^3 is kept too
+    assert words(()) is None
 
 
 def test_conjugacy_classes(paper_group, subgroup_n):
@@ -538,6 +556,19 @@ def test_same_matrix_set(paper_group, family_group, subgroup_n):
     assert not mg.same_matrix_set(paper_group, subgroup_n)
 
 
+def test_same_matrix_set_at_different_working_orders(paper_group, family_group):
+    # C(9,1,1) closed at its own order 36 and again from generators held at 72
+    gens = c_generators(CParams(9, 1, 1))
+    low, high = mg.close(gens), mg.close([g.embed(72) for g in gens])
+    assert (low.working_order, high.working_order, low.order) == (36, 72, high.order)
+    assert low.keys != high.keys
+    assert mg.same_matrix_set(low, high) and mg.same_matrix_set(high, low)
+    # equal orders (162), working orders 72 and 36, different sets
+    assert (paper_group.working_order, family_group.working_order) == (72, 36)
+    assert not mg.same_matrix_set(paper_group, family_group)
+    assert not mg.same_matrix_set(family_group, paper_group)
+
+
 def test_render_word():
     assert mg.render_word((), ["g1", "g2"]) == "e"
     assert mg.render_word((1, 2, 2, -1, -1), ["g1", "g2"]) == "g1*g2^2*g1^-2"
@@ -742,6 +773,77 @@ def _assert_same_closure(sub, ref):
     assert sub._bfs_parent == ref._bfs_parent
     assert sub._actions == ref._actions
     assert [sub.keys[g] for g in sub.generators] == [ref.keys[g] for g in ref.generators]
+
+
+def _reference_close(generators, cap=100_000):
+    """The closure before it multiplied by the generators alone: every
+    signed generator multiplies matrices, an inverse being the conjugate
+    transpose."""
+    order = math.lcm(*(g.scalar_order() for g in generators))
+    multipliers = []
+    for i, g in enumerate(generators, 1):
+        g = g.embed(order)
+        for signed, mat in ((i, g), (-i, g.conj_transpose())):
+            multipliers.append((signed, mat.key_bytes(), mat))
+
+    def times(mat, element):
+        product = mat * element
+        return product.key_bytes(), product
+
+    identity = UnitaryMatrix.identity(generators[0].dim)
+    matrices, *closure = mg._bfs((identity.key_bytes(), identity), multipliers, times, cap)
+    return mg.FiniteMatrixGroup(order, tuple(matrices), *closure)
+
+
+CLOSURE_INPUTS = {
+    "paper": lambda: list(paper_generators()),
+    "familyD 9": lambda: d_generators(DParams(CParams(9, 1, 1), 2, 1, 1)),
+    "familyD 18": lambda: d_generators(DParams(CParams(18, 1, 1), 2, 1, 1)),
+    "familyC 9": lambda: c_generators(CParams(9, 1, 1)),
+    "involution": lambda: [UnitaryMatrix.diagonal([-1, -1, 1])],
+    "[g, g]": lambda: [paper_generators()[0]] * 2,
+    "[g, g^-1]": lambda: [paper_generators()[1] ** k for k in (1, -1)],
+    "[I]": lambda: [UnitaryMatrix.identity(3)],
+}
+
+
+@pytest.mark.parametrize("name", CLOSURE_INPUTS)
+def test_close_matches_the_signed_matrix_closure(name):
+    generators = CLOSURE_INPUTS[name]()
+    group, ref = mg.close(generators), _reference_close(generators)
+    _assert_same_closure(group, ref)
+    assert group.generators == ref.generators
+    assert group.working_order == ref.working_order
+    assert group.matrices == ref.matrices
+
+
+def test_close_over_the_cap_fails_as_the_signed_closure(paper_matrices):
+    for generators, cap in (
+        (list(paper_matrices), 100),
+        (list(paper_matrices), 161),
+        ([UnitaryMatrix.diagonal([root_of_unity(36), root_of_unity(36, 35)])], 10),
+    ):
+        with pytest.raises(mg.GroupTooLargeError) as ref:
+            _reference_close(generators, cap)
+        with pytest.raises(mg.GroupTooLargeError) as got:
+            mg.close(generators, cap)
+        assert str(got.value) == str(ref.value) == (
+            f"closure exceeded cap={cap}; generators may not span a finite group"
+        )
+    assert mg.close(list(paper_matrices), 162).order == 162
+
+
+def test_close_multiplies_by_the_generators_alone(paper_matrices, monkeypatch):
+    counted = []
+    product = UnitaryMatrix.__mul__
+
+    def counting(self, other):
+        counted.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(UnitaryMatrix, "__mul__", counting)
+    assert mg.close(list(paper_matrices)).order == 162
+    assert len(counted) == 324 == 162 * 2
 
 
 def test_subgroup_matches_matrix_closure(paper_group, named_subgroups):

@@ -42,6 +42,27 @@ def test_import_loads_no_unused_layer():
     """)
 
 
+def test_command_line_loads_only_the_layers_a_subcommand_uses():
+    run_fresh("""
+        import contextlib, io, sys
+
+        import su3braid.cli
+        # dataclasses loads inspect, ast and dis: milliseconds of every cold run
+        loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+        assert not loaded, f"import su3braid.cli loaded {loaded}"
+
+        UNUSED = ("su3braid.verify", "su3braid.braidrep", "su3braid.recoupling",
+                  "dataclasses", "inspect")
+        for argv in (["family", "C", "9", "1", "1"],
+                     ["group", "--from", "familyD", "3", "1", "1", "2", "1", "1"]):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert su3braid.cli.main(argv) == 0
+            assert out.getvalue()
+            loaded = [m for m in UNUSED if m in sys.modules]
+            assert not loaded, f"{argv} loaded {loaded}"
+    """)
+
+
 def test_public_names_resolve_to_their_defining_objects():
     run_fresh("""
         import importlib

@@ -3,6 +3,7 @@ bytes are pinned, and the order 162 is confirmed by two oracles that share
 no code with `close`, `Cyclo` arithmetic or `key_bytes`."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
@@ -10,6 +11,7 @@ from sympy.combinatorics.free_groups import free_group
 
 from su3braid import cli, verify
 from su3braid.cyclo import Cyclo
+from su3braid.matrix import UnitaryMatrix
 from su3braid.su3families import CParams, DParams, c_generators, d_generators
 
 # sha256 of `su3braid verify` stdout: check lines and the info line only, no
@@ -84,6 +86,32 @@ def test_verify_stdout_digest_and_identity_witnesses(verification_report, capsys
     for check_id in verify.IDENTITIES:
         want = {"relations_checked": 10} if check_id == "GRP-PRESENTATION" else None
         assert verification_report.by_id(check_id).witness == want, check_id
+
+
+def test_exact_products_per_check(monkeypatch):
+    """Exact 3x3 products of one run, by check id: identity rows share
+    their prefixes, and the closures multiply by the generators alone."""
+    counts, current = Counter(), ["before the checks"]
+    product = UnitaryMatrix.__mul__
+
+    def counting(a, b):
+        counts[current[-1]] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(UnitaryMatrix, "__mul__", counting)
+
+    def tagged(check_id, fn):
+        def run(ctx):
+            current.append(check_id)
+            return fn(ctx) if fn else verify._check_identities(ctx, check_id)
+        return run
+
+    checks = tuple((i, text, tagged(i, fn)) for i, text, fn in verify.CHECKS)
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    assert verify.run_theorem1_verification().overall
+    assert counts["GRP-ORDER3-NOT-IN-LIST"] <= 30
+    assert counts["GRP-G2SQG1-FACTOR"] <= 23
+    assert sum(counts.values()) <= 1950
 
 
 # -- order oracle 1: the generators reduced mod 73 ------------------------------
