@@ -35,16 +35,20 @@ def export_group(target: mg.FiniteMatrixGroup, what: str, path: str,
     """Write deterministic group data: `elements` as JSON records or
     `cayley` as a CSV index grid.
 
-    The text is rendered in full before PATH is opened, so a failure while
-    rendering (such as a `CayleyTableError`) leaves no partial file."""
+    Everything that can fail runs before PATH is opened: the renderer call
+    builds and guards the Cayley table, or renders every word, so a failure
+    there (such as a `CayleyTableError`) leaves no file.  The text is then
+    streamed into PATH one record or row at a time and never held whole.
+    PATH is opened for writing in place, so a symlink or a device such as
+    /dev/stdout is written through and an existing file keeps its mode."""
     if what == "elements":
-        chunks = [mg.elements_json(target, names)]
+        pieces = mg.elements_json(target, names)
     elif what == "cayley":
-        chunks = mg.cayley_csv_lines(target)
+        pieces = mg.cayley_csv_lines(target)
     else:
         raise ValueError(f"unknown export kind {what!r}")
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(chunks)
+        fh.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +85,15 @@ MAX_WORKING_ORDER = 4096
 
 
 # the largest `group --cap`, and its default; it also bounds the Cayley
-# export, which holds order^2 Python ints.  Measured on a 2-vCPU Xeon VM,
-# Python 3.11, cold processes, peak RSS from `wait4`: both exports of an
-# order-2592 group take 2.4-2.5 s and 106 MB, and of order 4050
-# (`familyD 45 1 1 2 1 1`, the largest D(n,1,1;2,1,1) under the cap) 4.6 s
-# and 224 MB.  Closure time grows with the elements closed and with the
-# working order.  Worst case at the bound: `group --from familyD 1021 1 1
-# 4084 1 1`, working order 4084, reaches the cap in 1.3-1.5 s and 80 MB
-# (3 runs; 3.4-3.5 s and 119 MB when the closure also multiplied by the
+# table behind the export, order^2 Python ints, while the export text is
+# streamed.  Measured on a 2-vCPU Xeon VM, Python 3.11.7, cold processes
+# (6 runs each), peak RSS from `wait4`: both exports of an order-2592
+# group (`familyD 36 1 1 2 1 1`) take 2.3-2.9 s and 75 MB, and of order
+# 4050 (`familyD 45 1 1 2 1 1`, the largest D(n,1,1;2,1,1) under the cap)
+# 5.2-6.5 s and 148 MB.  Closure time grows with the elements closed and
+# with the working order.  Worst case at the bound: `group --from familyD
+# 1021 1 1 4084 1 1`, working order 4084, reaches the cap in 1.3-1.5 s and
+# 80 MB (3 runs; 3.4-3.5 s and 119 MB when the closure also multiplied by the
 # inverse generators).
 MAX_GROUP_CAP = 4096
 

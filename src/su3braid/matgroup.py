@@ -30,8 +30,9 @@ import json
 import math
 import random
 from operator import itemgetter
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
+from .cyclo import NonDivisibleOrderError
 from .matrix import UnitaryMatrix
 
 
@@ -127,7 +128,15 @@ class FiniteMatrixGroup:
         return len(self.keys)
 
     def index_of(self, m: UnitaryMatrix) -> int:
+        """Index of the element equal to `m`, which may be held at another
+        working order: keys compare only within one order, so a miss is
+        looked up again with every entry brought to the group's."""
         idx = self.elements.get(m.key_bytes())
+        if idx is None:
+            try:
+                idx = self.elements.get(m.embed(self.working_order).key_bytes())
+            except NonDivisibleOrderError:  # an entry outside Q(zeta_W)
+                pass
         if idx is None:
             raise GeneratorNotInGroupError("element is not in the group")
         return idx
@@ -790,22 +799,34 @@ def _json_list(items: list[str], depth: int) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + " " * depth + "]"
 
 
-def elements_json(group: FiniteMatrixGroup, names: Optional[Sequence[str]] = None) -> str:
+def elements_json(
+    group: FiniteMatrixGroup, names: Optional[Sequence[str]] = None
+) -> Iterator[str]:
     """The text of ``json.dumps(element_records(group, names), indent=2)``
-    plus a newline.
+    plus a newline, as pieces: one per record, then the closing bracket.
 
-    With `indent` set, CPython's `json` encodes in pure Python, node by node.
-    Here each distinct matrix entry is rendered once, its exact form and its
-    `approx` pair for ``float_rows``, and the records are assembled around
-    those fragments in a fixed indent-2 skeleton."""
+    Every word is rendered here, before the first piece is produced, so
+    too few names fail at the call, before a writer opens its file; the
+    records are then rendered one at a time as the pieces are consumed,
+    and the whole text is never held.  With `indent` set, CPython's `json`
+    encodes in pure Python, node by node.  Here each distinct matrix entry
+    is rendered once, its exact form and its `approx` pair for
+    ``float_rows``, and the records are assembled around those fragments
+    in a fixed indent-2 skeleton."""
     names = _default_names(group, names)
+    words = [json.dumps(render_word(word, names)) for word in group.words]
+    return _record_texts(group, words)
+
+
+def _record_texts(group: FiniteMatrixGroup, words: list[str]) -> Iterator[str]:
+    """The pieces of `elements_json`, given each element's word already
+    rendered and JSON-encoded."""
     # keyed by canonical bytes, not by value: `to_dict` prints the order, so
     # equal values held at different orders render differently
     fragments: dict[bytes, tuple[str, str]] = {}
     # an entry sits at indent 10: inside the list, record, matrix, rows and row
     pad = "\n" + " " * 10
-    records = []
-    for i, (key, word, m) in enumerate(zip(group.keys, group.words, group.matrices)):
+    for i, (key, word, m) in enumerate(zip(group.keys, words, group.matrices)):
         exact_rows, approx_rows = [], []
         for row in m.rows:
             exact, approx = [], []
@@ -825,19 +846,23 @@ def elements_json(group: FiniteMatrixGroup, names: Optional[Sequence[str]] = Non
             f'{{\n      "dim": {m.dim},\n      "rows": {_json_list(exact_rows, 6)},'
             f'\n      "float_rows": {_json_list(approx_rows, 6)}\n    }}'
         )
-        records.append(
-            f'{{\n    "index": {i},\n    "key": {json.dumps(key.decode("ascii"))},'
-            f'\n    "word": {json.dumps(render_word(word, names))},'
-            f'\n    "matrix": {matrix}\n  }}'
+        # the list's opening bracket, or the comma after the previous record
+        yield (
+            f'{"," if i else "["}\n  {{\n    "index": {i},'
+            f'\n    "key": {json.dumps(key.decode("ascii"))},'
+            f'\n    "word": {word},\n    "matrix": {matrix}\n  }}'
         )
-    return _json_list(records, 0) + "\n"
+    yield "\n]\n"
 
 
-def cayley_csv_lines(group: FiniteMatrixGroup) -> list[str]:
-    """The Cayley table as CSV, one newline-terminated line per row.  The
-    lines are never joined: a writer streams them, so the full text is not
-    held a second time."""
+def cayley_csv_lines(group: FiniteMatrixGroup) -> Iterator[str]:
+    """The Cayley table as CSV, one newline-terminated line per row.
+
+    The table is built and guarded here, before the lines are returned, so
+    a `CayleyTableError` fails the call, before a writer opens its file;
+    each line is then rendered as it is consumed, and the text is never
+    held whole."""
     table = group.cayley_table()
     # one label per element, not one str(int) per table entry
     labels = [str(i) for i in range(group.order)]
-    return [",".join(map(labels.__getitem__, row)) + "\n" for row in table]
+    return (",".join(map(labels.__getitem__, row)) + "\n" for row in table)

@@ -1,6 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +210,44 @@ def test_failed_export_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(IndexError):  # no name for the generator
         export_group(group, "elements", str(path), names=[])
     assert not path.exists()
+
+
+@pytest.mark.parametrize("what", ["cayley", "elements"])
+def test_export_streams_its_text(tmp_path, family_648, what):
+    family_648.cayley_table()  # cached, so only the export itself is traced
+    path = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        export_group(family_648, what, str(path), ["E", "F", "D"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 8
+
+
+def test_export_writes_through_a_symlink(tmp_path, family_group):
+    target = tmp_path / "target.csv"
+    target.write_text("stale\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    export_group(family_group, "cayley", str(link))
+    assert link.is_symlink()
+    assert target.read_text() == "".join(mg.cayley_csv_lines(family_group))
+
+
+def test_cayley_export_to_dev_stdout():
+    # a child process, so that its fd 1 is a pipe and opening /dev/stdout
+    # neither truncates a capture file nor bypasses one
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "su3braid", "group", "--from", "familyC", "1", "0", "0",
+         "--emit-cayley", "/dev/stdout"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "0,1,2\n1,2,0\n2,0,1\n" in proc.stdout
 
 
 def test_paper_group_export_has_162_records(tmp_path, paper_group):

@@ -77,6 +77,19 @@ def test_subgroup_rejects_outsiders(paper_group):
             mg.subgroup(paper_group, [x])
 
 
+def test_index_of_a_matrix_held_at_another_order():
+    d = UnitaryMatrix.diagonal([root_of_unity(4), root_of_unity(4, 3), 1])
+    group = mg.close([d])
+    assert group.working_order == 4
+    assert d.embed(8) == d and d.embed(8).key_bytes() != d.key_bytes()
+    assert group.index_of(d.embed(8)) == group.index_of(d) == group.generators[0]
+    # zeta_8 does not lie in Q(zeta_4), and Q(zeta_3) and Q(zeta_4) share no embedding
+    for entry in (root_of_unity(8), root_of_unity(3)):
+        stranger = UnitaryMatrix.diagonal([entry, entry.conj(), 1])
+        with pytest.raises(mg.GeneratorNotInGroupError):
+            group.index_of(stranger)
+
+
 def test_is_normal(paper_group, subgroup_n, subgroup_h):
     assert mg.is_normal(paper_group, subgroup_n)
     assert not mg.is_normal(paper_group, subgroup_h)
@@ -605,7 +618,7 @@ def _first_difference(got: str, want: str):
 def test_export_writers_match_reference_encoding(request, name, names):
     group = _EXPORT_GROUPS[name]() if name in _EXPORT_GROUPS else request.getfixturevalue(name)
     reference = json.dumps(mg.element_records(group, names), indent=2) + "\n"
-    assert _first_difference(mg.elements_json(group, names), reference) is None
+    assert _first_difference("".join(mg.elements_json(group, names)), reference) is None
     table = group.cayley_table()
     reference = "\n".join(",".join(str(v) for v in row) for row in table) + "\n"
     assert _first_difference("".join(mg.cayley_csv_lines(group)), reference) is None
