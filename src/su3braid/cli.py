@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import matgroup as mg
 from .cyclo import Cyclo, root_of_unity
@@ -38,15 +39,33 @@ def export_group(target: mg.FiniteMatrixGroup, what: str, path: str,
     Everything that can fail runs before PATH is opened: the renderer call
     builds and guards the Cayley table, or renders every word, so a failure
     there (such as a `CayleyTableError`) leaves no file.  The text is then
-    streamed into PATH one record or row at a time and never held whole.
-    PATH is opened for writing in place, so a symlink or a device such as
-    /dev/stdout is written through and an existing file keeps its mode."""
+    streamed into PATH one record or row at a time and never held whole,
+    by `_write_text`: in place, or through `sys.stdout` when PATH is the
+    file standard output writes to."""
     if what == "elements":
         pieces = mg.elements_json(target, names)
     elif what == "cayley":
         pieces = mg.cayley_csv_lines(target)
     else:
         raise ValueError(f"unknown export kind {what!r}")
+    _write_text(path, pieces)
+
+
+def _write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write the text pieces to PATH, opened for writing in place, so a
+    symlink or a device is written through and an existing file keeps its
+    mode.  A PATH that is the file standard output writes to (such as
+    /dev/stdout) is written through `sys.stdout` instead: opened a second
+    time, a regular file would be truncated and written from offset 0,
+    under and over the lines printed around the export."""
+    try:
+        same = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such PATH, or no stdout descriptor
+        same = False
+    if same:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+        return
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(pieces)
 
@@ -230,8 +249,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         print(f"[info] {key} = {value}")
     print(f"overall: {'PASS' if report.overall else 'FAIL'}")
     if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            fh.write(report.to_json() + "\n")
+        _write_text(args.json, [report.to_json() + "\n"])
     return 0 if report.overall else 1
 
 

@@ -16,9 +16,12 @@ Only :func:`close` closes a group from matrices, and it multiplies by the
 generators alone: in a finite group an inverse is a power, so the forward
 closure reaches every element, and each inverse generator's action is the
 inverse permutation of its generator's.  The signed closure that fixes
-element order and words is then integer work, the same loop `subgroup`
-runs over rows of the ambient table.  Subgroups, intersections and ``n*h``
-factorizations are read off the ambient table and inverse index.  The
+element order and words is then integer work.  A subgroup is a
+:class:`Subgroup`: the group it was taken in and the sorted indices of its
+members there, closed on that group's Cayley table.  Normality,
+intersections, abelian invariants, semidirect certificates and ``n*h``
+factorizations read that one guarded table, and every operation given a
+group and a subgroup refuses a subgroup taken in another group.  The
 exact products go through the interned scalars and their memos keyed by
 serial ids (see :mod:`su3braid.cyclo`); threads may share them, a race
 there costing at most one discarded scalar object.
@@ -89,8 +92,8 @@ class FiniteMatrixGroup:
     generator as a permutation of element indices.  All index-level
     structure (the Cayley table, inverses, normality, semidirect
     certificates, abelian invariants, conjugacy classes, isomorphism
-    search) is composed from these integers, and so are subgroups: they
-    are closed over the ambient table, which `subgroup` builds (n^2 ints).
+    search) is composed from these integers.  A subgroup is not a group of
+    its own but a `Subgroup`, a set of this group's indices.
     """
 
     def __init__(
@@ -189,12 +192,11 @@ def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
     multiplications, as `close` records them (a generator's from exact
     products, an inverse generator's inverted from its generator's, and
     the inverse's row is found here by the key of the conjugate
-    transpose) and `subgroup` from the guarded ambient table, these force
-    the whole table: when row x is true, x*a is the true product xa, and
-    Light's test makes row(xa) = row(x) composed with the true action of
-    a, so right multiplication by the generators from row 0 reaches every
-    element with its true row.  The sampled products check the actions
-    themselves."""
+    transpose), these force the whole table: when row x is true, x*a is
+    the true product xa, and Light's test makes row(xa) = row(x) composed
+    with the true action of a, so right multiplication by the generators
+    from row 0 reaches every element with its true row.  The sampled
+    products check the actions themselves."""
     n = group.order
     full = set(range(n))
     if table[0] != list(range(n)) or [row[0] for row in table] != list(range(n)):
@@ -248,7 +250,7 @@ def close(
     an inverse is a power, so closing under the generators alone reaches
     every element, and each inverse generator's action is the inverse
     permutation of its generator's.  The signed closure, with its element
-    order and words, is then the integer closure that `subgroup` runs."""
+    order and words, is then run again on those integer actions."""
     if not generators:
         raise ValueError("need at least one generator")
     if cap < 1:
@@ -265,36 +267,26 @@ def close(
         (identity.key_bytes(), identity),
         [(i, g.key_bytes(), g) for i, g in enumerate(embedded, 1)], _matrix_times, cap,
     )
-    rows = []
+    # each signed generator with its action, a permutation of the indices of
+    # `keys`; the signed closure multiplies an index by looking it up there
+    multipliers = []
     for i in range(1, len(generators) + 1):
         inverse = [0] * len(keys)
         for x, y in enumerate(actions[i]):
             inverse[y] = x
-        rows += [(i, actions[i]), (-i, inverse)]
-    return _close_rows(order, matrices, keys, rows)
+        for signed, row in ((i, actions[i]), (-i, inverse)):
+            multipliers.append((signed, keys[row[0]], row))
+
+    def times(row: Sequence[int], x: int) -> tuple[bytes, int]:
+        return keys[row[x]], row[x]
+
+    reached, *closure = _bfs((keys[0], 0), multipliers, times, len(keys))
+    return FiniteMatrixGroup(order, tuple(map(matrices.__getitem__, reached)), *closure)
 
 
 def _matrix_times(mat: UnitaryMatrix, element: UnitaryMatrix) -> tuple[bytes, UnitaryMatrix]:
     product = mat * element
     return product.key_bytes(), product
-
-
-def _close_rows(
-    working_order: int, matrices: Sequence[UnitaryMatrix], keys: Sequence[bytes],
-    rows: Sequence[tuple[int, Sequence[int]]],
-) -> FiniteMatrixGroup:
-    """The closure, from element 0 (the identity), of the signed generators
-    given as (signed index, row) pairs, a row being the generator's left
-    multiplication as a permutation of the indices of `keys`; `matrices`
-    and `keys` hold the elements it reaches."""
-
-    def times(row: Sequence[int], x: int) -> tuple[bytes, int]:
-        product = row[x]
-        return keys[product], product
-
-    multipliers = [(signed, keys[row[0]], row) for signed, row in rows]
-    reached, *closure = _bfs((keys[0], 0), multipliers, times, len(keys))
-    return FiniteMatrixGroup(working_order, tuple(map(matrices.__getitem__, reached)), *closure)
 
 
 def _bfs(
@@ -397,83 +389,83 @@ def _check_indices(group: FiniteMatrixGroup, xs: Sequence[int]) -> None:
             raise GeneratorNotInGroupError(f"element index {x} is outside 0..{group.order - 1}")
 
 
-def subgroup(group: FiniteMatrixGroup, xs: Sequence[int]) -> FiniteMatrixGroup:
-    """Closure of the elements `xs` (indices) of `group`, read off its
-    Cayley table (built on first use) instead of multiplying matrices.  The
-    result has the element order and words that `close` gives, and shares
-    the ambient elements' matrices and keys."""
+class Subgroup:
+    """A subgroup of `group`, held as the sorted indices of its members
+    there; it belongs to that group alone, so an index in `members` names
+    an element of `group`.  Not a tuple: its length would not be its order."""
+
+    __slots__ = ("group", "members")
+
+    def __init__(self, group: FiniteMatrixGroup, members: tuple[int, ...]):
+        self.group = group
+        self.members = members
+
+    @property
+    def order(self) -> int:
+        return len(self.members)
+
+
+def subgroup(group: FiniteMatrixGroup, xs: Sequence[int]) -> Subgroup:
+    """The subgroup generated by the elements `xs` (indices) of `group`:
+    {0} closed under right multiplication by `xs` on the Cayley table
+    (built on first use), which reaches every member because in a finite
+    group an inverse is a power."""
     if not xs:
         raise ValueError("need at least one generator")
     _check_indices(group, xs)
-    table, inverse = group.cayley_table(), group.inverse_index()
-    rows = []
-    for i, x in enumerate(xs, 1):
-        rows += [(i, table[x]), (-i, table[inverse[x]])]
-    return _close_rows(group.working_order, group.matrices, group.keys, rows)
+    table = group.cayley_table()
+    members, frontier = {0}, {0}
+    while frontier:
+        frontier = {table[x][g] for x in frontier for g in xs} - members
+        members |= frontier
+    return Subgroup(group, tuple(sorted(members)))
 
 
-def _positions(group: FiniteMatrixGroup, sub: FiniteMatrixGroup) -> list[int]:
-    """The `group` indices of the elements of `sub`, in `sub`'s order."""
-    if sub.working_order != group.working_order:
-        orders = f"{sub.working_order}, the group {group.working_order}"
-        raise NotASubgroupError(f"claimed subgroup has working order {orders}")
-    positions = [group.elements.get(k) for k in sub.keys]
-    if None in positions:
-        raise NotASubgroupError("claimed subgroup has an element outside the group")
-    return positions
+def _members(group: FiniteMatrixGroup, sub: Subgroup) -> tuple[int, ...]:
+    """The members of `sub`, which must have been taken in `group`: an
+    index means an element only of the group it indexes."""
+    if not isinstance(sub, Subgroup) or sub.group is not group:
+        raise NotASubgroupError("claimed subgroup was not taken in this group")
+    return sub.members
 
 
-def is_normal(group: FiniteMatrixGroup, sub: FiniteMatrixGroup) -> bool:
+def is_normal(group: FiniteMatrixGroup, sub: Subgroup) -> bool:
     """Whether g n g^-1 stays in `sub` for the generators g of `group`
     (sufficient by generation), read off the Cayley table of `group`."""
-    members = set(_positions(group, sub))
+    members = set(_members(group, sub))
     table, inverse, gens = group.cayley_table(), group.inverse_index(), group.generators
     return all(table[table[g][n]][inverse[g]] in members for g in gens for n in members)
 
 
-def intersect(s1: FiniteMatrixGroup, s2: FiniteMatrixGroup) -> FiniteMatrixGroup:
-    """The common elements as a subgroup of `s1`, closed from a greedy
-    generating set: each common key (in key order) not yet reached joins
-    the generators."""
-    if s1.dim != s2.dim:
-        raise ValueError("groups live in different dimensions")
-    if s1.working_order != s2.working_order:
-        raise ValueError(f"groups have working orders {s1.working_order} and {s2.working_order}")
-    common = sorted(k for k in s1.keys if k in s2.elements)
-    gens: list[int] = []
-    meet = subgroup(s1, [0])
-    for key in common:
-        if key not in meet.elements:
-            gens.append(s1.elements[key])
-            meet = subgroup(s1, gens)
-    return meet
+def intersect(s1: Subgroup, s2: Subgroup) -> Subgroup:
+    """The common members of two subgroups of one group."""
+    common = set(s1.members).intersection(_members(s1.group, s2))
+    return Subgroup(s1.group, tuple(sorted(common)))
 
 
-def abelian_invariants(group: FiniteMatrixGroup) -> tuple[int, ...]:
+def abelian_invariants(sub: Subgroup) -> tuple[int, ...]:
     """Cyclic factor orders, decreasing, by exhaustive search for a pair of
-    elements with trivially intersecting cyclic spans covering the order.
+    members with trivially intersecting cyclic spans covering the order,
+    on the Cayley table of the group `sub` was taken in.
 
-    Only groups of rank at most 2 are supported.  The exponent is taken as
-    the largest element order, so a returned result is exact: the group is
-    the internal direct product of the two spans.  A group of rank 3 or
-    more (for example Z2^3) raises `DecompositionNotFoundError`."""
-    table, gens = group.cayley_table(), group.generators
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            if table[a][b] != table[b][a]:
-                raise NotAbelianError("group is not abelian")
-    n = group.order
+    Only subgroups of rank at most 2 are supported.  The exponent is taken
+    as the largest element order, so a returned result is exact: the
+    subgroup is the internal direct product of the two spans.  A subgroup
+    of rank 3 or more (for example Z2^3) raises `DecompositionNotFoundError`."""
+    table, members, n = sub.group.cayley_table(), sub.members, sub.order
+    if any(table[a][b] != table[b][a] for a in members for b in members):
+        raise NotAbelianError("group is not abelian")
     if n == 1:
         return ()
-    orders = _table_orders(table)
-    max_order = max(orders)
+    orders = {x: len(_powers(table, x)) for x in members}
+    max_order = max(orders.values())
     if max_order == n:
         return (n,)
-    for x in range(n):
+    for x in members:
         if orders[x] != max_order:
             continue
         x_span = set(_powers(table, x))
-        for y in range(n):
+        for y in members:
             if orders[y] == n // max_order and len(x_span.intersection(_powers(table, y))) == 1:
                 return (max_order, n // max_order)
     raise DecompositionNotFoundError(
@@ -495,33 +487,30 @@ class SemidirectReport(NamedTuple):
 
 
 def semidirect_verify(
-    group: FiniteMatrixGroup, normal_part: FiniteMatrixGroup, complement: FiniteMatrixGroup
+    group: FiniteMatrixGroup, normal_part: Subgroup, complement: Subgroup
 ) -> SemidirectReport:
     """The four certificates, read off the Cayley table of `group`."""
-    ns, hs = _positions(group, normal_part), _positions(group, complement)
+    ns, hs = _members(group, normal_part), _members(group, complement)
     table = group.cayley_table()
     return SemidirectReport(
         normal=is_normal(group, normal_part),
-        trivial_intersection=len(set(ns) & set(hs)) == 1,
-        order_product=normal_part.order * complement.order == group.order,
+        trivial_intersection=intersect(normal_part, complement).order == 1,
+        order_product=len(ns) * len(hs) == group.order,
         product_bijective=len({table[n][h] for n in ns for h in hs}) == group.order,
     )
 
 
 def decompose(
-    group: FiniteMatrixGroup, x: int,
-    normal_part: FiniteMatrixGroup, complement: FiniteMatrixGroup,
+    group: FiniteMatrixGroup, x: int, normal_part: Subgroup, complement: Subgroup,
 ) -> tuple[int, int]:
-    """The unique (n, h), indices into the normal part and the complement,
-    with element x = n h, found as n = x h^-1 on the Cayley table of `group`."""
+    """The unique (n, h), indices of `group` with n in the normal part and
+    h in the complement, with element x = n h, found as n = x h^-1 on the
+    Cayley table of `group`."""
     _check_indices(group, [x])
-    members = {p: i for i, p in enumerate(_positions(group, normal_part))}
+    ns = set(_members(group, normal_part))
     table, inverse = group.cayley_table(), group.inverse_index()
-    matches = []
-    for h, p in enumerate(_positions(group, complement)):
-        n = members.get(table[x][inverse[p]])
-        if n is not None:
-            matches.append((n, h))
+    row = table[x]
+    matches = [(n, h) for h in _members(group, complement) if (n := row[inverse[h]]) in ns]
     if not matches:
         raise NoFactorizationError("element has no n*h factorization")
     if len(matches) > 1:

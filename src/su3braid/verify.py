@@ -326,12 +326,11 @@ def check_t1t2t3(ctx: _Context):
 
 
 def check_h_s3(ctx: _Context):
-    h = ctx.named("H")
+    g, h = ctx.need_group(), ctx.named("H")
     _require(h.order == 6, f"|H| = {h.order}")
-    t1 = ctx["T1"]
-    t3 = ctx["T3"]
+    t1, t3 = ctx["T1"], ctx["T3"]
     _require(t1 * t3 != t3 * t1, "H is abelian")
-    order3 = {k for k, m in zip(h.keys, h.matrices) if mg.element_order(m, cap=10) == 3}
+    order3 = {g.keys[x] for x in h.members if mg.element_order(g.matrices[x], cap=10) == 3}
     want = {(t1 * t3).key_bytes(), (t3 * t1).key_bytes()}
     _require(order3 == want, "order-3 elements are not T1 T3 and T3 T1")
     return {"order": h.order}
@@ -339,8 +338,7 @@ def check_h_s3(ctx: _Context):
 
 def check_h_matrices(ctx: _Context):
     h = ctx.named("H")
-    t1 = ctx["T1"]
-    t3 = ctx["T3"]
+    t1, t3 = ctx["T1"], ctx["T3"]
     half = Fraction(1, 2)
     s = ctx.rt2 / 2
     m_t1 = UnitaryMatrix.from_rows([[-half, -s, -half], [-s, 0, s], [-half, s, -half]])
@@ -355,7 +353,7 @@ def check_h_matrices(ctx: _Context):
         UnitaryMatrix.identity(3).key_bytes(), t3.key_bytes(), m_t1.key_bytes(),
         m_t3t1t3.key_bytes(), m_t1t3.key_bytes(), m_t3t1.key_bytes(),
     }
-    _require(set(h.elements) == expected, "H element set mismatch")
+    _require({h.group.keys[x] for x in h.members} == expected, "H element set mismatch")
 
 
 def check_hn_trivial(ctx: _Context):
@@ -363,16 +361,16 @@ def check_hn_trivial(ctx: _Context):
 
 
 def check_psi_g1(ctx: _Context):
-    g, n_sub, h_sub = ctx.need_group(), ctx.named("N"), ctx.named("H")
-    n, h = mg.decompose(g, g.generators[0], n_sub, h_sub)
-    n, h = n_sub.matrices[n], h_sub.matrices[h]
+    g = ctx.need_group()
+    n, h = mg.decompose(g, g.generators[0], ctx.named("N"), ctx.named("H"))
+    n, h = g.matrices[n], g.matrices[h]
     _require(n == ctx["A"] ** 5 * ctx["B"] ** 2 and h == ctx["T3"], "G1 != A^5 B^2 * T3")
 
 
 def check_psi_g2(ctx: _Context):
-    g, n_sub, h_sub = ctx.need_group(), ctx.named("N"), ctx.named("H")
-    n, h = mg.decompose(g, g.generators[1], n_sub, h_sub)
-    n, h = n_sub.matrices[n], h_sub.matrices[h]
+    g = ctx.need_group()
+    n, h = mg.decompose(g, g.generators[1], ctx.named("N"), ctx.named("H"))
+    n, h = g.matrices[n], g.matrices[h]
     want_n = ctx["A"].conj_transpose() * ctx["B"]
     _require(n == want_n and h == ctx["T3"] * ctx["T1"] * ctx["T3"], "G2 != A^-1 B * T3 T1 T3")
 

@@ -154,7 +154,8 @@ def test_c10_symmetric_complement(paper_group, named_elements, subgroup_n, subgr
     ok = ok and t3 == UnitaryMatrix.diagonal([-1, -1, 1])
     ok = ok and subgroup_h.order == 6
     ok = ok and t1 * t3 != t3 * t1
-    order3 = {m.key_bytes() for m in subgroup_h.matrices if mg.element_order(m) == 3}
+    h_matrices = [paper_group.matrices[x] for x in subgroup_h.members]
+    order3 = {m.key_bytes() for m in h_matrices if mg.element_order(m) == 3}
     t1t3 = t1 * t3
     t3t1 = t3 * t1
     ok = ok and order3 == {t1t3.key_bytes(), t3t1.key_bytes()}
@@ -171,7 +172,7 @@ def test_c10_symmetric_complement(paper_group, named_elements, subgroup_n, subgr
     expected_keys = {
         UnitaryMatrix.identity(3).key_bytes(), t3.key_bytes(),
     } | {d.key_bytes() for d in displays}
-    ok = ok and set(subgroup_h.elements) == expected_keys
+    ok = ok and {paper_group.keys[x] for x in subgroup_h.members} == expected_keys
     ok = ok and mg.intersect(subgroup_h, subgroup_n).order == 1
     a, b = named_elements["A"], named_elements["B"]
     listed = [a ** 3, a ** 6, a ** 3 * b, a ** 6 * b, a ** 3 * b * b, a ** 6 * b * b, b, b * b]
@@ -208,7 +209,7 @@ def test_c12_psi_and_semidirect(paper_group, named_elements, subgroup_n, subgrou
     g1el, g2el = paper_group.generators
     a, b = named_elements["A"], named_elements["B"]
     t1, t3 = named_elements["T1"], named_elements["T3"]
-    ns, hs = subgroup_n.matrices, subgroup_h.matrices
+    ns = hs = paper_group.matrices  # decompose returns indices of the group
     n, h = mg.decompose(paper_group, g1el, subgroup_n, subgroup_h)
     ok = ns[n] == a ** 5 * b ** 2 and hs[h] == t3
     n, h = mg.decompose(paper_group, g2el, subgroup_n, subgroup_h)
@@ -271,7 +272,7 @@ def test_c14_family_group_and_isomorphism(paper_group, family_group, verificatio
     _criterion("criterion 14 GRP-D-FAMILY-ORDER + GRP-ISO-D91211", ok)
 
 
-def test_c15_property_suites(tmp_path, theory6, paper_group, subgroup_n, subgroup_h):
+def test_c15_property_suites(tmp_path, theory6, paper_group, named_elements, subgroup_n, subgroup_h):
     rng = random.Random(2024)
     ok = True
 
@@ -311,10 +312,12 @@ def test_c15_property_suites(tmp_path, theory6, paper_group, subgroup_n, subgrou
         for x in sample
     )
 
-    # export determinism
+    # export determinism, on H closed as a group of its own (a subgroup of
+    # the braid image is a set of its indices and has no export)
+    h_group = mg.close([named_elements["T1"], named_elements["T3"]])
     p1, p2 = tmp_path / "x.json", tmp_path / "y.json"
-    export_group(subgroup_h, "elements", str(p1))
-    export_group(subgroup_h, "elements", str(p2))
+    export_group(h_group, "elements", str(p1))
+    export_group(h_group, "elements", str(p2))
     ok = ok and p1.read_bytes() == p2.read_bytes()
     records = json.loads(p1.read_text())
     ok = ok and len(records) == 6

@@ -235,19 +235,43 @@ def test_export_writes_through_a_symlink(tmp_path, family_group):
     assert target.read_text() == "".join(mg.cayley_csv_lines(family_group))
 
 
-def test_cayley_export_to_dev_stdout():
-    # a child process, so that its fd 1 is a pipe and opening /dev/stdout
-    # neither truncates a capture file nor bypasses one
+def _run_child(argv, **kwargs):
+    """`python -m su3braid` with `argv` in a child process, whose fd 1 the
+    caller chooses, so that opening /dev/stdout neither truncates a capture
+    file nor bypasses one."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "su3braid", "group", "--from", "familyC", "1", "0", "0",
-         "--emit-cayley", "/dev/stdout"],
-        env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "su3braid", *argv], env=env, text=True, timeout=60, **kwargs
     )
+
+
+C3_TO_DEV_STDOUT = ["group", "--from", "familyC", "1", "0", "0", "--emit-cayley", "/dev/stdout"]
+
+
+def test_cayley_export_to_dev_stdout():
+    proc = _run_child(C3_TO_DEV_STDOUT, capture_output=True)  # fd 1 is a pipe
     assert proc.returncode == 0, proc.stderr
     assert "0,1,2\n1,2,0\n2,0,1\n" in proc.stdout
+
+
+def test_dev_stdout_with_stdout_on_a_file(tmp_path):
+    # /dev/stdout is then the file itself: opened again, it was truncated and
+    # written from offset 0, and the printed lines overwrote part of the table
+    out = tmp_path / "out.txt"
+    with open(out, "w") as fh:
+        proc = _run_child(C3_TO_DEV_STDOUT, stdout=fh, stderr=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == (
+        "order: 3\n0,1,2\n1,2,0\n2,0,1\ncayley table written to /dev/stdout\n"
+    )
+    with open(out, "w") as fh:
+        proc = _run_child(["verify", "--json", "/dev/stdout"], stdout=fh, stderr=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    lines, _, report = out.read_text().partition("overall: PASS\n")
+    assert len(lines.splitlines()) == len(CHECK_IDS) + 1  # the checks and the info line
+    assert VerificationReport.from_json(report).overall
 
 
 def test_paper_group_export_has_162_records(tmp_path, paper_group):

@@ -90,13 +90,20 @@ def test_index_of_a_matrix_held_at_another_order():
             group.index_of(stranger)
 
 
+def _outside():
+    """A subgroup of a group other than the braid image."""
+    group = mg.close([UnitaryMatrix.diagonal([root_of_unity(5), root_of_unity(5, 4), 1])])
+    return mg.subgroup(group, group.generators)
+
+
 def test_is_normal(paper_group, subgroup_n, subgroup_h):
     assert mg.is_normal(paper_group, subgroup_n)
     assert not mg.is_normal(paper_group, subgroup_h)
-    assert mg.is_normal(paper_group, paper_group)
+    assert mg.is_normal(paper_group, mg.subgroup(paper_group, paper_group.generators))
     with pytest.raises(mg.NotASubgroupError):
-        outside = mg.close([UnitaryMatrix.diagonal([root_of_unity(5), root_of_unity(5, 4), 1])])
-        mg.is_normal(paper_group, outside)
+        mg.is_normal(paper_group, _outside())
+    with pytest.raises(mg.NotASubgroupError):  # a group is not a subgroup record
+        mg.is_normal(paper_group, paper_group)
 
 
 def test_intersect(paper_group, named_elements, subgroup_n, subgroup_h):
@@ -108,27 +115,47 @@ def test_intersect(paper_group, named_elements, subgroup_n, subgroup_h):
 
 
 def test_groups_at_different_working_orders_are_refused(paper_group):
-    # equal matrices held at orders 4 and 8 have different keys, so matching
-    # elements by key would miss all but the rational ones
+    # equal matrix sets held at orders 4 and 8: still two groups, so a
+    # subgroup of one is refused by the other
     d = UnitaryMatrix.diagonal([root_of_unity(4), root_of_unity(4, 3), 1])
     a, b = mg.close([d]), mg.close([d.embed(8)])
     assert (a.order, a.working_order, b.order, b.working_order) == (4, 4, 4, 8)
     assert mg.same_matrix_set(a, b)
-    with pytest.raises(ValueError, match="working orders 4 and 8"):
-        mg.intersect(a, b)
+    sub_a, sub_b = mg.subgroup(a, a.generators), mg.subgroup(b, b.generators)
     for query in (
-        lambda: mg.is_normal(a, b),
-        lambda: mg.semidirect_verify(a, b, a),
-        lambda: mg.decompose(a, 0, a, b),
+        lambda: mg.intersect(sub_a, sub_b),
+        lambda: mg.is_normal(a, sub_b),
+        lambda: mg.semidirect_verify(a, sub_b, sub_a),
+        lambda: mg.decompose(a, 0, sub_a, sub_b),
     ):
-        with pytest.raises(mg.NotASubgroupError, match="working order 8, the group 4"):
+        with pytest.raises(mg.NotASubgroupError, match="not taken in this group"):
             query()
-    # at a shared working order, an element outside the group is still named
+    # at a shared working order, a subgroup of another group is refused too
     z72 = root_of_unity(72)
     outside = mg.close([UnitaryMatrix.diagonal([z72, z72.conj(), 1])])
     assert outside.working_order == paper_group.working_order
-    with pytest.raises(mg.NotASubgroupError, match="outside the group"):
-        mg.is_normal(paper_group, outside)
+    with pytest.raises(mg.NotASubgroupError, match="not taken in this group"):
+        mg.is_normal(paper_group, mg.subgroup(outside, outside.generators))
+
+
+def test_a_subgroup_belongs_to_the_group_it_was_taken_in(
+    paper_group, family_group, subgroup_n, subgroup_h
+):
+    # an index of the family group names another element of the braid
+    # image, so a subgroup taken in the family group is refused there
+    taken = mg.subgroup(family_group, family_group.generators[:1])
+    assert taken.group is family_group and taken.order < 162
+    for query in (
+        lambda: mg.is_normal(paper_group, taken),
+        lambda: mg.semidirect_verify(paper_group, subgroup_n, taken),
+        lambda: mg.semidirect_verify(paper_group, taken, subgroup_h),
+        lambda: mg.decompose(paper_group, 0, taken, subgroup_h),
+        lambda: mg.decompose(paper_group, 0, subgroup_n, taken),
+        lambda: mg.intersect(taken, subgroup_n),
+        lambda: mg.intersect(subgroup_n, taken),
+    ):
+        with pytest.raises(mg.NotASubgroupError):
+            query()
 
 
 def test_abelian_invariants(paper_group, named_elements, subgroup_n, subgroup_h):
@@ -141,8 +168,9 @@ def test_abelian_invariants(paper_group, named_elements, subgroup_n, subgroup_h)
         mg.abelian_invariants(subgroup_h)
     # rank 3 is outside the supported range: Z2^3 from diagonal sign matrices
     signs = [UnitaryMatrix.diagonal([1] * i + [-1] + [1] * (2 - i)) for i in range(3)]
+    z2_cubed = mg.close(signs)
     with pytest.raises(mg.DecompositionNotFoundError):
-        mg.abelian_invariants(mg.close(signs))
+        mg.abelian_invariants(mg.subgroup(z2_cubed, z2_cubed.generators))
 
 
 def test_semidirect_verify(paper_group, named_elements, subgroup_n, subgroup_h):
@@ -155,14 +183,13 @@ def test_semidirect_verify(paper_group, named_elements, subgroup_n, subgroup_h):
     cyc_a = mg.subgroup(paper_group, [paper_group.index_of(named_elements["A"])])
     small = mg.semidirect_verify(paper_group, cyc_a, subgroup_h)
     assert not small.order_product
-    outside = mg.close([UnitaryMatrix.diagonal([root_of_unity(5), root_of_unity(5, 4), 1])])
     with pytest.raises(mg.NotASubgroupError):
-        mg.semidirect_verify(paper_group, subgroup_n, outside)
+        mg.semidirect_verify(paper_group, subgroup_n, _outside())
 
 
 def test_decompose(paper_group, named_elements, subgroup_n, subgroup_h):
     a, b, t3, t1 = (named_elements[k] for k in ("A", "B", "T3", "T1"))
-    ns, hs = subgroup_n.matrices, subgroup_h.matrices
+    ns = hs = paper_group.matrices  # the factors are indices of the group
     g1, g2 = paper_group.generators
     n, h = mg.decompose(paper_group, g1, subgroup_n, subgroup_h)
     assert ns[n] == a ** 5 * b ** 2 and hs[h] == t3
@@ -177,17 +204,19 @@ def test_decompose_is_a_bijection(paper_group, subgroup_n, subgroup_h):
     pairs = set()
     for x in range(paper_group.order):
         n, h = mg.decompose(paper_group, x, subgroup_n, subgroup_h)
-        pairs.add((subgroup_n.keys[n], subgroup_h.keys[h]))
+        assert paper_group.cayley_table()[n][h] == x
+        pairs.add((n, h))
     assert len(pairs) == 162
-    assert pairs == {(n, h) for n in subgroup_n.keys for h in subgroup_h.keys}
+    assert pairs == {(n, h) for n in subgroup_n.members for h in subgroup_h.members}
 
 
 def test_product_map_homomorphism_on_samples(paper_group, subgroup_n, subgroup_h):
     # psi(n1 * (h1 n2 h1^-1), h1 h2) == psi(n1, h1) * psi(n2, h2)
     rng = random.Random(11)
+    ns, hs = ([paper_group.matrices[x] for x in s.members] for s in (subgroup_n, subgroup_h))
     for _ in range(25):
-        n1, n2 = (rng.choice(subgroup_n.matrices) for _ in range(2))
-        h1, h2 = (rng.choice(subgroup_h.matrices) for _ in range(2))
+        n1, n2 = (rng.choice(ns) for _ in range(2))
+        h1, h2 = (rng.choice(hs) for _ in range(2))
         twisted = n1 * (h1 * n2 * h1.conj_transpose())
         assert twisted * (h1 * h2) == (n1 * h1) * (n2 * h2)
 
@@ -240,8 +269,14 @@ def test_word_evaluator_multiplies_each_prefix_once(named_elements, monkeypatch)
     assert words(()) is None
 
 
-def test_conjugacy_classes(paper_group, subgroup_n):
-    classes = mg.conjugacy_classes(subgroup_n)
+def _closed(named_elements, *names):
+    """The group closed from the named matrices on their own, with its own
+    indices and table, where a `Subgroup` of the braid image has none."""
+    return mg.close([named_elements[k] for k in names])
+
+
+def test_conjugacy_classes(paper_group, named_elements):
+    classes = mg.conjugacy_classes(_closed(named_elements, "A", "B"))
     assert all(len(c) == 1 for c in classes)  # abelian: singletons
     classes = mg.conjugacy_classes(paper_group)
     assert sum(len(c) for c in classes) == 162
@@ -264,9 +299,12 @@ def _direct_product_index(group, i, j):
     return group.elements[(a * b).key_bytes()]
 
 
-@pytest.mark.parametrize("name", ["paper_group", "family_group", "subgroup_n"])
-def test_derived_table_equals_direct_products(request, name):
-    group = request.getfixturevalue(name)
+@pytest.mark.parametrize("name", ["paper_group", "family_group", "closed N"])
+def test_derived_table_equals_direct_products(request, named_elements, name):
+    if name == "closed N":
+        group = _closed(named_elements, "A", "B")
+    else:
+        group = request.getfixturevalue(name)
     n = group.order
     direct = [[_direct_product_index(group, i, j) for j in range(n)] for i in range(n)]
     assert group.cayley_table() == direct
@@ -466,14 +504,12 @@ def test_guard_makes_only_the_sampled_products(paper_matrices, monkeypatch):
     monkeypatch.setattr(UnitaryMatrix, "__mul__", counting)
     group.cayley_table()
     assert len(counted) == 256 == min(256, 162 ** 2)
+    # a subgroup is read off the guarded table: no table and no product of its own
     h, n = mg.subgroup(group, [t1]), mg.subgroup(group, [a, b])
     trivial = mg.subgroup(group, [0])
     assert (h.order, n.order, trivial.order) == (2, 27, 1)
-    for sub in (h, n, trivial):
-        counted.clear()
-        sub.cayley_table()
-        assert len(counted) == min(256, sub.order ** 2)
-    assert trivial.cayley_table() == [[0]]
+    assert trivial.members == (0,)
+    assert len(counted) == 256
 
 
 def test_sympy_oracle_on_recorded_actions(paper_group, subgroup_n, named_elements):
@@ -518,9 +554,7 @@ def test_find_isomorphism_self(paper_group):
 
 def test_find_isomorphism_order_mismatch(paper_group, named_elements):
     # the direct-product-style subgroup <A, B, T3> has order 54, not 162
-    product_54 = mg.subgroup(
-        paper_group, [paper_group.index_of(named_elements[k]) for k in ("A", "B", "T3")]
-    )
+    product_54 = _closed(named_elements, "A", "B", "T3")
     assert product_54.order == 54
     assert mg.find_isomorphism(paper_group, product_54) is None
 
@@ -545,9 +579,8 @@ def test_decompose_error_cases(paper_group, named_elements, subgroup_h):
     for x in (-1, paper_group.order):
         with pytest.raises(mg.GeneratorNotInGroupError):
             mg.decompose(paper_group, x, cyc_t3, cyc_t3)
-    outside = mg.close([stranger])
     with pytest.raises(mg.NotASubgroupError):
-        mg.decompose(paper_group, 0, outside, subgroup_h)
+        mg.decompose(paper_group, 0, _outside(), subgroup_h)
 
 
 def test_find_isomorphism_negative():
@@ -563,10 +596,10 @@ def test_find_isomorphism_negative():
     assert mg.find_isomorphism(klein, c4) is None
 
 
-def test_same_matrix_set(paper_group, family_group, subgroup_n):
+def test_same_matrix_set(paper_group, family_group, named_elements):
     assert not mg.same_matrix_set(paper_group, family_group)
     assert mg.same_matrix_set(paper_group, paper_group)
-    assert not mg.same_matrix_set(paper_group, subgroup_n)
+    assert not mg.same_matrix_set(paper_group, _closed(named_elements, "A", "B"))
 
 
 def test_same_matrix_set_at_different_working_orders(paper_group, family_group):
@@ -609,14 +642,19 @@ def _first_difference(got: str, want: str):
     ("paper_group", None),
     ("family_group", ["E", "F", "D"]),
     ("family_648", ["E", "F", "D"]),
-    ("subgroup_h", None),
+    ("closed H", None),
     ("familyC 9 1 1", ["E", "F"]),
     ("order 1, dim 1", None),
     # a name that JSON must escape
     ("cyclic 1x1", ['\u03b6"6']),
 ])
-def test_export_writers_match_reference_encoding(request, name, names):
-    group = _EXPORT_GROUPS[name]() if name in _EXPORT_GROUPS else request.getfixturevalue(name)
+def test_export_writers_match_reference_encoding(request, named_elements, name, names):
+    if name == "closed H":
+        group = _closed(named_elements, "T1", "T3")
+    elif name in _EXPORT_GROUPS:
+        group = _EXPORT_GROUPS[name]()
+    else:
+        group = request.getfixturevalue(name)
     reference = json.dumps(mg.element_records(group, names), indent=2) + "\n"
     assert _first_difference("".join(mg.elements_json(group, names)), reference) is None
     table = group.cayley_table()
@@ -636,18 +674,27 @@ def test_deterministic_ordering(paper_matrices):
 # the index-based structural queries against exact matrix products
 
 
+def _matrices(sub):
+    return [sub.group.matrices[x] for x in sub.members]
+
+
+def _keys(sub):
+    return {m.key_bytes() for m in _matrices(sub)}
+
+
 def _reference_is_normal(group, sub):
+    keys = _keys(sub)
     for g in (group.matrices[x] for x in group.generators):
         ginv = g.conj_transpose()
-        for n in sub.matrices:
-            if (g * n * ginv).key_bytes() not in sub.elements:
+        for n in _matrices(sub):
+            if (g * n * ginv).key_bytes() not in keys:
                 return False
     return True
 
 
 def _reference_semidirect(group, normal_part, complement):
-    common = [k for k in normal_part.keys if k in complement.elements]
-    products = {(n * h).key_bytes() for n in normal_part.matrices for h in complement.matrices}
+    common = _keys(normal_part) & _keys(complement)
+    products = {(n * h).key_bytes() for n in _matrices(normal_part) for h in _matrices(complement)}
     return mg.SemidirectReport(
         normal=_reference_is_normal(group, normal_part),
         trivial_intersection=len(common) == 1,
@@ -656,22 +703,23 @@ def _reference_semidirect(group, normal_part, complement):
     )
 
 
-def _reference_abelian_invariants(group):
-    gens = [group.matrices[x] for x in group.generators]
-    if any(a * b != b * a for a in gens for b in gens):
+def _reference_abelian_invariants(sub):
+    matrices = _matrices(sub)
+    if any(a * b != b * a for a in matrices for b in matrices):
         raise mg.NotAbelianError
-    n = group.order
+    n = sub.order
     if n == 1:
         return ()
+    identity = UnitaryMatrix.identity(matrices[0].dim).key_bytes()
 
     def span(g):
-        keys, power = {group.keys[0]}, g
-        while power.key_bytes() != group.keys[0]:
+        keys, power = {identity}, g
+        while power.key_bytes() != identity:
             keys.add(power.key_bytes())
             power = power * g
         return keys
 
-    spans = [span(m) for m in group.matrices]
+    spans = [span(m) for m in matrices]
     top = max(len(s) for s in spans)
     if top == n:
         return (n,)
@@ -698,7 +746,7 @@ def named_subgroups(paper_group, named_elements, subgroup_n, subgroup_h):
         "<B>": sub("B"),
         "<T3>": sub("T3"),
         "<A,B,T3>": sub("A", "B", "T3"),
-        "G": paper_group,
+        "G": mg.subgroup(paper_group, paper_group.generators),
     }
 
 
@@ -744,10 +792,13 @@ def test_semidirect_flags_match_matrix_reference(
 
 
 def test_structural_queries_make_no_matrix_product(
-    paper_group, named_subgroups, monkeypatch
+    paper_group, named_elements, named_subgroups, monkeypatch
 ):
-    for sub in named_subgroups.values():
-        sub.cayley_table()  # the guarded tables are built (and cached) first
+    paper_group.cayley_table()  # the one guarded table is built (and cached) first
+    n_gens, h_gens = (
+        [paper_group.index_of(named_elements[k]) for k in names]
+        for names in (("A", "B"), ("T1", "T3"))
+    )
 
     def no_product(self, other):
         raise AssertionError("a structural query multiplied matrices")
@@ -758,7 +809,6 @@ def test_structural_queries_make_no_matrix_product(
     assert mg.semidirect_verify(paper_group, n, h).all_ok
     assert mg.abelian_invariants(n) == (9, 3)
     assert len(mg.conjugacy_classes(paper_group)) == 22
-    n_gens, h_gens = ([paper_group.index_of(s.matrices[g]) for g in s.generators] for s in (n, h))
     assert mg.subgroup(paper_group, [*n_gens, *h_gens]).order == 162
     assert mg.subgroup(paper_group, n_gens).order == 27
     cyc_a, cyc_b = named_subgroups["<A>"], named_subgroups["<B>"]
@@ -775,8 +825,10 @@ def test_structural_queries_make_no_matrix_product(
 # subgroups and factorizations on the table against the matrix closure
 
 
-def _reference_subgroup(group, xs):
-    return mg.close([group.matrices[x] for x in xs], cap=group.order)
+def _reference_members(group, xs):
+    """The group indices of the matrix closure of the elements `xs`."""
+    ref = mg.close([group.matrices[x] for x in xs], cap=group.order)
+    return tuple(sorted(group.elements[k] for k in ref.keys))
 
 
 def _assert_same_closure(sub, ref):
@@ -859,14 +911,17 @@ def test_close_multiplies_by_the_generators_alone(paper_matrices, monkeypatch):
     assert len(counted) == 324 == 162 * 2
 
 
-def test_subgroup_matches_matrix_closure(paper_group, named_subgroups):
-    for sub in named_subgroups.values():
-        if sub is not paper_group:
-            gens = [paper_group.index_of(sub.matrices[g]) for g in sub.generators]
-            _assert_same_closure(sub, _reference_subgroup(paper_group, gens))
-    whole = mg.subgroup(paper_group, paper_group.generators)
-    _assert_same_closure(whole, paper_group)
-    assert all(a is b for a, b in zip(whole.matrices, paper_group.matrices))
+def test_subgroup_matches_matrix_closure(paper_group, named_elements):
+    named = {"1": [0], "G": list(paper_group.generators)}
+    for names in ("A", "B", "T3", "A B", "T1 T3", "A B T3"):
+        named[names] = [paper_group.index_of(named_elements[k]) for k in names.split()]
+    g1 = paper_group.matrices[paper_group.generators[0]]
+    named["G1^6"] = [paper_group.index_of(g1 ** 6)]
+    for name, xs in named.items():
+        sub = mg.subgroup(paper_group, xs)
+        assert sub.group is paper_group, name
+        assert sub.members == _reference_members(paper_group, xs), name
+    assert mg.subgroup(paper_group, named["G"]).members == tuple(range(162))
 
 
 def test_subgroup_matches_matrix_closure_order_648(family_648):
@@ -875,18 +930,18 @@ def test_subgroup_matches_matrix_closure_order_648(family_648):
     for _ in range(5):
         gens = [rng.randrange(family_648.order) for _ in range(2)]
         sub = mg.subgroup(family_648, gens)
-        _assert_same_closure(sub, _reference_subgroup(family_648, gens))
+        assert sub.members == _reference_members(family_648, gens)
         orders.append(sub.order)
     assert len(set(orders)) > 1  # the pairs do not all generate one subgroup
 
 
 def _reference_decompose(g, normal_part, complement):
+    group, ns = normal_part.group, _keys(normal_part)
     matches = []
-    for h, h_matrix in enumerate(complement.matrices):
-        n_matrix = g * h_matrix.conj_transpose()
-        n = normal_part.elements.get(n_matrix.key_bytes())
-        if n is not None:
-            matches.append((n, h))
+    for h in complement.members:
+        n_matrix = g * group.matrices[h].conj_transpose()
+        if n_matrix.key_bytes() in ns:
+            matches.append((group.elements[n_matrix.key_bytes()], h))
     if not matches:
         raise mg.NoFactorizationError("element has no n*h factorization")
     if len(matches) > 1:

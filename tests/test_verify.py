@@ -10,6 +10,7 @@ from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
 from sympy.combinatorics.free_groups import free_group
 
 from su3braid import cli, verify
+from su3braid import matgroup as mg
 from su3braid.cyclo import Cyclo
 from su3braid.matrix import UnitaryMatrix
 from su3braid.su3families import CParams, DParams, c_generators, d_generators
@@ -47,8 +48,11 @@ def test_every_identity_row_can_fail(closed_context, monkeypatch):
         verify._check_identities(closed_context, check_id)
 
 
-# the six checks that no corruption of the generators fails: each row patches
-# one name in `verify` and expects that check's first failure message
+# checks that no other test fails: each row patches one name in `verify` and
+# expects that check's first failure message.  The first six are checks that
+# no corruption of the generators fails; the rest are the checks that read N
+# and H, failed through the named elements and subgroups alone
+B_SQUARED = "G1 G2^-2 G1 G1 G2^-2 G1"  # B^2: N is unchanged, the word for B is not
 FALSIFIERS = [
     ("TL-DELTAS", "delta_n", lambda t, n: Cyclo.one(), "delta_1 mismatch"),
     ("TL-RVALUES", "r_value", lambda t, a, b, c: Cyclo.one(),
@@ -57,6 +61,19 @@ FALSIFIERS = [
     ("TL-THETA-ID", "theta", lambda t, a, b, c: Cyclo.one(), "theta identity at 0"),
     ("GRP-D-FAMILY-ORDER", "d_generators", lambda p: c_generators(p.c), "family group order 81"),
     ("GRP-N-NORMAL", "SUBGROUPS", {**verify.SUBGROUPS, "N": ("A",)}, "N is not normal"),
+    ("GRP-CYCLIC-INTERSECT", "ELEMENTS", {**verify.ELEMENTS, "B": "A^3"},
+     "<A> meet <B> has order 3"),
+    ("GRP-N-INVARIANTS", "SUBGROUPS", {**verify.SUBGROUPS, "N": ("A",)}, "|N| = 9"),
+    ("GRP-H-S3", "SUBGROUPS", {**verify.SUBGROUPS, "H": ("T1",)}, "|H| = 2"),
+    ("GRP-H-MATRICES", "SUBGROUPS", {**verify.SUBGROUPS, "H": ("T1", "T3", "B")},
+     "H element set mismatch"),
+    ("GRP-HN-TRIVIAL", "SUBGROUPS", {**verify.SUBGROUPS, "H": ("T1", "T3", "B")},
+     "H meet N nontrivial"),
+    ("GRP-PSI-G1", "ELEMENTS", {**verify.ELEMENTS, "B": B_SQUARED}, "G1 != A^5 B^2 * T3"),
+    ("GRP-PSI-G2", "ELEMENTS", {**verify.ELEMENTS, "B": B_SQUARED}, "G2 != A^-1 B * T3 T1 T3"),
+    ("GRP-SEMIDIRECT", "SUBGROUPS", {**verify.SUBGROUPS, "H": ("T1",)},
+     "semidirect flags: SemidirectReport(normal=True, trivial_intersection=True, "
+     "order_product=False, product_bijective=False)"),
 ]
 
 
@@ -67,7 +84,7 @@ def test_check_fails_under_its_falsifier(
 ):
     check = {cid: fn for cid, _, fn in verify.CHECKS}[check_id]
 
-    def context():  # fresh, so that N is rebuilt; the closed group is shared
+    def context():  # fresh, so that N, H and A..T3 are rebuilt; the closed group is shared
         ctx = verify._Context(paper_matrices, cap=2000)
         ctx.group = paper_group
         return ctx
@@ -90,15 +107,27 @@ def test_verify_stdout_digest_and_identity_witnesses(verification_report, capsys
 
 def test_exact_products_per_check(monkeypatch):
     """Exact 3x3 products of one run, by check id: identity rows share
-    their prefixes, and the closures multiply by the generators alone."""
+    their prefixes, the closures multiply by the generators alone, and the
+    subgroups N, H, <A> and <B> are member sets read off the braid image's
+    table, so only the two groups' tables are built and guarded."""
     counts, current = Counter(), ["before the checks"]
-    product = UnitaryMatrix.__mul__
+    product, check_table = UnitaryMatrix.__mul__, mg._check_table
+    guarded = []
 
     def counting(a, b):
         counts[current[-1]] += 1
         return product(a, b)
 
+    def guard(group, table):  # its sampled products are counted apart
+        guarded.append(group.order)
+        current.append("table guards")
+        try:
+            check_table(group, table)
+        finally:
+            current.pop()
+
     monkeypatch.setattr(UnitaryMatrix, "__mul__", counting)
+    monkeypatch.setattr(mg, "_check_table", guard)
 
     def tagged(check_id, fn):
         def run(ctx):
@@ -111,7 +140,12 @@ def test_exact_products_per_check(monkeypatch):
     assert verify.run_theorem1_verification().overall
     assert counts["GRP-ORDER3-NOT-IN-LIST"] <= 30
     assert counts["GRP-G2SQG1-FACTOR"] <= 23
-    assert sum(counts.values()) <= 1950
+    for check_id in ("GRP-CYCLIC-INTERSECT", "GRP-N-INVARIANTS", "GRP-HN-TRIVIAL"):
+        assert counts[check_id] == 0, check_id
+    # the braid image and the family group, 256 sampled products each
+    assert guarded == [162, 162]
+    assert counts["table guards"] == 2 * 256
+    assert sum(counts.values()) <= 1512
 
 
 # -- order oracle 1: the generators reduced mod 73 ------------------------------
