@@ -18,7 +18,7 @@ the entry of a matrix product, sums over those memos.  Ids are never
 reused, so clearing the tables could not alias an old memo entry.
 Nothing clears them yet: the intern table, like the memos, grows for the
 life of the process, and it keeps every value ever built, conjugates,
-Galois images and embeddings included (bounding both is ROADMAP item 3).
+Galois images and embeddings included (bounding both is ROADMAP item 6).
 Equality and hashing still go by value (identity is only a fast path).
 
 The per-order data is Phi_N's degree and its nonzero lower terms, O(phi(N))

@@ -6,17 +6,22 @@ recoupling constants behind the generators, the generator matrices
 themselves, the normal abelian subgroup and symmetric-group complement,
 the semidirect factorization, the closing presentation, and the
 isomorphism with the three-generator family presentation D(9,1,1;2,1,1).
-Each `fn` takes the shared `_Context` and returns a witness dict (or
-None) or raises.  Failures become report entries, never exceptions, so a
-corrupted input produces a clean red report.
+One runner serves every check: it evaluates the check's rows in
+`IDENTITIES` (possibly none), then calls its `fn` with the shared
+`_Context`, and what `fn` returns (a dict or None) is the witness.  A
+failing row or `fn` raises; failures become report entries, never
+exceptions, so a corrupted input produces a clean red report.
 
-The checks that are exact word identities (the braid relation, the
-conjugation identities, the N*H factorizations, the ten relations) have
-no `fn`: their rows are data in `IDENTITIES`, and so are the named
-elements (`ELEMENTS`) and subgroups (`SUBGROUPS`).  Words are short text
-such as "G2^2 G1^-1", and one `matgroup.WordEvaluator` (the evaluator
-behind `check_relations` and `word_eval`) evaluates every word of a run,
-so a prefix or factor that rows share is multiplied once.
+Every claim a word can state is a row of `IDENTITIES`: the braid
+relation, the conjugation identities, the N*H factorizations, the ten
+relations, the element orders (x has order exactly n when x^n = I and
+x^(n/p) != I for each prime p dividing n) and the comparisons with the
+paper's explicit displays, which are the named matrices `D_G1` ...
+`D_T3T1` (`_displays`).  The named elements (`ELEMENTS`) and subgroups
+(`SUBGROUPS`) are data too.  Words are short text such as "G2^2 G1^-1",
+and one `matgroup.WordEvaluator` (the evaluator behind `check_relations`
+and `word_eval`) evaluates every word of a run, so a prefix or factor
+that rows share is multiplied once.
 """
 
 from __future__ import annotations
@@ -123,7 +128,8 @@ class _Context:
     is wrong; they stay None when the closure raised.  The named elements
     and subgroups are built lazily, so that a failure lands in the check
     that asked for them.  `ctx[name]` is the name -> matrix lookup that
-    words are evaluated with: G1 and G2 are the generators as passed.
+    words are evaluated with: G1 and G2 are the generators as passed, and
+    the displays `D_*` are built on first use, without the closure.
     `words` evaluates every word of the run, keeping each prefix it
     multiplies.  `info` collects the report's informational entries."""
 
@@ -132,11 +138,11 @@ class _Context:
         self.cap = cap
         self.t = theory(6)
         self.rt3 = sqrt3(self.t.order)
-        self.rt2 = sqrt2(self.t.order)
         self.group: Optional[mg.FiniteMatrixGroup] = None
         self.family_group: Optional[mg.FiniteMatrixGroup] = None
         self.info: dict = {}
         self._named: dict = {}
+        self._displays: dict = {}
         self.words = mg.WordEvaluator(self)
 
     def need_group(self) -> mg.FiniteMatrixGroup:
@@ -156,7 +162,35 @@ class _Context:
         return self._named[name]
 
     def __getitem__(self, name: str) -> UnitaryMatrix:
+        if name.startswith("D_"):
+            self._displays = self._displays or _displays()
+            return self._displays[name]
         return {"G1": self.g1m, "G2": self.g2m}.get(name) or self.named(name)
+
+
+def _displays() -> dict[str, UnitaryMatrix]:
+    """The paper's explicit matrices, at order 72.  G1 and G2 are displayed
+    through t = (sqrt(2)/2) e^(2 i pi/3) and carry the phase e^(i pi / 9);
+    F through a = (-1 + i sqrt(3))/4; T1 and the other elements of H
+    through 1/2 and sqrt(2)/2."""
+    rt2, rt3, phase = sqrt2(72), sqrt3(72), root_of_unity(72, 4)
+    t = rt2 / 2 * root_of_unity(72, 24)
+    t_sq = t * t
+    tbar_sq = t_sq.conj()
+    a = (Cyclo.rational(-1) + root_of_unity(4) * rt3) / 4
+    b = rt2 * a
+    half, s = Fraction(1, 2), rt2 / 2
+    rows = UnitaryMatrix.from_rows
+    return {
+        "D_G1": UnitaryMatrix.diagonal([2 * tbar_sq, 2 * t_sq, -2 * tbar_sq]).scale(phase),
+        "D_G2": rows([[t_sq, t, -t_sq], [t, 0, t], [-t_sq, t, t_sq]]).scale(phase),
+        "D_F": rows([[a, b, -a], [b, 0, b], [a, -b, -a]]),
+        "D_T3": UnitaryMatrix.diagonal([-1, -1, 1]),
+        "D_T1": rows([[-half, -s, -half], [-s, 0, s], [-half, s, -half]]),
+        "D_T3T1T3": rows([[-half, -s, half], [-s, 0, -s], [half, -s, -half]]),
+        "D_T1T3": rows([[half, s, -half], [s, 0, s], [half, -s, -half]]),
+        "D_T3T1": rows([[half, s, half], [s, 0, -s], [-half, s, -half]]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -208,38 +242,7 @@ def check_theta_id(ctx: _Context):
 
 
 # ---------------------------------------------------------------------------
-# generator matrices, compared against the explicit displays built from the
-# constant t = (sqrt(2)/2) e^(2 i pi/3) and the phase e^(i pi / 9)
-
-
-def _t_powers(ctx: _Context) -> tuple[Cyclo, Cyclo, Cyclo]:
-    """t, t^2 and conj(t)^2."""
-    t_const = ctx.rt2 / 2 * root_of_unity(72, 24)
-    t_sq = t_const * t_const
-    return t_const, t_sq, t_sq.conj()
-
-
-def check_g1_display(ctx: _Context):
-    _, t_sq, tbar_sq = _t_powers(ctx)
-    display = UnitaryMatrix.diagonal([2 * tbar_sq, 2 * t_sq, -2 * tbar_sq])
-    _require(ctx.g1m == display.scale(root_of_unity(72, 4)), "G1 display mismatch")
-    return {"det": _approx(ctx.g1m.det())}
-
-
-def check_g2_display(ctx: _Context):
-    t_const, t_sq, _ = _t_powers(ctx)
-    display = UnitaryMatrix.from_rows(
-        [[t_sq, t_const, -t_sq], [t_const, 0, t_const], [-t_sq, t_const, t_sq]]
-    )
-    _require(ctx.g2m == display.scale(root_of_unity(72, 4)), "G2 display mismatch")
-    return {"det": _approx(ctx.g2m.det())}
-
-
-def check_order18(ctx: _Context):
-    o1 = mg.element_order(ctx.g1m, cap=200)
-    o2 = mg.element_order(ctx.g2m, cap=200)
-    _require(o1 == 18 and o2 == 18, f"orders are ({o1}, {o2}), expected (18, 18)")
-    return {"order_G1": o1, "order_G2": o2}
+# the generators' spectrum, the group closure and N = <A, B>
 
 
 def check_charpoly(ctx: _Context):
@@ -258,30 +261,10 @@ def check_charpoly(ctx: _Context):
     return {"spectrum": [_approx(s) for s in spectrum]}
 
 
-# ---------------------------------------------------------------------------
-# the group closure and N = <A, B>
-
-
 def check_order162(ctx: _Context):
     ctx.group = mg.close([ctx.g1m, ctx.g2m], cap=ctx.cap)
     _require(ctx.group.order == 162, f"group order is {ctx.group.order}")
     return {"order": ctx.group.order}
-
-
-def check_f_matrix(ctx: _Context):
-    f = ctx["F"]
-    a = (Cyclo.rational(-1) + root_of_unity(4) * ctx.rt3) / 4
-    b = ctx.rt2 * a
-    display = UnitaryMatrix.from_rows([[a, b, -a], [b, 0, b], [a, -b, -a]])
-    _require(f == display, "F word does not match the explicit matrix")
-    return {"entry_00": _approx(f.rows[0][0])}
-
-
-def check_ab_orders(ctx: _Context):
-    oa = mg.element_order(ctx["A"], cap=50)
-    ob = mg.element_order(ctx["B"], cap=50)
-    _require(oa == 9 and ob == 3, f"|A| = {oa}, |B| = {ob}")
-    return {"order_A": oa, "order_B": ob}
 
 
 def check_cyclic_intersect(ctx: _Context):
@@ -313,66 +296,39 @@ def check_n_invariants(ctx: _Context):
 # the complement H = <T1, T3> and the factorizations through N and H
 
 
-def check_t1t2t3(ctx: _Context):
-    o_t1 = mg.element_order(ctx["T1"], cap=50)
-    o_t2 = mg.element_order(ctx["T2"], cap=50)
-    o_gg = mg.element_order(ctx.g2m * ctx.g1m * ctx.g1m, cap=50)
-    _require(o_t1 == 2 and o_t2 == 2 and o_gg == 2, f"orders ({o_t1},{o_t2},{o_gg})")
-    _require(
-        ctx["T3"] == UnitaryMatrix.diagonal([-1, -1, 1]),
-        "T3 is not diag(-1,-1,1)",
-    )
-    return {"orders": [o_t1, o_t2, o_gg]}
-
-
 def check_h_s3(ctx: _Context):
     g, h = ctx.need_group(), ctx.named("H")
     _require(h.order == 6, f"|H| = {h.order}")
-    t1, t3 = ctx["T1"], ctx["T3"]
-    _require(t1 * t3 != t3 * t1, "H is abelian")
+    t1t3, t3t1 = ctx.words(_word("T1 T3")), ctx.words(_word("T3 T1"))
+    _require(t1t3 != t3t1, "H is abelian")
     order3 = {g.keys[x] for x in h.members if mg.element_order(g.matrices[x], cap=10) == 3}
-    want = {(t1 * t3).key_bytes(), (t3 * t1).key_bytes()}
+    want = {t1t3.key_bytes(), t3t1.key_bytes()}
     _require(order3 == want, "order-3 elements are not T1 T3 and T3 T1")
     return {"order": h.order}
 
 
-def check_h_matrices(ctx: _Context):
+def check_h_members(ctx: _Context):
     h = ctx.named("H")
-    t1, t3 = ctx["T1"], ctx["T3"]
-    half = Fraction(1, 2)
-    s = ctx.rt2 / 2
-    m_t1 = UnitaryMatrix.from_rows([[-half, -s, -half], [-s, 0, s], [-half, s, -half]])
-    m_t3t1t3 = UnitaryMatrix.from_rows([[-half, -s, half], [-s, 0, -s], [half, -s, -half]])
-    m_t1t3 = UnitaryMatrix.from_rows([[half, s, -half], [s, 0, s], [half, -s, -half]])
-    m_t3t1 = UnitaryMatrix.from_rows([[half, s, half], [s, 0, -s], [-half, s, -half]])
-    _require(t1 == m_t1, "T1 display mismatch")
-    _require(t3 * t1 * t3 == m_t3t1t3, "T3 T1 T3 display mismatch")
-    _require(t1 * t3 == m_t1t3, "T1 T3 display mismatch")
-    _require(t3 * t1 == m_t3t1, "T3 T1 display mismatch")
-    expected = {
-        UnitaryMatrix.identity(3).key_bytes(), t3.key_bytes(), m_t1.key_bytes(),
-        m_t3t1t3.key_bytes(), m_t1t3.key_bytes(), m_t3t1.key_bytes(),
-    }
-    _require({h.group.keys[x] for x in h.members} == expected, "H element set mismatch")
+    names = ("T3", "D_T1", "D_T3T1T3", "D_T1T3", "D_T3T1")
+    want = {UnitaryMatrix.identity(3).key_bytes(), *(ctx[n].key_bytes() for n in names)}
+    _require({h.group.keys[x] for x in h.members} == want, "H element set mismatch")
 
 
 def check_hn_trivial(ctx: _Context):
     _require(mg.intersect(ctx.named("H"), ctx.named("N")).order == 1, "H meet N nontrivial")
 
 
-def check_psi_g1(ctx: _Context):
-    g = ctx.need_group()
-    n, h = mg.decompose(g, g.generators[0], ctx.named("N"), ctx.named("H"))
-    n, h = g.matrices[n], g.matrices[h]
-    _require(n == ctx["A"] ** 5 * ctx["B"] ** 2 and h == ctx["T3"], "G1 != A^5 B^2 * T3")
+def _factorization(x: str, n: str, h: str):
+    """The check that `decompose` splits the element `x` over N and H into
+    the words `n` and `h`."""
 
+    def check(ctx: _Context):
+        g = ctx.need_group()
+        parts = mg.decompose(g, g.index_of(ctx[x]), ctx.named("N"), ctx.named("H"))
+        want = (ctx.words(_word(n)), ctx.words(_word(h)))
+        _require(tuple(g.matrices[i] for i in parts) == want, f"{x} != {n} * {h}")
 
-def check_psi_g2(ctx: _Context):
-    g = ctx.need_group()
-    n, h = mg.decompose(g, g.generators[1], ctx.named("N"), ctx.named("H"))
-    n, h = g.matrices[n], g.matrices[h]
-    want_n = ctx["A"].conj_transpose() * ctx["B"]
-    _require(n == want_n and h == ctx["T3"] * ctx["T1"] * ctx["T3"], "G2 != A^-1 B * T3 T1 T3")
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +374,44 @@ def check_isomorphism(ctx: _Context):
 
 # ---------------------------------------------------------------------------
 # the word identities, by check id: rows (lhs, holds, rhs, failure message),
-# each passing when lhs = rhs is `holds`; "" is the identity.  Rows run in
-# order and a check fails with its first failing row's message.
+# each passing when lhs = rhs is `holds`; "" is the identity and D_* names
+# the displays.  An element x has order exactly n when x^n = I and
+# x^(n/p) != I for each prime p dividing n.  Rows run in order and a check
+# fails with its first failing row's message.
 IDENTITIES = {
+    "REP-G1": [("G1", True, "D_G1", "G1 display mismatch")],
+    "REP-G2": [("G2", True, "D_G2", "G2 display mismatch")],
     "REP-BRAID": [("G1 G2 G1", True, "G2 G1 G2", "braid relation fails")],
     "REP-SQUARES-COMMUTE": [("G1^2 G2^2", True, "G2^2 G1^2", "squares do not commute")],
+    "REP-ORDER18": [
+        ("G1^18", True, "", "G1^18 != I"), ("G1^9", False, "", "G1^9 = I"), ("G1^6", False, "", "G1^6 = I"),
+        ("G2^18", True, "", "G2^18 != I"), ("G2^9", False, "", "G2^9 = I"), ("G2^6", False, "", "G2^6 = I"),
+    ],
+    "GRP-F-MATRIX": [("F", True, "D_F", "F word does not match the explicit matrix")],
     "GRP-A-DEF": [("G2 F G2 F", True, "A", "(G2 F)^2 != G1 G2^2 G1^-1")],
+    "GRP-AB-ORDERS": [
+        ("A^9", True, "", "A^9 != I"), ("A^3", False, "", "A^3 = I"),
+        ("B^3", True, "", "B^3 != I"), ("B", False, "", "B = I"),
+    ],
     "GRP-AB-COMMUTE": [("A B", True, "B A", "A and B do not commute")],
     "GRP-G1AG1-G2SQ": [("G1 A G1^-1", True, "G2^2", "G1 A G1^-1 != G2^2")],
     "GRP-G2SQ-A7B2": [("G2^2", True, "A^7 B^2", "G2^2 != A^7 B^2")],
     "GRP-G2AG2-AB": [
         ("G2 A G2^-1", True, "G1^2", "G2 A G2^-1 != G1^2"),
         ("G1^2", True, "A B", "G1^2 != A B"),
+    ],
+    # T1 first: without the closure the check fails on the name T1
+    "GRP-T1T2T3": [
+        ("T1^2", True, "", "T1^2 != I"), ("T1", False, "", "T1 = I"),
+        ("T2^2", True, "", "T2^2 != I"), ("T2", False, "", "T2 = I"),
+        ("G2 G1^2 G2 G1^2", True, "", "(G2 G1^2)^2 != I"), ("G2 G1^2", False, "", "G2 G1^2 = I"),
+        ("T3", True, "D_T3", "T3 is not diag(-1,-1,1)"),
+    ],
+    "GRP-H-MATRICES": [
+        ("T1", True, "D_T1", "T1 display mismatch"),
+        ("T3 T1 T3", True, "D_T3T1T3", "T3 T1 T3 display mismatch"),
+        ("T1 T3", True, "D_T1T3", "T1 T3 display mismatch"),
+        ("T3 T1", True, "D_T3T1", "T3 T1 display mismatch"),
     ],
     "GRP-ORDER3-NOT-IN-LIST": [
         (t, False, n, "order-3 element found in the list")
@@ -466,47 +448,53 @@ IDENTITIES = {
 }
 
 
-def _check_identities(ctx: _Context, check_id: str):
-    rows = IDENTITIES[check_id]
-    for lhs, holds, rhs, message in rows:
+def _run_check(ctx: _Context, check_id: str, fn) -> Optional[dict]:
+    """One check: its rows in IDENTITIES, in order, then `fn`, whose value
+    is the witness."""
+    for lhs, holds, rhs, message in IDENTITIES.get(check_id, ()):
         _require(ctx.words.equal(_word(lhs), _word(rhs)) == holds, message)
-    # the presentation's witness counts its relations; other rows witness nothing
-    return {"relations_checked": len(rows)} if check_id == "GRP-PRESENTATION" else None
+    return fn(ctx)
 
 
+def _rows_only(ctx: _Context):
+    """The `fn` of a check that its rows state in full: no witness."""
+    return None
+
+
+# a constant witness states only what the check's rows have just proved
 CHECKS = (
     ("TL-DELTAS", "loop values: delta_0 = delta_4 = 1, delta_2 = 2, delta_1 = sqrt(3), delta_5 = 0", check_deltas),
     ("TL-RVALUES", "conjugated twist eigenvalues on a fused charge-2 pair", check_rvalues),
     ("TL-TET-TABLE", "all six tetrahedral net values, including signs", check_tet_table),
     ("TL-THETA-ID", "theta(2,2,i) equals the tet with one edge labeled 0", check_theta_id),
-    ("REP-G1", "phase-normalized odd braid generator equals its explicit display", check_g1_display),
-    ("REP-G2", "phase-normalized middle braid generator equals its explicit display", check_g2_display),
-    ("REP-BRAID", "braid relation G1 G2 G1 = G2 G1 G2", None),
-    ("REP-SQUARES-COMMUTE", "the generator squares commute", None),
-    ("REP-ORDER18", "both generators have exact order 18", check_order18),
+    ("REP-G1", "phase-normalized odd braid generator equals its explicit display", lambda ctx: {"det": _approx(ctx["G1"].det())}),
+    ("REP-G2", "phase-normalized middle braid generator equals its explicit display", lambda ctx: {"det": _approx(ctx["G2"].det())}),
+    ("REP-BRAID", "braid relation G1 G2 G1 = G2 G1 G2", _rows_only),
+    ("REP-SQUARES-COMMUTE", "the generator squares commute", _rows_only),
+    ("REP-ORDER18", "both generators have exact order 18", lambda ctx: {"order_G1": 18, "order_G2": 18}),
     ("REP-CHARPOLY", "equal characteristic polynomials; spectrum as displayed", check_charpoly),
     ("GRP-ORDER-162", "the two generators span a group of order 162", check_order162),
-    ("GRP-F-MATRIX", "the word g1 g2 g1^-2 equals the explicit matrix F", check_f_matrix),
-    ("GRP-A-DEF", "(G2 F)^2 equals A = g1 g2^2 g1^-1", None),
-    ("GRP-AB-ORDERS", "A has order 9 and B has order 3", check_ab_orders),
-    ("GRP-AB-COMMUTE", "A and B commute", None),
+    ("GRP-F-MATRIX", "the word g1 g2 g1^-2 equals the explicit matrix F", lambda ctx: {"entry_00": _approx(ctx["F"].rows[0][0])}),
+    ("GRP-A-DEF", "(G2 F)^2 equals A = g1 g2^2 g1^-1", _rows_only),
+    ("GRP-AB-ORDERS", "A has order 9 and B has order 3", lambda ctx: {"order_A": 9, "order_B": 3}),
+    ("GRP-AB-COMMUTE", "A and B commute", _rows_only),
     ("GRP-CYCLIC-INTERSECT", "<A> and <B> intersect trivially", check_cyclic_intersect),
     ("GRP-N-NORMAL", "the subgroup <A, B> is normal in the whole group", check_n_normal),
     ("GRP-N-INVARIANTS", "<A, B> is abelian of order 27 with invariants (9, 3)", check_n_invariants),
-    ("GRP-G1AG1-G2SQ", "G1 A G1^-1 equals G2^2", None),
-    ("GRP-G2SQ-A7B2", "G2^2 equals A^7 B^2", None),
-    ("GRP-G2AG2-AB", "G2 A G2^-1 equals G1^2 equals A B", None),
-    ("GRP-T1T2T3", "T1, T2, G2 G1^2 have order 2 and T3 = diag(-1,-1,1)", check_t1t2t3),
+    ("GRP-G1AG1-G2SQ", "G1 A G1^-1 equals G2^2", _rows_only),
+    ("GRP-G2SQ-A7B2", "G2^2 equals A^7 B^2", _rows_only),
+    ("GRP-G2AG2-AB", "G2 A G2^-1 equals G1^2 equals A B", _rows_only),
+    ("GRP-T1T2T3", "T1, T2, G2 G1^2 have order 2 and T3 = diag(-1,-1,1)", lambda ctx: {"orders": [2, 2, 2]}),
     ("GRP-H-S3", "<T1, T3> is a non-abelian order-6 group with order-3 elements T1 T3, T3 T1", check_h_s3),
-    ("GRP-H-MATRICES", "the six elements of H match their explicit matrices", check_h_matrices),
+    ("GRP-H-MATRICES", "the six elements of H match their explicit matrices", check_h_members),
     ("GRP-HN-TRIVIAL", "H and N intersect trivially", check_hn_trivial),
-    ("GRP-ORDER3-NOT-IN-LIST", "T1 T3 and T3 T1 differ from all eight listed elements of N", None),
-    ("GRP-G2SQG1-FACTOR", "G2^2 G1 is an involution factoring as A^3 B * T3", None),
-    ("GRP-G1SQG2-FACTOR", "G1^2 G2 factors as B^2 * T3 T1 T3", None),
-    ("GRP-PSI-G1", "G1 decomposes as (A^5 B^2, T3)", check_psi_g1),
-    ("GRP-PSI-G2", "G2 decomposes as (A^-1 B, T3 T1 T3)", check_psi_g2),
+    ("GRP-ORDER3-NOT-IN-LIST", "T1 T3 and T3 T1 differ from all eight listed elements of N", _rows_only),
+    ("GRP-G2SQG1-FACTOR", "G2^2 G1 is an involution factoring as A^3 B * T3", _rows_only),
+    ("GRP-G1SQG2-FACTOR", "G1^2 G2 factors as B^2 * T3 T1 T3", _rows_only),
+    ("GRP-PSI-G1", "G1 decomposes as (A^5 B^2, T3)", _factorization("G1", "A^5 B^2", "T3")),
+    ("GRP-PSI-G2", "G2 decomposes as (A^-1 B, T3 T1 T3)", _factorization("G2", "A^-1 B", "T3 T1 T3")),
     ("GRP-SEMIDIRECT", "all four semidirect-product certificates hold and the 162 factorizations are distinct", check_semidirect),
-    ("GRP-PRESENTATION", "all ten relations of the closing presentation hold exactly", None),
+    ("GRP-PRESENTATION", "all ten relations of the closing presentation hold exactly", lambda ctx: {"relations_checked": len(IDENTITIES["GRP-PRESENTATION"])}),
     ("GRP-D-FAMILY-ORDER", "the three family generators of D(9,1,1;2,1,1) span a group of order 162", check_family_order),
     ("GRP-ISO-D91211", "an isomorphism onto D(9,1,1;2,1,1) exists and verifies on the full Cayley table", check_isomorphism),
 )
@@ -526,7 +514,7 @@ def run_theorem1_verification(
     report = VerificationReport([], ctx.info)
     for check_id, description, fn in CHECKS:
         try:
-            witness = fn(ctx) if fn else _check_identities(ctx, check_id)
+            witness = _run_check(ctx, check_id, fn)
             report.checks.append(Check(check_id, description, True, witness))
         except Exception as exc:  # noqa: BLE001 - failures are report entries
             error = {"error": f"{type(exc).__name__}: {exc}"}

@@ -1,8 +1,9 @@
-"""The verify checklist's data: every identity row can fail, the report's
+"""The verify checklist's data: every check id can fail, the report's
 bytes are pinned, and the order 162 is confirmed by two oracles that share
 no code with `close`, `Cyclo` arithmetic or `key_bytes`."""
 
 import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -11,14 +12,17 @@ from sympy.combinatorics.free_groups import free_group
 
 from su3braid import cli, verify
 from su3braid import matgroup as mg
-from su3braid.cyclo import Cyclo
+from su3braid.braidrep import paper_generators
+from su3braid.cyclo import Cyclo, root_of_unity
 from su3braid.matrix import UnitaryMatrix
 from su3braid.su3families import CParams, DParams, c_generators, d_generators
 
 # sha256 of `su3braid verify` stdout: check lines and the info line only, no
-# floats, so it holds on every platform (the --json witnesses carry libm
-# floats and are not pinned)
+# floats, so it holds on every platform
 VERIFY_STDOUT_SHA256 = "b7033d472fd5d37b0dc209c70ada31e1c5804b727c0d5ccf5d387c7a8f782bf7"
+# sha256 of the report with its witness floats rounded (the --json witnesses
+# carry libm floats, whose last digits may differ between platforms)
+REPORT_WITNESS_SHA256 = "e8191a825695f7deac585df86ed3c5e39486a3cf9021b8b0875ca94cdd2e0b5c"
 
 
 @pytest.fixture(scope="module")
@@ -37,29 +41,37 @@ def _perturbed(rows, i):
 
 
 def test_every_identity_row_can_fail(closed_context, monkeypatch):
+    fns = {check_id: fn for check_id, _, fn in verify.CHECKS}
     for check_id, rows in verify.IDENTITIES.items():
-        verify._check_identities(closed_context, check_id)
+        verify._run_check(closed_context, check_id, fns[check_id])
         for i, row in enumerate(rows):
             monkeypatch.setitem(verify.IDENTITIES, check_id, _perturbed(rows, i))
             with pytest.raises(AssertionError) as failure:
-                verify._check_identities(closed_context, check_id)
+                verify._run_check(closed_context, check_id, fns[check_id])
             assert str(failure.value) == row[3], (check_id, i)
         monkeypatch.setitem(verify.IDENTITIES, check_id, rows)
-        verify._check_identities(closed_context, check_id)
+        verify._run_check(closed_context, check_id, fns[check_id])
 
 
-# checks that no other test fails: each row patches one name in `verify` and
-# expects that check's first failure message.  The first six are checks that
-# no corruption of the generators fails; the rest are the checks that read N
-# and H, failed through the named elements and subgroups alone
+# the checks, and the part of GRP-H-MATRICES, that no identity row fails:
+# each row patches one name in `verify` for a whole run and expects that
+# check's first failure message.  The generators reach a run through
+# `paper_generators`; the checks that read N and H are failed through the
+# named elements and subgroups alone
 B_SQUARED = "G1 G2^-2 G1 G1 G2^-2 G1"  # B^2: N is unchanged, the word for B is not
+CYCLIC_162 = [UnitaryMatrix.diagonal([root_of_unity(162), root_of_unity(162, 161), 1])]
 FALSIFIERS = [
     ("TL-DELTAS", "delta_n", lambda t, n: Cyclo.one(), "delta_1 mismatch"),
     ("TL-RVALUES", "r_value", lambda t, a, b, c: Cyclo.one(),
      "conjugated R-value at label 0 mismatch"),
     ("TL-TET-TABLE", "tet", lambda t, *labels: Cyclo.zero(), "tet (i,j)=(0,0) mismatch"),
     ("TL-THETA-ID", "theta", lambda t, a, b, c: Cyclo.one(), "theta identity at 0"),
+    ("REP-CHARPOLY", "paper_generators", lambda: paper_generators()[::-1],
+     "diagonal of G1 is not the expected spectrum"),
+    ("GRP-ORDER-162", "paper_generators", lambda: paper_generators()[:1] * 2, "group order is 18"),
     ("GRP-D-FAMILY-ORDER", "d_generators", lambda p: c_generators(p.c), "family group order 81"),
+    # a cyclic group of order 162: the family order holds, the isomorphism cannot
+    ("GRP-ISO-D91211", "d_generators", lambda p: CYCLIC_162, "no isomorphism found"),
     ("GRP-N-NORMAL", "SUBGROUPS", {**verify.SUBGROUPS, "N": ("A",)}, "N is not normal"),
     ("GRP-CYCLIC-INTERSECT", "ELEMENTS", {**verify.ELEMENTS, "B": "A^3"},
      "<A> meet <B> has order 3"),
@@ -80,29 +92,41 @@ FALSIFIERS = [
 @pytest.mark.parametrize("check_id, name, patch, message", FALSIFIERS,
                          ids=[row[0] for row in FALSIFIERS])
 def test_check_fails_under_its_falsifier(
-    paper_matrices, paper_group, monkeypatch, check_id, name, patch, message
+    verification_report, monkeypatch, check_id, name, patch, message
 ):
-    check = {cid: fn for cid, _, fn in verify.CHECKS}[check_id]
-
-    def context():  # fresh, so that N, H and A..T3 are rebuilt; the closed group is shared
-        ctx = verify._Context(paper_matrices, cap=2000)
-        ctx.group = paper_group
-        return ctx
-
-    check(context())
+    assert verification_report.by_id(check_id).passed
     monkeypatch.setattr(verify, name, patch)
-    with pytest.raises(AssertionError) as failure:
-        check(context())
-    assert str(failure.value) == message
+    check = verify.run_theorem1_verification().by_id(check_id)
+    assert not check.passed
+    assert check.witness == {"error": f"AssertionError: {message}"}
 
 
-def test_verify_stdout_digest_and_identity_witnesses(verification_report, capsys):
+def test_every_check_id_can_fail():
+    falsified = set(verify.IDENTITIES) | {row[0] for row in FALSIFIERS}
+    assert falsified == set(verify.CHECK_IDS)
+
+
+def test_verify_stdout_digest(capsys):
     assert cli.main(["verify"]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_STDOUT_SHA256
-    for check_id in verify.IDENTITIES:
-        want = {"relations_checked": 10} if check_id == "GRP-PRESENTATION" else None
-        assert verification_report.by_id(check_id).witness == want, check_id
+
+
+def test_report_witness_digest(verification_report):
+    """Every witness, pinned: floats rounded to 9 places (and -0.0 made 0.0)
+    so that the digest does not depend on the platform's libm."""
+
+    def rounded(value):
+        if isinstance(value, float):
+            return round(value, 9) + 0.0
+        if isinstance(value, dict):
+            return {k: rounded(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [rounded(v) for v in value]
+        return value
+
+    text = json.dumps(rounded(verification_report.to_dict()), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_WITNESS_SHA256
 
 
 def test_exact_products_per_check(monkeypatch):
@@ -111,7 +135,7 @@ def test_exact_products_per_check(monkeypatch):
     subgroups N, H, <A> and <B> are member sets read off the braid image's
     table, so only the two groups' tables are built and guarded."""
     counts, current = Counter(), ["before the checks"]
-    product, check_table = UnitaryMatrix.__mul__, mg._check_table
+    product, check_table, run_check = UnitaryMatrix.__mul__, mg._check_table, verify._run_check
     guarded = []
 
     def counting(a, b):
@@ -126,18 +150,16 @@ def test_exact_products_per_check(monkeypatch):
         finally:
             current.pop()
 
+    def tagged(ctx, check_id, fn):
+        current.append(check_id)
+        return run_check(ctx, check_id, fn)
+
     monkeypatch.setattr(UnitaryMatrix, "__mul__", counting)
     monkeypatch.setattr(mg, "_check_table", guard)
-
-    def tagged(check_id, fn):
-        def run(ctx):
-            current.append(check_id)
-            return fn(ctx) if fn else verify._check_identities(ctx, check_id)
-        return run
-
-    checks = tuple((i, text, tagged(i, fn)) for i, text, fn in verify.CHECKS)
-    monkeypatch.setattr(verify, "CHECKS", checks)
+    monkeypatch.setattr(verify, "_run_check", tagged)
     assert verify.run_theorem1_verification().overall
+    assert counts["REP-ORDER18"] <= 24
+    assert counts["GRP-T1T2T3"] <= 10
     assert counts["GRP-ORDER3-NOT-IN-LIST"] <= 30
     assert counts["GRP-G2SQG1-FACTOR"] <= 23
     for check_id in ("GRP-CYCLIC-INTERSECT", "GRP-N-INVARIANTS", "GRP-HN-TRIVIAL"):
@@ -145,7 +167,7 @@ def test_exact_products_per_check(monkeypatch):
     # the braid image and the family group, 256 sampled products each
     assert guarded == [162, 162]
     assert counts["table guards"] == 2 * 256
-    assert sum(counts.values()) <= 1512
+    assert sum(counts.values()) <= 1476
 
 
 # -- order oracle 1: the generators reduced mod 73 ------------------------------
