@@ -106,10 +106,11 @@ MAX_WORKING_ORDER = 4096
 # the largest `group --cap`, and its default; it also bounds the Cayley
 # table behind the export, order^2 Python ints, while the export text is
 # streamed.  Measured on a 2-vCPU Xeon VM, Python 3.11.7, cold processes
-# (6 runs each), peak RSS from `wait4`: both exports of an order-2592
-# group (`familyD 36 1 1 2 1 1`) take 2.3-2.9 s and 75 MB, and of order
-# 4050 (`familyD 45 1 1 2 1 1`, the largest D(n,1,1;2,1,1) under the cap)
-# 5.2-6.5 s and 148 MB.  Closure time grows with the elements closed and
+# (3 runs each), peak RSS from `wait4`, which covers the child that runs
+# the table guard's Light's test: both exports of an order-2592 group
+# (`familyD 36 1 1 2 1 1`) take 1.6-1.9 s and 69 MB, and of order 4050
+# (`familyD 45 1 1 2 1 1`, the largest D(n,1,1;2,1,1) under the cap)
+# 3.7-4.3 s and 146 MB.  Closure time grows with the elements closed and
 # with the working order.  Worst case at the bound: `group --from familyD
 # 1021 1 1 4084 1 1`, working order 4084, reaches the cap in 1.3-1.5 s and
 # 80 MB (3 runs; 3.4-3.5 s and 119 MB when the closure also multiplied by the

@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import threading
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import BinaryIO, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cyclo import NonDivisibleOrderError
 from .matrix import UnitaryMatrix
@@ -162,9 +164,11 @@ class FiniteMatrixGroup:
             actions = self._actions
             mult, parent = self._bfs_mult, self._bfs_parent
             table = [list(range(self.order))]
+            # row i gathers the action's entries at row parent[i]'s values in
+            # one C-level call; from order 2 on a row holds two or more indices,
+            # so itemgetter gives a tuple
             for i in range(1, self.order):
-                perm = actions[mult[i]]
-                table.append([perm[x] for x in table[parent[i]]])
+                table.append(list(itemgetter(*table[parent[i]])(actions[mult[i]])))
             _check_table(self, table)
             self._cayley = table
         return self._cayley
@@ -179,6 +183,17 @@ class FiniteMatrixGroup:
 # they tie the recorded actions, which the integer checks take as given, to
 # the matrices
 _TABLE_SAMPLE = 256
+
+# the least order whose guard runs Light's test in a forked child, while
+# this process checks the Latin square, the generator rows and the sampled
+# products; below it the fork and the copy-on-write faults that follow it
+# cost about what the second core saves.  One guard per cold process on a
+# 2-vCPU Xeon VM, Python 3.11.7, median of 6 to 8 processes, forked against
+# in process: 12.2 against 11.5 ms at order 162 (the verify tables, which
+# stay in process), 11.8 against 13.1 at 192, 13.8 against 14.2 at 225,
+# 13.6 against 16.6 at 243, 17.2 against 25.4 at 288 and 70 against 114 ms
+# at 648.
+_FORK_ORDER = 256
 
 
 def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
@@ -196,15 +211,19 @@ def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
     the true product xa, and Light's test makes row(xa) = row(x) composed
     with the true action of a, so right multiplication by the generators
     from row 0 reaches every element with its true row.  The sampled
-    products check the actions themselves."""
+    products check the actions themselves.
+
+    Every check runs on every table, and the failure raised is the first
+    in the order identity, Latin square, generator rows, Light's test,
+    samples.  Each pass is already a C-level loop, so at scale the guard is
+    shortened by running it on two cores: from order `_FORK_ORDER` on, in a
+    process that can fork and runs one thread, Light's test runs in a
+    forked child while the other checks run here.  The child is reaped
+    before this returns or raises, and a child that ends without its
+    verdict fails the table."""
     n = group.order
-    full = set(range(n))
     if table[0] != list(range(n)) or [row[0] for row in table] != list(range(n)):
         raise CayleyTableError("derived table row 0 or column 0 is not the identity")
-    if any(len(row) != n or set(row) != full for row in table) or any(
-        set(column) != full for column in zip(*table)
-    ):
-        raise CayleyTableError("derived table is not a Latin square")
     rows: dict[int, int] = {}  # signed generator -> its element index
     for s, g in enumerate(group.generators, 1):
         rows[s] = g
@@ -212,27 +231,119 @@ def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
         if inverse is None:
             raise CayleyTableError("a generator inverse is missing from the group")
         rows[-s] = inverse
+    child = _fork(_light_failure, table, rows) if n >= _FORK_ORDER else None
+    try:
+        _raise_first(_latin_failure(table), _action_failure(group, table, rows))
+        sampled = _sample_failure(group, table)
+        _raise_first(child.verdict() if child else _light_failure(table, rows), sampled)
+    finally:
+        if child:
+            child.reap()
+
+
+def _raise_first(*failures: Optional[str]) -> None:
+    for failure in failures:
+        if failure:
+            raise CayleyTableError(failure)
+
+
+def _latin_failure(table: list[list[int]]) -> Optional[str]:
+    # one C-level pass each over the row lengths, the row sets and the
+    # column sets; once every row is a permutation of range(n), a column's
+    # n entries lie in range(n), and n distinct ones are a permutation
+    n = len(table)
+    full = set(range(n))
+    if (
+        any(map(n.__ne__, map(len, table)))
+        or any(map(full.__ne__, map(set, table)))
+        or any(map(n.__ne__, map(len, map(set, zip(*table)))))
+    ):
+        return "derived table is not a Latin square"
+    return None
+
+
+def _action_failure(
+    group: FiniteMatrixGroup, table: list[list[int]], rows: dict[int, int]
+) -> Optional[str]:
     for s, a in rows.items():
         if tuple(table[a]) != group.action(s):
-            raise CayleyTableError(
-                f"derived table row {a} differs from the action of generator {s}"
-            )
-    # Light's test, row x*a against row x composed with row a; the order-1
-    # table [[0]] passed the identity check, and itemgetter needs two indices
-    for a in dict.fromkeys(rows.values()) if n > 1 else ():
+            return f"derived table row {a} differs from the action of generator {s}"
+    return None
+
+
+def _light_failure(table: list[list[int]], rows: dict[int, int]) -> Optional[str]:
+    """Light's test, row x*a against row x composed with row a, for each
+    distinct signed generator a.  The order-1 table [[0]] passed the
+    identity check, and itemgetter needs two indices."""
+    for a in dict.fromkeys(rows.values()) if len(table) > 1 else ():
         compose = itemgetter(*table[a])
         for x, row_x in enumerate(table):
             if table[row_x[a]] != list(compose(row_x)):
-                raise CayleyTableError(f"derived table fails Light's test at ({x}, {a})")
+                return f"derived table fails Light's test at ({x}, {a})"
+    return None
+
+
+def _sample_failure(group: FiniteMatrixGroup, table: list[list[int]]) -> Optional[str]:
+    n = len(table)
     rng = random.Random(0)
     matrices = group.matrices
     for _ in range(min(_TABLE_SAMPLE, n * n)):
         i, j = rng.randrange(n), rng.randrange(n)
         product = matrices[i] * matrices[j]
         if group.elements.get(product.key_bytes()) != table[i][j]:
-            raise CayleyTableError(
-                f"derived table entry ({i}, {j}) disagrees with the exact product"
-            )
+            return f"derived table entry ({i}, {j}) disagrees with the exact product"
+    return None
+
+
+class _Child:
+    """A check's verdict from a forked child process.  The child writes its
+    failure text, or nothing, and a newline into a pipe and ends with
+    `os._exit`, so it flushes no stdio buffer it inherited and runs no
+    `atexit` hook."""
+
+    def __init__(self, pid: int, report: BinaryIO):
+        self.pid, self.report = pid, report
+        self.status: Optional[int] = None
+
+    def verdict(self) -> Optional[str]:
+        """The child's failure text, or None if it found none, once it ends."""
+        text = self.report.read()
+        self.reap()
+        if self.status != 0 or not text.endswith(b"\n"):
+            return f"the forked table check ended without a verdict (exit status {self.status})"
+        return text[:-1].decode("ascii") or None
+
+    def reap(self) -> None:
+        """Close the pipe and wait for the child to end, once."""
+        if self.status is None:
+            self.report.close()
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def _fork(check: Callable[..., Optional[str]], *args) -> Optional[_Child]:
+    """`check(*args)` started in a forked child, or None where this process
+    cannot fork, or runs a second thread, whose locks the child could
+    inherit held; the caller then runs the check itself."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return None
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        # every exception ends here too: the child never returns to the caller
+        status = 1
+        try:
+            os.close(read)
+            os.write(write, ((check(*args) or "") + "\n").encode("ascii"))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return _Child(pid, os.fdopen(read, "rb"))
 
 
 # ---------------------------------------------------------------------------
@@ -813,24 +924,31 @@ def _record_texts(group: FiniteMatrixGroup, words: list[str]) -> Iterator[str]:
     # keyed by canonical bytes, not by value: `to_dict` prints the order, so
     # equal values held at different orders render differently
     fragments: dict[bytes, tuple[str, str]] = {}
+    # each distinct matrix row rendered once, exact and approx, keyed the
+    # same way by its entries' bytes
+    row_texts: dict[tuple[bytes, ...], tuple[str, str]] = {}
     # an entry sits at indent 10: inside the list, record, matrix, rows and row
     pad = "\n" + " " * 10
     for i, (key, word, m) in enumerate(zip(group.keys, words, group.matrices)):
         exact_rows, approx_rows = [], []
         for row in m.rows:
-            exact, approx = [], []
-            for v in row:
-                fragment = fragments.get(v.key_bytes())
-                if fragment is None:
-                    d = v.to_dict()
-                    fragment = fragments[v.key_bytes()] = (
-                        json.dumps(d, indent=2).replace("\n", pad),
-                        json.dumps(d["approx"], indent=2).replace("\n", pad),
-                    )
-                exact.append(fragment[0])
-                approx.append(fragment[1])
-            exact_rows.append(_json_list(exact, 8))
-            approx_rows.append(_json_list(approx, 8))
+            row_key = tuple([v.key_bytes() for v in row])
+            text = row_texts.get(row_key)
+            if text is None:
+                exact, approx = [], []
+                for v in row:
+                    fragment = fragments.get(v.key_bytes())
+                    if fragment is None:
+                        d = v.to_dict()
+                        fragment = fragments[v.key_bytes()] = (
+                            json.dumps(d, indent=2).replace("\n", pad),
+                            json.dumps(d["approx"], indent=2).replace("\n", pad),
+                        )
+                    exact.append(fragment[0])
+                    approx.append(fragment[1])
+                text = row_texts[row_key] = (_json_list(exact, 8), _json_list(approx, 8))
+            exact_rows.append(text[0])
+            approx_rows.append(text[1])
         matrix = (
             f'{{\n      "dim": {m.dim},\n      "rows": {_json_list(exact_rows, 6)},'
             f'\n      "float_rows": {_json_list(approx_rows, 6)}\n    }}'
@@ -852,6 +970,8 @@ def cayley_csv_lines(group: FiniteMatrixGroup) -> Iterator[str]:
     each line is then rendered as it is consumed, and the text is never
     held whole."""
     table = group.cayley_table()
+    if group.order == 1:  # with one index, itemgetter gives a label, not a tuple
+        return iter(["0\n"])
     # one label per element, not one str(int) per table entry
     labels = [str(i) for i in range(group.order)]
-    return (",".join(map(labels.__getitem__, row)) + "\n" for row in table)
+    return (",".join(itemgetter(*row)(labels)) + "\n" for row in table)

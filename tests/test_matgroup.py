@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import os
 import random
+import threading
 
 import pytest
 
@@ -292,6 +294,7 @@ def test_cayley_table_shape(paper_group):
     # every row and column is a permutation
     full = set(range(162))
     assert all(set(row) == full for row in table)
+    assert all(set(column) == full for column in zip(*table))
 
 
 def _direct_product_index(group, i, j):
@@ -403,9 +406,10 @@ def _failed_conditions(group, table):
         "latin": all(set(row) == full for row in table)
         and all(set(col) == full for col in zip(*table)),
         "action": all(tuple(table[a]) == group.action(s) for s, a in gens.items()),
+        # (x*a)*y == x*(a*y) for every y, as whole rows
         "light": all(
-            table[table[x][a]][y] == table[x][table[a][y]]
-            for a in set(gens.values()) for x in range(n) for y in range(n)
+            table[table[x][a]] == [table[x][ay] for ay in table[a]]
+            for a in set(gens.values()) for x in range(n)
         ),
     }
     return {name for name, ok in checks.items() if not ok}
@@ -469,6 +473,7 @@ def _bad_action(group, table):
 # With the true actions, row 0, the generator rows and Light's test force the
 # true table (see `_check_table`), so no table fails the identity or the
 # Latin condition alone; those two tables fail later conditions as well.
+@pytest.mark.parametrize("name", ["paper_group", "family_648"])
 @pytest.mark.parametrize("condition, build, alone, message", [
     ("identity", _bad_identity, False, "row 0 or column 0"),
     ("latin", _bad_latin, False, "Latin square"),
@@ -476,17 +481,51 @@ def _bad_action(group, table):
     ("light", _swap_an_intercalate, True, "Light's test"),
 ])
 def test_check_table_rejects_each_integer_condition(
-    paper_group, condition, build, alone, message
+    request, name, condition, build, alone, message
 ):
-    table = paper_group.cayley_table()
-    assert _failed_conditions(paper_group, table) == set()
-    bad = build(paper_group, table)
-    failed = _failed_conditions(paper_group, bad)
+    # order 162 is guarded in process; from order 256 Light's test runs in a
+    # forked child, and the first failure must be the same
+    group = request.getfixturevalue(name)
+    table = group.cayley_table()
+    assert _failed_conditions(group, table) == set()
+    bad = build(group, table)
+    failed = _failed_conditions(group, bad)
     assert condition in failed
     if alone:
         assert failed == {condition}
     with pytest.raises(mg.CayleyTableError, match=message):
-        mg._check_table(paper_group, bad)
+        mg._check_table(group, bad)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_guard_leaves_no_process(family_648):
+    assert family_648.order >= mg._FORK_ORDER
+    table = family_648.cayley_table()
+    mg._check_table(family_648, table)
+    _no_child_left()
+    # a failure found here, while the child may still run, and one found there
+    for build in (_bad_latin, _swap_an_intercalate):
+        with pytest.raises(mg.CayleyTableError):
+            mg._check_table(family_648, build(family_648, table))
+        _no_child_left()
+
+
+def test_forked_guard_fails_when_its_child_dies(family_648, monkeypatch):
+    caller = os.getpid()
+
+    def dies(table, rows):
+        if os.getpid() != caller:
+            os._exit(3)
+        raise AssertionError("Light's test ran in the calling process")
+
+    monkeypatch.setattr(mg, "_light_failure", dies)
+    with pytest.raises(mg.CayleyTableError, match=r"without a verdict \(exit status 3\)"):
+        mg._check_table(family_648, family_648.cayley_table())
+    _no_child_left()
 
 
 def test_guard_makes_only_the_sampled_products(paper_matrices, monkeypatch):
@@ -510,6 +549,47 @@ def test_guard_makes_only_the_sampled_products(paper_matrices, monkeypatch):
     assert (h.order, n.order, trivial.order) == (2, 27, 1)
     assert trivial.members == (0,)
     assert len(counted) == 256
+
+
+def test_guard_runs_in_process_when_it_cannot_fork(family_648, monkeypatch):
+    def no_process():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    mg._check_table(family_648, family_648.cayley_table())
+    # beside a second thread, whose locks a child could inherit held, the
+    # guard does not fork at all
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        mg._check_table(family_648, family_648.cayley_table())
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_forked_guard_makes_only_the_sampled_products(family_648, monkeypatch):
+    counted = []
+    product = UnitaryMatrix.__mul__
+
+    def counting(self, other):
+        counted.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(UnitaryMatrix, "__mul__", counting)
+    assert _rebuilt(family_648).cayley_table() == family_648.cayley_table()
+    assert len(counted) == 256
+
+
+def test_csv_of_the_smallest_groups():
+    # one index: itemgetter gives the label itself rather than a tuple
+    trivial = mg.close([UnitaryMatrix.identity(3)])
+    assert "".join(mg.cayley_csv_lines(trivial)) == "0\n"
+    z2 = mg.close([UnitaryMatrix.diagonal([-1, -1, 1])])
+    assert "".join(mg.cayley_csv_lines(z2)) == "0,1\n1,0\n"
 
 
 def test_sympy_oracle_on_recorded_actions(paper_group, subgroup_n, named_elements):
