@@ -2,8 +2,7 @@
 
 A value is stored as an integer coefficient vector of length phi(N) (the
 canonical remainder modulo the N-th cyclotomic polynomial Phi_N) together
-with a positive common denominator.  That representation is unique, so
-equality and hashing are plain structural comparisons.  One global
+with a positive common denominator, unique at its order.  One global
 canonicalization applies: a value that happens to be rational is always
 stored at order 1, whatever order it was computed in.  The canonical byte
 form ``order:n0,n1,.../den`` (:meth:`Cyclo.key_bytes`), from which matrix
@@ -19,7 +18,7 @@ reused, so clearing the tables could not alias an old memo entry.
 Nothing clears them yet: the intern table, like the memos, grows for the
 life of the process, and it keeps every value ever built, conjugates,
 Galois images and embeddings included (bounding both is ROADMAP item 6).
-Equality and hashing still go by value (identity is only a fast path).
+Equality and hashing go by value (identity is only a fast path).
 
 The per-order data is Phi_N's degree and its nonzero lower terms, O(phi(N))
 integers.  Phi_N itself is built from the radical of N, one small exact
@@ -30,10 +29,14 @@ its exponent mod N, then reduce mod Phi_N.  A product convolves the
 nonzero coefficients of both factors only, then reduces once.
 
 Arithmetic between values of different orders promotes both to the lcm
-order first.  A rational hashes as the equal ``int`` or ``Fraction``.
-Irrational values hash by representation, so cross-order values meant to
-share a dict still need a shared working order (see :func:`embed`); the
-group-theory layer enforces that by embedding every matrix entry up front.
+order first.  Each value has one form whatever order holds it: its form at
+its conductor, the least M whose field Q(zeta_M) holds it, reached by one
+slice or scatter per prime descended (see :func:`_descend`) and kept in a
+slot filled on first use.  Equality across orders, the hash of an
+irrational value and :meth:`Cyclo.embed` all go through that form, so equal
+values held at different orders share a dict key.  A rational hashes as the
+equal ``int`` or ``Fraction``.  Key bytes stay per order, so the
+group-theory layer embeds every matrix entry into one working order.
 
 Inverses use only the field's own operations: x^-1 is the product of
 the Galois conjugates sigma(x), sigma != 1, times 1/N(x), where the norm
@@ -43,16 +46,16 @@ multiplication by that inverse.
 Nothing here ever touches floating point except :meth:`Cyclo.to_complex`,
 which exists for display and cross-checking only.
 
-Values are immutable and all operations are pure, so sharing across
-threads is safe; the lazy byte-form slot is idempotent (every filling
-writes the same bytes), and the per-order data, the intern table and the
-operation memos are insert-only dicts whose entries are idempotent, safe
-for concurrent reads once built.  Two threads interning one value at once
-may each build an object; ``dict.setdefault`` keeps the first stored, and
-both return it, so a race costs one discarded object and never a memo
-hit.  Were a second object of one value ever to escape (say, from a
-cleared table), it would still be equal by value and would only miss the
-memo entries keyed by the first.
+Values are immutable and all operations are pure, so sharing across threads
+is safe; the lazy byte-form and conductor-form slots are idempotent (every
+filling writes an equal value), and the per-order data, the intern table
+and the operation memos are insert-only dicts whose entries are idempotent,
+safe for concurrent reads once built.  Two threads interning one value at
+once may each build an object; ``dict.setdefault`` keeps the first stored,
+and both return it, so a race costs one discarded object and never a memo
+hit.  Were a second object of one value ever to escape (say, from a cleared
+table), it would still be equal by value and would only miss the memo
+entries keyed by the first.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ CycloLike = Union["Cyclo", int, Fraction]
 
 
 class NonDivisibleOrderError(ValueError):
-    """Embedding requested between incompatible cyclotomic orders."""
+    """Embedding requested into a cyclotomic field that does not hold the value."""
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +176,12 @@ def _context(order: int) -> _Context:
 class Cyclo:
     """An element of Q(zeta_N), immutable and exactly canonical."""
 
-    __slots__ = ("order", "nums", "den", "_hash", "_bytes", "_id")
+    __slots__ = ("order", "nums", "den", "_conductor", "_bytes", "_id")
 
     order: int
     nums: tuple[int, ...]
     den: int
+    _conductor: Cyclo | None
     _bytes: bytes | None
 
     def __init__(self, order: int, nums: tuple[int, ...], den: int, _raw: bool = False):
@@ -186,12 +190,9 @@ class Cyclo:
         self.order = order
         self.nums = nums
         self.den = den
+        self._conductor = None
         self._bytes = None
         self._id = next(_SERIALS)
-        if order > 1:
-            self._hash = hash((order, nums, den))
-        else:  # a rational hashes as the equal int or Fraction
-            self._hash = hash(Fraction(nums[0], den) if den > 1 else nums[0])
 
     # -- construction -------------------------------------------------------
 
@@ -399,28 +400,35 @@ class Cyclo:
     # -- embeddings ----------------------------------------------------------
 
     def embed(self, target_order: int) -> "Cyclo":
-        """The same field element expressed in Q(zeta_M).
-
-        Going up (order divides M) is a re-indexing of the power basis.
-        Going down (M divides order) solves a small exact linear system and
-        fails when the value does not lie in the subfield.
-        """
+        """The same field element expressed in Q(zeta_M), for any M whose
+        field holds it (a multiple, a divisor or neither of the order): the
+        conductor form re-indexed into M's power basis.  Raises
+        NonDivisibleOrderError when Q(zeta_M) does not hold the value."""
         if target_order < 1:
             raise ValueError("order must be positive")
         if self.order == target_order or self.order == 1:
             return self
-        if target_order % self.order == 0:
-            return Cyclo._make(target_order, self._lift_vec(target_order), self.den)
-        if self.order % target_order == 0:
-            down = _subfield_rep(self, target_order)
-            if down is None:
-                raise NonDivisibleOrderError(
-                    f"value does not lie in Q(zeta_{target_order})"
-                )
-            return down
-        raise NonDivisibleOrderError(
-            f"no embedding between orders {self.order} and {target_order}"
-        )
+        low = self._conductor_form()
+        if target_order % low.order:
+            raise NonDivisibleOrderError(f"value does not lie in Q(zeta_{target_order})")
+        return Cyclo._make(target_order, low._lift_vec(target_order), low.den)
+
+    def _conductor_form(self) -> "Cyclo":
+        """This value at its conductor, the least order whose field holds
+        it, kept on first use.  Whether Q(zeta_M) holds a value depends on
+        each prime's exponent in M alone, so one descending pass over the
+        primes reaches the conductor."""
+        form = self._conductor
+        if form is None:
+            form = self
+            for p in _prime_factors(self.order):
+                while form.order % p == 0:
+                    down = _descend(form, p)
+                    if down is None:
+                        break
+                    form = down
+            self._conductor = form
+        return form
 
     # -- comparisons / display ----------------------------------------------
 
@@ -436,15 +444,14 @@ class Cyclo:
         if self.order == 1 or other.order == 1:
             # rationals are canonically order 1; any order > 1 value is irrational
             return False
-        t = math.lcm(self.order, other.order)
-        av = self._lift_vec(t)
-        bv = other._lift_vec(t)
-        if self.den == other.den:
-            return av == bv
-        return [x * other.den for x in av] == [y * self.den for y in bv]
+        # fields, not identity: a second object of one value still compares equal
+        a, b = self._conductor_form(), other._conductor_form()
+        return a.order == b.order and a.nums == b.nums and a.den == b.den
 
     def __hash__(self) -> int:
-        return self._hash
+        if self.order == 1:  # a rational hashes as the equal int or Fraction
+            return hash(Fraction(self.nums[0], self.den) if self.den > 1 else self.nums[0])
+        return hash(self._conductor_form().key_bytes())
 
     def key_bytes(self) -> bytes:
         """Canonical byte form ``order:n0,n1,.../den``, unique per value at a
@@ -508,6 +515,34 @@ def _reindex(ctx: _Context, nums: Iterable[int], step: int) -> list[int]:
         if c:
             out[e * step % order] += c
     return ctx.reduce(out)
+
+
+def _descend(x: Cyclo, p: int) -> Cyclo | None:
+    """x's form in Q(zeta_M), M = N/p, for a prime p dividing N = x.order;
+    None when Q(zeta_M) does not hold x.
+
+    When p^2 divides N, Phi_N(z) = Phi_M(z^p): Q(zeta_M) holds exactly the
+    values with coefficients only on exponents divisible by p, and every
+    p-th coefficient is the M-form.  When p divides N once, zeta_N =
+    zeta_M^s * zeta_p^t with s = p^-1 mod M, and the relative trace sends
+    zeta_N^e to zeta_M^(s*e) times p - 1 if p divides e, else -1
+    (Washington, GTM 83, ch. 2).  That scatter, reduced mod Phi_M, is
+    p - 1 times the only candidate, kept if it lifts back to x."""
+    nums = x.nums
+    order = x.order // p
+    if order % p == 0:
+        if any(c for e, c in enumerate(nums) if e % p):
+            return None
+        return Cyclo._make(order, nums[::p], x.den)
+    s = pow(p, -1, order)
+    out = [0] * order
+    for e, c in enumerate(nums):
+        if c:
+            out[s * e % order] += c * (p - 1) if e % p == 0 else -c
+    trace = _context(order).reduce(out)
+    if _reindex(_context(x.order), trace, p) != [c * (p - 1) for c in nums]:
+        return None
+    return Cyclo._make(order, trace, x.den * (p - 1))
 
 
 def _orbit_product(y: Cyclo, u: int, m: int, order: int) -> Cyclo:
@@ -593,43 +628,3 @@ def sqrt3(order: int) -> Cyclo:
 _ZERO = Cyclo._make(1, [0], 1)
 _ONE = Cyclo._make(1, [1], 1)
 
-
-# ---------------------------------------------------------------------------
-# subfield descent
-
-
-def _subfield_rep(x: Cyclo, target: int) -> Cyclo | None:
-    """Solve for x in the power basis of Q(zeta_target) inside Q(zeta_N);
-    None when x is not in the subfield."""
-    ctx = _context(x.order)
-    deg_t = _context(target).deg
-    scale = x.order // target
-    cols = [_reindex(ctx, (0, 1), t * scale) for t in range(deg_t)]
-    n, m = ctx.deg, deg_t
-    rows = [
-        [Fraction(cols[j][i]) for j in range(m)] + [Fraction(x.nums[i], x.den)]
-        for i in range(n)
-    ]
-    rank = 0
-    pivots: list[int] = []
-    for col in range(m):
-        pivot = next((i for i in range(rank, n) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for i in range(n):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, n):
-        if rows[i][m]:
-            return None
-    sol = [Fraction(0)] * m
-    for r, col in enumerate(pivots):
-        sol[col] = rows[r][m]
-    den = math.lcm(*(c.denominator for c in sol)) if sol else 1
-    return Cyclo._make(target, [int(c * den) for c in sol], den)

@@ -133,9 +133,10 @@ class FiniteMatrixGroup:
         return len(self.keys)
 
     def index_of(self, m: UnitaryMatrix) -> int:
-        """Index of the element equal to `m`, which may be held at another
-        working order: keys compare only within one order, so a miss is
-        looked up again with every entry brought to the group's."""
+        """Index of the element equal to `m`, held at any working order (a
+        divisor, a multiple or neither of the group's): keys compare only
+        within one order, so a miss is looked up again with every entry
+        brought to the group's."""
         idx = self.elements.get(m.key_bytes())
         if idx is None:
             try:

@@ -186,6 +186,8 @@ def test_embed_examples():
     assert root_of_unity(9).embed(72) == root_of_unity(72, 8)
     z18 = root_of_unity(18)
     assert z18.embed(72).embed(18) == z18
+    # zeta_12^4 = zeta_3 lies in Q(zeta_9), though neither order divides the other
+    assert root_of_unity(12, 4).embed(9) == root_of_unity(9, 3)
 
 
 def test_embed_errors():
@@ -221,6 +223,10 @@ def test_rational_canonicalization():
     assert z3 + z3.conj() == -1
     assert len({z3 + z3.conj(), -1}) == 1  # equal, so equal hashes
     assert (root_of_unity(8) * root_of_unity(8, 7)).order == 1
+    # an irrational value hashes alike at every order that holds it
+    z4, z8_2 = root_of_unity(4), root_of_unity(8, 2)
+    assert len({z4, z8_2}) == 1
+    assert {z4: "i"}.get(z8_2) == "i" and {z8_2: "i"}.get(z4) == "i"
 
 
 def test_same_order_equality_compares_denominators():
@@ -459,3 +465,44 @@ def test_embed_round_trip(case):
     x, factor = case
     multiple = x.order * factor
     assert x.embed(multiple).embed(x.order) == x
+
+
+@given(
+    st.sampled_from([12, 24, 36]).flatmap(
+        lambda order: st.tuples(st.just(order), cyclo_values(order), st.sampled_from([2, 3, 5]))
+    )
+)
+def test_hash_contract_across_orders(case):
+    # a value and its embedding into a multiple order are equal, so they
+    # hash equally and make one set member
+    order, x, factor = case
+    up = x.embed(factor * order)
+    assert up == x and hash(up) == hash(x)
+    assert len({x, up}) == 1
+
+
+def test_descent_matches_the_galois_fixed_field():
+    # Galois theory, which the descent does not use: Q(zeta_M) inside
+    # Q(zeta_N) is the field fixed by every zeta |-> zeta^u with u = 1 mod M
+    rng = random.Random(20)
+    outcomes = set()
+    for order in (6, 12, 20, 24, 30, 36, 60, 72):
+        divisors = [m for m in range(1, order + 1) if order % m == 0]
+        units = [u for u in range(1, order) if math.gcd(u, order) == 1]
+        for d in divisors:
+            # a value of Q(zeta_d), written at the larger order
+            x = sum(
+                (rng.randint(-3, 3) * root_of_unity(order, order // d * e) for e in range(d)),
+                Cyclo.zero(),
+            ) / rng.randint(1, 4)
+            for m in divisors:
+                fixed = all(x.galois(u) == x for u in units if (u - 1) % m == 0)
+                try:
+                    low = x.embed(m)
+                except NonDivisibleOrderError:
+                    low = None
+                assert (low is not None) == fixed, (x, m)
+                if low is not None:
+                    assert low.embed(order) == x
+                outcomes.add(fixed)
+    assert outcomes == {True, False}

@@ -79,12 +79,19 @@ def test_subgroup_rejects_outsiders(paper_group):
             mg.subgroup(paper_group, [x])
 
 
-def test_index_of_a_matrix_held_at_another_order():
+def test_index_of_a_matrix_held_at_another_order(family_group):
     d = UnitaryMatrix.diagonal([root_of_unity(4), root_of_unity(4, 3), 1])
     group = mg.close([d])
     assert group.working_order == 4
     assert d.embed(8) == d and d.embed(8).key_bytes() != d.key_bytes()
     assert group.index_of(d.embed(8)) == group.index_of(d) == group.generators[0]
+    # F^3 of D(9,1,1;2,1,1) (working order 36) held at order 24, which
+    # neither divides nor is divided by 36
+    f = family_group.matrices[family_group.generators[1]]
+    f3 = f * f * f
+    held = f3.embed(12).embed(24)
+    assert held.key_bytes() != f3.key_bytes()
+    assert family_group.index_of(held) == family_group.index_of(f3)
     # zeta_8 does not lie in Q(zeta_4), and Q(zeta_3) and Q(zeta_4) share no embedding
     for entry in (root_of_unity(8), root_of_unity(3)):
         stranger = UnitaryMatrix.diagonal([entry, entry.conj(), 1])
