@@ -185,43 +185,58 @@ class FiniteMatrixGroup:
 # the matrices
 _TABLE_SAMPLE = 256
 
-# the least order whose guard runs Light's test in a forked child, while
-# this process checks the Latin square, the generator rows and the sampled
-# products; below it the fork and the copy-on-write faults that follow it
-# cost about what the second core saves.  One guard per cold process on a
-# 2-vCPU Xeon VM, Python 3.11.7, median of 6 to 8 processes, forked against
-# in process: 12.2 against 11.5 ms at order 162 (the verify tables, which
-# stay in process), 11.8 against 13.1 at 192, 13.8 against 14.2 at 225,
-# 13.6 against 16.6 at 243, 17.2 against 25.4 at 288 and 70 against 114 ms
-# at 648.
+# the least order whose guard runs half of its Light's test in a forked
+# child, while this process runs the other half with the rest of the
+# certificate; below it the fork and the copy-on-write faults that follow
+# it cost more than the second core saves.  One guard per cold process on
+# a 2-vCPU Xeon VM, Python 3.11.7, median of 8 processes, forked against
+# in process: 11.7 against 9.4 ms at order 162 (the verify tables, which
+# stay in process), 9.9 against 8.1 at 192, 11.8 against 10.2 at 225,
+# 10.6 against 8.1 at 243, 12.0 against 12.6 at 288, 13.8 against 18.4 at
+# 384 and 28.1 against 43.7 ms at 648.
 _FORK_ORDER = 256
 
 
 def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
-    """Soundness guard for a derived table, on integers plus a fixed-seed
+    """Soundness guard for a derived table T, on integers plus a fixed-seed
     sample of direct exact products.
 
-    The integer checks: row 0 and column 0 are the identity, every row and
-    column is a permutation, the row of each signed generator g equals its
-    recorded action, and Light's associativity test (x*a)*y == x*(a*y)
-    holds for every generator index a.  If the actions are the true left
-    multiplications, as `close` records them (a generator's from exact
-    products, an inverse generator's inverted from its generator's, and
-    the inverse's row is found here by the key of the conjugate
-    transpose), these force the whole table: when row x is true, x*a is
-    the true product xa, and Light's test makes row(xa) = row(x) composed
-    with the true action of a, so right multiplication by the generators
-    from row 0 reaches every element with its true row.  The sampled
-    products check the actions themselves.
+    The serial checks, in order: row 0 and column 0 are the identity, T is
+    a Latin square, each signed generator's row equals its recorded
+    action, Light's test (x*a)*y == x*(a*y) holds for every distinct
+    signed generator a, and the sampled entries equal exact products.
+    With true actions, as `close` records them (an inverse generator's row
+    is found here by the key of the conjugate transpose), these force the
+    table: Light's test makes row(xa) = row(x) composed with the true
+    action of a, and right steps by the generators from row 0 reach every
+    row.  The samples check the actions themselves.
 
-    Every check runs on every table, and the failure raised is the first
-    in the order identity, Latin square, generator rows, Light's test,
-    samples.  Each pass is already a C-level loop, so at scale the guard is
-    shortened by running it on two cores: from order `_FORK_ORDER` on, in a
-    process that can fork and runs one thread, Light's test runs in a
-    forked child while the other checks run here.  The child is reaped
-    before this returns or raises, and a child that ends without its
-    verdict fails the table."""
+    Light's test needs only a generating set.  Write s_x for row x as the
+    map y -> T[x][y] and S for the distinct positive generators, and
+    suppose (I) row 0 and column 0 are the identity, (P) every row in S is
+    a permutation of range(n), (R) steps x -> T[x][a], a in S, each
+    landing in range(n), reach every index from 0, and (L) s_{T[x][a]} =
+    s_x o s_a for all x and all a in S.  Let G be the group the s_a
+    generate.  s_0 is the identity and each step of (R) composes with an
+    s_a, so every row is in G; the rows hold the identity and are closed
+    under composition with G on the right (an inverse is a power), so they
+    are G.  As s_x(0) = x, |G| = n and G acts regularly: an element is
+    fixed by its value at one index.  So each column x -> s_x(y) is
+    injective, T is a Latin square, and s_{s_x(b)} = s_x o s_b for every
+    index b, both sides being elements of G that agree at 0.
+
+    So the guard runs (I), the generator rows, (P) and (R), all O(|S| n),
+    then Light's test over S and the samples; a table that passes them
+    passes every serial check, and the Latin pass and Light's test over
+    the inverse generators never run.  Any other table runs the serial
+    checks in order for its error.  The first run reads no row or step it
+    has not bounded, so it raises on no table of ints with n rows.
+
+    From order `_FORK_ORDER` on, in a process that can fork and runs one
+    thread, a forked child runs Light's test over the first half of S,
+    rounded up, while this process runs the rest.  The child is reaped
+    before this returns or raises; one that ends without its verdict fails
+    the table, its text standing in for Light's failure."""
     n = group.order
     if table[0] != list(range(n)) or [row[0] for row in table] != list(range(n)):
         raise CayleyTableError("derived table row 0 or column 0 is not the identity")
@@ -232,11 +247,26 @@ def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
         if inverse is None:
             raise CayleyTableError("a generator inverse is missing from the group")
         rows[-s] = inverse
-    child = _fork(_light_failure, table, rows) if n >= _FORK_ORDER else None
+    gens = list(dict.fromkeys(group.generators))
+    half = (len(gens) + 1) // 2
+    child = _fork(_light_failure, table, gens[:half]) if n >= _FORK_ORDER else None
     try:
-        _raise_first(_latin_failure(table), _action_failure(group, table, rows))
-        sampled = _sample_failure(group, table)
-        _raise_first(child.verdict() if child else _light_failure(table, rows), sampled)
+        action = _action_failure(group, table, rows)
+        if (
+            action is None
+            and _generated(table, gens)
+            and _light_failure(table, gens[half:] if child else gens) is None
+            and _sample_failure(group, table) is None
+            and (child is None or child.verdict() is None)
+        ):
+            return
+        # not certified: the serial checks, in order
+        _raise_first(_latin_failure(table), action)
+        if child and child.died():
+            light = child.verdict()
+        else:
+            light = _light_failure(table, list(dict.fromkeys(rows.values())))
+        _raise_first(light, _sample_failure(group, table))
     finally:
         if child:
             child.reap()
@@ -272,16 +302,36 @@ def _action_failure(
     return None
 
 
-def _light_failure(table: list[list[int]], rows: dict[int, int]) -> Optional[str]:
+def _light_failure(table: list[list[int]], gens: Sequence[int]) -> Optional[str]:
     """Light's test, row x*a against row x composed with row a, for each
-    distinct signed generator a.  The order-1 table [[0]] passed the
-    identity check, and itemgetter needs two indices."""
-    for a in dict.fromkeys(rows.values()) if len(table) > 1 else ():
+    index a in `gens`.  The order-1 table [[0]] passed the identity check,
+    and itemgetter needs two indices."""
+    for a in gens if len(table) > 1 else ():
         compose = itemgetter(*table[a])
         for x, row_x in enumerate(table):
             if table[row_x[a]] != list(compose(row_x)):
                 return f"derived table fails Light's test at ({x}, {a})"
     return None
+
+
+def _generated(table: list[list[int]], gens: Sequence[int]) -> bool:
+    """Whether every row has n entries, the rows `gens` are permutations of
+    range(n), and steps x -> table[x][a], a in `gens`, reach every index
+    from 0, each landing in range(n): conditions (P) and (R) of
+    `_check_table`, in O(len(gens) * n) and without raising on any table
+    of ints with n rows."""
+    n = len(table)
+    full = set(range(n))
+    if any(map(n.__ne__, map(len, table))) or any(full != set(table[a]) for a in gens):
+        return False
+    columns = [list(map(itemgetter(a), table)) for a in gens]
+    if not all(map(full.issuperset, columns)):
+        return False
+    reached, frontier = {0}, {0}
+    while frontier:
+        frontier = {column[x] for column in columns for x in frontier} - reached
+        reached |= frontier
+    return len(reached) == n
 
 
 def _sample_failure(group: FiniteMatrixGroup, table: list[list[int]]) -> Optional[str]:
@@ -305,14 +355,21 @@ class _Child:
     def __init__(self, pid: int, report: BinaryIO):
         self.pid, self.report = pid, report
         self.status: Optional[int] = None
+        self.text = b""
+
+    def died(self) -> bool:
+        """Whether the child ended without its newline-terminated report,
+        read once, when it ends."""
+        if self.status is None:
+            self.text = self.report.read()
+            self.reap()
+        return self.status != 0 or not self.text.endswith(b"\n")
 
     def verdict(self) -> Optional[str]:
         """The child's failure text, or None if it found none, once it ends."""
-        text = self.report.read()
-        self.reap()
-        if self.status != 0 or not text.endswith(b"\n"):
+        if self.died():
             return f"the forked table check ended without a verdict (exit status {self.status})"
-        return text[:-1].decode("ascii") or None
+        return self.text[:-1].decode("ascii") or None
 
     def reap(self) -> None:
         """Close the pipe and wait for the child to end, once."""

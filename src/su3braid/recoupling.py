@@ -58,8 +58,8 @@ _BASE_ORDER = 72
 
 
 class TheoryParams(NamedTuple):
-    """Level data fixing the recoupling theory (a tuple, so it compares and
-    hashes by its fields, as the `lru_cache` keys below need)."""
+    """Level data fixing the recoupling theory (a tuple, so it compares by
+    its fields, as the `lru_cache` keys below need)."""
 
     r: int
     k: int
@@ -71,6 +71,11 @@ class TheoryParams(NamedTuple):
 
     def __repr__(self) -> str:
         return f"TheoryParams(r={self.r}, k={self.k}, order={self.order})"
+
+    def __hash__(self) -> int:
+        # every other field is a function of r, so equal tuples share r; a
+        # cache lookup hashes one int, not the two `Cyclo` fields
+        return hash(self.r)
 
 
 def theory(r: int) -> TheoryParams:

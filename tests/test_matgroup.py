@@ -509,30 +509,284 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _halves(group):
+    """The distinct positive generators the forked child tests, and those
+    the caller tests."""
+    gens = list(dict.fromkeys(group.generators))
+    half = (len(gens) + 1) // 2
+    return gens[:half], gens[half:]
+
+
+def _twisted_cosets(group, table, a):
+    """Tables whose rows over one left coset C of <a> are composed with
+    conjugation by a, for each such coset that avoids the identity and the
+    generator rows.  Conjugation by a fixes a, and right multiplication by
+    a keeps C, so Light's test still holds for a; a generator that moves
+    C off itself fails it."""
+    n = group.order
+    inverse = group.inverse_index()
+    conjugate = [table[table[a][y]][inverse[a]] for y in range(n)]
+    avoid = {0, *_generator_indices(group).values()}
+    for x in _plain_elements(group):
+        coset = {table[x][p] for p in mg._powers(table, a)}
+        if coset.isdisjoint(avoid):
+            out = [list(row) for row in table]
+            for y in coset:
+                out[y] = [table[y][c] for c in conjugate]
+            yield out
+
+
 def test_forked_guard_leaves_no_process(family_648):
     assert family_648.order >= mg._FORK_ORDER
     table = family_648.cayley_table()
     mg._check_table(family_648, table)
     _no_child_left()
-    # a failure found here, while the child may still run, and one found there
-    for build in (_bad_latin, _swap_an_intercalate):
+    forked, ours = _halves(family_648)
+    rows = _generator_indices(family_648)
+
+    def reaching_light(a, sampled=False):
+        # a table that passes every check before the caller's Light's test,
+        # and its samples too if `sampled`
+        return next(
+            bad for bad in _twisted_cosets(family_648, table, a)
+            if mg._action_failure(family_648, bad, rows) is None
+            and mg._generated(bad, forked + ours)
+            and not (sampled and mg._sample_failure(family_648, bad))
+        )
+
+    # a Light's failure the caller finds in its half, while the child may
+    # still run, and one only the child finds, the caller's checks passing
+    found_here = reaching_light(forked[0])
+    assert mg._light_failure(found_here, ours)
+    found_there = reaching_light(ours[0], sampled=True)
+    assert mg._light_failure(found_there, ours) is None
+    assert mg._light_failure(found_there, forked)
+    # and a Latin failure and a swapped intercalate
+    for build in (_bad_latin, _swap_an_intercalate, lambda *_: found_here, lambda *_: found_there):
         with pytest.raises(mg.CayleyTableError):
             mg._check_table(family_648, build(family_648, table))
         _no_child_left()
 
 
 def test_forked_guard_fails_when_its_child_dies(family_648, monkeypatch):
+    # the caller tests its half of the generators itself; the child dies
     caller = os.getpid()
+    light = mg._light_failure
 
-    def dies(table, rows):
+    def dies(table, gens):
         if os.getpid() != caller:
             os._exit(3)
-        raise AssertionError("Light's test ran in the calling process")
+        return light(table, gens)
 
     monkeypatch.setattr(mg, "_light_failure", dies)
     with pytest.raises(mg.CayleyTableError, match=r"without a verdict \(exit status 3\)"):
         mg._check_table(family_648, family_648.cayley_table())
     _no_child_left()
+
+
+@pytest.mark.parametrize("name, certified", [("paper_group", 2), ("family_648", 3)])
+def test_valid_table_is_certified_by_light_over_the_positive_generators(
+    request, tmp_path, monkeypatch, name, certified
+):
+    # a valid table skips the Latin pass and Light's test over the inverse
+    # generators; from `_FORK_ORDER` on the child tests the first half of
+    # the positive generators, rounded up, and the caller the rest
+    group = request.getfixturevalue(name)
+    table = group.cayley_table()
+    log = tmp_path / "light"
+    light, latin = mg._light_failure, mg._latin_failure
+    latin_tables = []
+
+    def logged(table, gens):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{os.getpid()} {' '.join(map(str, gens))}\n".encode())
+        finally:
+            os.close(fd)
+        return light(table, gens)
+
+    def counted(table):
+        latin_tables.append(table)
+        return latin(table)
+
+    monkeypatch.setattr(mg, "_light_failure", logged)
+    monkeypatch.setattr(mg, "_latin_failure", counted)
+    mg._check_table(group, table)
+    assert latin_tables == []
+    runs = {}
+    for line in log.read_text().splitlines():
+        pid, *gens = map(int, line.split())
+        runs[pid == os.getpid()] = gens
+    positive = list(dict.fromkeys(group.generators))
+    assert len(positive) == certified
+    if group.order >= mg._FORK_ORDER:
+        forked, ours = _halves(group)
+        assert runs == {False: forked, True: ours}
+        assert len(forked) == 2
+    else:
+        assert runs == {True: positive}
+    with pytest.raises(mg.CayleyTableError, match="Latin square"):
+        mg._check_table(group, _bad_latin(group, table))
+    assert len(latin_tables) == 1
+
+
+def test_generated_checks_each_condition_of_the_certificate(paper_group):
+    table = paper_group.cayley_table()
+    gens = list(dict.fromkeys(paper_group.generators))
+    assert mg._generated(table, gens)
+    # the steps by one generator reach only its cyclic span
+    assert not mg._generated(table, gens[:1])
+    a, x = gens[0], _plain_elements(paper_group)[0]
+    for row, j, value in ((a, 5, table[a][6]), (x, a, -1), (x, a, 162)):
+        bad = [list(r) for r in table]
+        bad[row][j] = value  # a generator row that is no permutation, a step out of range
+        assert not mg._generated(bad, gens)
+    short = [list(r) for r in table]
+    short[x].pop()
+    assert not mg._generated(short, gens)
+
+
+# ---------------------------------------------------------------------------
+# the guard against the serial guard it shortens
+
+
+def _serial_check_table(group, table):
+    """The table guard with every check run on every table, in process, and
+    the first failure raised: identity, Latin square, generator rows,
+    Light's test over every distinct signed generator, samples."""
+    n = group.order
+    if table[0] != list(range(n)) or [row[0] for row in table] != list(range(n)):
+        raise mg.CayleyTableError("derived table row 0 or column 0 is not the identity")
+    rows = {}
+    for s, g in enumerate(group.generators, 1):
+        rows[s] = g
+        inverse = group.elements.get(group.matrices[g].conj_transpose().key_bytes())
+        if inverse is None:
+            raise mg.CayleyTableError("a generator inverse is missing from the group")
+        rows[-s] = inverse
+    full = set(range(n))
+    if (
+        any(len(row) != n for row in table)
+        or any(set(row) != full for row in table)
+        or any(set(column) != full for column in zip(*table))
+    ):
+        raise mg.CayleyTableError("derived table is not a Latin square")
+    for s, a in rows.items():
+        if tuple(table[a]) != group.action(s):
+            raise mg.CayleyTableError(
+                f"derived table row {a} differs from the action of generator {s}"
+            )
+    for a in dict.fromkeys(rows.values()) if n > 1 else ():
+        for x, row_x in enumerate(table):
+            if table[row_x[a]] != [row_x[ay] for ay in table[a]]:
+                raise mg.CayleyTableError(f"derived table fails Light's test at ({x}, {a})")
+    rng = random.Random(0)
+    for _ in range(min(256, n * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if group.elements.get((group.matrices[i] * group.matrices[j]).key_bytes()) != table[i][j]:
+            raise mg.CayleyTableError(
+                f"derived table entry ({i}, {j}) disagrees with the exact product"
+            )
+
+
+def _derived_table(group):
+    """The table `cayley_table` derives from the recorded actions and
+    provenance, before its guard."""
+    table = [list(range(group.order))]
+    for i in range(1, group.order):
+        action = group.action(group._bfs_mult[i])
+        table.append([action[y] for y in table[group._bfs_parent[i]]])
+    return table
+
+
+def _guard_corpus(group, seed):
+    """(label, group, table) cases for the guard: the valid table, the four
+    one-condition tables, malformed rows and entries, tables derived from
+    corrupted actions or provenance, and one renamed with its actions."""
+    n = group.order
+    table = group.cayley_table()
+    rng = random.Random(seed)
+    x = rng.choice(_plain_elements(group))
+    column = rng.choice(list(dict.fromkeys(group.generators)))
+
+    def edited(label, row, edit):
+        out = [list(r) for r in table]
+        edit(out[row])
+        return label, group, out
+
+    def put(j, value):
+        def edit(row):
+            row[j] = value
+        return edit
+
+    def swap(j, k):
+        def edit(row):
+            row[j], row[k] = row[k], row[j]
+        return edit
+
+    yield "valid", group, table
+    for build in (_bad_identity, _bad_latin, _bad_action, _swap_an_intercalate):
+        yield build.__name__, group, build(group, table)
+    yield edited("short row", x, list.pop)
+    yield edited("long row", x, lambda row: row.append(rng.randrange(n)))
+    yield edited("short generator row", column, list.pop)
+    yield edited("negative entry", x, put(rng.randrange(1, n), -rng.randrange(1, n)))
+    yield edited("out-of-range entry", x, put(rng.randrange(1, n), n + rng.randrange(n)))
+    yield edited("negative step", x, put(column, -1))
+    yield edited("out-of-range step", x, put(column, n))
+    yield edited("swapped entries", x, swap(*rng.sample(range(1, n), 2)))
+    for s in (1, -1, 2, -2):
+        perm = list(group.action(s))
+        i, j = rng.sample(range(n), 2)
+        perm[i], perm[j] = perm[j], perm[i]
+        corrupted = _rebuilt(group, actions={**group._actions, s: tuple(perm)})
+        yield f"action {s} corrupted", corrupted, _derived_table(corrupted)
+    # plain elements renamed in pairs, in the actions and the table alike:
+    # every integer check passes, and only the sampled products see it
+    moved = rng.sample(_plain_elements(group), 2 * (n // 20))
+    sigma = list(range(n))
+    for u, v in zip(moved[::2], moved[1::2]):
+        sigma[u], sigma[v] = v, u
+    renamed = _rebuilt(group, actions={
+        s: tuple(sigma[action[sigma[x]]] for x in range(n)) for s, action in group._actions.items()
+    })
+    yield "renamed actions", renamed, _relabeled(table, sigma)
+    parent = group._bfs_parent
+    repointed = _rebuilt(group, bfs_parent=parent[:5] + tuple((p + 1) % n for p in parent[5:]))
+    yield "re-pointed provenance", repointed, _derived_table(repointed)
+
+
+_FAILURE_KINDS = (
+    "row 0 or column 0", "Latin square", "differs from the action", "Light's test", "exact product",
+)
+
+
+def _guard_outcome(check, group, table):
+    try:
+        check(group, table)
+    except mg.CayleyTableError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["fork", "no fork"])
+@pytest.mark.parametrize("name, seed", [("paper_group", 1), ("family_group", 2), ("family_648", 3)])
+def test_guard_matches_the_serial_guard(request, monkeypatch, name, seed, forked):
+    group = request.getfixturevalue(name)
+    if forked:
+        if not hasattr(os, "fork"):
+            pytest.skip("os.fork is not available")
+        monkeypatch.setattr(mg, "_FORK_ORDER", 2)  # every table forks
+    else:
+        monkeypatch.delattr(os, "fork")
+    outcomes = set()
+    for label, g, table in _guard_corpus(group, seed):
+        want = _guard_outcome(_serial_check_table, g, table)
+        assert _guard_outcome(mg._check_table, g, table) == want, label
+        outcomes.add(want and next(kind for kind in _FAILURE_KINDS if kind in want))
+        if forked:
+            _no_child_left()
+    assert outcomes == {None, *_FAILURE_KINDS}
 
 
 def test_guard_makes_only_the_sampled_products(paper_matrices, monkeypatch):

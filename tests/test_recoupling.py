@@ -79,6 +79,25 @@ def test_quantum_fact(t6):
     assert rc.quantum_fact(t6, 4) == 6
 
 
+def test_quantum_fact_cache_hit_hashes_no_cyclo(t6, monkeypatch):
+    # a theory hashes by r; equal theories, built apart, share the entries
+    assert hash(t6) == hash(6) and rc.theory(6) == t6
+    want = rc.quantum_fact(t6, 4), rc.inv_quantum_fact(t6, 4)
+    hashed = []
+    cyclo_hash = Cyclo.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return cyclo_hash(self)
+
+    monkeypatch.setattr(Cyclo, "__hash__", counting)
+    hits = rc.quantum_fact.cache_info().hits, rc.inv_quantum_fact.cache_info().hits
+    assert (rc.quantum_fact(t6, 4), rc.inv_quantum_fact(rc.theory(6), 4)) == want
+    assert rc.quantum_fact.cache_info().hits == hits[0] + 1
+    assert rc.inv_quantum_fact.cache_info().hits == hits[1] + 1
+    assert hashed == []
+
+
 def test_delta_values(t6):
     assert rc.delta_n(t6, 0) == 1
     assert rc.delta_n(t6, 4) == 1
