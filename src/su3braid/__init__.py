@@ -24,7 +24,7 @@ _PUBLIC = {
     ),
     "matgroup": (
         "FiniteMatrixGroup", "GroupTooLargeError", "SemidirectReport",
-        "abelian_invariants", "check_relations", "close", "conjugacy_classes", "decompose",
+        "abelian_invariants", "close", "conjugacy_classes", "decompose",
         "element_order", "find_isomorphism", "intersect", "is_normal", "semidirect_verify",
         "subgroup", "word_eval",
     ),

@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
-import threading
 from operator import itemgetter
-from typing import BinaryIO, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cyclo import NonDivisibleOrderError
 from .matrix import UnitaryMatrix
@@ -185,17 +183,6 @@ class FiniteMatrixGroup:
 # the matrices
 _TABLE_SAMPLE = 256
 
-# the least order whose guard runs half of its Light's test in a forked
-# child, while this process runs the other half with the rest of the
-# certificate; below it the fork and the copy-on-write faults that follow
-# it cost more than the second core saves.  One guard per cold process on
-# a 2-vCPU Xeon VM, Python 3.11.7, median of 8 processes, forked against
-# in process: 11.7 against 9.4 ms at order 162 (the verify tables, which
-# stay in process), 9.9 against 8.1 at 192, 11.8 against 10.2 at 225,
-# 10.6 against 8.1 at 243, 12.0 against 12.6 at 288, 13.8 against 18.4 at
-# 384 and 28.1 against 43.7 ms at 648.
-_FORK_ORDER = 256
-
 
 def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
     """Soundness guard for a derived table T, on integers plus a fixed-seed
@@ -211,32 +198,33 @@ def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
     action of a, and right steps by the generators from row 0 reach every
     row.  The samples check the actions themselves.
 
-    Light's test needs only a generating set.  Write s_x for row x as the
-    map y -> T[x][y] and S for the distinct positive generators, and
-    suppose (I) row 0 and column 0 are the identity, (P) every row in S is
-    a permutation of range(n), (R) steps x -> T[x][a], a in S, each
-    landing in range(n), reach every index from 0, and (L) s_{T[x][a]} =
-    s_x o s_a for all x and all a in S.  Let G be the group the s_a
-    generate.  s_0 is the identity and each step of (R) composes with an
-    s_a, so every row is in G; the rows hold the identity and are closed
-    under composition with G on the right (an inverse is a power), so they
-    are G.  As s_x(0) = x, |G| = n and G acts regularly: an element is
-    fixed by its value at one index.  So each column x -> s_x(y) is
-    injective, T is a Latin square, and s_{s_x(b)} = s_x o s_b for every
-    index b, both sides being elements of G that agree at 0.
+    The guard proves the Latin square and Light's test from cheaper
+    passes.  Write s_x for row x as the map y -> T[x][y], c_b for column b
+    as the map x -> T[x][b], and S for the distinct positive generators,
+    and suppose (I) row 0 and column 0 are the identity, (P) every row in
+    S is a permutation of range(n), (R) steps x -> T[x][a], a in S, each
+    landing in range(n), reach every index from 0, (C) s_a o c_b = c_b o
+    s_a for all a, b in S, and (T) s_x = s_p o s_a for each index x first
+    reached by the step x = T[p][a] of (R).  Let H be the group the s_a
+    generate (an inverse is a power).  By (C) every element of H commutes
+    with every c_b, so one that fixes 0 fixes every index (R) reaches
+    from 0, which is all of them: an element of H is fixed by its value
+    at 0, and |H| <= n.  By (I) and (T), down the tree of (R), every row
+    is in H, and the n rows are distinct since s_x(0) = x.  So the rows
+    are H, which acts regularly on the indices.  Then each column x ->
+    s_x(y) is injective, T is a Latin square, and s_{s_x(b)} = s_x o s_b
+    for every index b, both sides being elements of H that agree at 0.
+    This is the standard fact that a permutation group centralizing a
+    transitive action is semiregular (Dixon and Mortimer, *Permutation
+    Groups*, Thm 4.2A).
 
-    So the guard runs (I), the generator rows, (P) and (R), all O(|S| n),
-    then Light's test over S and the samples; a table that passes them
-    passes every serial check, and the Latin pass and Light's test over
-    the inverse generators never run.  Any other table runs the serial
-    checks in order for its error.  The first run reads no row or step it
-    has not bounded, so it raises on no table of ints with n rows.
-
-    From order `_FORK_ORDER` on, in a process that can fork and runs one
-    thread, a forked child runs Light's test over the first half of S,
-    rounded up, while this process runs the rest.  The child is reaped
-    before this returns or raises; one that ends without its verdict fails
-    the table, its text standing in for Light's failure."""
+    So the guard runs (I), the generator rows, (P), (R), (C) and (T),
+    about n^2 + |S|^2 n integer reads in C-level gathers, then the
+    samples.  A table that passes these integer checks passes every
+    serial check before the samples, so the Latin pass and Light's test
+    never run on it.  Any other table runs the serial checks in order for
+    its error.  The first run reads no row or step it has not bounded, so
+    it raises on no table of ints with n rows."""
     n = group.order
     if table[0] != list(range(n)) or [row[0] for row in table] != list(range(n)):
         raise CayleyTableError("derived table row 0 or column 0 is not the identity")
@@ -247,29 +235,14 @@ def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
         if inverse is None:
             raise CayleyTableError("a generator inverse is missing from the group")
         rows[-s] = inverse
-    gens = list(dict.fromkeys(group.generators))
-    half = (len(gens) + 1) // 2
-    child = _fork(_light_failure, table, gens[:half]) if n >= _FORK_ORDER else None
-    try:
-        action = _action_failure(group, table, rows)
-        if (
-            action is None
-            and _generated(table, gens)
-            and _light_failure(table, gens[half:] if child else gens) is None
-            and _sample_failure(group, table) is None
-            and (child is None or child.verdict() is None)
-        ):
-            return
-        # not certified: the serial checks, in order
-        _raise_first(_latin_failure(table), action)
-        if child and child.died():
-            light = child.verdict()
-        else:
-            light = _light_failure(table, list(dict.fromkeys(rows.values())))
-        _raise_first(light, _sample_failure(group, table))
-    finally:
-        if child:
-            child.reap()
+    action = _action_failure(group, table, rows)
+    if action is None and _generated(table, list(dict.fromkeys(group.generators))):
+        _raise_first(_sample_failure(group, table))
+        return
+    # not certified: the serial checks, in order
+    _raise_first(_latin_failure(table), action)
+    _raise_first(_light_failure(table, list(dict.fromkeys(rows.values()))))
+    _raise_first(_sample_failure(group, table))
 
 
 def _raise_first(*failures: Optional[str]) -> None:
@@ -315,23 +288,37 @@ def _light_failure(table: list[list[int]], gens: Sequence[int]) -> Optional[str]
 
 
 def _generated(table: list[list[int]], gens: Sequence[int]) -> bool:
-    """Whether every row has n entries, the rows `gens` are permutations of
-    range(n), and steps x -> table[x][a], a in `gens`, reach every index
-    from 0, each landing in range(n): conditions (P) and (R) of
-    `_check_table`, in O(len(gens) * n) and without raising on any table
-    of ints with n rows."""
+    """Whether every row has n entries and the rows `gens` generate the
+    rows: conditions (P), (R), (C) and (T) of `_check_table`, in
+    O(n^2 + len(gens)^2 n) C-level reads and without raising on any table
+    of ints with n rows.  At n = 1 a gather of one index gives the entry
+    itself, and (C) compares two entries."""
     n = len(table)
     full = set(range(n))
     if any(map(n.__ne__, map(len, table))) or any(full != set(table[a]) for a in gens):
-        return False
+        return False  # (P)
     columns = [list(map(itemgetter(a), table)) for a in gens]
     if not all(map(full.issuperset, columns)):
+        return False  # a step out of range
+    # (R), breadth first, keeping the step (p, a) that first reaches each
+    # index x = T[p][a] other than 0
+    steps: dict[int, tuple[int, int]] = {}
+    reached = [0]
+    for p in reached:
+        for a, column in zip(gens, columns):
+            x = column[p]
+            if x and x not in steps:
+                steps[x] = p, a
+                reached.append(x)
+    if len(reached) != n:
         return False
-    reached, frontier = {0}, {0}
-    while frontier:
-        frontier = {column[x] for column in columns for x in frontier} - reached
-        reached |= frontier
-    return len(reached) == n
+    compose = {a: itemgetter(*table[a]) for a in gens}  # row -> row o s_a
+    if any(
+        itemgetter(*column)(table[a]) != compose[a](column)  # (C)
+        for a in gens for column in columns
+    ):
+        return False
+    return all(table[x] == list(compose[a](table[p])) for x, (p, a) in steps.items())  # (T)
 
 
 def _sample_failure(group: FiniteMatrixGroup, table: list[list[int]]) -> Optional[str]:
@@ -344,64 +331,6 @@ def _sample_failure(group: FiniteMatrixGroup, table: list[list[int]]) -> Optiona
         if group.elements.get(product.key_bytes()) != table[i][j]:
             return f"derived table entry ({i}, {j}) disagrees with the exact product"
     return None
-
-
-class _Child:
-    """A check's verdict from a forked child process.  The child writes its
-    failure text, or nothing, and a newline into a pipe and ends with
-    `os._exit`, so it flushes no stdio buffer it inherited and runs no
-    `atexit` hook."""
-
-    def __init__(self, pid: int, report: BinaryIO):
-        self.pid, self.report = pid, report
-        self.status: Optional[int] = None
-        self.text = b""
-
-    def died(self) -> bool:
-        """Whether the child ended without its newline-terminated report,
-        read once, when it ends."""
-        if self.status is None:
-            self.text = self.report.read()
-            self.reap()
-        return self.status != 0 or not self.text.endswith(b"\n")
-
-    def verdict(self) -> Optional[str]:
-        """The child's failure text, or None if it found none, once it ends."""
-        if self.died():
-            return f"the forked table check ended without a verdict (exit status {self.status})"
-        return self.text[:-1].decode("ascii") or None
-
-    def reap(self) -> None:
-        """Close the pipe and wait for the child to end, once."""
-        if self.status is None:
-            self.report.close()
-            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-
-
-def _fork(check: Callable[..., Optional[str]], *args) -> Optional[_Child]:
-    """`check(*args)` started in a forked child, or None where this process
-    cannot fork, or runs a second thread, whose locks the child could
-    inherit held; the caller then runs the check itself."""
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        return None
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        # every exception ends here too: the child never returns to the caller
-        status = 1
-        try:
-            os.close(read)
-            os.write(write, ((check(*args) or "") + "\n").encode("ascii"))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return _Child(pid, os.fdopen(read, "rb"))
 
 
 # ---------------------------------------------------------------------------
@@ -744,16 +673,6 @@ def word_eval(word: Sequence[int], gens: Sequence[UnitaryMatrix]) -> UnitaryMatr
             raise IndexError(f"generator index {signed} out of range")
     acc = WordEvaluator(dict(enumerate(gens, 1)))([(abs(s), 1 if s > 0 else -1) for s in word])
     return UnitaryMatrix.identity(gens[0].dim) if acc is None else acc
-
-
-def check_relations(
-    gens: Mapping[str, UnitaryMatrix],
-    relations: Sequence[tuple[NamedWord, NamedWord]],
-) -> list[bool]:
-    """For each pair of named words, whether both sides evaluate equally;
-    `gens` maps each name to its matrix, and the empty word is the identity."""
-    words = WordEvaluator(gens)
-    return [words.equal(lhs, rhs) for lhs, rhs in relations]
 
 
 # ---------------------------------------------------------------------------

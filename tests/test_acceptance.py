@@ -240,7 +240,8 @@ def test_c13_presentation(named_elements, verification_report):
         ((("T1", 1), ("B", 1), ("T1", -1)), (("A", 6), ("B", 2))),
         ((("T3", 1), ("B", 1), ("T3", -1)), (("A", 3), ("B", 2))),
     ]
-    ok = all(mg.check_relations(gens, relations))
+    words = mg.WordEvaluator(gens)
+    ok = all(words.equal(lhs, rhs) for lhs, rhs in relations)
     ok = ok and verification_report.by_id("GRP-PRESENTATION").passed
     _criterion("criterion 13 GRP-PRESENTATION (ten relations)", ok)
 

@@ -1,9 +1,7 @@
 import itertools
 import json
 import math
-import os
 import random
-import threading
 
 import pytest
 
@@ -256,10 +254,11 @@ def test_check_relations(named_elements):
         ((("T1", 1), ("B", 1), ("T1", -1)), (("A", 6), ("B", 2))),
         ((("T3", 1), ("B", 1), ("T3", -1)), (("A", 3), ("B", 2))),
     ]
-    assert mg.check_relations(gens, good) == [True] * 10
-    assert mg.check_relations(gens, [((("A", 8),), eye)]) == [False]
+    words = mg.WordEvaluator(gens)
+    assert all(words.equal(lhs, rhs) for lhs, rhs in good)
+    assert not words.equal((("A", 8),), eye)
     with pytest.raises(KeyError):
-        mg.check_relations(gens, [((("X", 1),), eye)])
+        words.equal((("X", 1),), eye)
 
 
 def test_word_evaluator_multiplies_each_prefix_once(named_elements, monkeypatch):
@@ -490,8 +489,6 @@ def _bad_action(group, table):
 def test_check_table_rejects_each_integer_condition(
     request, name, condition, build, alone, message
 ):
-    # order 162 is guarded in process; from order 256 Light's test runs in a
-    # forked child, and the first failure must be the same
     group = request.getfixturevalue(name)
     table = group.cayley_table()
     assert _failed_conditions(group, table) == set()
@@ -502,19 +499,6 @@ def test_check_table_rejects_each_integer_condition(
         assert failed == {condition}
     with pytest.raises(mg.CayleyTableError, match=message):
         mg._check_table(group, bad)
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _halves(group):
-    """The distinct positive generators the forked child tests, and those
-    the caller tests."""
-    gens = list(dict.fromkeys(group.generators))
-    half = (len(gens) + 1) // 2
-    return gens[:half], gens[half:]
 
 
 def _twisted_cosets(group, table, a):
@@ -536,114 +520,93 @@ def _twisted_cosets(group, table, a):
             yield out
 
 
-def test_forked_guard_leaves_no_process(family_648):
-    assert family_648.order >= mg._FORK_ORDER
-    table = family_648.cayley_table()
-    mg._check_table(family_648, table)
-    _no_child_left()
-    forked, ours = _halves(family_648)
-    rows = _generator_indices(family_648)
-
-    def reaching_light(a, sampled=False):
-        # a table that passes every check before the caller's Light's test,
-        # and its samples too if `sampled`
-        return next(
-            bad for bad in _twisted_cosets(family_648, table, a)
-            if mg._action_failure(family_648, bad, rows) is None
-            and mg._generated(bad, forked + ours)
-            and not (sampled and mg._sample_failure(family_648, bad))
-        )
-
-    # a Light's failure the caller finds in its half, while the child may
-    # still run, and one only the child finds, the caller's checks passing
-    found_here = reaching_light(forked[0])
-    assert mg._light_failure(found_here, ours)
-    found_there = reaching_light(ours[0], sampled=True)
-    assert mg._light_failure(found_there, ours) is None
-    assert mg._light_failure(found_there, forked)
-    # and a Latin failure and a swapped intercalate
-    for build in (_bad_latin, _swap_an_intercalate, lambda *_: found_here, lambda *_: found_there):
-        with pytest.raises(mg.CayleyTableError):
-            mg._check_table(family_648, build(family_648, table))
-        _no_child_left()
+def _uncommuting(group, table):
+    """A table that passes conditions (I), (P), (R) and (T) of `_check_table`
+    but not (C), and the group rebuilt with its rows as the actions.  Each
+    positive generator's row is composed with a transposition beta of two
+    plain indices; every other row, down the breadth-first tree of steps
+    x = T[p][a], is row p composed with row a.  beta is the first pair for
+    which those steps reach every index."""
+    n = group.order
+    gens = list(dict.fromkeys(group.generators))
+    for u, v in itertools.combinations(_plain_elements(group), 2):
+        beta = list(range(n))
+        beta[u], beta[v] = v, u
+        out = {0: list(range(n)), **{a: [table[a][y] for y in beta] for a in gens}}
+        reached = [0]
+        for p in reached:
+            for a in gens:
+                x = out[p][a]
+                if x not in reached:
+                    reached.append(x)
+                    out.setdefault(x, [out[p][y] for y in out[a]])
+        if len(reached) == n:
+            bad = [out[x] for x in range(n)]
+            actions = {s: tuple(bad[a]) for s, a in _generator_indices(group).items()}
+            return bad, _rebuilt(group, actions=actions)
+    raise AssertionError("no transposition keeps every index reachable")
 
 
-def test_forked_guard_fails_when_its_child_dies(family_648, monkeypatch):
-    # the caller tests its half of the generators itself; the child dies
-    caller = os.getpid()
-    light = mg._light_failure
-
-    def dies(table, gens):
-        if os.getpid() != caller:
-            os._exit(3)
-        return light(table, gens)
-
-    monkeypatch.setattr(mg, "_light_failure", dies)
-    with pytest.raises(mg.CayleyTableError, match=r"without a verdict \(exit status 3\)"):
-        mg._check_table(family_648, family_648.cayley_table())
-    _no_child_left()
-
-
-@pytest.mark.parametrize("name, certified", [("paper_group", 2), ("family_648", 3)])
-def test_valid_table_is_certified_by_light_over_the_positive_generators(
-    request, tmp_path, monkeypatch, name, certified
-):
-    # a valid table skips the Latin pass and Light's test over the inverse
-    # generators; from `_FORK_ORDER` on the child tests the first half of
-    # the positive generators, rounded up, and the caller the rest
+@pytest.mark.parametrize("name", ["paper_group", "family_648"])
+def test_valid_table_runs_neither_the_latin_pass_nor_lights_test(request, monkeypatch, name):
+    # a valid table passes the integer certificate, so neither the Latin
+    # pass nor Light's test runs; a table that fails it runs them in turn
     group = request.getfixturevalue(name)
     table = group.cayley_table()
-    log = tmp_path / "light"
-    light, latin = mg._light_failure, mg._latin_failure
-    latin_tables = []
+    calls = []
 
-    def logged(table, gens):
-        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-        try:
-            os.write(fd, f"{os.getpid()} {' '.join(map(str, gens))}\n".encode())
-        finally:
-            os.close(fd)
-        return light(table, gens)
+    def logged(check):
+        def run(*args):
+            calls.append(check.__name__)
+            return check(*args)
+        return run
 
-    def counted(table):
-        latin_tables.append(table)
-        return latin(table)
-
-    monkeypatch.setattr(mg, "_light_failure", logged)
-    monkeypatch.setattr(mg, "_latin_failure", counted)
+    for check in (mg._latin_failure, mg._light_failure):
+        monkeypatch.setattr(mg, check.__name__, logged(check))
     mg._check_table(group, table)
-    assert latin_tables == []
-    runs = {}
-    for line in log.read_text().splitlines():
-        pid, *gens = map(int, line.split())
-        runs[pid == os.getpid()] = gens
-    positive = list(dict.fromkeys(group.generators))
-    assert len(positive) == certified
-    if group.order >= mg._FORK_ORDER:
-        forked, ours = _halves(group)
-        assert runs == {False: forked, True: ours}
-        assert len(forked) == 2
-    else:
-        assert runs == {True: positive}
+    assert calls == []
     with pytest.raises(mg.CayleyTableError, match="Latin square"):
         mg._check_table(group, _bad_latin(group, table))
-    assert len(latin_tables) == 1
+    assert calls == ["_latin_failure"]
+    with pytest.raises(mg.CayleyTableError, match="Light's test"):
+        mg._check_table(group, _swap_an_intercalate(group, table))
+    assert calls == ["_latin_failure", "_latin_failure", "_light_failure"]
 
 
 def test_generated_checks_each_condition_of_the_certificate(paper_group):
     table = paper_group.cayley_table()
     gens = list(dict.fromkeys(paper_group.generators))
     assert mg._generated(table, gens)
-    # the steps by one generator reach only its cyclic span
+    # (R): the steps by one generator reach only its cyclic span
     assert not mg._generated(table, gens[:1])
     a, x = gens[0], _plain_elements(paper_group)[0]
     for row, j, value in ((a, 5, table[a][6]), (x, a, -1), (x, a, 162)):
         bad = [list(r) for r in table]
-        bad[row][j] = value  # a generator row that is no permutation, a step out of range
+        bad[row][j] = value  # (P): a generator row that is no permutation; a step out of range
         assert not mg._generated(bad, gens)
     short = [list(r) for r in table]
     short[x].pop()
     assert not mg._generated(short, gens)
+    # (P) alone: the table of max on {0, 1} passes (I), (R), (C) and (T)
+    assert not mg._generated([[0, 1], [1, 1]], [1])
+    # (T) alone: a plain row with two entries swapped outside the generator
+    # columns leaves the generator rows and columns as they were
+    j, k = [y for y in _plain_elements(paper_group) if y != x][:2]
+    swapped = [list(r) for r in table]
+    swapped[x][j], swapped[x][k] = table[x][k], table[x][j]
+    assert all(
+        swapped[a] == table[a] and [r[a] for r in swapped] == [r[a] for r in table] for a in gens
+    )
+    assert not mg._generated(swapped, gens)
+    # (C) alone: the rows pass (I), (P), (R) and (T) by construction
+    bad, rebuilt = _uncommuting(paper_group, table)
+    assert any(
+        bad[a][bad[x][b]] != bad[bad[a][x]][b] for a in gens for b in gens for x in range(162)
+    )
+    assert _failed_conditions(rebuilt, bad) == {"latin", "light"}
+    assert not mg._generated(bad, gens)
+    with pytest.raises(mg.CayleyTableError, match="Latin square"):
+        mg._check_table(rebuilt, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +614,9 @@ def test_generated_checks_each_condition_of_the_certificate(paper_group):
 
 
 def _serial_check_table(group, table):
-    """The table guard with every check run on every table, in process, and
-    the first failure raised: identity, Latin square, generator rows,
-    Light's test over every distinct signed generator, samples."""
+    """The table guard with every check run on every table and the first
+    failure raised: identity, Latin square, generator rows, Light's test
+    over every distinct signed generator, samples."""
     n = group.order
     if table[0] != list(range(n)) or [row[0] for row in table] != list(range(n)):
         raise mg.CayleyTableError("derived table row 0 or column 0 is not the identity")
@@ -702,7 +665,9 @@ def _derived_table(group):
 def _guard_corpus(group, seed):
     """(label, group, table) cases for the guard: the valid table, the four
     one-condition tables, malformed rows and entries, tables derived from
-    corrupted actions or provenance, and one renamed with its actions."""
+    corrupted actions or provenance, one renamed with its actions, a table
+    with twisted cosets for each positive generator, and one whose
+    generator rows do not commute with the generator columns."""
     n = group.order
     table = group.cayley_table()
     rng = random.Random(seed)
@@ -754,6 +719,12 @@ def _guard_corpus(group, seed):
     parent = group._bfs_parent
     repointed = _rebuilt(group, bfs_parent=parent[:5] + tuple((p + 1) % n for p in parent[5:]))
     yield "re-pointed provenance", repointed, _derived_table(repointed)
+    for a in dict.fromkeys(group.generators):
+        twisted = next(_twisted_cosets(group, table, a), None)
+        if twisted:
+            yield f"cosets of <{a}> twisted", group, twisted
+    bad, rebuilt = _uncommuting(group, table)
+    yield "uncommuting generator rows", rebuilt, bad
 
 
 _FAILURE_KINDS = (
@@ -769,31 +740,23 @@ def _guard_outcome(check, group, table):
     return None
 
 
-@pytest.mark.parametrize("forked", [True, False], ids=["fork", "no fork"])
 @pytest.mark.parametrize("name, seed", [("paper_group", 1), ("family_group", 2), ("family_648", 3)])
-def test_guard_matches_the_serial_guard(request, monkeypatch, name, seed, forked):
+def test_guard_matches_the_serial_guard(request, name, seed):
     group = request.getfixturevalue(name)
-    if forked:
-        if not hasattr(os, "fork"):
-            pytest.skip("os.fork is not available")
-        monkeypatch.setattr(mg, "_FORK_ORDER", 2)  # every table forks
-    else:
-        monkeypatch.delattr(os, "fork")
     outcomes = set()
     for label, g, table in _guard_corpus(group, seed):
         want = _guard_outcome(_serial_check_table, g, table)
         assert _guard_outcome(mg._check_table, g, table) == want, label
         outcomes.add(want and next(kind for kind in _FAILURE_KINDS if kind in want))
-        if forked:
-            _no_child_left()
     assert outcomes == {None, *_FAILURE_KINDS}
 
 
-def test_guard_makes_only_the_sampled_products(paper_matrices, monkeypatch):
+def test_guard_makes_only_the_sampled_products(paper_matrices, family_648, monkeypatch):
     group = mg.close(list(paper_matrices))
     words = ((1, 2, 1), (1, 2, 2, -1), (1, -2, -2, 1))
     gens = [group.matrices[g] for g in group.generators]
     t1, a, b = (group.index_of(mg.word_eval(w, gens)) for w in words)
+    table_648 = family_648.cayley_table()
     counted = []
     product = UnitaryMatrix.__mul__
 
@@ -810,38 +773,9 @@ def test_guard_makes_only_the_sampled_products(paper_matrices, monkeypatch):
     assert (h.order, n.order, trivial.order) == (2, 27, 1)
     assert trivial.members == (0,)
     assert len(counted) == 256
-
-
-def test_guard_runs_in_process_when_it_cannot_fork(family_648, monkeypatch):
-    def no_process():
-        raise BlockingIOError("no process to spare")
-
-    monkeypatch.setattr(os, "fork", no_process)
-    mg._check_table(family_648, family_648.cayley_table())
-    # beside a second thread, whose locks a child could inherit held, the
-    # guard does not fork at all
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        mg._check_table(family_648, family_648.cayley_table())
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-
-
-def test_forked_guard_makes_only_the_sampled_products(family_648, monkeypatch):
-    counted = []
-    product = UnitaryMatrix.__mul__
-
-    def counting(self, other):
-        counted.append(1)
-        return product(self, other)
-
-    monkeypatch.setattr(UnitaryMatrix, "__mul__", counting)
-    assert _rebuilt(family_648).cayley_table() == family_648.cayley_table()
+    # the order-648 table makes the same 256 products
+    counted.clear()
+    assert _rebuilt(family_648).cayley_table() == table_648
     assert len(counted) == 256
 
 
