@@ -751,12 +751,11 @@ def test_guard_matches_the_serial_guard(request, name, seed):
     assert outcomes == {None, *_FAILURE_KINDS}
 
 
-def test_guard_makes_only_the_sampled_products(paper_matrices, family_648, monkeypatch):
+def test_guard_makes_only_the_sampled_products(paper_matrices, monkeypatch):
     group = mg.close(list(paper_matrices))
     words = ((1, 2, 1), (1, 2, 2, -1), (1, -2, -2, 1))
     gens = [group.matrices[g] for g in group.generators]
     t1, a, b = (group.index_of(mg.word_eval(w, gens)) for w in words)
-    table_648 = family_648.cayley_table()
     counted = []
     product = UnitaryMatrix.__mul__
 
@@ -773,8 +772,20 @@ def test_guard_makes_only_the_sampled_products(paper_matrices, family_648, monke
     assert (h.order, n.order, trivial.order) == (2, 27, 1)
     assert trivial.members == (0,)
     assert len(counted) == 256
-    # the order-648 table makes the same 256 products
-    counted.clear()
+
+
+def test_forked_guard_makes_only_the_sampled_products(family_648, monkeypatch):
+    # the guard runs in process now; the order-648 table, which once took the
+    # forked path, still makes only the 256 sampled products
+    table_648 = family_648.cayley_table()
+    counted = []
+    product = UnitaryMatrix.__mul__
+
+    def counting(self, other):
+        counted.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(UnitaryMatrix, "__mul__", counting)
     assert _rebuilt(family_648).cayley_table() == table_648
     assert len(counted) == 256
 
