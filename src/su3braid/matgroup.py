@@ -186,120 +186,76 @@ _TABLE_SAMPLE = 256
 
 def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
     """Soundness guard for a derived table T, on integers plus a fixed-seed
-    sample of direct exact products.
+    sample of direct exact products.  Its passes run in order, and the
+    first that fails raises a `CayleyTableError` naming the row or entry
+    involved.
 
-    The serial checks, in order: row 0 and column 0 are the identity, T is
-    a Latin square, each signed generator's row equals its recorded
-    action, Light's test (x*a)*y == x*(a*y) holds for every distinct
-    signed generator a, and the sampled entries equal exact products.
-    With true actions, as `close` records them (an inverse generator's row
-    is found here by the key of the conjugate transpose), these force the
-    table: Light's test makes row(xa) = row(x) composed with the true
-    action of a, and right steps by the generators from row 0 reach every
-    row.  The samples check the actions themselves.
+    Write s_x for row x as the map y -> T[x][y], c_b for column b as the
+    map x -> T[x][b], and S for the distinct positive generators, and
+    suppose (I) row 0 and column 0 are the identity, each row in S equals
+    its generator's recorded action, (P) every row in S is a permutation
+    of range(n), (R) steps x -> T[x][a], a in S, each landing in
+    range(n), reach every index from 0, (C) s_a o c_b = c_b o s_a for all
+    a, b in S, and (T) s_x = s_p o s_a for each index x first reached by
+    the step x = T[p][a] of (R).  Let H be the group the s_a generate (an
+    inverse is a power).  By (C) every element of H commutes with every
+    c_b, so one that fixes 0 fixes every index (R) reaches from 0, which
+    is all of them: an element of H is fixed by its value at 0, and
+    |H| <= n.  By (I) and (T), down the tree of (R), every row is in H,
+    and the n rows are distinct since s_x(0) = x.  So the rows are H,
+    which acts regularly on the indices.  Then each column x -> s_x(y) is
+    injective, T is a Latin square, and s_{s_x(b)} = s_x o s_b for every
+    index b, both sides being elements of H that agree at 0.  This is the
+    standard fact that a permutation group centralizing a transitive
+    action is semiregular (Dixon and Mortimer, *Permutation Groups*,
+    Thm 4.2A).
 
-    The guard proves the Latin square and Light's test from cheaper
-    passes.  Write s_x for row x as the map y -> T[x][y], c_b for column b
-    as the map x -> T[x][b], and S for the distinct positive generators,
-    and suppose (I) row 0 and column 0 are the identity, (P) every row in
-    S is a permutation of range(n), (R) steps x -> T[x][a], a in S, each
-    landing in range(n), reach every index from 0, (C) s_a o c_b = c_b o
-    s_a for all a, b in S, and (T) s_x = s_p o s_a for each index x first
-    reached by the step x = T[p][a] of (R).  Let H be the group the s_a
-    generate (an inverse is a power).  By (C) every element of H commutes
-    with every c_b, so one that fixes 0 fixes every index (R) reaches
-    from 0, which is all of them: an element of H is fixed by its value
-    at 0, and |H| <= n.  By (I) and (T), down the tree of (R), every row
-    is in H, and the n rows are distinct since s_x(0) = x.  So the rows
-    are H, which acts regularly on the indices.  Then each column x ->
-    s_x(y) is injective, T is a Latin square, and s_{s_x(b)} = s_x o s_b
-    for every index b, both sides being elements of H that agree at 0.
-    This is the standard fact that a permutation group centralizing a
-    transitive action is semiregular (Dixon and Mortimer, *Permutation
-    Groups*, Thm 4.2A).
+    With true actions, as `close` records them from exact products, H is
+    the left regular action of the group S generates, so s_x, the element
+    of H taking 0 to x, is left multiplication by element x: these passes
+    force the table.  The inverse generators' rows are not premises; they
+    are rows of H like any other.  The samples check the actions
+    themselves.
 
     So the guard runs (I), the generator rows, (P), (R), (C) and (T),
     about n^2 + |S|^2 n integer reads in C-level gathers, then the
-    samples.  A table that passes these integer checks passes every
-    serial check before the samples, so the Latin pass and Light's test
-    never run on it.  Any other table runs the serial checks in order for
-    its error.  The first run reads no row or step it has not bounded, so
-    it raises on no table of ints with n rows."""
+    samples.  It reads no entry or step it has not bounded (an empty row
+    reads as [] in column 0), so it raises nothing else on a table of
+    ints with n rows."""
     n = group.order
-    if table[0] != list(range(n)) or [row[0] for row in table] != list(range(n)):
+    if table[0] != list(range(n)) or [row[:1] for row in table] != [[x] for x in range(n)]:
         raise CayleyTableError("derived table row 0 or column 0 is not the identity")
-    rows: dict[int, int] = {}  # signed generator -> its element index
-    for s, g in enumerate(group.generators, 1):
-        rows[s] = g
-        inverse = group.elements.get(group.matrices[g].conj_transpose().key_bytes())
-        if inverse is None:
-            raise CayleyTableError("a generator inverse is missing from the group")
-        rows[-s] = inverse
-    action = _action_failure(group, table, rows)
-    if action is None and _generated(table, list(dict.fromkeys(group.generators))):
-        _raise_first(_sample_failure(group, table))
-        return
-    # not certified: the serial checks, in order
-    _raise_first(_latin_failure(table), action)
-    _raise_first(_light_failure(table, list(dict.fromkeys(rows.values()))))
-    _raise_first(_sample_failure(group, table))
-
-
-def _raise_first(*failures: Optional[str]) -> None:
-    for failure in failures:
-        if failure:
-            raise CayleyTableError(failure)
-
-
-def _latin_failure(table: list[list[int]]) -> Optional[str]:
-    # one C-level pass each over the row lengths, the row sets and the
-    # column sets; once every row is a permutation of range(n), a column's
-    # n entries lie in range(n), and n distinct ones are a permutation
-    n = len(table)
-    full = set(range(n))
-    if (
-        any(map(n.__ne__, map(len, table)))
-        or any(map(full.__ne__, map(set, table)))
-        or any(map(n.__ne__, map(len, map(set, zip(*table)))))
-    ):
-        return "derived table is not a Latin square"
-    return None
-
-
-def _action_failure(
-    group: FiniteMatrixGroup, table: list[list[int]], rows: dict[int, int]
-) -> Optional[str]:
-    for s, a in rows.items():
+    for s, a in enumerate(group.generators, 1):
         if tuple(table[a]) != group.action(s):
-            return f"derived table row {a} differs from the action of generator {s}"
-    return None
+            raise CayleyTableError(
+                f"derived table row {a} differs from the action of generator {s}"
+            )
+    gens = list(dict.fromkeys(group.generators))
+    failure = _generated(table, gens) or _sample_failure(group, table)
+    if failure:
+        raise CayleyTableError(failure)
 
 
-def _light_failure(table: list[list[int]], gens: Sequence[int]) -> Optional[str]:
-    """Light's test, row x*a against row x composed with row a, for each
-    index a in `gens`.  The order-1 table [[0]] passed the identity check,
-    and itemgetter needs two indices."""
-    for a in gens if len(table) > 1 else ():
-        compose = itemgetter(*table[a])
-        for x, row_x in enumerate(table):
-            if table[row_x[a]] != list(compose(row_x)):
-                return f"derived table fails Light's test at ({x}, {a})"
-    return None
-
-
-def _generated(table: list[list[int]], gens: Sequence[int]) -> bool:
-    """Whether every row has n entries and the rows `gens` generate the
-    rows: conditions (P), (R), (C) and (T) of `_check_table`, in
-    O(n^2 + len(gens)^2 n) C-level reads and without raising on any table
-    of ints with n rows.  At n = 1 a gather of one index gives the entry
-    itself, and (C) compares two entries."""
+def _generated(table: list[list[int]], gens: Sequence[int]) -> Optional[str]:
+    """The failure text of the first of these that fails, or None: every
+    row has n entries, then conditions (P), (R), (C) and (T) of
+    `_check_table` on the rows `gens`, in O(n^2 + len(gens)^2 n) C-level
+    reads and without raising on any table of ints with n rows.  At n = 1
+    a gather of one index gives the entry itself, and (C) compares two
+    entries."""
     n = len(table)
     full = set(range(n))
-    if any(map(n.__ne__, map(len, table))) or any(full != set(table[a]) for a in gens):
-        return False  # (P)
+    for x, row in enumerate(table):
+        if len(row) != n:
+            return f"derived table row {x} has {len(row)} entries, not {n}"
+    for a in gens:
+        if full != set(table[a]):
+            return f"derived table row {a}, a generator's, is not a permutation"  # (P)
     columns = [list(map(itemgetter(a), table)) for a in gens]
-    if not all(map(full.issuperset, columns)):
-        return False  # a step out of range
+    for a, column in zip(gens, columns):
+        if not full.issuperset(column):
+            x = next(x for x, y in enumerate(column) if y not in full)
+            return f"derived table entry ({x}, {a}) is {column[x]}, not an element index"
     # (R), breadth first, keeping the step (p, a) that first reaches each
     # index x = T[p][a] other than 0
     steps: dict[int, tuple[int, int]] = {}
@@ -311,14 +267,17 @@ def _generated(table: list[list[int]], gens: Sequence[int]) -> bool:
                 steps[x] = p, a
                 reached.append(x)
     if len(reached) != n:
-        return False
+        return f"derived table row {min(full.difference(reached))} is not reached from row 0"
     compose = {a: itemgetter(*table[a]) for a in gens}  # row -> row o s_a
-    if any(
-        itemgetter(*column)(table[a]) != compose[a](column)  # (C)
-        for a in gens for column in columns
-    ):
-        return False
-    return all(table[x] == list(compose[a](table[p])) for x, (p, a) in steps.items())  # (T)
+    for a in gens:
+        for b, column in zip(gens, columns):
+            if itemgetter(*column)(table[a]) != compose[a](column):  # (C)
+                x = next(x for x in range(n) if table[a][column[x]] != column[table[a][x]])
+                return f"derived table products {a} * ({x} * {b}) and ({a} * {x}) * {b} differ"
+    for x, (p, a) in steps.items():
+        if table[x] != list(compose[a](table[p])):  # (T)
+            return f"derived table row {x} = {p} * {a} is not row {p} composed with row {a}"
+    return None
 
 
 def _sample_failure(group: FiniteMatrixGroup, table: list[list[int]]) -> Optional[str]:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -479,15 +480,33 @@ def _bad_action(group, table):
 # With the true actions, row 0, the generator rows and Light's test force the
 # true table (see `_check_table`), so no table fails the identity or the
 # Latin condition alone; those two tables fail later conditions as well.
+# Each table gets the text of the first pass of `_check_table` it fails;
+# the ids name the serial condition it was built to fail.
 @pytest.mark.parametrize("name", ["paper_group", "family_648"])
-@pytest.mark.parametrize("condition, build, alone, message", [
-    ("identity", _bad_identity, False, "row 0 or column 0"),
-    ("latin", _bad_latin, False, "Latin square"),
-    ("action", _bad_action, True, "differs from the action"),
-    ("light", _swap_an_intercalate, True, "Light's test"),
+@pytest.mark.parametrize("condition, build, alone, messages", [
+    ("identity", _bad_identity, False, dict.fromkeys(
+        ["paper_group", "family_648"], "derived table row 0 or column 0 is not the identity"
+    )),
+    ("latin", _bad_latin, False, {
+        "paper_group": "derived table row 5 = 34 * 1 is not row 34 composed with row 1",
+        "family_648": "derived table row 6 = 1 * 3 is not row 1 composed with row 3",
+    }),
+    ("action", _bad_action, True, {
+        "paper_group": "derived table row 1 differs from the action of generator 1",
+        "family_648": "derived table row 3 differs from the action of generator 1",
+    }),
+    ("light", _swap_an_intercalate, True, {
+        "paper_group": "derived table products 1 * (5 * 1) and (1 * 5) * 1 differ",
+        "family_648": "derived table row 8 = 36 * 5 is not row 36 composed with row 5",
+    }),
+], ids=[
+    "identity-_bad_identity-False-row 0 or column 0",
+    "latin-_bad_latin-False-Latin square",
+    "action-_bad_action-True-differs from the action",
+    "light-_swap_an_intercalate-True-Light's test",
 ])
 def test_check_table_rejects_each_integer_condition(
-    request, name, condition, build, alone, message
+    request, name, condition, build, alone, messages
 ):
     group = request.getfixturevalue(name)
     table = group.cayley_table()
@@ -497,7 +516,7 @@ def test_check_table_rejects_each_integer_condition(
     assert condition in failed
     if alone:
         assert failed == {condition}
-    with pytest.raises(mg.CayleyTableError, match=message):
+    with pytest.raises(mg.CayleyTableError, match=f"^{re.escape(messages[name])}$"):
         mg._check_table(group, bad)
 
 
@@ -547,48 +566,31 @@ def _uncommuting(group, table):
     raise AssertionError("no transposition keeps every index reachable")
 
 
-@pytest.mark.parametrize("name", ["paper_group", "family_648"])
-def test_valid_table_runs_neither_the_latin_pass_nor_lights_test(request, monkeypatch, name):
-    # a valid table passes the integer certificate, so neither the Latin
-    # pass nor Light's test runs; a table that fails it runs them in turn
-    group = request.getfixturevalue(name)
-    table = group.cayley_table()
-    calls = []
-
-    def logged(check):
-        def run(*args):
-            calls.append(check.__name__)
-            return check(*args)
-        return run
-
-    for check in (mg._latin_failure, mg._light_failure):
-        monkeypatch.setattr(mg, check.__name__, logged(check))
-    mg._check_table(group, table)
-    assert calls == []
-    with pytest.raises(mg.CayleyTableError, match="Latin square"):
-        mg._check_table(group, _bad_latin(group, table))
-    assert calls == ["_latin_failure"]
-    with pytest.raises(mg.CayleyTableError, match="Light's test"):
-        mg._check_table(group, _swap_an_intercalate(group, table))
-    assert calls == ["_latin_failure", "_latin_failure", "_light_failure"]
-
-
 def test_generated_checks_each_condition_of_the_certificate(paper_group):
+    # each table that fails one condition gets that condition's text
     table = paper_group.cayley_table()
     gens = list(dict.fromkeys(paper_group.generators))
-    assert mg._generated(table, gens)
+    assert mg._generated(table, gens) is None
     # (R): the steps by one generator reach only its cyclic span
-    assert not mg._generated(table, gens[:1])
+    unreached = mg._generated(table, gens[:1])
+    assert re.fullmatch(r"derived table row \d+ is not reached from row 0", unreached)
     a, x = gens[0], _plain_elements(paper_group)[0]
-    for row, j, value in ((a, 5, table[a][6]), (x, a, -1), (x, a, 162)):
+    for row, j, value, text in (
+        # (P): a generator row that is no permutation; steps out of range
+        (a, 5, table[a][6], f"derived table row {a}, a generator's, is not a permutation"),
+        (x, a, -1, f"derived table entry ({x}, {a}) is -1, not an element index"),
+        (x, a, 162, f"derived table entry ({x}, {a}) is 162, not an element index"),
+    ):
         bad = [list(r) for r in table]
-        bad[row][j] = value  # (P): a generator row that is no permutation; a step out of range
-        assert not mg._generated(bad, gens)
+        bad[row][j] = value
+        assert mg._generated(bad, gens) == text
     short = [list(r) for r in table]
     short[x].pop()
-    assert not mg._generated(short, gens)
+    assert mg._generated(short, gens) == f"derived table row {x} has 161 entries, not 162"
     # (P) alone: the table of max on {0, 1} passes (I), (R), (C) and (T)
-    assert not mg._generated([[0, 1], [1, 1]], [1])
+    assert mg._generated([[0, 1], [1, 1]], [1]) == (
+        "derived table row 1, a generator's, is not a permutation"
+    )
     # (T) alone: a plain row with two entries swapped outside the generator
     # columns leaves the generator rows and columns as they were
     j, k = [y for y in _plain_elements(paper_group) if y != x][:2]
@@ -597,15 +599,21 @@ def test_generated_checks_each_condition_of_the_certificate(paper_group):
     assert all(
         swapped[a] == table[a] and [r[a] for r in swapped] == [r[a] for r in table] for a in gens
     )
-    assert not mg._generated(swapped, gens)
+    assert re.fullmatch(
+        rf"derived table row {x} = (\d+) \* (\d+) is not row \1 composed with row \2",
+        mg._generated(swapped, gens),
+    )
     # (C) alone: the rows pass (I), (P), (R) and (T) by construction
     bad, rebuilt = _uncommuting(paper_group, table)
     assert any(
         bad[a][bad[x][b]] != bad[bad[a][x]][b] for a in gens for b in gens for x in range(162)
     )
     assert _failed_conditions(rebuilt, bad) == {"latin", "light"}
-    assert not mg._generated(bad, gens)
-    with pytest.raises(mg.CayleyTableError, match="Latin square"):
+    failure = mg._generated(bad, gens)
+    assert re.fullmatch(
+        r"derived table products (\d+) \* \((\d+) \* (\d+)\) and \(\1 \* \2\) \* \3 differ", failure
+    )
+    with pytest.raises(mg.CayleyTableError, match=f"^{re.escape(failure)}$"):
         mg._check_table(rebuilt, bad)
 
 
@@ -618,7 +626,8 @@ def _serial_check_table(group, table):
     failure raised: identity, Latin square, generator rows, Light's test
     over every distinct signed generator, samples."""
     n = group.order
-    if table[0] != list(range(n)) or [row[0] for row in table] != list(range(n)):
+    # row[:1] reads an empty row as [], as `_check_table` does
+    if table[0] != list(range(n)) or [row[:1] for row in table] != [[x] for x in range(n)]:
         raise mg.CayleyTableError("derived table row 0 or column 0 is not the identity")
     rows = {}
     for s, g in enumerate(group.generators, 1):
@@ -664,7 +673,7 @@ def _derived_table(group):
 
 def _guard_corpus(group, seed):
     """(label, group, table) cases for the guard: the valid table, the four
-    one-condition tables, malformed rows and entries, tables derived from
+    one-condition tables, malformed rows (empty ones too) and entries, tables derived from
     corrupted actions or provenance, one renamed with its actions, a table
     with twisted cosets for each positive generator, and one whose
     generator rows do not commute with the generator columns."""
@@ -695,6 +704,8 @@ def _guard_corpus(group, seed):
     yield edited("short row", x, list.pop)
     yield edited("long row", x, lambda row: row.append(rng.randrange(n)))
     yield edited("short generator row", column, list.pop)
+    yield edited("empty row", x, list.clear)
+    yield edited("empty generator row", column, list.clear)
     yield edited("negative entry", x, put(rng.randrange(1, n), -rng.randrange(1, n)))
     yield edited("out-of-range entry", x, put(rng.randrange(1, n), n + rng.randrange(n)))
     yield edited("negative step", x, put(column, -1))
@@ -727,8 +738,15 @@ def _guard_corpus(group, seed):
     yield "uncommuting generator rows", rebuilt, bad
 
 
+# the serial guard's failures, and the passes of `_check_table`, by their
+# texts; (P) and (R) fail on no corpus table, and
+# `test_generated_checks_each_condition_of_the_certificate` gives each its own
 _FAILURE_KINDS = (
     "row 0 or column 0", "Latin square", "differs from the action", "Light's test", "exact product",
+)
+_PASS_KINDS = (
+    "row 0 or column 0", "differs from the action", "entries, not", "not an element index",
+    "composed with row", "products", "exact product",
 )
 
 
@@ -740,15 +758,27 @@ def _guard_outcome(check, group, table):
     return None
 
 
-@pytest.mark.parametrize("name, seed", [("paper_group", 1), ("family_group", 2), ("family_648", 3)])
+def _kind(failure, kinds):
+    return failure and next(kind for kind in kinds if kind in failure)
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("paper_group", 1), ("paper_group", 4), ("family_group", 2), ("family_group", 5),
+    ("family_648", 3), ("family_648", 6),
+])
 def test_guard_matches_the_serial_guard(request, name, seed):
+    # on every corpus table the guard raises nothing but CayleyTableError
+    # and accepts exactly when the serial guard does
     group = request.getfixturevalue(name)
-    outcomes = set()
+    outcomes, passes = set(), set()
     for label, g, table in _guard_corpus(group, seed):
         want = _guard_outcome(_serial_check_table, g, table)
-        assert _guard_outcome(mg._check_table, g, table) == want, label
-        outcomes.add(want and next(kind for kind in _FAILURE_KINDS if kind in want))
+        got = _guard_outcome(mg._check_table, g, table)
+        assert (got is None) == (want is None), label
+        outcomes.add(_kind(want, _FAILURE_KINDS))
+        passes.add(_kind(got, _PASS_KINDS))
     assert outcomes == {None, *_FAILURE_KINDS}
+    assert passes == {None, *_PASS_KINDS}
 
 
 def test_guard_makes_only_the_sampled_products(paper_matrices, monkeypatch):
