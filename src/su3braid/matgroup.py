@@ -217,9 +217,9 @@ def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
     are rows of H like any other.  The samples check the actions
     themselves.
 
-    So the guard runs (I), the generator rows, (P), (R), (C) and (T),
-    about n^2 + |S|^2 n integer reads in C-level gathers, then the
-    samples.  It reads no entry or step it has not bounded (an empty row
+    So the guard runs (I), the generator rows, the row lengths, (P), (R),
+    (C) and (T), about n^2 + |S|^2 n integer reads in C-level gathers,
+    then the samples.  It reads no entry or step it has not bounded (an empty row
     reads as [] in column 0), so it raises nothing else on a table of
     ints with n rows."""
     n = group.order

@@ -673,10 +673,11 @@ def _derived_table(group):
 
 def _guard_corpus(group, seed):
     """(label, group, table) cases for the guard: the valid table, the four
-    one-condition tables, malformed rows (empty ones too) and entries, tables derived from
-    corrupted actions or provenance, one renamed with its actions, a table
-    with twisted cosets for each positive generator, and one whose
-    generator rows do not commute with the generator columns."""
+    one-condition tables, malformed rows (empty ones too) and entries,
+    tables derived from corrupted actions or provenance, one renamed with
+    its actions, a table with twisted cosets for each positive generator,
+    and one whose generator rows do not commute with the generator
+    columns."""
     n = group.order
     table = group.cayley_table()
     rng = random.Random(seed)
