@@ -112,8 +112,9 @@ MAX_WORKING_ORDER = 4096
 # D(n,1,1;2,1,1) under the cap) 2.3-2.8 s and 146 MB.  Closure time grows
 # with the elements closed and with the working order.  Worst case at the
 # bound: `group --from familyD 1021 1 1 4084 1 1`, working order 4084,
-# reaches the cap in 1.3-1.5 s and 80 MB (3 runs; 3.4-3.5 s and 119 MB
-# when the closure also multiplied by the inverse generators).
+# reaches the cap in 1.2-1.9 s and 69 MB (9 runs, wall time drifting with
+# the host; 3.4-3.5 s and 119 MB when the closure also multiplied by the
+# inverse generators).
 MAX_GROUP_CAP = 4096
 
 

@@ -33,7 +33,7 @@ import json
 import math
 import random
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cyclo import NonDivisibleOrderError
 from .matrix import UnitaryMatrix
@@ -303,11 +303,13 @@ def close(
     left multiplication, recording each signed generator's action on the
     element indices.  Raises GroupTooLargeError past the cap.
 
-    Only the generators themselves multiply matrices: in a finite group
-    an inverse is a power, so closing under the generators alone reaches
+    Only the generators themselves multiply matrices, in one forward pass
+    over the elements in the order it finds them: in a finite group an
+    inverse is a power, so closing under the generators alone reaches
     every element, and each inverse generator's action is the inverse
-    permutation of its generator's.  The signed closure, with its element
-    order and words, is then run again on those integer actions."""
+    permutation of its generator's.  The signed closure, which fixes the
+    element order and the words, then runs once, on those integer
+    actions."""
     if not generators:
         raise ValueError("need at least one generator")
     if cap < 1:
@@ -319,105 +321,72 @@ def close(
             raise ValueError("generators must share a dimension")
         order = math.lcm(order, g.scalar_order())
     embedded = [g.embed(order) for g in generators]
+    gen_keys = [g.key_bytes() for g in embedded]
     identity = UnitaryMatrix.identity(dim)
-    matrices, keys, _, _, _, _, actions = _bfs(
-        (identity.key_bytes(), identity),
-        [(i, g.key_bytes(), g) for i, g in enumerate(embedded, 1)], _matrix_times, cap,
-    )
-    # each signed generator with its action, a permutation of the indices of
-    # `keys`; the signed closure multiplies an index by looking it up there
-    multipliers = []
-    for i in range(1, len(generators) + 1):
+    matrices = [identity]
+    keys = [identity.key_bytes()]
+    index = {keys[0]: 0}
+    # row[x] is the index of g * matrices[x]; a repeated generator shares
+    # its row
+    rows: dict[bytes, list[int]] = {k: [] for k in gen_keys}
+    steps = [(g, rows[k]) for k, g in dict(zip(gen_keys, embedded)).items()]
+    for m in matrices:  # the list grows as the loop walks it
+        for g, row in steps:
+            product = g * m
+            key = product.key_bytes()
+            x = index.get(key)
+            if x is None:
+                if len(keys) == cap:
+                    raise GroupTooLargeError(
+                        f"closure exceeded cap={cap}; generators may not span a finite group"
+                    )
+                x = index[key] = len(keys)
+                keys.append(key)
+                matrices.append(product)
+            row.append(x)
+
+    # each signed generator's row, an inverse's being its generator's row
+    # inverted; a signed generator multiplying by the same element as an
+    # earlier one (an involution's inverse, a repeated generator) takes no
+    # part in the words
+    signed_rows: dict[int, list[int]] = {}
+    for i, k in enumerate(gen_keys, 1):
         inverse = [0] * len(keys)
-        for x, y in enumerate(actions[i]):
+        for x, y in enumerate(rows[k]):
             inverse[y] = x
-        for signed, row in ((i, actions[i]), (-i, inverse)):
-            multipliers.append((signed, keys[row[0]], row))
-
-    def times(row: Sequence[int], x: int) -> tuple[bytes, int]:
-        return keys[row[x]], row[x]
-
-    reached, *closure = _bfs((keys[0], 0), multipliers, times, len(keys))
-    return FiniteMatrixGroup(order, tuple(map(matrices.__getitem__, reached)), *closure)
-
-
-def _matrix_times(mat: UnitaryMatrix, element: UnitaryMatrix) -> tuple[bytes, UnitaryMatrix]:
-    product = mat * element
-    return product.key_bytes(), product
-
-
-def _bfs(
-    identity: tuple[bytes, object], multipliers: Sequence[tuple[int, bytes, object]],
-    times: Callable[[object, object], tuple[bytes, object]], cap: int,
-) -> tuple:
-    """The one closure loop from the identity's (key, value), over (signed
-    index, key, operand) multipliers; `times(operand, value)` gives the key
-    and value of a product, a value being what `times` needs of an element.
-    Each layer keeps the least word per new key and is appended in key
-    order.  Returns the values, then the rest of the `FiniteMatrixGroup`
-    arguments after its matrices."""
-    # distinct multipliers; a signed generator equal to an earlier one
-    # (an involution's inverse, a repeated generator) shares its slot
-    distinct: list[tuple[int, object]] = []
-    slot_of_key: dict[bytes, int] = {}
-    slot_of_signed: dict[int, int] = {}
-    for signed, key, operand in multipliers:
-        if key not in slot_of_key:
-            slot_of_key[key] = len(distinct)
-            distinct.append((signed, operand))
-        slot_of_signed[signed] = slot_of_key[key]
-
-    elements: dict[bytes, int] = {identity[0]: 0}
-    keys: list[bytes] = [identity[0]]
-    values: list = [identity[1]]
-    words: list[Word] = [()]
-    bfs_mult: list[int] = [0]
-    bfs_parent: list[int] = [-1]
-    # action[slot][x] = index of multiplier * element(x); parents are visited
-    # in index order, so appending keeps position x aligned with element x
-    action: list[list[int]] = [[] for _ in distinct]
-
-    frontier = [0]
-    while frontier:
-        layer: dict[bytes, tuple[Word, object, int, int]] = {}
-        pending: list[tuple[int, int, bytes]] = []  # action entries awaiting an index
-        for parent_idx in frontier:
-            parent, parent_word = values[parent_idx], words[parent_idx]
-            for slot, (signed, operand) in enumerate(distinct):
-                key, product = times(operand, parent)
-                idx = elements.get(key)
-                if idx is not None:
-                    action[slot].append(idx)
-                    continue
-                action[slot].append(-1)
-                pending.append((slot, parent_idx, key))
-                word = (signed,) + parent_word
-                known = layer.get(key)
-                if known is None or word < known[0]:
-                    layer[key] = (word, product, signed, parent_idx)
-        if len(elements) + len(layer) > cap:
-            raise GroupTooLargeError(
-                f"closure exceeded cap={cap}; generators may not span a finite group"
-            )
-        frontier = []
-        for key in sorted(layer):
-            word, product, signed, parent_idx = layer[key]
-            idx = len(keys)
-            elements[key] = idx
-            keys.append(key)
-            values.append(product)
+        signed_rows[i], signed_rows[-i] = rows[k], inverse
+    multipliers: dict[int, tuple[int, list[int]]] = {}
+    for signed, row in signed_rows.items():
+        multipliers.setdefault(row[0], (signed, row))
+    # layered BFS over forward indices; each layer keeps the least word per
+    # element and is appended in key order
+    at = [-1] * len(keys)  # forward index -> element index
+    at[0] = 0
+    reached, words, bfs_mult, bfs_parent = [0], [()], [0], [-1]
+    start = 0
+    while start < len(reached):
+        layer: dict[int, tuple[Word, int]] = {}
+        for p in range(start, len(reached)):
+            x, word = reached[p], words[p]
+            for signed, row in multipliers.values():
+                y = row[x]
+                if at[y] < 0:
+                    candidate = (signed,) + word
+                    if y not in layer or candidate < layer[y][0]:
+                        layer[y] = candidate, p
+        start = len(reached)
+        for y in sorted(layer, key=keys.__getitem__):
+            word, p = layer[y]
+            at[y] = len(reached)
+            reached.append(y)
             words.append(word)
-            bfs_mult.append(signed)
-            bfs_parent.append(parent_idx)
-            frontier.append(idx)
-        for slot, parent_idx, key in pending:
-            action[slot][parent_idx] = elements[key]
-
-    return (
-        values, tuple(keys), tuple(words),
-        tuple(elements[k] for s, k, _ in multipliers if s > 0),
+            bfs_mult.append(word[0])
+            bfs_parent.append(p)
+    return FiniteMatrixGroup(
+        order, tuple(matrices[x] for x in reached), tuple(keys[x] for x in reached),
+        tuple(words), tuple(at[rows[k][0]] for k in gen_keys),
         tuple(bfs_mult), tuple(bfs_parent),
-        {signed: tuple(action[slot]) for signed, slot in slot_of_signed.items()},
+        {signed: tuple(at[row[x]] for x in reached) for signed, row in signed_rows.items()},
     )
 
 

@@ -160,13 +160,6 @@ class UnitaryMatrix:
     def is_unitary(self) -> bool:
         return self * self.conj_transpose() == UnitaryMatrix.identity(self.dim)
 
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
-
     # -- comparisons / conversion ---------------------------------------------
 
     def __eq__(self, other: object) -> bool:

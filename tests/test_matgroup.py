@@ -1160,21 +1160,64 @@ def _assert_same_closure(sub, ref):
 def _reference_close(generators, cap=100_000):
     """The closure before it multiplied by the generators alone: every
     signed generator multiplies matrices, an inverse being the conjugate
-    transpose."""
+    transpose, in one layered loop of its own.  A signed generator equal
+    to an earlier one shares its slot; each layer keeps the least word per
+    new key, is checked against the cap and is appended in key order, and
+    the action entries that reached a new element are filled in after."""
     order = math.lcm(*(g.scalar_order() for g in generators))
-    multipliers = []
+    distinct, slot_of_key, slot_of_signed, generator_keys = [], {}, {}, []
     for i, g in enumerate(generators, 1):
         g = g.embed(order)
+        generator_keys.append(g.key_bytes())
         for signed, mat in ((i, g), (-i, g.conj_transpose())):
-            multipliers.append((signed, mat.key_bytes(), mat))
-
-    def times(mat, element):
-        product = mat * element
-        return product.key_bytes(), product
+            key = mat.key_bytes()
+            if key not in slot_of_key:
+                slot_of_key[key] = len(distinct)
+                distinct.append((signed, mat))
+            slot_of_signed[signed] = slot_of_key[key]
 
     identity = UnitaryMatrix.identity(generators[0].dim)
-    matrices, *closure = mg._bfs((identity.key_bytes(), identity), multipliers, times, cap)
-    return mg.FiniteMatrixGroup(order, tuple(matrices), *closure)
+    elements = {identity.key_bytes(): 0}
+    keys, matrices, words = [identity.key_bytes()], [identity], [()]
+    bfs_mult, bfs_parent = [0], [-1]
+    action = [[] for _ in distinct]
+    frontier = [0]
+    while frontier:
+        layer, pending = {}, []
+        for parent_idx in frontier:
+            parent, parent_word = matrices[parent_idx], words[parent_idx]
+            for slot, (signed, mat) in enumerate(distinct):
+                product = mat * parent
+                key = product.key_bytes()
+                if key in elements:
+                    action[slot].append(elements[key])
+                    continue
+                action[slot].append(-1)
+                pending.append((slot, parent_idx, key))
+                word = (signed,) + parent_word
+                if key not in layer or word < layer[key][0]:
+                    layer[key] = (word, product, signed, parent_idx)
+        if len(elements) + len(layer) > cap:
+            raise mg.GroupTooLargeError(
+                f"closure exceeded cap={cap}; generators may not span a finite group"
+            )
+        frontier = []
+        for key in sorted(layer):
+            word, product, signed, parent_idx = layer[key]
+            elements[key] = len(keys)
+            frontier.append(len(keys))
+            keys.append(key)
+            matrices.append(product)
+            words.append(word)
+            bfs_mult.append(signed)
+            bfs_parent.append(parent_idx)
+        for slot, parent_idx, key in pending:
+            action[slot][parent_idx] = elements[key]
+    return mg.FiniteMatrixGroup(
+        order, tuple(matrices), tuple(keys), tuple(words),
+        tuple(elements[k] for k in generator_keys), tuple(bfs_mult), tuple(bfs_parent),
+        {signed: tuple(action[slot]) for signed, slot in slot_of_signed.items()},
+    )
 
 
 CLOSURE_INPUTS = {
@@ -1204,6 +1247,7 @@ def test_close_over_the_cap_fails_as_the_signed_closure(paper_matrices):
         (list(paper_matrices), 100),
         (list(paper_matrices), 161),
         ([UnitaryMatrix.diagonal([root_of_unity(36), root_of_unity(36, 35)])], 10),
+        (CLOSURE_INPUTS["familyD 18"](), 647),
     ):
         with pytest.raises(mg.GroupTooLargeError) as ref:
             _reference_close(generators, cap)
@@ -1213,6 +1257,7 @@ def test_close_over_the_cap_fails_as_the_signed_closure(paper_matrices):
             f"closure exceeded cap={cap}; generators may not span a finite group"
         )
     assert mg.close(list(paper_matrices), 162).order == 162
+    assert mg.close(CLOSURE_INPUTS["familyD 18"](), 648).order == 648
 
 
 def test_close_multiplies_by_the_generators_alone(paper_matrices, monkeypatch):
