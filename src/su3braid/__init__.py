@@ -26,7 +26,7 @@ _PUBLIC = {
         "FiniteMatrixGroup", "GroupTooLargeError", "SemidirectReport",
         "abelian_invariants", "close", "conjugacy_classes", "decompose",
         "element_order", "find_isomorphism", "intersect", "is_normal", "semidirect_verify",
-        "subgroup", "word_eval",
+        "subgroup",
     ),
     "su3families": ("CParams", "DParams", "c_generators", "d_generators"),
     "verify": ("VerificationReport", "run_theorem1_verification"),

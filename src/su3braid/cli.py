@@ -104,17 +104,17 @@ MAX_WORKING_ORDER = 4096
 
 
 # the largest `group --cap`, and its default; it also bounds the Cayley
-# table behind the export, order^2 Python ints, while the export text is
-# streamed.  Measured on a 2-vCPU Xeon VM, Python 3.11.7, cold processes
-# (3 runs each), peak RSS from `wait4`, the table guard in process: both
-# exports of an order-2592 group (`familyD 36 1 1 2 1 1`) take 1.2-1.3 s
-# and 69 MB, and of order 4050 (`familyD 45 1 1 2 1 1`, the largest
-# D(n,1,1;2,1,1) under the cap) 2.3-2.8 s and 146 MB.  Closure time grows
-# with the elements closed and with the working order.  Worst case at the
-# bound: `group --from familyD 1021 1 1 4084 1 1`, working order 4084,
-# reaches the cap in 1.2-1.9 s and 69 MB (9 runs, wall time drifting with
-# the host; 3.4-3.5 s and 119 MB when the closure also multiplied by the
-# inverse generators).
+# export, which certifies the table on the closure's record and then writes
+# it row by row, holding only the rows still waiting for their tree
+# children.  Measured on a 2-vCPU Xeon VM, Python 3.11.7, cold processes
+# (3 runs each), peak RSS from `wait4`: both exports of an order-2592 group
+# (`familyD 36 1 1 2 1 1`) take 0.54-0.59 s and 23 MB, and of order 4050
+# (`familyD 45 1 1 2 1 1`, the largest D(n,1,1;2,1,1) under the cap)
+# 1.2-1.5 s and 30 MB.  Closure time grows with the elements closed and
+# with the working order.  Worst case at the bound: `group --from familyD
+# 1021 1 1 4084 1 1`, working order 4084, reaches the cap in 1.2-1.9 s and
+# 69 MB (9 runs, wall time drifting with the host; 3.4-3.5 s and 119 MB
+# when the closure also multiplied by the inverse generators).
 MAX_GROUP_CAP = 4096
 
 
@@ -319,9 +319,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     on stderr, never a traceback)."""
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a pipe closed early fails here, not at exit
+        return code
     except _BAD_INPUT as exc:  # surfaced as a clean message, not a traceback
-        print(f"error: {exc}", file=sys.stderr)
+        # the error line, then what stdout still buffers; a stream that is a
+        # closed pipe goes to devnull, as Python's SIGPIPE note advises, so
+        # that the flush at exit cannot raise again
+        for stream, text in ((sys.stderr, f"error: {exc}\n"), (sys.stdout, "")):
+            try:
+                stream.write(text)
+                stream.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         return 2
 
 

@@ -154,22 +154,9 @@ class FiniteMatrixGroup:
 
     def cayley_table(self) -> list[list[int]]:
         """Full multiplication table; entry [i][j] is the element index of
-        element(i) * element(j).
-
-        Row i is the generator action applied to the row of the BFS parent,
-        since element(i) = g * element(parent).  The result is checked
-        against direct exact products before it is returned."""
+        element(i) * element(j), certified by `_certify` before it is built."""
         if self._cayley is None:
-            actions = self._actions
-            mult, parent = self._bfs_mult, self._bfs_parent
-            table = [list(range(self.order))]
-            # row i gathers the action's entries at row parent[i]'s values in
-            # one C-level call; from order 2 on a row holds two or more indices,
-            # so itemgetter gives a tuple
-            for i in range(1, self.order):
-                table.append(list(itemgetter(*table[parent[i]])(actions[mult[i]])))
-            _check_table(self, table)
-            self._cayley = table
+            self._cayley = [list(row) for row in _rows(self)]
         return self._cayley
 
     def inverse_index(self) -> list[int]:
@@ -184,112 +171,128 @@ class FiniteMatrixGroup:
 _TABLE_SAMPLE = 256
 
 
-def _check_table(group: FiniteMatrixGroup, table: list[list[int]]) -> None:
-    """Soundness guard for a derived table T, on integers plus a fixed-seed
-    sample of direct exact products.  Its passes run in order, and the
-    first that fails raises a `CayleyTableError` naming the row or entry
-    involved.
+def _certify(group: FiniteMatrixGroup) -> None:
+    """Soundness guard for the table T that `_rows` derives from the
+    closure's record, run on that record before any row is built: integer
+    passes, then a fixed-seed sample of direct exact products.  Its passes
+    run in order, and the first that fails raises a `CayleyTableError`
+    naming the element, generator or entry involved.
 
-    Write s_x for row x as the map y -> T[x][y], c_b for column b as the
-    map x -> T[x][b], and S for the distinct positive generators, and
-    suppose (I) row 0 and column 0 are the identity, each row in S equals
-    its generator's recorded action, (P) every row in S is a permutation
-    of range(n), (R) steps x -> T[x][a], a in S, each landing in
-    range(n), reach every index from 0, (C) s_a o c_b = c_b o s_a for all
-    a, b in S, and (T) s_x = s_p o s_a for each index x first reached by
-    the step x = T[p][a] of (R).  Let H be the group the s_a generate (an
-    inverse is a power).  By (C) every element of H commutes with every
-    c_b, so one that fixes 0 fixes every index (R) reaches from 0, which
-    is all of them: an element of H is fixed by its value at 0, and
-    |H| <= n.  By (I) and (T), down the tree of (R), every row is in H,
-    and the n rows are distinct since s_x(0) = x.  So the rows are H,
-    which acts regularly on the indices.  Then each column x -> s_x(y) is
-    injective, T is a Latin square, and s_{s_x(b)} = s_x o s_b for every
-    index b, both sides being elements of H that agree at 0.  This is the
-    standard fact that a permutation group centralizing a transitive
-    action is semiregular (Dixon and Mortimer, *Permutation Groups*,
-    Thm 4.2A).
+    Row 0 of T is the identity and row i is s_i = l_m o s_p, where element
+    i was first reached as generator m times element p (m = `_bfs_mult[i]`,
+    p = `_bfs_parent[i]`) and l_m is m's recorded action.  Write c_b for
+    column b, x -> T[x][b], built down the same tree as c_b(0) = b,
+    c_b(i) = l_m(c_b(p)), and S for the distinct positive generators.
+    The passes are: the provenance is a tree (each p < i, each m a signed
+    generator); (P) every positive generator's action is a permutation of
+    range(n); each inverse generator's action is its generator's inverted;
+    (I) column 0 is the identity; each generator's row equals its action;
+    and (C) l_a o c_b = c_b o l_a for all a, b in S.  Let H be the group
+    the l_a generate; it holds the inverses' actions, so every row built
+    down the tree is in H.  By (C) every element of H commutes with every
+    c_b, so one that fixes 0 fixes every index that steps x -> c_b(x),
+    b in S, reach from 0.  (R) These steps reach every index, so they need
+    no pass of their own: c_b(w(0)) = w(c_b(0)) = (w o l_b)(0) for w in H,
+    the row of b being l_b, so they reach H's orbit of 0, which holds
+    s_x(0) = x for every index x by (I).  So an element of H is fixed by
+    its value at 0, and |H| <= n.  The n rows are distinct since s_x(0) = x, so the
+    rows are H, which acts regularly on the indices.  Then each column
+    x -> s_x(y) is injective, T is a Latin square, and s_{s_x(b)} =
+    s_x o s_b for every index b, both sides being elements of H that agree
+    at 0.  This is the standard fact that a permutation group centralizing
+    a transitive action is semiregular (Dixon and Mortimer, *Permutation
+    Groups*, Thm 4.2A).
 
     With true actions, as `close` records them from exact products, H is
     the left regular action of the group S generates, so s_x, the element
     of H taking 0 to x, is left multiplication by element x: these passes
-    force the table.  The inverse generators' rows are not premises; they
-    are rows of H like any other.  The samples check the actions
-    themselves.
+    force the table.  The samples check the actions themselves, each
+    sampled entry found by walking its row's tree path.  So the guard
+    reads about |S|^2 n integers and builds no row, and it reads no
+    action entry or provenance step it has not bounded."""
+    n, gens, actions = group.order, group.generators, group._actions
+    mult, parent = group._bfs_mult, group._bfs_parent
+    for i in range(1, n):
+        if not (0 <= parent[i] < i and 0 < abs(mult[i]) <= len(gens)):
+            raise CayleyTableError(
+                f"element {i} is not recorded as a generator times an earlier one"
+            )
+    full, identity = set(range(n)), list(range(n))
+    for s in range(1, len(gens) + 1):
+        action, inverse = actions.get(s, ()), actions.get(-s, ())
+        if len(action) != n or full != set(action):  # (P)
+            raise CayleyTableError(f"recorded action of generator {s} is not a permutation")
+        if len(inverse) != n or list(map(inverse.__getitem__, action)) != identity:
+            raise CayleyTableError(f"recorded action of generator {-s} is not its inverse's")
 
-    So the guard runs (I), the generator rows, the row lengths, (P), (R),
-    (C) and (T), about n^2 + |S|^2 n integer reads in C-level gathers,
-    then the samples.  It reads no entry or step it has not bounded (an empty row
-    reads as [] in column 0), so it raises nothing else on a table of
-    ints with n rows."""
-    n = group.order
-    if table[0] != list(range(n)) or [row[:1] for row in table] != [[x] for x in range(n)]:
-        raise CayleyTableError("derived table row 0 or column 0 is not the identity")
-    for s, a in enumerate(group.generators, 1):
-        if tuple(table[a]) != group.action(s):
+    def column(b: int) -> list[int]:
+        c = [b]
+        for m, p in zip(mult[1:], parent[1:]):
+            c.append(actions[m][c[p]])
+        return c
+
+    if column(0) != identity:  # (I)
+        raise CayleyTableError("derived table column 0 is not the identity")
+    for s, a in enumerate(gens, 1):
+        if _entries(group, a, identity) != list(actions[s]):
             raise CayleyTableError(
                 f"derived table row {a} differs from the action of generator {s}"
             )
-    gens = list(dict.fromkeys(group.generators))
-    failure = _generated(table, gens) or _sample_failure(group, table)
-    if failure:
-        raise CayleyTableError(failure)
-
-
-def _generated(table: list[list[int]], gens: Sequence[int]) -> Optional[str]:
-    """The failure text of the first of these that fails, or None: every
-    row has n entries, then conditions (P), (R), (C) and (T) of
-    `_check_table` on the rows `gens`, in O(n^2 + len(gens)^2 n) C-level
-    reads and without raising on any table of ints with n rows.  At n = 1
-    a gather of one index gives the entry itself, and (C) compares two
-    entries."""
-    n = len(table)
-    full = set(range(n))
-    for x, row in enumerate(table):
-        if len(row) != n:
-            return f"derived table row {x} has {len(row)} entries, not {n}"
-    for a in gens:
-        if full != set(table[a]):
-            return f"derived table row {a}, a generator's, is not a permutation"  # (P)
-    columns = [list(map(itemgetter(a), table)) for a in gens]
-    for a, column in zip(gens, columns):
-        if not full.issuperset(column):
-            x = next(x for x, y in enumerate(column) if y not in full)
-            return f"derived table entry ({x}, {a}) is {column[x]}, not an element index"
-    # (R), breadth first, keeping the step (p, a) that first reaches each
-    # index x = T[p][a] other than 0
-    steps: dict[int, tuple[int, int]] = {}
-    reached = [0]
-    for p in reached:
-        for a, column in zip(gens, columns):
-            x = column[p]
-            if x and x not in steps:
-                steps[x] = p, a
-                reached.append(x)
-    if len(reached) != n:
-        return f"derived table row {min(full.difference(reached))} is not reached from row 0"
-    compose = {a: itemgetter(*table[a]) for a in gens}  # row -> row o s_a
-    for a in gens:
-        for b, column in zip(gens, columns):
-            if itemgetter(*column)(table[a]) != compose[a](column):  # (C)
-                x = next(x for x in range(n) if table[a][column[x]] != column[table[a][x]])
-                return f"derived table products {a} * ({x} * {b}) and ({a} * {x}) * {b} differ"
-    for x, (p, a) in steps.items():
-        if table[x] != list(compose[a](table[p])):  # (T)
-            return f"derived table row {x} = {p} * {a} is not row {p} composed with row {a}"
-    return None
-
-
-def _sample_failure(group: FiniteMatrixGroup, table: list[list[int]]) -> Optional[str]:
-    n = len(table)
+    # each distinct positive generator's element, with its action and column
+    columns = {a: (actions[s], column(a)) for s, a in enumerate(gens, 1)}
+    for a, (action, _) in columns.items():
+        for b, (_, c) in columns.items():
+            if list(map(action.__getitem__, c)) != list(map(c.__getitem__, action)):  # (C)
+                x = next(x for x in range(n) if action[c[x]] != c[action[x]])
+                raise CayleyTableError(
+                    f"derived table products {a} * ({x} * {b}) and ({a} * {x}) * {b} differ"
+                )
     rng = random.Random(0)
-    matrices = group.matrices
     for _ in range(min(_TABLE_SAMPLE, n * n)):
         i, j = rng.randrange(n), rng.randrange(n)
-        product = matrices[i] * matrices[j]
-        if group.elements.get(product.key_bytes()) != table[i][j]:
-            return f"derived table entry ({i}, {j}) disagrees with the exact product"
-    return None
+        product = group.matrices[i] * group.matrices[j]
+        if group.elements.get(product.key_bytes()) != _entries(group, i, [j])[0]:
+            raise CayleyTableError(
+                f"derived table entry ({i}, {j}) disagrees with the exact product"
+            )
+
+
+def _entries(group: FiniteMatrixGroup, i: int, xs: Sequence[int]) -> list[int]:
+    """Entries T[i][x], x in xs, of the derived table, found by applying the
+    actions along element i's tree path from the root."""
+    path = []
+    while i:
+        path.append(group._actions[group._bfs_mult[i]])
+        i = group._bfs_parent[i]
+    for action in reversed(path):
+        xs = list(map(action.__getitem__, xs))
+    return list(xs)
+
+
+def _rows(group: FiniteMatrixGroup) -> Iterator[tuple[int, ...]]:
+    """The rows of the Cayley table in index order, certified by `_certify`
+    at the call, before the first row is built.  Row i is the action of
+    `_bfs_mult[i]` applied to the row of `_bfs_parent[i]`, and a row is
+    dropped once its last tree child is built, so only the rows of the
+    tree's frontier are held."""
+    _certify(group)
+    parent, mult, actions = group._bfs_parent, group._bfs_mult, group._actions
+    last = {p: i for i, p in enumerate(parent)}  # each parent's last child
+    held: dict[int, tuple[int, ...]] = {}
+
+    def row(i: int) -> tuple[int, ...]:
+        if i:
+            p = parent[i]
+            # one C-level gather; from order 2 on a row holds two or more
+            # indices, so itemgetter gives a tuple
+            r = itemgetter(*(held.pop(p) if last[p] == i else held[p]))(actions[mult[i]])
+        else:
+            r = tuple(range(group.order))
+        if i in last:
+            held[i] = r
+        return r
+
+    return map(row, range(group.order))
 
 
 # ---------------------------------------------------------------------------
@@ -592,17 +595,6 @@ class WordEvaluator:
         return a is None or a == (UnitaryMatrix.identity(a.dim) if b is None else b)
 
 
-def word_eval(word: Sequence[int], gens: Sequence[UnitaryMatrix]) -> UnitaryMatrix:
-    """Left-to-right product of signed 1-based generator indices."""
-    if not gens:
-        raise ValueError("need at least one generator")
-    for signed in word:
-        if signed == 0 or abs(signed) > len(gens):
-            raise IndexError(f"generator index {signed} out of range")
-    acc = WordEvaluator(dict(enumerate(gens, 1)))([(abs(s), 1 if s > 0 else -1) for s in word])
-    return UnitaryMatrix.identity(gens[0].dim) if acc is None else acc
-
-
 # ---------------------------------------------------------------------------
 # conjugacy and isomorphism
 
@@ -870,13 +862,11 @@ def _record_texts(group: FiniteMatrixGroup, words: list[str]) -> Iterator[str]:
 def cayley_csv_lines(group: FiniteMatrixGroup) -> Iterator[str]:
     """The Cayley table as CSV, one newline-terminated line per row.
 
-    The table is built and guarded here, before the lines are returned, so
-    a `CayleyTableError` fails the call, before a writer opens its file;
-    each line is then rendered as it is consumed, and the text is never
-    held whole."""
-    table = group.cayley_table()
-    if group.order == 1:  # with one index, itemgetter gives a label, not a tuple
-        return iter(["0\n"])
-    # one label per element, not one str(int) per table entry
+    The table is certified here, before the lines are returned, so a
+    `CayleyTableError` fails the call, before a writer opens its file; each
+    row is then built and rendered as it is consumed, and neither the
+    table nor the text is ever held whole."""
+    # one label per element, not one str(int) per table entry; with one
+    # element itemgetter gives the label "0" itself, which joins to "0"
     labels = [str(i) for i in range(group.order)]
-    return (",".join(itemgetter(*row)(labels)) + "\n" for row in table)
+    return (",".join(itemgetter(*row)(labels)) + "\n" for row in _rows(group))

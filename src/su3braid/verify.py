@@ -19,9 +19,8 @@ x^(n/p) != I for each prime p dividing n) and the comparisons with the
 paper's explicit displays, which are the named matrices `D_G1` ...
 `D_T3T1` (`_displays`).  The named elements (`ELEMENTS`) and subgroups
 (`SUBGROUPS`) are data too.  Words are short text such as "G2^2 G1^-1",
-and one `matgroup.WordEvaluator` (the evaluator behind `word_eval`)
-evaluates every word of a run, so a prefix or factor that rows share is
-multiplied once.
+and one `matgroup.WordEvaluator` evaluates every word of a run, so a
+prefix or factor that rows share is multiplied once.
 """
 
 from __future__ import annotations

@@ -45,17 +45,28 @@ def family_648():
 def named_elements(paper_group):
     """The defining words inside the order-162 group, as matrices: F, A, B,
     T1, T2, T3."""
-    gens = [paper_group.matrices[g] for g in paper_group.generators]
-    word = lambda *idx: matgroup.word_eval(idx, gens)
-    t2 = (2, 1, 1, 1, 1, 1, 1, 1, 1, 1, -2)
+    g1, g2 = (paper_group.matrices[g] for g in paper_group.generators)
+    words = matgroup.WordEvaluator({"G1": g1, "G2": g2})
+    t2 = [("G2", 1), ("G1", 9), ("G2", -1)]
     return {
-        "F": word(1, 2, -1, -1),
-        "A": word(1, 2, 2, -1),
-        "B": word(1, -2, -2, 1),
-        "T1": word(1, 2, 1),
-        "T2": word(*t2),
-        "T3": word(*t2, 2, 1, 1, *t2),
+        "F": words([("G1", 1), ("G2", 1), ("G1", -2)]),
+        "A": words([("G1", 1), ("G2", 2), ("G1", -1)]),
+        "B": words([("G1", 1), ("G2", -2), ("G1", 1)]),
+        "T1": words([("G1", 1), ("G2", 1), ("G1", 1)]),
+        "T2": words(t2),
+        "T3": words([*t2, ("G2", 1), ("G1", 2), *t2]),
     }
+
+
+@pytest.fixture(scope="session")
+def signed_words(paper_group):
+    """The product of a word as `close` records it, signed 1-based indices
+    of the braid image's generators, through one `WordEvaluator`; None for
+    the empty word."""
+    words = matgroup.WordEvaluator(
+        {s: paper_group.matrices[g] for s, g in enumerate(paper_group.generators, 1)}
+    )
+    return lambda word: words([(abs(s), 1 if s > 0 else -1) for s in word])
 
 
 @pytest.fixture(scope="session")

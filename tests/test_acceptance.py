@@ -273,7 +273,9 @@ def test_c14_family_group_and_isomorphism(paper_group, family_group, verificatio
     _criterion("criterion 14 GRP-D-FAMILY-ORDER + GRP-ISO-D91211", ok)
 
 
-def test_c15_property_suites(tmp_path, theory6, paper_group, named_elements, subgroup_n, subgroup_h):
+def test_c15_property_suites(
+    tmp_path, theory6, paper_group, named_elements, subgroup_n, subgroup_h, signed_words
+):
     rng = random.Random(2024)
     ok = True
 
@@ -307,9 +309,8 @@ def test_c15_property_suites(tmp_path, theory6, paper_group, named_elements, sub
         ok = ok and paper_group.order % sub.order == 0
 
     # word provenance on a seeded sample
-    gens = [paper_group.matrices[g] for g in paper_group.generators]
     ok = ok and all(
-        mg.word_eval(paper_group.words[x], gens).key_bytes() == paper_group.keys[x]
+        (signed_words(paper_group.words[x]) if x else identity).key_bytes() == paper_group.keys[x]
         for x in sample
     )
 

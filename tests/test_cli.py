@@ -198,10 +198,10 @@ def test_cayley_export_digest(tmp_path, capsys, spec, digest):
 
 
 def test_failed_export_leaves_no_file(tmp_path, monkeypatch):
-    def reject(group, table):
+    def reject(group):
         raise mg.CayleyTableError("rejected")
 
-    monkeypatch.setattr(mg, "_check_table", reject)
+    monkeypatch.setattr(mg, "_certify", reject)
     group = mg.close([UnitaryMatrix.diagonal([-1, -1, 1])])  # its table is not built yet
     path = tmp_path / "cayley.csv"
     with pytest.raises(mg.CayleyTableError):
@@ -212,9 +212,18 @@ def test_failed_export_leaves_no_file(tmp_path, monkeypatch):
     assert not path.exists()
 
 
+# the share of its text an export may hold at its peak: the elements export
+# holds one record's text at a time; the Cayley export holds one line and
+# the rows still waiting for their tree children (at most 111 of the 648,
+# about a third of the text), where the whole table would take twice the
+# text
+_EXPORT_SHARE = {"cayley": 1 / 2, "elements": 1 / 8}
+
+
 @pytest.mark.parametrize("what", ["cayley", "elements"])
-def test_export_streams_its_text(tmp_path, family_648, what):
-    family_648.cayley_table()  # cached, so only the export itself is traced
+def test_export_streams_its_text(tmp_path, family_648, monkeypatch, what):
+    # the export neither reads nor fills the group's cached table
+    monkeypatch.setattr(family_648, "_cayley", None)
     path = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -222,7 +231,8 @@ def test_export_streams_its_text(tmp_path, family_648, what):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < path.stat().st_size / 8
+    assert peak < path.stat().st_size * _EXPORT_SHARE[what]
+    assert family_648._cayley is None
 
 
 def test_export_writes_through_a_symlink(tmp_path, family_group):
@@ -272,6 +282,22 @@ def test_dev_stdout_with_stdout_on_a_file(tmp_path):
     lines, _, report = out.read_text().partition("overall: PASS\n")
     assert len(lines.splitlines()) == len(CHECK_IDS) + 1  # the checks and the info line
     assert VerificationReport.from_json(report).overall
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_pipe_on_stdout_and_stderr_exits_2(monkeypatch, unbuffered):
+    # the error line went to the same closed pipe, and that write raised
+    # again, so the exit status was 1, the verify-FAIL code (or 120 from the
+    # flush at exit when stdout is buffered)
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_child(["query", "sixj", "2", "2", "2", "2", "2", "2"],
+                          stdout=write_end, stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
 
 
 def test_paper_group_export_has_162_records(tmp_path, paper_group):

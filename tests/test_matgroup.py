@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+from operator import itemgetter
 
 import pytest
 
@@ -43,10 +44,11 @@ def test_closure_soundness_sampled(paper_group):
         assert a.conj_transpose().key_bytes() in paper_group.elements
 
 
-def test_word_provenance(paper_group):
-    gens = [paper_group.matrices[g] for g in paper_group.generators]
-    for word, key in zip(paper_group.words, paper_group.keys):
-        assert mg.word_eval(word, gens).key_bytes() == key
+def test_word_provenance(paper_group, signed_words):
+    assert paper_group.words[0] == ()
+    assert paper_group.matrices[0] == UnitaryMatrix.identity(3)
+    for word, key in zip(paper_group.words[1:], paper_group.keys[1:]):
+        assert signed_words(word).key_bytes() == key
 
 
 def test_element_order(paper_group, named_elements):
@@ -229,15 +231,14 @@ def test_product_map_homomorphism_on_samples(paper_group, subgroup_n, subgroup_h
         assert twisted * (h1 * h2) == (n1 * h1) * (n2 * h2)
 
 
-def test_word_eval(paper_group, named_elements):
-    gens = [paper_group.matrices[g] for g in paper_group.generators]
-    f = mg.word_eval((1, 2, -1, -1), gens)
+def test_word_eval(signed_words, named_elements):
+    f = signed_words((1, 2, -1, -1))
     assert f.key_bytes() == named_elements["F"].key_bytes()
-    assert mg.word_eval((), gens) == UnitaryMatrix.identity(3)
+    assert signed_words(()) is None  # no dimension; `equal` reads it as the identity
     t3 = named_elements["T3"]
     assert t3 == UnitaryMatrix.diagonal([-1, -1, 1])
-    with pytest.raises(IndexError):
-        mg.word_eval((3,), gens)
+    with pytest.raises(mg.UnboundNameError):  # there is no generator 3
+        signed_words((3,))
 
 
 def test_check_relations(named_elements):
@@ -364,12 +365,14 @@ def test_corrupted_provenance_is_caught(paper_matrices):
         group.cayley_table()
 
 
-def _rebuilt(group, actions=None, bfs_parent=None):
+def _rebuilt(group, actions=None, bfs_mult=None, bfs_parent=None, generators=None):
     """A copy of `group` whose table is not built yet, with the given
-    actions or provenance in place of the closure's."""
+    actions, provenance or generator indices in place of the closure's."""
     return mg.FiniteMatrixGroup(
-        group.working_order, group.matrices, group.keys, group.words, group.generators,
-        group._bfs_mult, group._bfs_parent if bfs_parent is None else bfs_parent,
+        group.working_order, group.matrices, group.keys, group.words,
+        group.generators if generators is None else generators,
+        group._bfs_mult if bfs_mult is None else bfs_mult,
+        group._bfs_parent if bfs_parent is None else bfs_parent,
         group._actions if actions is None else actions,
     )
 
@@ -393,7 +396,7 @@ def test_order_648_corruptions_are_caught(family_648):
 
 
 # ---------------------------------------------------------------------------
-# the integer conditions of the table guard, one bad table each
+# the conditions of the table guard, one corrupted record each
 
 
 def _generator_indices(group):
@@ -404,7 +407,35 @@ def _generator_indices(group):
     return out
 
 
+def _gather(action, row):
+    """action o row, with -1 for an entry that is no index of `action`."""
+    if min(row) >= 0 and max(row) < len(action):
+        return list(itemgetter(*row)(action))
+    return [action[y] if 0 <= y < len(action) else -1 for y in row]
+
+
+def _derived_table(group):
+    """The table derived from the recorded actions and provenance, without
+    the guard: row 0 is the identity, and row i is the action of
+    `_bfs_mult[i]` applied to the row of `_bfs_parent[i]`, followed up to
+    the root.  An entry it cannot read is -1: one in a row whose parent
+    chain leaves the indices or never reaches 0, or outside an action."""
+    n = group.order
+    rows = {0: list(range(n))}
+    for start in range(n):
+        chain, i = [], start
+        while i not in rows and 0 <= i < n and i not in chain:
+            chain.append(i)
+            i = group._bfs_parent[i]
+        row = rows.get(i, [-1] * n)
+        for j in reversed(chain):
+            row = rows[j] = _gather(group._actions.get(group._bfs_mult[j], ()), row)
+    return [rows[i] for i in range(n)]
+
+
 def _failed_conditions(group, table):
+    """The serial conditions a table fails: identity row and column, Latin
+    square, generator rows equal to their actions, Light's test."""
     n = len(table)
     full = set(range(n))
     gens = _generator_indices(group)
@@ -422,14 +453,32 @@ def _failed_conditions(group, table):
     return {name for name, ok in checks.items() if not ok}
 
 
-def _relabeled(table, sigma):
-    """The table of the same group with element i renamed sigma[i]."""
-    n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[sigma[i]][sigma[j]] = sigma[table[i][j]]
-    return out
+def _certificate_failures(group):
+    """The conditions of `mg._certify` that the record of `group` fails,
+    each judged on its own, on the derived table; it reads only records
+    whose derived table holds element indices."""
+    n, k = group.order, len(group.generators)
+    table = _derived_table(group)
+    action = {s: list(group._actions.get(s, ())) for s in range(-k, k + 1) if s}
+    gens = list(dict.fromkeys(group.generators))
+    positive = range(1, k + 1)
+    holds = {
+        "tree": all(
+            0 <= group._bfs_parent[i] < i and 0 < abs(group._bfs_mult[i]) <= k for i in range(1, n)
+        ),
+        "permutation": all(sorted(action[s]) == list(range(n)) for s in positive),
+        "inverse": all(
+            len(action[-s]) == n and [action[-s][y] for y in action[s][:n]] == list(range(n))
+            for s in positive
+        ),
+        "column 0": [row[0] for row in table] == list(range(n)),
+        "generator rows": all(table[a] == action[s] for s, a in enumerate(group.generators, 1)),
+        "commute": all(
+            action[s][table[x][b]] == table[action[s][x]][b]
+            for s in positive for b in gens for x in range(n)
+        ),
+    }
+    return {name for name, ok in holds.items() if not ok}
 
 
 def _plain_elements(group):
@@ -438,183 +487,201 @@ def _plain_elements(group):
     return [x for x in range(1, group.order) if x not in gens]
 
 
-def _swap_an_intercalate(group, table):
-    """Exchange u and v in a 2x2 subsquare [[u, v], [v, u]] that avoids
-    row 0, column 0 and the generator rows: the result is a Latin square
-    with the true identity and generator rows, but not a group table.
-    Such a subsquare is x, xt by y, ty for an involution t."""
-    plain = _plain_elements(group)
-    t = next(x for x in range(1, group.order) if table[x][x] == 0)
-    x = next(x for x in plain if table[x][t] in plain)
-    y = next(y for y in range(1, group.order) if table[t][y] != 0)
-    out = [list(row) for row in table]
-    x2, y2 = table[x][t], table[t][y]
-    out[x][y], out[x][y2] = table[x][y2], table[x][y]
-    out[x2][y], out[x2][y2] = table[x2][y2], table[x2][y]
-    return out
+def _renamed(group, sigma, provenance=False):
+    """`group` with element x renamed sigma[x], for an involution sigma, in
+    its actions, and in its provenance too when `provenance` is set (sigma
+    then fixes 0)."""
+    n = group.order
+    actions = {
+        s: tuple(sigma[action[sigma[x]]] for x in range(n)) for s, action in group._actions.items()
+    }
+    if not provenance:
+        return _rebuilt(group, actions=actions)
+    return _rebuilt(
+        group, actions=actions,
+        bfs_mult=tuple(group._bfs_mult[sigma[x]] for x in range(n)),
+        bfs_parent=(-1, *(sigma[group._bfs_parent[sigma[x]]] for x in range(1, n))),
+    )
 
 
-def _bad_identity(group, table):
-    # the same group with the identity renamed: a group table whose row 0 is not the identity
+def _with_action(group, signed, action):
+    return _rebuilt(group, actions={**group._actions, signed: tuple(action)})
+
+
+def _bad_identity(group):
+    # the identity renamed in the actions alone: the rows built down the
+    # tree no longer take 0 to their own index
     u = _plain_elements(group)[0]
     sigma = list(range(group.order))
     sigma[0], sigma[u] = u, 0
-    return _relabeled(table, sigma)
+    return _renamed(group, sigma)
 
 
-def _bad_latin(group, table):
-    out = [list(row) for row in table]
-    x = _plain_elements(group)[0]
-    out[x][2] = out[x][1]
-    return out
+def _bad_latin(group):
+    # a generator action with a repeated entry, which every row it builds repeats
+    x, y = _plain_elements(group)[:2]
+    action = list(group.action(2))
+    action[x] = action[y]
+    return _with_action(group, 2, action)
 
 
-def _bad_action(group, table):
-    # the same group with two plain elements renamed: associative, true identity
-    u, v = _plain_elements(group)[:2]
-    sigma = list(range(group.order))
-    sigma[u], sigma[v] = v, u
-    return _relabeled(table, sigma)
+def _bad_action(group):
+    # the first two generators' indices exchanged: the derived table is the
+    # true one, but those two rows are not the actions recorded for them
+    gens = group.generators
+    return _rebuilt(group, generators=(gens[1], gens[0], *gens[2:]))
 
 
-# With the true actions, row 0, the generator rows and Light's test force the
-# true table (see `_check_table`), so no table fails the identity or the
-# Latin condition alone; those two tables fail later conditions as well.
-# Each table gets the text of the first pass of `_check_table` it fails;
-# the ids name the serial condition it was built to fail.
+def _twisted(group, s, u, v):
+    """`group` with the action of generator s composed with the
+    transposition of indices u and v, and its inverse's action inverted to
+    match, so that both are permutations and inverse to each other."""
+    action = list(group.action(s))
+    action[u], action[v] = action[v], action[u]
+    inverse = [0] * group.order
+    for x, y in enumerate(action):
+        inverse[y] = x
+    return _rebuilt(group, actions={**group._actions, s: tuple(action), -s: tuple(inverse)})
+
+
+def _uncommuting(group):
+    """The first `_twisted` record, over the positive generators and the
+    pairs among the first leaves of the tree (plain elements that are no
+    element's parent), whose generator actions and columns do not commute
+    while every other condition of the certificate holds."""
+    parents = set(group._bfs_parent)
+    leaves = [x for x in _plain_elements(group) if x not in parents][:40]
+    for s in range(1, len(group.generators) + 1):
+        for u, v in itertools.combinations(leaves, 2):
+            twisted = _twisted(group, s, u, v)
+            if _certificate_failures(twisted) == {"commute"}:
+                return twisted
+    raise AssertionError("no twist at the leaves fails to commute alone")
+
+
+# Each record gets the text of the first pass of `mg._certify` it fails;
+# the ids name the serial condition its derived table was built to fail.
+# A derived row is a product of the actions, so the records for the
+# identity and the Latin condition fail other conditions too, and the one
+# for Light's test fails the Latin condition as well.
 @pytest.mark.parametrize("name", ["paper_group", "family_648"])
 @pytest.mark.parametrize("condition, build, alone, messages", [
     ("identity", _bad_identity, False, dict.fromkeys(
-        ["paper_group", "family_648"], "derived table row 0 or column 0 is not the identity"
+        ["paper_group", "family_648"], "derived table column 0 is not the identity"
     )),
-    ("latin", _bad_latin, False, {
-        "paper_group": "derived table row 5 = 34 * 1 is not row 34 composed with row 1",
-        "family_648": "derived table row 6 = 1 * 3 is not row 1 composed with row 3",
-    }),
+    ("latin", _bad_latin, False, dict.fromkeys(
+        ["paper_group", "family_648"], "recorded action of generator 2 is not a permutation"
+    )),
     ("action", _bad_action, True, {
-        "paper_group": "derived table row 1 differs from the action of generator 1",
-        "family_648": "derived table row 3 differs from the action of generator 1",
+        "paper_group": "derived table row 3 differs from the action of generator 1",
+        "family_648": "derived table row 5 differs from the action of generator 1",
     }),
-    ("light", _swap_an_intercalate, True, {
-        "paper_group": "derived table products 1 * (5 * 1) and (1 * 5) * 1 differ",
-        "family_648": "derived table row 8 = 36 * 5 is not row 36 composed with row 5",
+    ("light", _uncommuting, False, {
+        "paper_group": "derived table products 1 * (14 * 1) and (1 * 14) * 1 differ",
+        "family_648": "derived table products 3 * (33 * 3) and (3 * 33) * 3 differ",
     }),
 ], ids=[
     "identity-_bad_identity-False-row 0 or column 0",
     "latin-_bad_latin-False-Latin square",
     "action-_bad_action-True-differs from the action",
-    "light-_swap_an_intercalate-True-Light's test",
+    "light-_uncommuting-False-Light's test",
 ])
 def test_check_table_rejects_each_integer_condition(
     request, name, condition, build, alone, messages
 ):
     group = request.getfixturevalue(name)
-    table = group.cayley_table()
-    assert _failed_conditions(group, table) == set()
-    bad = build(group, table)
-    failed = _failed_conditions(group, bad)
+    assert _failed_conditions(group, _derived_table(group)) == set()
+    bad = build(group)
+    failed = _failed_conditions(bad, _derived_table(bad))
     assert condition in failed
     if alone:
         assert failed == {condition}
     with pytest.raises(mg.CayleyTableError, match=f"^{re.escape(messages[name])}$"):
-        mg._check_table(group, bad)
+        mg._certify(bad)
 
 
-def _twisted_cosets(group, table, a):
-    """Tables whose rows over one left coset C of <a> are composed with
-    conjugation by a, for each such coset that avoids the identity and the
-    generator rows.  Conjugation by a fixes a, and right multiplication by
-    a keeps C, so Light's test still holds for a; a generator that moves
-    C off itself fails it."""
-    n = group.order
-    inverse = group.inverse_index()
-    conjugate = [table[table[a][y]][inverse[a]] for y in range(n)]
-    avoid = {0, *_generator_indices(group).values()}
-    for x in _plain_elements(group):
-        coset = {table[x][p] for p in mg._powers(table, a)}
-        if coset.isdisjoint(avoid):
-            out = [list(row) for row in table]
-            for y in coset:
-                out[y] = [table[y][c] for c in conjugate]
-            yield out
+def _forward_parent(group):
+    """`group` with one element recorded as a generator times a later
+    element, not below it in the tree: the parent chains still reach 0 and
+    derive the true table, but not in index order."""
+    n, parent, mult = group.order, group._bfs_parent, group._bfs_mult
+    for i in _plain_elements(group):
+        for m in (m for m in group._actions if m):
+            p = group.action(-m)[i]  # element i is generator m times element p
+            chain = p
+            while chain > 0 and chain != i:
+                chain = parent[chain]
+            if p > i and chain == 0:
+                return _rebuilt(
+                    group,
+                    bfs_mult=mult[:i] + (m,) + mult[i + 1:],
+                    bfs_parent=parent[:i] + (p,) + parent[i + 1:],
+                )
+    raise AssertionError("no later element reaches 0 without passing through i")
 
 
-def _uncommuting(group, table):
-    """A table that passes conditions (I), (P), (R) and (T) of `_check_table`
-    but not (C), and the group rebuilt with its rows as the actions.  Each
-    positive generator's row is composed with a transposition beta of two
-    plain indices; every other row, down the breadth-first tree of steps
-    x = T[p][a], is row p composed with row a.  beta is the first pair for
-    which those steps reach every index."""
-    n = group.order
-    gens = list(dict.fromkeys(group.generators))
-    for u, v in itertools.combinations(_plain_elements(group), 2):
-        beta = list(range(n))
-        beta[u], beta[v] = v, u
-        out = {0: list(range(n)), **{a: [table[a][y] for y in beta] for a in gens}}
-        reached = [0]
-        for p in reached:
-            for a in gens:
-                x = out[p][a]
-                if x not in reached:
-                    reached.append(x)
-                    out.setdefault(x, [out[p][y] for y in out[a]])
-        if len(reached) == n:
-            bad = [out[x] for x in range(n)]
-            actions = {s: tuple(bad[a]) for s, a in _generator_indices(group).items()}
-            return bad, _rebuilt(group, actions=actions)
-    raise AssertionError("no transposition keeps every index reachable")
+def test_certificate_checks_each_condition(paper_group):
+    # each record gets the text of the first condition it fails, and one
+    # record for each condition but the identity column fails it alone
+    group = paper_group
+    assert _certificate_failures(group) == set()
+    mg._certify(group)
+    n, x = group.order, _plain_elements(group)[0]
+    parent, mult = group._bfs_parent, group._bfs_mult
+    swapped = list(group.action(-1))
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    not_a_tree = f"element {x} is not recorded as a generator times an earlier one"
+    not_a_permutation = "recorded action of generator 2 is not a permutation"
+    cases = [
+        # a parent that is a later element, the element itself, or a step by
+        # no generator
+        ("tree", _forward_parent(group), True,
+         "element 5 is not recorded as a generator times an earlier one"),
+        ("tree", _rebuilt(group, bfs_parent=parent[:x] + (x,) + parent[x + 1:]), False, not_a_tree),
+        ("tree", _rebuilt(group, bfs_mult=mult[:x] + (3,) + mult[x + 1:]), False, not_a_tree),
+        # (P): a repeated entry, an entry out of range, one entry too many
+        ("permutation", _bad_latin(group), False, not_a_permutation),
+        ("permutation", _with_action(group, 2, [*group.action(2)[:-1], n]), False,
+         not_a_permutation),
+        ("permutation", _with_action(group, 2, [*group.action(2), 0]), False, not_a_permutation),
+        # an inverse's action with one entry too many, and with two swapped
+        ("inverse", _with_action(group, -2, [*group.action(-2), 0]), True,
+         "recorded action of generator -2 is not its inverse's"),
+        ("inverse", _with_action(group, -1, swapped), False,
+         "recorded action of generator -1 is not its inverse's"),
+        ("column 0", _bad_identity(group), False, "derived table column 0 is not the identity"),
+        ("generator rows", _bad_action(group), True,
+         "derived table row 3 differs from the action of generator 1"),
+        ("commute", _uncommuting(group), True,
+         "derived table products 1 * (14 * 1) and (1 * 14) * 1 differ"),
+    ]
+    for condition, bad, alone, text in cases:
+        if alone:
+            assert _certificate_failures(bad) == {condition}, text
+        with pytest.raises(mg.CayleyTableError, match=f"^{re.escape(text)}$"):
+            mg._certify(bad)
+    # the samples alone: elements renamed in pairs within their tree layer,
+    # in the actions and the provenance alike, pass every integer condition
+    renamed = _renamed_in_layers(group, random.Random(0))
+    assert _certificate_failures(renamed) == set()
+    assert _failed_conditions(renamed, _derived_table(renamed)) == set()
+    with pytest.raises(mg.CayleyTableError, match="disagrees with the exact product$"):
+        mg._certify(renamed)
 
 
-def test_generated_checks_each_condition_of_the_certificate(paper_group):
-    # each table that fails one condition gets that condition's text
-    table = paper_group.cayley_table()
-    gens = list(dict.fromkeys(paper_group.generators))
-    assert mg._generated(table, gens) is None
-    # (R): the steps by one generator reach only its cyclic span
-    unreached = mg._generated(table, gens[:1])
-    assert re.fullmatch(r"derived table row \d+ is not reached from row 0", unreached)
-    a, x = gens[0], _plain_elements(paper_group)[0]
-    for row, j, value, text in (
-        # (P): a generator row that is no permutation; steps out of range
-        (a, 5, table[a][6], f"derived table row {a}, a generator's, is not a permutation"),
-        (x, a, -1, f"derived table entry ({x}, {a}) is -1, not an element index"),
-        (x, a, 162, f"derived table entry ({x}, {a}) is 162, not an element index"),
-    ):
-        bad = [list(r) for r in table]
-        bad[row][j] = value
-        assert mg._generated(bad, gens) == text
-    short = [list(r) for r in table]
-    short[x].pop()
-    assert mg._generated(short, gens) == f"derived table row {x} has 161 entries, not 162"
-    # (P) alone: the table of max on {0, 1} passes (I), (R), (C) and (T)
-    assert mg._generated([[0, 1], [1, 1]], [1]) == (
-        "derived table row 1, a generator's, is not a permutation"
-    )
-    # (T) alone: a plain row with two entries swapped outside the generator
-    # columns leaves the generator rows and columns as they were
-    j, k = [y for y in _plain_elements(paper_group) if y != x][:2]
-    swapped = [list(r) for r in table]
-    swapped[x][j], swapped[x][k] = table[x][k], table[x][j]
-    assert all(
-        swapped[a] == table[a] and [r[a] for r in swapped] == [r[a] for r in table] for a in gens
-    )
-    assert re.fullmatch(
-        rf"derived table row {x} = (\d+) \* (\d+) is not row \1 composed with row \2",
-        mg._generated(swapped, gens),
-    )
-    # (C) alone: the rows pass (I), (P), (R) and (T) by construction
-    bad, rebuilt = _uncommuting(paper_group, table)
-    assert any(
-        bad[a][bad[x][b]] != bad[bad[a][x]][b] for a in gens for b in gens for x in range(162)
-    )
-    assert _failed_conditions(rebuilt, bad) == {"latin", "light"}
-    failure = mg._generated(bad, gens)
-    assert re.fullmatch(
-        r"derived table products (\d+) \* \((\d+) \* (\d+)\) and \(\1 \* \2\) \* \3 differ", failure
-    )
-    with pytest.raises(mg.CayleyTableError, match=f"^{re.escape(failure)}$"):
-        mg._check_table(rebuilt, bad)
+def _renamed_in_layers(group, rng):
+    """`group` with half its plain elements renamed in pairs, each pair in
+    one layer of the tree, in its actions and provenance alike: every
+    integer condition holds, and only the sampled products see it."""
+    layers = {}
+    for y in _plain_elements(group):
+        layers.setdefault(len(group.words[y]), []).append(y)
+    sigma = list(range(group.order))
+    for layer in layers.values():
+        moved = rng.sample(layer, len(layer) // 4 * 2)
+        for u, v in zip(moved[::2], moved[1::2]):
+            sigma[u], sigma[v] = v, u
+    return _renamed(group, sigma, provenance=True)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +693,7 @@ def _serial_check_table(group, table):
     failure raised: identity, Latin square, generator rows, Light's test
     over every distinct signed generator, samples."""
     n = group.order
-    # row[:1] reads an empty row as [], as `_check_table` does
+    # row[:1] reads an empty row as []
     if table[0] != list(range(n)) or [row[:1] for row in table] != [[x] for x in range(n)]:
         raise mg.CayleyTableError("derived table row 0 or column 0 is not the identity")
     rows = {}
@@ -661,99 +728,78 @@ def _serial_check_table(group, table):
             )
 
 
-def _derived_table(group):
-    """The table `cayley_table` derives from the recorded actions and
-    provenance, before its guard."""
-    table = [list(range(group.order))]
-    for i in range(1, group.order):
-        action = group.action(group._bfs_mult[i])
-        table.append([action[y] for y in table[group._bfs_parent[i]]])
-    return table
-
-
 def _guard_corpus(group, seed):
-    """(label, group, table) cases for the guard: the valid table, the four
-    one-condition tables, malformed rows (empty ones too) and entries,
-    tables derived from corrupted actions or provenance, one renamed with
-    its actions, a table with twisted cosets for each positive generator,
-    and one whose generator rows do not commute with the generator
-    columns."""
-    n = group.order
-    table = group.cayley_table()
+    """(label, group) cases for the guard: the valid record, the records
+    built to fail one serial condition, malformed actions (short, long,
+    empty, with an entry out of range), each signed action corrupted on its
+    own and each positive one with its inverse, elements renamed within
+    their tree layers, and provenance re-pointed, looped, swapped within a
+    layer or naming no generator."""
+    n, k = group.order, len(group.generators)
     rng = random.Random(seed)
     x = rng.choice(_plain_elements(group))
-    column = rng.choice(list(dict.fromkeys(group.generators)))
+    s = rng.randrange(1, k + 1)
 
-    def edited(label, row, edit):
-        out = [list(r) for r in table]
-        edit(out[row])
-        return label, group, out
+    def acting(label, signed, edit):
+        action = list(group.action(signed))
+        edit(action)
+        return label, _with_action(group, signed, action)
 
     def put(j, value):
-        def edit(row):
-            row[j] = value
+        def edit(action):
+            action[j] = value
         return edit
 
-    def swap(j, k):
-        def edit(row):
-            row[j], row[k] = row[k], row[j]
+    def swap(i, j):
+        def edit(action):
+            action[i], action[j] = action[j], action[i]
         return edit
 
-    yield "valid", group, table
-    for build in (_bad_identity, _bad_latin, _bad_action, _swap_an_intercalate):
-        yield build.__name__, group, build(group, table)
-    yield edited("short row", x, list.pop)
-    yield edited("long row", x, lambda row: row.append(rng.randrange(n)))
-    yield edited("short generator row", column, list.pop)
-    yield edited("empty row", x, list.clear)
-    yield edited("empty generator row", column, list.clear)
-    yield edited("negative entry", x, put(rng.randrange(1, n), -rng.randrange(1, n)))
-    yield edited("out-of-range entry", x, put(rng.randrange(1, n), n + rng.randrange(n)))
-    yield edited("negative step", x, put(column, -1))
-    yield edited("out-of-range step", x, put(column, n))
-    yield edited("swapped entries", x, swap(*rng.sample(range(1, n), 2)))
-    for s in (1, -1, 2, -2):
-        perm = list(group.action(s))
-        i, j = rng.sample(range(n), 2)
-        perm[i], perm[j] = perm[j], perm[i]
-        corrupted = _rebuilt(group, actions={**group._actions, s: tuple(perm)})
-        yield f"action {s} corrupted", corrupted, _derived_table(corrupted)
-    # plain elements renamed in pairs, in the actions and the table alike:
-    # every integer check passes, and only the sampled products see it
-    moved = rng.sample(_plain_elements(group), 2 * (n // 20))
-    sigma = list(range(n))
-    for u, v in zip(moved[::2], moved[1::2]):
-        sigma[u], sigma[v] = v, u
-    renamed = _rebuilt(group, actions={
-        s: tuple(sigma[action[sigma[x]]] for x in range(n)) for s, action in group._actions.items()
-    })
-    yield "renamed actions", renamed, _relabeled(table, sigma)
-    parent = group._bfs_parent
-    repointed = _rebuilt(group, bfs_parent=parent[:5] + tuple((p + 1) % n for p in parent[5:]))
-    yield "re-pointed provenance", repointed, _derived_table(repointed)
-    for a in dict.fromkeys(group.generators):
-        twisted = next(_twisted_cosets(group, table, a), None)
-        if twisted:
-            yield f"cosets of <{a}> twisted", group, twisted
-    bad, rebuilt = _uncommuting(group, table)
-    yield "uncommuting generator rows", rebuilt, bad
+    yield "valid", group
+    for build in (_bad_identity, _bad_latin, _bad_action, _uncommuting):
+        yield build.__name__, build(group)
+    yield acting("short action", s, list.pop)
+    yield acting("long action", s, lambda action: action.append(rng.randrange(n)))
+    yield acting("empty action", s, list.clear)
+    yield acting("short inverse action", -s, list.pop)
+    yield acting("negative entry", s, put(x, -rng.randrange(1, n)))
+    yield acting("out-of-range entry", s, put(x, n + rng.randrange(n)))
+    for signed in (1, -1, 2, -2):
+        yield acting(f"action {signed} corrupted", signed, swap(*rng.sample(range(n), 2)))
+    for signed in range(1, k + 1):
+        yield f"action {signed} twisted with its inverse", _twisted(
+            group, signed, *rng.sample(range(n), 2)
+        )
+    yield "renamed in layers", _renamed_in_layers(group, rng)
+    parent, mult = group._bfs_parent, group._bfs_mult
+    yield "re-pointed provenance", _rebuilt(
+        group, bfs_parent=parent[:5] + tuple((p + 1) % n for p in parent[5:])
+    )
+    yield "looped provenance", _rebuilt(group, bfs_parent=parent[:x] + (x,) + parent[x + 1:])
+    yield "no such generator", _rebuilt(group, bfs_mult=mult[:x] + (k + 1,) + mult[x + 1:])
+    depth = len(group.words[x])
+    y = next(y for y in _plain_elements(group) if y != x and len(group.words[y]) == depth)
+    swapped_parent, swapped_mult = list(parent), list(mult)
+    for seq in (swapped_parent, swapped_mult):
+        seq[x], seq[y] = seq[y], seq[x]
+    yield "swapped provenance", _rebuilt(
+        group, bfs_mult=tuple(swapped_mult), bfs_parent=tuple(swapped_parent)
+    )
 
 
-# the serial guard's failures, and the passes of `_check_table`, by their
-# texts; (P) and (R) fail on no corpus table, and
-# `test_generated_checks_each_condition_of_the_certificate` gives each its own
-_FAILURE_KINDS = (
-    "row 0 or column 0", "Latin square", "differs from the action", "Light's test", "exact product",
-)
+# the serial guard's failures, and the passes of `mg._certify`, by their
+# texts; Light's test fails first on no corpus record (see
+# `test_check_table_rejects_each_integer_condition`)
+_FAILURE_KINDS = ("row 0 or column 0", "Latin square", "differs from the action", "exact product")
 _PASS_KINDS = (
-    "row 0 or column 0", "differs from the action", "entries, not", "not an element index",
-    "composed with row", "products", "exact product",
+    "earlier one", "not a permutation", "its inverse's", "column 0", "differs from the action",
+    "products", "exact product",
 )
 
 
-def _guard_outcome(check, group, table):
+def _guard_outcome(check, *args):
     try:
-        check(group, table)
+        check(*args)
     except mg.CayleyTableError as exc:
         return str(exc)
     return None
@@ -768,13 +814,14 @@ def _kind(failure, kinds):
     ("family_648", 3), ("family_648", 6),
 ])
 def test_guard_matches_the_serial_guard(request, name, seed):
-    # on every corpus table the guard raises nothing but CayleyTableError
-    # and accepts exactly when the serial guard does
+    # on every corpus record the guard raises nothing but CayleyTableError,
+    # and it accepts exactly when the serial guard accepts the table
+    # derived from that record
     group = request.getfixturevalue(name)
     outcomes, passes = set(), set()
-    for label, g, table in _guard_corpus(group, seed):
-        want = _guard_outcome(_serial_check_table, g, table)
-        got = _guard_outcome(mg._check_table, g, table)
+    for label, g in _guard_corpus(group, seed):
+        want = _guard_outcome(_serial_check_table, g, _derived_table(g))
+        got = _guard_outcome(mg._certify, g)
         assert (got is None) == (want is None), label
         outcomes.add(_kind(want, _FAILURE_KINDS))
         passes.add(_kind(got, _PASS_KINDS))
@@ -782,11 +829,9 @@ def test_guard_matches_the_serial_guard(request, name, seed):
     assert passes == {None, *_PASS_KINDS}
 
 
-def test_guard_makes_only_the_sampled_products(paper_matrices, monkeypatch):
+def test_guard_makes_only_the_sampled_products(paper_matrices, named_elements, monkeypatch):
     group = mg.close(list(paper_matrices))
-    words = ((1, 2, 1), (1, 2, 2, -1), (1, -2, -2, 1))
-    gens = [group.matrices[g] for g in group.generators]
-    t1, a, b = (group.index_of(mg.word_eval(w, gens)) for w in words)
+    t1, a, b = (group.index_of(named_elements[k]) for k in ("T1", "A", "B"))
     counted = []
     product = UnitaryMatrix.__mul__
 
@@ -1056,7 +1101,7 @@ def named_subgroups(paper_group, named_elements, subgroup_n, subgroup_h):
     return {
         "1": mg.subgroup(paper_group, [0]),
         # normal, order 3
-        "<G1^6>": mg.subgroup(paper_group, [paper_group.index_of(mg.word_eval((1,) * 6, [g1]))]),
+        "<G1^6>": mg.subgroup(paper_group, [paper_group.index_of(g1 ** 6)]),
         "N": subgroup_n,
         "H": subgroup_h,
         "<A>": sub("A"),

@@ -135,18 +135,18 @@ def test_exact_products_per_check(monkeypatch):
     subgroups N, H, <A> and <B> are member sets read off the braid image's
     table, so only the two groups' tables are built and guarded."""
     counts, current = Counter(), ["before the checks"]
-    product, check_table, run_check = UnitaryMatrix.__mul__, mg._check_table, verify._run_check
+    product, certify, run_check = UnitaryMatrix.__mul__, mg._certify, verify._run_check
     guarded = []
 
     def counting(a, b):
         counts[current[-1]] += 1
         return product(a, b)
 
-    def guard(group, table):  # its sampled products are counted apart
+    def guard(group):  # its sampled products are counted apart
         guarded.append(group.order)
         current.append("table guards")
         try:
-            check_table(group, table)
+            certify(group)
         finally:
             current.pop()
 
@@ -155,7 +155,7 @@ def test_exact_products_per_check(monkeypatch):
         return run_check(ctx, check_id, fn)
 
     monkeypatch.setattr(UnitaryMatrix, "__mul__", counting)
-    monkeypatch.setattr(mg, "_check_table", guard)
+    monkeypatch.setattr(mg, "_certify", guard)
     monkeypatch.setattr(verify, "_run_check", tagged)
     assert verify.run_theorem1_verification().overall
     assert counts["REP-ORDER18"] <= 24
