@@ -24,9 +24,8 @@ _PUBLIC = {
     ),
     "matgroup": (
         "FiniteMatrixGroup", "GroupTooLargeError", "SemidirectReport",
-        "abelian_invariants", "close", "conjugacy_classes", "decompose",
-        "element_order", "find_isomorphism", "intersect", "is_normal", "semidirect_verify",
-        "subgroup",
+        "abelian_invariants", "close", "decompose", "element_order", "intersect",
+        "is_normal", "semidirect_verify", "subgroup",
     ),
     "su3families": ("CParams", "DParams", "c_generators", "d_generators"),
     "verify": ("VerificationReport", "run_theorem1_verification"),

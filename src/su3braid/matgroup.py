@@ -91,8 +91,7 @@ class FiniteMatrixGroup:
     `_bfs_parent[i]`) and the left-multiplication action of every signed
     generator as a permutation of element indices.  All index-level
     structure (the Cayley table, inverses, normality, semidirect
-    certificates, abelian invariants, conjugacy classes, isomorphism
-    search) is composed from these integers.  A subgroup is not a group of
+    certificates, abelian invariants) is composed from these integers.  A subgroup is not a group of
     its own but a `Subgroup`, a set of this group's indices.
     """
 
@@ -472,6 +471,15 @@ def intersect(s1: Subgroup, s2: Subgroup) -> Subgroup:
     return Subgroup(s1.group, tuple(sorted(common)))
 
 
+def _powers(table: list[list[int]], x: int) -> list[int]:
+    """The cyclic span of element x as e, x, x^2, ... up to its order."""
+    powers, p = [0], x
+    while p:
+        powers.append(p)
+        p = table[p][x]
+    return powers
+
+
 def abelian_invariants(sub: Subgroup) -> tuple[int, ...]:
     """Cyclic factor orders, decreasing, by exhaustive search for a pair of
     members with trivially intersecting cyclic spans covering the order,
@@ -593,157 +601,6 @@ class WordEvaluator:
         if a is None:
             a, b = b, a
         return a is None or a == (UnitaryMatrix.identity(a.dim) if b is None else b)
-
-
-# ---------------------------------------------------------------------------
-# conjugacy and isomorphism
-
-
-def conjugacy_classes(group: FiniteMatrixGroup) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the conjugation action, as ordered index tuples.
-    Conjugating by the generators suffices: in a finite group an inverse is
-    a power."""
-    table = group.cayley_table()
-    inverse = group.inverse_index()
-    conjugators = group.generators
-    n = group.order
-    assigned = [False] * n
-    classes: list[tuple[int, ...]] = []
-    for start in range(n):
-        if assigned[start]:
-            continue
-        orbit = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for g in conjugators:
-                y = table[table[g][x]][inverse[g]]
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        for idx in orbit:
-            assigned[idx] = True
-        classes.append(tuple(sorted(orbit)))
-    return tuple(classes)
-
-
-def _powers(table: list[list[int]], x: int) -> list[int]:
-    """The cyclic span of element x as e, x, x^2, ... up to its order."""
-    powers, p = [0], x
-    while p:
-        powers.append(p)
-        p = table[p][x]
-    return powers
-
-
-def _table_orders(table: list[list[int]]) -> list[int]:
-    return [len(_powers(table, x)) for x in range(len(table))]
-
-
-def _class_sizes(group: FiniteMatrixGroup) -> list[int]:
-    sizes = [0] * group.order
-    for cls in conjugacy_classes(group):
-        for x in cls:
-            sizes[x] = len(cls)
-    return sizes
-
-
-def extend_to_isomorphism(
-    source: FiniteMatrixGroup, target: FiniteMatrixGroup, images: Sequence[int]
-) -> Optional[list[int]]:
-    """The map on element indices induced by sending source.generators to
-    the target elements `images` (indices), extended along the source's BFS
-    provenance; returned only if it is a bijection that respects the full
-    multiplication tables, else None."""
-    n = source.order
-    if target.order != n or len(images) != len(source.generators):
-        return None
-    t_source = source.cayley_table()
-    t_target = target.cayley_table()
-    inv_target = target.inverse_index()
-    phi = [0] * n
-    for i in range(1, n):
-        signed = source._bfs_mult[i]
-        m = images[abs(signed) - 1]
-        if signed < 0:
-            m = inv_target[m]
-        phi[i] = t_target[m][phi[source._bfs_parent[i]]]
-    if len(set(phi)) != n:
-        return None
-    for i in range(n):
-        target_row = t_target[phi[i]]
-        source_row = t_source[i]
-        for j in range(n):
-            if target_row[phi[j]] != phi[source_row[j]]:
-                return None
-    return phi
-
-
-def find_isomorphism(
-    source: FiniteMatrixGroup, target: FiniteMatrixGroup
-) -> Optional[list[int]]:
-    """Search for generator images of `source` in `target` inducing an
-    isomorphism; candidates are pruned by element order and conjugacy-class
-    size, and any hit is verified by extend_to_isomorphism.
-
-    Returns the target indices of the images, aligned with
-    source.generators, or None.
-    """
-    if source.order != target.order:
-        return None
-    orders_s = _table_orders(source.cayley_table())
-    orders_t = _table_orders(target.cayley_table())
-    sizes_s = _class_sizes(source)
-    sizes_t = _class_sizes(target)
-
-    candidate_sets = []
-    for gi in source.generators:
-        profile = (orders_s[gi], sizes_s[gi])
-        candidates = [
-            j
-            for j in range(target.order)
-            if (orders_t[j], sizes_t[j]) == profile
-        ]
-        # try structurally identical elements first (helps the G == G case)
-        gen_key = source.keys[gi]
-        candidates.sort(key=lambda j: (target.keys[j] != gen_key, j))
-        if not candidates:
-            return None
-        candidate_sets.append(candidates)
-
-    def backtrack(images: list[int]) -> Optional[list[int]]:
-        if len(images) == len(candidate_sets):
-            return extend_to_isomorphism(source, target, images)
-        for candidate in candidate_sets[len(images)]:
-            result = backtrack(images + [candidate])
-            if result is not None:
-                return result
-        return None
-
-    phi = backtrack([])
-    if phi is None:
-        return None
-    return [phi[gi] for gi in source.generators]
-
-
-def same_matrix_set(a: FiniteMatrixGroup, b: FiniteMatrixGroup) -> bool:
-    """Whether the two groups coincide as matrix sets once embedded into a
-    common cyclotomic order (an extra report; isomorphism does not need it)."""
-    if a.dim != b.dim or a.order != b.order:
-        return False
-    common = math.lcm(a.working_order, b.working_order)
-    # a group's keys hold its entries at its working order, so only a group
-    # below the common order is embedded
-    if a.working_order == common:
-        keys_a = a.elements
-    else:
-        keys_a = {m.embed(common).key_bytes() for m in a.matrices}
-    if b.working_order == common:
-        keys_b = b.keys
-    else:
-        keys_b = (m.embed(common).key_bytes() for m in b.matrices)
-    # the orders are equal, so b inside a means equal sets; stop at a miss
-    return all(key in keys_a for key in keys_b)
 
 
 # ---------------------------------------------------------------------------

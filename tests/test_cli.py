@@ -20,7 +20,7 @@ from su3braid.verify import CHECK_IDS, VerificationReport, run_theorem1_verifica
 def test_report_overall_and_ids(verification_report):
     assert verification_report.overall
     assert tuple(c.id for c in verification_report.checks) == CHECK_IDS
-    assert verification_report.info["braid_image_equals_family_matrix_set"] is False
+    assert verification_report.info == {"braid_image_conjugate_to_family_in_SU3": True}
 
 
 def test_report_json_round_trip(verification_report):
@@ -29,6 +29,51 @@ def test_report_json_round_trip(verification_report):
     assert parsed.to_json() == text
     assert parsed.overall == verification_report.overall
     assert [c.id for c in parsed.checks] == [c.id for c in verification_report.checks]
+
+
+# the last two checks and the info entry of a report written before
+# GRP-ISO-D91211 became a conjugacy: its witness held two key prefixes of
+# generator images, and its info entry compared the matrix sets
+OLD_REPORT = """{
+  "overall": true,
+  "checks": [
+    {
+      "id": "GRP-D-FAMILY-ORDER",
+      "description": "the three family generators of D(9,1,1;2,1,1) span a group of order 162",
+      "passed": true,
+      "witness": {
+        "order": 162
+      }
+    },
+    {
+      "id": "GRP-ISO-D91211",
+      "description": "an isomorphism onto D(9,1,1;2,1,1) exists and verifies on the full Cayley table",
+      "passed": true,
+      "witness": {
+        "generator_images": [
+          "3|36:0,0,-1,0,0,0,0,0,1,0,0,0/1;1:0/1;1:...",
+          "3|1:0/1;1:0/1;36:0,0,-1,0,0,0,0,0,1,0,0,..."
+        ]
+      }
+    }
+  ],
+  "info": {
+    "braid_image_equals_family_matrix_set": false
+  }
+}"""
+
+
+def test_report_from_json_reads_an_older_report():
+    report = VerificationReport.from_json(OLD_REPORT)
+    assert report.overall
+    assert [c.id for c in report.checks] == ["GRP-D-FAMILY-ORDER", "GRP-ISO-D91211"]
+    assert report.by_id("GRP-ISO-D91211").witness["generator_images"][0].startswith("3|36:")
+    assert report.info == {"braid_image_equals_family_matrix_set": False}
+    assert report.to_json() == OLD_REPORT
+    # overall is read from the checks, not from the stored field
+    data = json.loads(OLD_REPORT)
+    data["checks"][1]["passed"] = False
+    assert not VerificationReport.from_json(json.dumps(data)).overall
 
 
 def test_corrupted_generator_fails_braid_check(paper_matrices):
@@ -46,14 +91,15 @@ def test_missing_prerequisites_fail_each_dependent_check():
     assert tuple(c.id for c in report.checks) == CHECK_IDS
     for check in report.checks:
         error = (check.witness or {}).get("error", "")
-        if check.id.startswith(("TL-", "REP-")):
+        # the conjugacy is word identities in G1, G2 and d1, d2, d3: no closure
+        if check.id.startswith(("TL-", "REP-")) or check.id == "GRP-ISO-D91211":
             assert check.passed, check.id
         elif check.id in ("GRP-ORDER-162", "GRP-D-FAMILY-ORDER"):
             assert not check.passed and error.startswith("GroupTooLargeError: "), check.id
         else:
             assert not check.passed, check.id
             assert error == "RuntimeError: group closure unavailable (earlier check failed)"
-    assert report.info == {}
+    assert report.info == {"braid_image_conjugate_to_family_in_SU3": True}
 
 
 def test_query_values():

@@ -6,8 +6,12 @@ import re
 from operator import itemgetter
 
 import pytest
+from group_oracles import (
+    conjugacy_classes, extend_to_isomorphism, find_isomorphism, key_set, same_matrix_set,
+)
 
 from su3braid import matgroup as mg
+from su3braid import verify
 from su3braid.braidrep import paper_generators
 from su3braid.cyclo import root_of_unity
 from su3braid.matrix import UnitaryMatrix
@@ -130,7 +134,7 @@ def test_groups_at_different_working_orders_are_refused(paper_group):
     d = UnitaryMatrix.diagonal([root_of_unity(4), root_of_unity(4, 3), 1])
     a, b = mg.close([d]), mg.close([d.embed(8)])
     assert (a.order, a.working_order, b.order, b.working_order) == (4, 4, 4, 8)
-    assert mg.same_matrix_set(a, b)
+    assert same_matrix_set(a, b)
     sub_a, sub_b = mg.subgroup(a, a.generators), mg.subgroup(b, b.generators)
     for query in (
         lambda: mg.intersect(sub_a, sub_b),
@@ -286,9 +290,9 @@ def _closed(named_elements, *names):
 
 
 def test_conjugacy_classes(paper_group, named_elements):
-    classes = mg.conjugacy_classes(_closed(named_elements, "A", "B"))
+    classes = conjugacy_classes(_closed(named_elements, "A", "B").cayley_table())
     assert all(len(c) == 1 for c in classes)  # abelian: singletons
-    classes = mg.conjugacy_classes(paper_group)
+    classes = conjugacy_classes(paper_group.cayley_table())
     assert sum(len(c) for c in classes) == 162
     assert all(162 % len(c) == 0 for c in classes)
     identity_class = [c for c in classes if 0 in c]
@@ -880,7 +884,7 @@ def test_sympy_oracle_on_recorded_actions(paper_group, subgroup_n, named_element
     g = PermutationGroup([Permutation(list(paper_group.action(s))) for s in (1, 2)])
     assert g.order() == 162
     assert len(g.conjugacy_classes()) == 22
-    assert len(mg.conjugacy_classes(paper_group)) == 22
+    assert len(conjugacy_classes(paper_group.cayley_table())) == 22
     assert g.derived_subgroup().order() == 27
     table = paper_group.cayley_table()
     n = PermutationGroup([
@@ -894,22 +898,22 @@ def test_sympy_oracle_on_recorded_actions(paper_group, subgroup_n, named_element
 
 
 def test_extend_to_isomorphism(paper_group, family_group):
-    images = mg.find_isomorphism(paper_group, family_group)
-    phi = mg.extend_to_isomorphism(paper_group, family_group, images)
+    images = find_isomorphism(paper_group, family_group)
+    phi = extend_to_isomorphism(paper_group, family_group, images)
     assert phi is not None and sorted(phi) == list(range(162))
     # identity images cannot extend to a bijection
-    assert mg.extend_to_isomorphism(paper_group, family_group, [0, 0]) is None
-    assert mg.extend_to_isomorphism(paper_group, family_group, images[:1]) is None
+    assert extend_to_isomorphism(paper_group, family_group, [0, 0]) is None
+    assert extend_to_isomorphism(paper_group, family_group, images[:1]) is None
 
 
 def test_find_isomorphism_positive(paper_group, family_group):
-    images = mg.find_isomorphism(paper_group, family_group)
+    images = find_isomorphism(paper_group, family_group)
     assert images is not None
     assert all(0 <= x < family_group.order for x in images)
 
 
 def test_find_isomorphism_self(paper_group):
-    images = mg.find_isomorphism(paper_group, paper_group)
+    images = find_isomorphism(paper_group, paper_group)
     assert images is not None
     assert images == list(paper_group.generators)
 
@@ -918,7 +922,7 @@ def test_find_isomorphism_order_mismatch(paper_group, named_elements):
     # the direct-product-style subgroup <A, B, T3> has order 54, not 162
     product_54 = _closed(named_elements, "A", "B", "T3")
     assert product_54.order == 54
-    assert mg.find_isomorphism(paper_group, product_54) is None
+    assert find_isomorphism(paper_group, product_54) is None
 
 
 def test_decompose_error_cases(paper_group, named_elements, subgroup_h):
@@ -948,20 +952,30 @@ def test_decompose_error_cases(paper_group, named_elements, subgroup_h):
 def test_find_isomorphism_negative():
     c2 = mg.close([UnitaryMatrix.diagonal([-1, -1, 1])])
     c4 = mg.close([UnitaryMatrix.diagonal([root_of_unity(4), root_of_unity(4, 3)])])
-    assert mg.find_isomorphism(c2, c4) is None  # order mismatch
+    assert find_isomorphism(c2, c4) is None  # order mismatch
     # same order 4, different structure: C4 vs the Klein group
     klein = mg.close(
         [UnitaryMatrix.diagonal([-1, -1, 1]), UnitaryMatrix.diagonal([1, -1, -1])]
     )
     assert klein.order == 4
-    assert mg.find_isomorphism(c4, klein) is None
-    assert mg.find_isomorphism(klein, c4) is None
+    assert find_isomorphism(c4, klein) is None
+    assert find_isomorphism(klein, c4) is None
 
 
 def test_same_matrix_set(paper_group, family_group, named_elements):
-    assert not mg.same_matrix_set(paper_group, family_group)
-    assert mg.same_matrix_set(paper_group, paper_group)
-    assert not mg.same_matrix_set(paper_group, _closed(named_elements, "A", "B"))
+    assert not same_matrix_set(paper_group, family_group)
+    assert same_matrix_set(paper_group, paper_group)
+    assert not same_matrix_set(paper_group, _closed(named_elements, "A", "B"))
+
+
+def test_conjugation_by_v_maps_the_braid_image_onto_the_family_group(
+    paper_group, family_group
+):
+    # the closures agree with GRP-ISO-D91211's rows: {V g V^-1} is D
+    v = verify._displays()["D_V"]
+    v_inv = v.conj_transpose()
+    conjugated = [v * g * v_inv for g in paper_group.matrices]
+    assert key_set(conjugated, 72) == key_set(family_group.matrices, 72)
 
 
 def test_same_matrix_set_at_different_working_orders(paper_group, family_group):
@@ -970,11 +984,11 @@ def test_same_matrix_set_at_different_working_orders(paper_group, family_group):
     low, high = mg.close(gens), mg.close([g.embed(72) for g in gens])
     assert (low.working_order, high.working_order, low.order) == (36, 72, high.order)
     assert low.keys != high.keys
-    assert mg.same_matrix_set(low, high) and mg.same_matrix_set(high, low)
+    assert same_matrix_set(low, high) and same_matrix_set(high, low)
     # equal orders (162), working orders 72 and 36, different sets
     assert (paper_group.working_order, family_group.working_order) == (72, 36)
-    assert not mg.same_matrix_set(paper_group, family_group)
-    assert not mg.same_matrix_set(family_group, paper_group)
+    assert not same_matrix_set(paper_group, family_group)
+    assert not same_matrix_set(family_group, paper_group)
 
 
 def test_render_word():
@@ -1170,7 +1184,7 @@ def test_structural_queries_make_no_matrix_product(
     assert mg.is_normal(paper_group, n)
     assert mg.semidirect_verify(paper_group, n, h).all_ok
     assert mg.abelian_invariants(n) == (9, 3)
-    assert len(mg.conjugacy_classes(paper_group)) == 22
+    assert len(conjugacy_classes(paper_group.cayley_table())) == 22
     assert mg.subgroup(paper_group, [*n_gens, *h_gens]).order == 162
     assert mg.subgroup(paper_group, n_gens).order == 27
     cyc_a, cyc_b = named_subgroups["<A>"], named_subgroups["<B>"]

@@ -1,12 +1,14 @@
 """The verify checklist's data: every check id can fail, the report's
-bytes are pinned, and the order 162 is confirmed by two oracles that share
-no code with `close`, `Cyclo` arithmetic or `key_bytes`."""
+bytes are pinned, the order 162 is confirmed by two oracles that share
+no code with `close`, `Cyclo` arithmetic or `key_bytes`, and the
+conjugacy rows of GRP-ISO-D91211 are re-checked in sympy polynomials."""
 
 import hashlib
 import json
 from collections import Counter
 
 import pytest
+import sympy
 from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
 from sympy.combinatorics.free_groups import free_group
 
@@ -19,10 +21,10 @@ from su3braid.su3families import CParams, DParams, c_generators, d_generators
 
 # sha256 of `su3braid verify` stdout: check lines and the info line only, no
 # floats, so it holds on every platform
-VERIFY_STDOUT_SHA256 = "b7033d472fd5d37b0dc209c70ada31e1c5804b727c0d5ccf5d387c7a8f782bf7"
+VERIFY_STDOUT_SHA256 = "b65c0b7305403194c922df5458c36fbf719cf1655ee3346c5e0e13bf607c7006"
 # sha256 of the report with its witness floats rounded (the --json witnesses
 # carry libm floats, whose last digits may differ between platforms)
-REPORT_WITNESS_SHA256 = "e8191a825695f7deac585df86ed3c5e39486a3cf9021b8b0875ca94cdd2e0b5c"
+REPORT_WITNESS_SHA256 = "90a205860188cdcb59bd569d6802917601cc291f1409faa20d706768c897de36"
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +61,6 @@ def test_every_identity_row_can_fail(closed_context, monkeypatch):
 # `paper_generators`; the checks that read N and H are failed through the
 # named elements and subgroups alone
 B_SQUARED = "G1 G2^-2 G1 G1 G2^-2 G1"  # B^2: N is unchanged, the word for B is not
-CYCLIC_162 = [UnitaryMatrix.diagonal([root_of_unity(162), root_of_unity(162, 161), 1])]
 FALSIFIERS = [
     ("TL-DELTAS", "delta_n", lambda t, n: Cyclo.one(), "delta_1 mismatch"),
     ("TL-RVALUES", "r_value", lambda t, a, b, c: Cyclo.one(),
@@ -70,8 +71,10 @@ FALSIFIERS = [
      "diagonal of G1 is not the expected spectrum"),
     ("GRP-ORDER-162", "paper_generators", lambda: paper_generators()[:1] * 2, "group order is 18"),
     ("GRP-D-FAMILY-ORDER", "d_generators", lambda p: c_generators(p.c), "family group order 81"),
-    # a cyclic group of order 162: the family order holds, the isomorphism cannot
-    ("GRP-ISO-D91211", "d_generators", lambda p: CYCLIC_162, "no isomorphism found"),
+    # d1 and d3 exchanged: they generate the same group, so the family order
+    # holds, but V G1 V^-1 is not the word d3 d2^-1 d1
+    ("GRP-ISO-D91211", "d_generators", lambda p: d_generators(p)[::-1],
+     "D_V G1 D_V^-1 != d1 d2^-1 d3"),
     ("GRP-N-NORMAL", "SUBGROUPS", {**verify.SUBGROUPS, "N": ("A",)}, "N is not normal"),
     ("GRP-CYCLIC-INTERSECT", "ELEMENTS", {**verify.ELEMENTS, "B": "A^3"},
      "<A> meet <B> has order 3"),
@@ -133,7 +136,8 @@ def test_exact_products_per_check(monkeypatch):
     """Exact 3x3 products of one run, by check id: identity rows share
     their prefixes, the closures multiply by the generators alone, and the
     subgroups N, H, <A> and <B> are member sets read off the braid image's
-    table, so only the two groups' tables are built and guarded."""
+    table, so only that one table is built and guarded; the conjugacy to
+    D(9,1,1;2,1,1) is word products alone."""
     counts, current = Counter(), ["before the checks"]
     product, certify, run_check = UnitaryMatrix.__mul__, mg._certify, verify._run_check
     guarded = []
@@ -162,12 +166,13 @@ def test_exact_products_per_check(monkeypatch):
     assert counts["GRP-T1T2T3"] <= 10
     assert counts["GRP-ORDER3-NOT-IN-LIST"] <= 30
     assert counts["GRP-G2SQG1-FACTOR"] <= 23
+    assert counts["GRP-ISO-D91211"] <= 21
     for check_id in ("GRP-CYCLIC-INTERSECT", "GRP-N-INVARIANTS", "GRP-HN-TRIVIAL"):
         assert counts[check_id] == 0, check_id
-    # the braid image and the family group, 256 sampled products each
-    assert guarded == [162, 162]
-    assert counts["table guards"] == 2 * 256
-    assert sum(counts.values()) <= 1476
+    # the braid image alone, 256 sampled products
+    assert guarded == [162]
+    assert counts["table guards"] == 256
+    assert sum(counts.values()) <= 1242
 
 
 # -- order oracle 1: the generators reduced mod 73 ------------------------------
@@ -237,3 +242,118 @@ def test_presentation_rows_with_ab_commute_present_order_162():
     cosets = coset_enumeration_r(FpGroup(free, relators), [])
     cosets.compress()
     assert len(cosets.table) == 162
+
+
+# -- conjugacy oracle: polynomials in x = zeta_72 mod Phi_72 (sympy) ------------
+# No Cyclo or UnitaryMatrix arithmetic: G1 and G2 are read from their
+# `to_dict` coefficients, d1, d2, d3 and V are written out, and complex
+# conjugation is x -> x^71 = x^-1.
+
+X = sympy.Symbol("x")
+PHI_72 = sympy.Poly(sympy.cyclotomic_poly(72, X), X, domain="QQ")
+ZERO, ONE = sympy.Poly(0, X, domain="QQ"), sympy.Poly(1, X, domain="QQ")
+
+
+def _poly(terms):
+    """sum c x^e over the (exponent, coefficient) pairs, reduced mod Phi_72."""
+    return sympy.Poly(sum(c * X ** (e % 72) for e, c in terms), X, domain="QQ").rem(PHI_72)
+
+
+def _entry(d):
+    """A `Cyclo.to_dict` value: coefficient k multiplies zeta_order^k."""
+    step = 72 // d["order"]
+    return _poly((step * k, sympy.Rational(c)) for k, c in enumerate(d["coeffs"]))
+
+
+def _matmul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(3)), ZERO).rem(PHI_72) for j in range(3)]
+            for i in range(3)]
+
+
+def _dagger(m):
+    return [[_poly((-e, c) for (e,), c in m[j][i].terms()) for j in range(3)] for i in range(3)]
+
+
+def _power(m, k):
+    base, out = (m if k > 0 else _dagger(m)), None
+    for _ in range(abs(k)):
+        out = base if out is None else _matmul(out, base)
+    return out
+
+
+def _det(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)).rem(PHI_72)
+
+
+def _conjugator(zeta3_power):
+    """V = [[s, 0, -s], [0, zeta_3^k, 0], [s, 0, s]], s = sqrt(2)/2 = (x^9 + x^63)/2."""
+    s = _poly([(9, sympy.Rational(1, 2)), (63, sympy.Rational(1, 2))])
+    w = _poly([(24 * zeta3_power, 1)])
+    return [[s, ZERO, -s], [ZERO, w, ZERO], [s, ZERO, s]]
+
+
+@pytest.fixture(scope="module")
+def oracle_names(paper_matrices):
+    """G1 and G2, and D(9,1,1;2,1,1)'s generators E, F = diag(z9, z9, z9^-2)
+    and D as `d_generators` defines them for (n, a, b; d, r, s) = (9, 1, 1;
+    2, 1, 1)."""
+    gens = {
+        name: [[_entry(v.to_dict()) for v in row] for row in m.rows]
+        for name, m in zip(("G1", "G2"), paper_matrices)
+    }
+    z9, z9_inv2 = _poly([(8, 1)]), _poly([(-16, 1)])
+    gens["d1"] = [[ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ONE, ZERO, ZERO]]
+    gens["d2"] = [[z9, ZERO, ZERO], [ZERO, z9, ZERO], [ZERO, ZERO, z9_inv2]]
+    gens["d3"] = [[-ONE, ZERO, ZERO], [ZERO, ZERO, -ONE], [ZERO, -ONE, ZERO]]
+    return gens
+
+
+def _oracle_rows(names, v):
+    """Whether each GRP-ISO-D91211 row holds with D_V = v."""
+    names = {**names, "D_V": v}
+
+    def product(text):
+        out = None
+        for name, power in verify._word(text):
+            factor = _power(names[name], power)
+            out = factor if out is None else _matmul(out, factor)
+        return out
+
+    return [product(lhs) == product(rhs) for lhs, _, rhs, _ in verify.IDENTITIES["GRP-ISO-D91211"]]
+
+
+def test_conjugacy_rows_hold_in_sympy(oracle_names):
+    v = _conjugator(2)
+    identity = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
+    assert _matmul(v, _dagger(v)) == identity
+    zeta9_v = [[(_poly([(8, 1)]) * x).rem(PHI_72) for x in row] for row in v]
+    assert _det(zeta9_v) == ONE
+    assert _oracle_rows(oracle_names, v) == [True] * 5
+    # zeta_3 in place of zeta_3^2: still unitary, and the G1 row still holds
+    # (G1 is diagonal), but the G2 row fails
+    v = _conjugator(1)
+    assert _matmul(v, _dagger(v)) == identity
+    assert _oracle_rows(oracle_names, v)[:2] == [True, False]
+
+
+def _zeta3_conjugator():
+    s = verify._displays()["D_V"].rows[0][0]
+    return UnitaryMatrix.from_rows([[s, 0, -s], [0, root_of_unity(3), 0], [s, 0, s]])
+
+
+@pytest.mark.parametrize("conjugator, message", [
+    # zeta_3 in place of zeta_3^2: the G1 row holds, the G2 row fails
+    (_zeta3_conjugator, "D_V G2 D_V^-1 != d3 d2^2"),
+    # -V conjugates as V does, so every row holds, but det(zeta_9 (-V)) = -1
+    (lambda: verify._displays()["D_V"].scale(-1), "det(zeta_9 V) != 1"),
+], ids=["zeta3", "minus-V"])
+def test_conjugator_falsifiers(verification_report, monkeypatch, conjugator, message):
+    assert verification_report.by_id("GRP-ISO-D91211").passed
+    displays = verify._displays
+    v = conjugator()
+    monkeypatch.setattr(verify, "_displays", lambda: {**displays(), "D_V": v})
+    report = verify.run_theorem1_verification()
+    assert report.by_id("GRP-ISO-D91211").witness == {"error": f"AssertionError: {message}"}
+    assert [c.id for c in report.checks if not c.passed] == ["GRP-ISO-D91211"]
+    assert report.info == {}
