@@ -74,13 +74,16 @@ def _write_text(path: str, pieces: Iterable[str]) -> None:
 # scalar queries
 
 
-# the cost of `query` and `rep` grows with the working order lcm(4r, 72)
-# and with the label range 0..r-2.  Measured worst case for r <= 16 (2-vCPU
-# Xeon VM, Python 3.11, cold process, 3 runs): `query sixj 8 6 8 8 6 8 --r 13`
-# (order 936), 0.20-0.23 s and 18 MB, most of it interpreter start and
-# imports.  Above the bound, through the library in a cold process, sixj
-# 10 10 10 10 10 10 takes 0.15 s at r = 17, and sixj 20 20 20 20 20 20 at
-# r = 50 0.42-0.50 s.
+# a query evaluates its net in Q(A), A of order 4r / gcd(r - 1, 4r) (at
+# most 64 for r <= 16), and embeds the one result into the working order
+# lcm(4r, 72); `rep` multiplies at the working order.  So the cost grows
+# with the label range 0..r-2 and with the order of A.  Measured on a 2-vCPU
+# Xeon VM, Python 3.11.7, cold processes, 5 runs: `query sixj 8 6 8 8 6 8
+# --r 13` (A of order 13, working order 936) takes 0.13-0.14 s and 16 MB,
+# and `query sixj 10 7 7 12 7 9 --r 16` (order 64, working order 576)
+# 0.12-0.15 s, most of it interpreter start and imports.  Above the bound,
+# through the library in a cold process, sixj 10 10 10 10 10 10 takes
+# 0.09 s at r = 17, and sixj 20 20 20 20 20 20 at r = 50 0.12-0.17 s.
 MAX_R = 16
 
 # query kind -> (number of labels, the `recoupling` evaluator taking the

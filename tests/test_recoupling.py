@@ -208,6 +208,32 @@ def test_level_truncation(r):
 
 
 # -- division-free nets against the division-based closed forms ----------------
+#
+# The oracle works at the working order t.order throughout: its quantum
+# integers are geometric sums of roots of unity built there, and it divides.
+
+def ref_quantum_int(t, n):
+    """[n] = sum_{j < |n|} q^(|n|-1-2j), negated for n < 0, with no period."""
+    q = 2 * t.a_exponent
+    acc = Cyclo.zero()
+    for j in range(abs(n)):
+        acc = acc + root_of_unity(t.order, q * (abs(n) - 1 - 2 * j))
+    return -acc if n < 0 else acc
+
+
+def ref_fact(t, n):
+    value = Cyclo.one()
+    for m in range(1, n + 1):
+        value = value * ref_quantum_int(t, m)
+    return value
+
+
+def fields(t, x):
+    """(order, nums, den) of x, after checking that x is held at t's working
+    order (or is rational, which is canonically order 1)."""
+    assert x.order in (1, t.order), x.order
+    return x.order, x.nums, x.den
+
 
 def ref_theta(t, a, b, c):
     """theta as numerator / denominator, one exact inverse per call."""
@@ -216,12 +242,12 @@ def ref_theta(t, a, b, c):
     v = rc.vertex_exponents(a, b, c)
     s = v.m + v.n + v.p
     num = (
-        rc.quantum_fact(t, s + 1)
-        * rc.quantum_fact(t, v.m)
-        * rc.quantum_fact(t, v.n)
-        * rc.quantum_fact(t, v.p)
+        ref_fact(t, s + 1)
+        * ref_fact(t, v.m)
+        * ref_fact(t, v.n)
+        * ref_fact(t, v.p)
     )
-    den = rc.quantum_fact(t, a) * rc.quantum_fact(t, b) * rc.quantum_fact(t, c)
+    den = ref_fact(t, a) * ref_fact(t, b) * ref_fact(t, c)
     value = num / den
     return -value if s % 2 else value
 
@@ -237,25 +263,26 @@ def ref_tet(t, a, b, e, c, d, f):
     interior = Cyclo.one()
     for bj in squares:
         for ai in half:
-            interior = interior * rc.quantum_fact(t, bj - ai)
+            interior = interior * ref_fact(t, bj - ai)
     exterior = Cyclo.one()
     for edge in (a, b, c, d, e, f):
-        exterior = exterior * rc.quantum_fact(t, edge)
+        exterior = exterior * ref_fact(t, edge)
     acc = Cyclo.zero()
     for s in range(max(half), min(squares) + 1):
         den = Cyclo.one()
         for ai in half:
-            den = den * rc.quantum_fact(t, s - ai)
+            den = den * ref_fact(t, s - ai)
         for bj in squares:
-            den = den * rc.quantum_fact(t, bj - s)
-        term = rc.quantum_fact(t, s + 1) / den
+            den = den * ref_fact(t, bj - s)
+        term = ref_fact(t, s + 1) / den
         acc = acc - term if s % 2 else acc + term
     return interior / exterior * acc
 
 
 def ref_sixj(t, a, b, k, c, d, i):
+    delta_i = (-1) ** i * ref_quantum_int(t, i + 1)
     value = ref_tet(t, a, b, k, c, d, i)
-    return value * rc.delta_n(t, i) / (ref_theta(t, a, d, i) * ref_theta(t, c, b, k))
+    return value * delta_i / (ref_theta(t, a, d, i) * ref_theta(t, c, b, k))
 
 
 def admissible_thetas(t):
@@ -289,12 +316,12 @@ def test_inverse_quantum_factorials(r):
 def test_division_free_nets_match_division_on_every_label_set(r):
     t = rc.theory(r)
     for x in admissible_thetas(t):
-        assert rc.theta(t, *x) == ref_theta(t, *x), x
+        assert fields(t, rc.theta(t, *x)) == fields(t, ref_theta(t, *x)), x
         assert rc.theta(t, *x) * rc.inv_theta(t, *x) == 1, x
     for x in admissible_tets(t):
-        assert rc.tet(t, *x) == ref_tet(t, *x), x
+        assert fields(t, rc.tet(t, *x)) == fields(t, ref_tet(t, *x)), x
     for x in admissible_sixjs(t):
-        assert rc.sixj(t, *x) == ref_sixj(t, *x), x
+        assert fields(t, rc.sixj(t, *x)) == fields(t, ref_sixj(t, *x)), x
 
 
 @pytest.mark.parametrize("r", [7, 8])
@@ -307,6 +334,51 @@ def test_division_free_nets_match_division_on_a_sample(r):
         assert rc.tet(t, *x) == ref_tet(t, *x), x
     for x in rng.sample(admissible_sixjs(t), 8):
         assert rc.sixj(t, *x) == ref_sixj(t, *x), x
+
+
+def sample_label_sets(t, rng, size, count, valid):
+    """count distinct label tuples of the given size passing valid, drawn
+    uniformly from the label set with rejection."""
+    found = set()
+    while len(found) < count:
+        x = tuple(rng.choice(t.label_set) for _ in range(size))
+        if valid(x):
+            found.add(x)
+    return sorted(found)
+
+
+def test_public_evaluators_return_the_working_order_value_at_r13():
+    t = rc.theory(13)
+    rng = random.Random(13)
+
+    def tet_ok(x):
+        a, b, e, c, d, f = x
+        return all(rc.admissible(t, *v) for v in ((a, d, e), (b, c, e), (a, b, f), (c, d, f)))
+
+    for x in sample_label_sets(t, rng, 3, 8, lambda x: rc.admissible(t, *x)):
+        assert fields(t, rc.theta(t, *x)) == fields(t, ref_theta(t, *x)), x
+        assert fields(t, rc.inv_theta(t, *x)) == fields(t, 1 / ref_theta(t, *x)), x
+    for x in sample_label_sets(t, rng, 6, 6, tet_ok):
+        assert fields(t, rc.tet(t, *x)) == fields(t, ref_tet(t, *x)), x
+    sixjs = lambda x: tet_ok(x) and rc.admissible(t, x[0], x[4], x[5])
+    for x in sample_label_sets(t, rng, 6, 6, sixjs):
+        assert fields(t, rc.sixj(t, *x)) == fields(t, ref_sixj(t, *x)), x
+
+
+@pytest.mark.parametrize("r", [5, 6, 13])
+def test_public_scalars_return_the_working_order_value(r):
+    t = rc.theory(r)
+    for n in range(-r, 3 * r):
+        assert fields(t, rc.quantum_int(t, n)) == fields(t, ref_quantum_int(t, n)), n
+    for n in range(2 * r):
+        assert fields(t, rc.quantum_fact(t, n)) == fields(t, ref_fact(t, n)), n
+        want = (-1) ** n * ref_quantum_int(t, n + 1)
+        assert fields(t, rc.delta_n(t, n)) == fields(t, want), n
+    for a, b, c in itertools.product(t.label_set, repeat=3):
+        if rc.admissible(t, b, c, a):
+            exponent = (b * (b + 2) + c * (c + 2) - a * (a + 2)) // 2
+            want = (-1) ** ((b + c - a) // 2) * root_of_unity(t.order, t.a_exponent * exponent)
+            assert fields(t, rc.r_value(t, a, b, c)) == fields(t, want), (a, b, c)
 
 
 def test_one_inverse_per_quantum_integer(monkeypatch):
@@ -324,3 +396,6 @@ def test_one_inverse_per_quantum_integer(monkeypatch):
     for x in admissible_sixjs(t):
         rc.sixj(t, *x)
     assert 0 < len(calls) <= t.r - 1
+    # the nets run in Q(A), A a 4r-th root of unity: nothing is inverted at
+    # the working order lcm(4r, 72) = 360
+    assert all(4 * t.r % x.order == 0 for x in calls), [x.order for x in calls]
