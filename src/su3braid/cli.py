@@ -84,6 +84,8 @@ def _write_text(path: str, pieces: Iterable[str]) -> None:
 # 0.12-0.15 s, most of it interpreter start and imports.  Above the bound,
 # through the library in a cold process, sixj 10 10 10 10 10 10 takes
 # 0.09 s at r = 17, and sixj 20 20 20 20 20 20 at r = 50 0.12-0.17 s.
+# The largest `rep` basis, dim 8 at r = 16 with --charge 7, is refused at
+# its first square root in 0.08-0.11 s cold (same VM, 12 runs).
 MAX_R = 16
 
 # query kind -> (number of labels, the `recoupling` evaluator taking the

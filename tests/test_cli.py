@@ -174,6 +174,14 @@ def test_cli_rep_bad_input_exits_2(capsys):
         captured = capsys.readouterr()
         assert captured.err == "error: --phase denominator must be positive\n"
         assert captured.out == ""
+    # the largest basis under MAX_R (dim 8), refused at the first square root
+    assert main(["rep", "--r", "16", "--charge", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: no known exact square root for loop value"
+        " 1 + z576^36 + z576^60 + -1*z576^156\n"
+    )
+    assert captured.out == ""
 
 
 def test_cli_cayley_export_order_limit(tmp_path, capsys):

@@ -1,13 +1,16 @@
-"""The sparse exact 3x3 product and the cached matrix keys against the
-plain triple loop and the per-entry key formatter they replace."""
+"""The sparse exact 3x3 product, the cached matrix keys and the minor
+expansion determinant against the plain triple loop, the per-entry key
+formatter and the Leibniz sum they replace."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from su3braid import braidrep, matrix, recoupling
 from su3braid.cyclo import Cyclo, root_of_unity, sqrt2
-from su3braid.matrix import UnitaryMatrix
+from su3braid.matrix import NotUnitaryError, UnitaryMatrix
 
 
 def _reference_mul(a, b):
@@ -150,3 +153,92 @@ def test_power_equals_the_repeated_product(paper_matrices, monkeypatch):
     assert calls == []
     m ** 5  # squares to m^4, then one product: three in all
     assert len(calls) == 3
+
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _leibniz_det(m):
+    """The signed sum over all dim! permutations of the products
+    m[0][p(0)] ... m[dim-1][p(dim-1)]."""
+    acc = Cyclo.zero()
+    for perm in permutations(range(m.dim)):
+        term = m.rows[0][perm[0]]
+        for i in range(1, m.dim):
+            term = term * m.rows[i][perm[i]]
+        acc = acc + term if _perm_sign(perm) > 0 else acc - term
+    return acc
+
+
+def test_det_matches_leibniz_on_group_elements(paper_group, family_648):
+    matrices = list(paper_group.matrices)
+    matrices += random.Random(648).sample(family_648.matrices, 60)
+    for m in matrices:
+        assert m.det() == _leibniz_det(m)
+
+
+def test_det_matches_leibniz_on_charpoly_intermediates(paper_matrices, family_648, monkeypatch):
+    # charpoly multiplies by M_k + b_k I, which is not unitary
+    shifted = []
+    add_scalar = matrix._add_scalar
+    monkeypatch.setattr(
+        matrix, "_add_scalar", lambda m, c: shifted.append(add_scalar(m, c)) or shifted[-1]
+    )
+    for m in list(paper_matrices) + list(family_648.matrices[::97]) + _mixed_matrices(3, 10):
+        m.charpoly()
+    non_unitary = [m for m in shifted if not m.is_unitary()]
+    assert (len(shifted), len(non_unitary)) == (2 * 20, 27)
+    for m in shifted:
+        assert m.det() == _leibniz_det(m)
+    for m in _mixed_matrices(4, 30):
+        assert m.det() == _leibniz_det(m)
+
+
+def test_det_matches_leibniz_on_braid_generators():
+    dims = []
+    for r in range(3, 9):
+        t = recoupling.theory(r)
+        for c in t.label_set:
+            basis = braidrep.fusion_basis(t, c)
+            try:
+                mid = braidrep.sigma_mid(t, basis)
+            except ValueError:  # no known exact square root of a loop value
+                continue
+            for m in (mid, braidrep.sigma_odd(t, basis)):
+                assert m.det() == _leibniz_det(m), (r, c)
+            dims.append(basis.dim)
+    assert len(dims) == 16 and set(dims) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("dim", [6, 7])
+def test_det_is_the_charpoly_constant_in_dimension_6_and_7(dim):
+    # the Leibniz sum is too slow here; det M = (-1)^n p(0) for the monic
+    # characteristic polynomial p, whose recursion shares no code with det
+    pool = _mixed_order_pool()
+    rng = random.Random(dim)
+    m = UnitaryMatrix._make(
+        tuple(tuple(rng.choice(pool) for _ in range(dim)) for _ in range(dim))
+    )
+    assert sum(v.is_zero() for row in m.rows for v in row) < dim * dim // 2
+    assert m.det() == (-1) ** dim * m.charpoly()[0]
+
+
+def test_from_rows_refuses_empty_non_square_and_non_unitary_input():
+    for make in (lambda: UnitaryMatrix.from_rows([]), lambda: UnitaryMatrix.diagonal([])):
+        with pytest.raises(ValueError, match="^matrix must have at least one row$"):
+            make()
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        UnitaryMatrix.from_rows([[1, 0]])
+    with pytest.raises(NotUnitaryError):
+        UnitaryMatrix.from_rows([[1, 0], [0, 2]])
