@@ -18,7 +18,7 @@ reused, so clearing the tables could not alias an old memo entry.
 Nothing clears them yet: the intern table, like the memos, grows for the
 life of the process, and it keeps every value ever built, conjugates,
 Galois images and embeddings included; every CLI process measured keeps
-the memos at a few thousand entries, so ROADMAP item 4 reports their sizes
+the memos at a few thousand entries, so ROADMAP item 5 reports their sizes
 rather than bounding them.
 Equality and hashing go by value (identity is only a fast path).
 

@@ -23,6 +23,10 @@ G1, G2 and the family generators d1, d2, d3.  The named elements
 text such as "G2^2 G1^-1", and one `matgroup.WordEvaluator` evaluates
 every word of a run, so a prefix or factor that rows share is multiplied
 once.
+
+A run closes one group, the braid image (GRP-ORDER-162, bounded by `cap`),
+and reads its elements only by index; GRP-D-FAMILY-ORDER reads the order of
+D(9,1,1;2,1,1) from the conjugacy rows instead of closing it.
 """
 
 from __future__ import annotations
@@ -126,16 +130,16 @@ FAMILY_NAMES = ("d1", "d2", "d3")
 
 
 class _Context:
-    """State the checks share.  `group` is closed once, by GRP-ORDER-162,
-    and kept even when its order is wrong; it stays None when the closure
-    raised.  The named elements and subgroups are built lazily, so that a
-    failure lands in the check that asked for them.  `ctx[name]` is the
-    name -> matrix lookup that words are evaluated with: G1 and G2 are the
-    generators as passed, d1, d2 and d3 the family generators, from one
-    `d_generators` call that GRP-D-FAMILY-ORDER closes too, and the
-    displays `D_*` are built on first use, without the closure.  `words`
-    evaluates every word of the run, keeping each prefix it multiplies.
-    `info` collects the report's informational entries."""
+    """State the checks share.  `group`, the run's one closure, is closed
+    by GRP-ORDER-162 under the bound `cap` and kept even when its order is
+    wrong; it stays None when the closure raised.  The named elements and
+    subgroups are built lazily, so that a failure lands in the check that
+    asked for them.  `ctx[name]` is the name -> matrix lookup that words
+    are evaluated with: G1 and G2 are the generators as passed, d1, d2 and
+    d3 the family generators, from one `d_generators` call and never
+    closed, and the displays `D_*` are built on first use, without the
+    closure.  `words` evaluates every word of the run, keeping each prefix
+    it multiplies.  `info` collects the report's informational entries."""
 
     def __init__(self, generators: tuple[UnitaryMatrix, UnitaryMatrix], cap: int):
         self.g1m, self.g2m = generators
@@ -146,19 +150,13 @@ class _Context:
         self.info: dict = {}
         self._named: dict = {}
         self._displays: dict = {}
-        self._family: Optional[list[UnitaryMatrix]] = None
+        self._family: dict = {}
         self.words = mg.WordEvaluator(self)
 
     def need_group(self) -> mg.FiniteMatrixGroup:
         if self.group is None:
             raise RuntimeError("group closure unavailable (earlier check failed)")
         return self.group
-
-    def family(self) -> list[UnitaryMatrix]:
-        """The generators of D(9,1,1;2,1,1), as `d_generators` gives them."""
-        if self._family is None:
-            self._family = d_generators(DParams(CParams(9, 1, 1), 2, 1, 1))
-        return self._family
 
     def named(self, name: str):
         """An element of ELEMENTS as a matrix, or a subgroup of SUBGROUPS."""
@@ -175,8 +173,10 @@ class _Context:
         if name.startswith("D_"):
             self._displays = self._displays or _displays()
             return self._displays[name]
-        if name in FAMILY_NAMES:
-            return dict(zip(FAMILY_NAMES, self.family()))[name]
+        if name in FAMILY_NAMES:  # the generators of D(9,1,1;2,1,1)
+            if not self._family:
+                self._family = dict(zip(FAMILY_NAMES, d_generators(DParams(CParams(9, 1, 1), 2, 1, 1))))
+            return self._family[name]
         return {"G1": self.g1m, "G2": self.g2m}.get(name) or self.named(name)
 
 
@@ -314,19 +314,18 @@ def check_n_invariants(ctx: _Context):
 def check_h_s3(ctx: _Context):
     g, h = ctx.need_group(), ctx.named("H")
     _require(h.order == 6, f"|H| = {h.order}")
-    t1t3, t3t1 = ctx.words(_word("T1 T3")), ctx.words(_word("T3 T1"))
+    t1t3, t3t1 = (g.index_of(ctx.words(_word(w))) for w in ("T1 T3", "T3 T1"))
     _require(t1t3 != t3t1, "H is abelian")
-    order3 = {g.keys[x] for x in h.members if mg.element_order(g.matrices[x], cap=10) == 3}
-    want = {t1t3.key_bytes(), t3t1.key_bytes()}
-    _require(order3 == want, "order-3 elements are not T1 T3 and T3 T1")
+    order3 = {x for x in h.members if mg.subgroup(g, [x]).order == 3}
+    _require(order3 == {t1t3, t3t1}, "order-3 elements are not T1 T3 and T3 T1")
     return {"order": h.order}
 
 
 def check_h_members(ctx: _Context):
     h = ctx.named("H")
     names = ("T3", "D_T1", "D_T3T1T3", "D_T1T3", "D_T3T1")
-    want = {UnitaryMatrix.identity(3).key_bytes(), *(ctx[n].key_bytes() for n in names)}
-    _require({h.group.keys[x] for x in h.members} == want, "H element set mismatch")
+    want = {0, *(h.group.index_of(ctx[n]) for n in names)}  # 0 is the identity
+    _require(set(h.members) == want, "H element set mismatch")
 
 
 def check_hn_trivial(ctx: _Context):
@@ -340,8 +339,8 @@ def _factorization(x: str, n: str, h: str):
     def check(ctx: _Context):
         g = ctx.need_group()
         parts = mg.decompose(g, g.index_of(ctx[x]), ctx.named("N"), ctx.named("H"))
-        want = (ctx.words(_word(n)), ctx.words(_word(h)))
-        _require(tuple(g.matrices[i] for i in parts) == want, f"{x} != {n} * {h}")
+        want = tuple(g.index_of(ctx.words(_word(w))) for w in (n, h))
+        _require(parts == want, f"{x} != {n} * {h}")
 
     return check
 
@@ -356,19 +355,16 @@ def check_semidirect(ctx: _Context):
     _require(report.all_ok, f"semidirect flags: {report}")
     pairs = {mg.decompose(g, x, ctx.named("N"), ctx.named("H")) for x in range(g.order)}
     _require(len(pairs) == g.order, "factorizations are not distinct")
-    return {
-        "normal": report.normal,
-        "trivial_intersection": report.trivial_intersection,
-        "order_product": report.order_product,
-        "product_bijective": report.product_bijective,
-        "distinct_factorizations": len(pairs),
-    }
+    return {**report._asdict(), "distinct_factorizations": len(pairs)}
 
 
 def check_family_order(ctx: _Context):
-    family = mg.close(ctx.family(), cap=ctx.cap)
-    _require(family.order == 162, f"family group order {family.order}")
-    return {"order": family.order}
+    """GRP-ISO-D91211's rows give V G V^-1 = D as matrix sets, so D has the
+    braid image's order, read from its one closure."""
+    _rows_hold(ctx, "GRP-ISO-D91211")
+    n = ctx.need_group().order
+    _require(n == 162, f"family group order {n}")
+    return {"order": n}
 
 
 def check_conjugacy(ctx: _Context):
@@ -469,11 +465,15 @@ IDENTITIES = {
 }
 
 
-def _run_check(ctx: _Context, check_id: str, fn) -> Optional[dict]:
-    """One check: its rows in IDENTITIES, in order, then `fn`, whose value
-    is the witness."""
+def _rows_hold(ctx: _Context, check_id: str) -> None:
+    """The rows of `check_id` in IDENTITIES, in order; a false one raises."""
     for lhs, holds, rhs, message in IDENTITIES.get(check_id, ()):
         _require(ctx.words.equal(_word(lhs), _word(rhs)) == holds, message)
+
+
+def _run_check(ctx: _Context, check_id: str, fn) -> Optional[dict]:
+    """One check: its rows, then `fn`, whose value is the witness."""
+    _rows_hold(ctx, check_id)
     return fn(ctx)
 
 

@@ -17,7 +17,7 @@ from su3braid import matgroup as mg
 from su3braid.braidrep import paper_generators
 from su3braid.cyclo import Cyclo, root_of_unity
 from su3braid.matrix import UnitaryMatrix
-from su3braid.su3families import CParams, DParams, c_generators, d_generators
+from su3braid.su3families import CParams, DParams, d_generators
 
 # sha256 of `su3braid verify` stdout: check lines and the info line only, no
 # floats, so it holds on every platform
@@ -70,9 +70,11 @@ FALSIFIERS = [
     ("REP-CHARPOLY", "paper_generators", lambda: paper_generators()[::-1],
      "diagonal of G1 is not the expected spectrum"),
     ("GRP-ORDER-162", "paper_generators", lambda: paper_generators()[:1] * 2, "group order is 18"),
-    ("GRP-D-FAMILY-ORDER", "d_generators", lambda p: c_generators(p.c), "family group order 81"),
-    # d1 and d3 exchanged: they generate the same group, so the family order
-    # holds, but V G1 V^-1 is not the word d3 d2^-1 d1
+    # d1 and d3 exchanged: they generate the same group, but V G1 V^-1 is
+    # not the word d3 d2^-1 d1, and the family order is read through the
+    # conjugacy rows, so both checks fail on that row
+    ("GRP-D-FAMILY-ORDER", "d_generators", lambda p: d_generators(p)[::-1],
+     "D_V G1 D_V^-1 != d1 d2^-1 d3"),
     ("GRP-ISO-D91211", "d_generators", lambda p: d_generators(p)[::-1],
      "D_V G1 D_V^-1 != d1 d2^-1 d3"),
     ("GRP-N-NORMAL", "SUBGROUPS", {**verify.SUBGROUPS, "N": ("A",)}, "N is not normal"),
@@ -134,13 +136,14 @@ def test_report_witness_digest(verification_report):
 
 def test_exact_products_per_check(monkeypatch):
     """Exact 3x3 products of one run, by check id: identity rows share
-    their prefixes, the closures multiply by the generators alone, and the
-    subgroups N, H, <A> and <B> are member sets read off the braid image's
-    table, so only that one table is built and guarded; the conjugacy to
-    D(9,1,1;2,1,1) is word products alone."""
+    their prefixes, the one closure (the braid image) multiplies by the
+    generators alone, and the subgroups N, H, <A> and <B> are member sets
+    read off its table, so only that one table is built and guarded; the
+    conjugacy to D(9,1,1;2,1,1) is word products alone, and D's order is
+    read through it, not closed."""
     counts, current = Counter(), ["before the checks"]
     product, certify, run_check = UnitaryMatrix.__mul__, mg._certify, verify._run_check
-    guarded = []
+    guarded, closed, close = [], [], mg.close
 
     def counting(a, b):
         counts[current[-1]] += 1
@@ -158,21 +161,31 @@ def test_exact_products_per_check(monkeypatch):
         current.append(check_id)
         return run_check(ctx, check_id, fn)
 
+    def closing(generators, cap):
+        closed.append(len(generators))
+        return close(generators, cap=cap)
+
     monkeypatch.setattr(UnitaryMatrix, "__mul__", counting)
     monkeypatch.setattr(mg, "_certify", guard)
+    monkeypatch.setattr(mg, "close", closing)
     monkeypatch.setattr(verify, "_run_check", tagged)
     assert verify.run_theorem1_verification().overall
+    assert closed == [2]  # G1 and G2: D(9,1,1;2,1,1) is never closed
     assert counts["REP-ORDER18"] <= 24
     assert counts["GRP-T1T2T3"] <= 10
     assert counts["GRP-ORDER3-NOT-IN-LIST"] <= 30
     assert counts["GRP-G2SQG1-FACTOR"] <= 23
-    assert counts["GRP-ISO-D91211"] <= 21
-    for check_id in ("GRP-CYCLIC-INTERSECT", "GRP-N-INVARIANTS", "GRP-HN-TRIVIAL"):
+    # the five conjugacy rows (21 products) and the three unitarity checks
+    # of `d_generators`; GRP-ISO-D91211 then runs the same rows on the
+    # evaluator's kept prefixes
+    assert counts["GRP-D-FAMILY-ORDER"] <= 24
+    for check_id in ("GRP-CYCLIC-INTERSECT", "GRP-N-INVARIANTS", "GRP-HN-TRIVIAL",
+                     "GRP-ISO-D91211"):
         assert counts[check_id] == 0, check_id
     # the braid image alone, 256 sampled products
     assert guarded == [162]
     assert counts["table guards"] == 256
-    assert sum(counts.values()) <= 1242
+    assert sum(counts.values()) <= 749
 
 
 # -- order oracle 1: the generators reduced mod 73 ------------------------------
@@ -342,18 +355,21 @@ def _zeta3_conjugator():
     return UnitaryMatrix.from_rows([[s, 0, -s], [0, root_of_unity(3), 0], [s, 0, s]])
 
 
-@pytest.mark.parametrize("conjugator, message", [
-    # zeta_3 in place of zeta_3^2: the G1 row holds, the G2 row fails
-    (_zeta3_conjugator, "D_V G2 D_V^-1 != d3 d2^2"),
+@pytest.mark.parametrize("conjugator, failing", [
+    # zeta_3 in place of zeta_3^2: the G1 row holds, the G2 row fails, in
+    # GRP-D-FAMILY-ORDER too, which reads D's order through the same rows
+    (_zeta3_conjugator, {"GRP-D-FAMILY-ORDER": "D_V G2 D_V^-1 != d3 d2^2",
+                         "GRP-ISO-D91211": "D_V G2 D_V^-1 != d3 d2^2"}),
     # -V conjugates as V does, so every row holds, but det(zeta_9 (-V)) = -1
-    (lambda: verify._displays()["D_V"].scale(-1), "det(zeta_9 V) != 1"),
+    (lambda: verify._displays()["D_V"].scale(-1), {"GRP-ISO-D91211": "det(zeta_9 V) != 1"}),
 ], ids=["zeta3", "minus-V"])
-def test_conjugator_falsifiers(verification_report, monkeypatch, conjugator, message):
+def test_conjugator_falsifiers(verification_report, monkeypatch, conjugator, failing):
     assert verification_report.by_id("GRP-ISO-D91211").passed
     displays = verify._displays
     v = conjugator()
     monkeypatch.setattr(verify, "_displays", lambda: {**displays(), "D_V": v})
     report = verify.run_theorem1_verification()
-    assert report.by_id("GRP-ISO-D91211").witness == {"error": f"AssertionError: {message}"}
-    assert [c.id for c in report.checks if not c.passed] == ["GRP-ISO-D91211"]
+    assert {c.id: c.witness for c in report.checks if not c.passed} == {
+        check_id: {"error": f"AssertionError: {message}"} for check_id, message in failing.items()
+    }
     assert report.info == {}
