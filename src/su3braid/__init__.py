@@ -22,11 +22,7 @@ _PUBLIC = {
         "EmptyBasisError", "FusionBasis", "PhaseMismatchError", "fusion_basis",
         "paper_generators", "sigma_mid", "sigma_odd", "su3_normalize",
     ),
-    "matgroup": (
-        "FiniteMatrixGroup", "GroupTooLargeError", "SemidirectReport",
-        "abelian_invariants", "close", "decompose", "element_order", "intersect",
-        "is_normal", "semidirect_verify", "subgroup",
-    ),
+    "matgroup": ("FiniteMatrixGroup", "GroupTooLargeError", "close"),
     "su3families": ("CParams", "DParams", "c_generators", "d_generators"),
     "verify": ("VerificationReport", "run_theorem1_verification"),
     "cli": ("export_group", "query"),

@@ -16,12 +16,12 @@ Only :func:`close` closes a group from matrices, and it multiplies by the
 generators alone: in a finite group an inverse is a power, so the forward
 closure reaches every element, and each inverse generator's action is the
 inverse permutation of its generator's.  The signed closure that fixes
-element order and words is then integer work.  A subgroup is a
-:class:`Subgroup`: the group it was taken in and the sorted indices of its
-members there, closed on that group's Cayley table.  Normality,
-intersections, abelian invariants, semidirect certificates and ``n*h``
-factorizations read that one guarded table, and every operation given a
-group and a subgroup refuses a subgroup taken in another group.  The
+element order and words is then integer work.  The Cayley table is
+derived from the recorded actions down the closure's tree, certified
+before its first row is built (`_certify`), and only streamed, by the CSV
+export; the engine never holds it whole.  Structural queries on a closed group
+(subgroups, normality, factorizations) are not part of the engine: the
+verifier proves the paper's group structure from word identities.  The
 exact products go through the interned scalars and their memos keyed by
 serial ids (see :mod:`su3braid.cyclo`); threads may share them, a race
 there costing at most one discarded scalar object.
@@ -33,7 +33,7 @@ import json
 import math
 import random
 from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .cyclo import NonDivisibleOrderError
 from .matrix import UnitaryMatrix
@@ -43,31 +43,7 @@ class GroupTooLargeError(RuntimeError):
     """Closure exceeded its cap; the input likely generates an infinite group."""
 
 
-class OrderExceedsCapError(RuntimeError):
-    pass
-
-
 class GeneratorNotInGroupError(ValueError):
-    pass
-
-
-class NotASubgroupError(ValueError):
-    pass
-
-
-class NotAbelianError(ValueError):
-    pass
-
-
-class DecompositionNotFoundError(RuntimeError):
-    """No invariant-factor decomposition found; signals a bug at desk scale."""
-
-
-class NoFactorizationError(ValueError):
-    pass
-
-
-class NonUniqueFactorizationError(ValueError):
     pass
 
 
@@ -89,10 +65,8 @@ class FiniteMatrixGroup:
     Besides the elements, a group keeps what its closure learned: the BFS
     provenance (element i is generator `_bfs_mult[i]` times element
     `_bfs_parent[i]`) and the left-multiplication action of every signed
-    generator as a permutation of element indices.  All index-level
-    structure (the Cayley table, inverses, normality, semidirect
-    certificates, abelian invariants) is composed from these integers.  A subgroup is not a group of
-    its own but a `Subgroup`, a set of this group's indices.
+    generator as a permutation of element indices.  The Cayley table is
+    composed from these integers (`_rows`).
     """
 
     def __init__(
@@ -117,8 +91,6 @@ class FiniteMatrixGroup:
         self._bfs_mult = bfs_mult
         self._bfs_parent = bfs_parent
         self._actions = dict(actions)
-        self._cayley: Optional[list[list[int]]] = None
-        self._inverse_index: Optional[list[int]] = None
 
     # -- basic queries --------------------------------------------------------
 
@@ -148,20 +120,6 @@ class FiniteMatrixGroup:
         """Left multiplication by generator `signed` (1-based, negative for
         the inverse) as a permutation: entry x is the index of g * element(x)."""
         return self._actions[signed]
-
-    # -- structure tables -----------------------------------------------------
-
-    def cayley_table(self) -> list[list[int]]:
-        """Full multiplication table; entry [i][j] is the element index of
-        element(i) * element(j), certified by `_certify` before it is built."""
-        if self._cayley is None:
-            self._cayley = [list(row) for row in _rows(self)]
-        return self._cayley
-
-    def inverse_index(self) -> list[int]:
-        if self._inverse_index is None:
-            self._inverse_index = [row.index(0) for row in self.cayley_table()]
-        return self._inverse_index
 
 
 # seeded entries of every derived table compared with direct exact products;
@@ -390,169 +348,6 @@ def close(
         tuple(bfs_mult), tuple(bfs_parent),
         {signed: tuple(at[row[x]] for x in reached) for signed, row in signed_rows.items()},
     )
-
-
-# ---------------------------------------------------------------------------
-# element and subgroup operations
-
-
-def element_order(m: UnitaryMatrix, cap: int = 1000) -> int:
-    """Least n >= 1 with m^n = I."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    identity = UnitaryMatrix.identity(m.dim)
-    power = m
-    n = 1
-    while power != identity:
-        power = power * m
-        n += 1
-        if n > cap:
-            raise OrderExceedsCapError(f"order exceeds cap={cap}")
-    return n
-
-
-def _check_indices(group: FiniteMatrixGroup, xs: Sequence[int]) -> None:
-    for x in xs:
-        if not 0 <= x < group.order:
-            raise GeneratorNotInGroupError(f"element index {x} is outside 0..{group.order - 1}")
-
-
-class Subgroup:
-    """A subgroup of `group`, held as the sorted indices of its members
-    there; it belongs to that group alone, so an index in `members` names
-    an element of `group`.  Not a tuple: its length would not be its order."""
-
-    __slots__ = ("group", "members")
-
-    def __init__(self, group: FiniteMatrixGroup, members: tuple[int, ...]):
-        self.group = group
-        self.members = members
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-
-def subgroup(group: FiniteMatrixGroup, xs: Sequence[int]) -> Subgroup:
-    """The subgroup generated by the elements `xs` (indices) of `group`:
-    {0} closed under right multiplication by `xs` on the Cayley table
-    (built on first use), which reaches every member because in a finite
-    group an inverse is a power."""
-    if not xs:
-        raise ValueError("need at least one generator")
-    _check_indices(group, xs)
-    table = group.cayley_table()
-    members, frontier = {0}, {0}
-    while frontier:
-        frontier = {table[x][g] for x in frontier for g in xs} - members
-        members |= frontier
-    return Subgroup(group, tuple(sorted(members)))
-
-
-def _members(group: FiniteMatrixGroup, sub: Subgroup) -> tuple[int, ...]:
-    """The members of `sub`, which must have been taken in `group`: an
-    index means an element only of the group it indexes."""
-    if not isinstance(sub, Subgroup) or sub.group is not group:
-        raise NotASubgroupError("claimed subgroup was not taken in this group")
-    return sub.members
-
-
-def is_normal(group: FiniteMatrixGroup, sub: Subgroup) -> bool:
-    """Whether g n g^-1 stays in `sub` for the generators g of `group`
-    (sufficient by generation), read off the Cayley table of `group`."""
-    members = set(_members(group, sub))
-    table, inverse, gens = group.cayley_table(), group.inverse_index(), group.generators
-    return all(table[table[g][n]][inverse[g]] in members for g in gens for n in members)
-
-
-def intersect(s1: Subgroup, s2: Subgroup) -> Subgroup:
-    """The common members of two subgroups of one group."""
-    common = set(s1.members).intersection(_members(s1.group, s2))
-    return Subgroup(s1.group, tuple(sorted(common)))
-
-
-def _powers(table: list[list[int]], x: int) -> list[int]:
-    """The cyclic span of element x as e, x, x^2, ... up to its order."""
-    powers, p = [0], x
-    while p:
-        powers.append(p)
-        p = table[p][x]
-    return powers
-
-
-def abelian_invariants(sub: Subgroup) -> tuple[int, ...]:
-    """Cyclic factor orders, decreasing, by exhaustive search for a pair of
-    members with trivially intersecting cyclic spans covering the order,
-    on the Cayley table of the group `sub` was taken in.
-
-    Only subgroups of rank at most 2 are supported.  The exponent is taken
-    as the largest element order, so a returned result is exact: the
-    subgroup is the internal direct product of the two spans.  A subgroup
-    of rank 3 or more (for example Z2^3) raises `DecompositionNotFoundError`."""
-    table, members, n = sub.group.cayley_table(), sub.members, sub.order
-    if any(table[a][b] != table[b][a] for a in members for b in members):
-        raise NotAbelianError("group is not abelian")
-    if n == 1:
-        return ()
-    orders = {x: len(_powers(table, x)) for x in members}
-    max_order = max(orders.values())
-    if max_order == n:
-        return (n,)
-    for x in members:
-        if orders[x] != max_order:
-            continue
-        x_span = set(_powers(table, x))
-        for y in members:
-            if orders[y] == n // max_order and len(x_span.intersection(_powers(table, y))) == 1:
-                return (max_order, n // max_order)
-    raise DecompositionNotFoundError(
-        "no two-factor decomposition found; unsupported abelian structure"
-    )
-
-
-class SemidirectReport(NamedTuple):
-    """The four facts that certify an inner semidirect product."""
-
-    normal: bool
-    trivial_intersection: bool
-    order_product: bool
-    product_bijective: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return all(self)
-
-
-def semidirect_verify(
-    group: FiniteMatrixGroup, normal_part: Subgroup, complement: Subgroup
-) -> SemidirectReport:
-    """The four certificates, read off the Cayley table of `group`."""
-    ns, hs = _members(group, normal_part), _members(group, complement)
-    table = group.cayley_table()
-    return SemidirectReport(
-        normal=is_normal(group, normal_part),
-        trivial_intersection=intersect(normal_part, complement).order == 1,
-        order_product=len(ns) * len(hs) == group.order,
-        product_bijective=len({table[n][h] for n in ns for h in hs}) == group.order,
-    )
-
-
-def decompose(
-    group: FiniteMatrixGroup, x: int, normal_part: Subgroup, complement: Subgroup,
-) -> tuple[int, int]:
-    """The unique (n, h), indices of `group` with n in the normal part and
-    h in the complement, with element x = n h, found as n = x h^-1 on the
-    Cayley table of `group`."""
-    _check_indices(group, [x])
-    ns = set(_members(group, normal_part))
-    table, inverse = group.cayley_table(), group.inverse_index()
-    row = table[x]
-    matches = [(n, h) for h in _members(group, complement) if (n := row[inverse[h]]) in ns]
-    if not matches:
-        raise NoFactorizationError("element has no n*h factorization")
-    if len(matches) > 1:
-        raise NonUniqueFactorizationError("factorization is not unique")
-    return matches[0]
 
 
 # ---------------------------------------------------------------------------

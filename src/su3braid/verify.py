@@ -19,14 +19,18 @@ x^(n/p) != I for each prime p dividing n), the comparisons with the
 paper's explicit displays, which are the named matrices `D_G1` ...
 `D_T3T1` (`_displays`), and the conjugation by the matrix `D_V` between
 G1, G2 and the family generators d1, d2, d3.  The named elements
-(`ELEMENTS`) and subgroups (`SUBGROUPS`) are data too.  Words are short
-text such as "G2^2 G1^-1", and one `matgroup.WordEvaluator` evaluates
-every word of a run, so a prefix or factor that rows share is multiplied
-once.
+(`ELEMENTS`) are data too.  Words are short text such as "G2^2 G1^-1",
+and one `matgroup.WordEvaluator` evaluates every word of a run, so a
+prefix or factor that rows share is multiplied once.
 
-A run closes one group, the braid image (GRP-ORDER-162, bounded by `cap`),
-and reads its elements only by index; GRP-D-FAMILY-ORDER reads the order of
-D(9,1,1;2,1,1) from the conjugacy rows instead of closing it.
+The structure of the group (N = <A, B> normal of order 27, H = <T1, T3>
+a copy of S3 meeting it trivially, G = NH) is proved from rows too: a
+check whose conclusion rests on other checks' rows names them in
+`PREMISES`, and the runner checks those rows as well.  A run closes one
+group, the braid image (GRP-ORDER-162, bounded by `cap`), and reads only
+its order: GRP-SEMIDIRECT compares it with |N| |H|, and GRP-D-FAMILY-ORDER
+reads the order of D(9,1,1;2,1,1) through the conjugacy rows instead of
+closing that group.  No other check needs the closure.
 """
 
 from __future__ import annotations
@@ -114,8 +118,7 @@ def _word(text: str) -> mg.NamedWord:
     return [(name, int(power or 1)) for name, _, power in (f.partition("^") for f in text.split())]
 
 
-# the named elements, as words in G1, G2 and the names before them, and the
-# two subgroups generated by named elements
+# the named elements, as words in G1, G2 and the names before them
 ELEMENTS = {
     "F": "G1 G2 G1^-2",
     "A": "G1 G2^2 G1^-1",
@@ -124,7 +127,6 @@ ELEMENTS = {
     "T2": "G2 G1^9 G2^-1",
     "T3": "T2 G2 G1^2 T2",
 }
-SUBGROUPS = {"N": ("A", "B"), "H": ("T1", "T3")}
 # the names of the family generators of D(9,1,1;2,1,1) in words
 FAMILY_NAMES = ("d1", "d2", "d3")
 
@@ -132,14 +134,15 @@ FAMILY_NAMES = ("d1", "d2", "d3")
 class _Context:
     """State the checks share.  `group`, the run's one closure, is closed
     by GRP-ORDER-162 under the bound `cap` and kept even when its order is
-    wrong; it stays None when the closure raised.  The named elements and
-    subgroups are built lazily, so that a failure lands in the check that
-    asked for them.  `ctx[name]` is the name -> matrix lookup that words
-    are evaluated with: G1 and G2 are the generators as passed, d1, d2 and
-    d3 the family generators, from one `d_generators` call and never
-    closed, and the displays `D_*` are built on first use, without the
-    closure.  `words` evaluates every word of the run, keeping each prefix
-    it multiplies.  `info` collects the report's informational entries."""
+    wrong; it stays None when the closure raised.  `ctx[name]` is the
+    name -> matrix lookup that words are evaluated with: G1 and G2 are the
+    generators as passed, the named elements their `ELEMENTS` words, d1, d2
+    and d3 the family generators, from one `d_generators` call and never
+    closed, and the displays `D_*`; all but G1 and G2 are built on first
+    use, so that a failure lands in the check that asked for them, and none
+    needs the closure.  `words` evaluates every word of the run, keeping
+    each prefix it multiplies.  `info` collects the report's informational
+    entries."""
 
     def __init__(self, generators: tuple[UnitaryMatrix, UnitaryMatrix], cap: int):
         self.g1m, self.g2m = generators
@@ -148,7 +151,6 @@ class _Context:
         self.rt3 = sqrt3(self.t.order)
         self.group: Optional[mg.FiniteMatrixGroup] = None
         self.info: dict = {}
-        self._named: dict = {}
         self._displays: dict = {}
         self._family: dict = {}
         self.words = mg.WordEvaluator(self)
@@ -158,17 +160,6 @@ class _Context:
             raise RuntimeError("group closure unavailable (earlier check failed)")
         return self.group
 
-    def named(self, name: str):
-        """An element of ELEMENTS as a matrix, or a subgroup of SUBGROUPS."""
-        if name not in self._named:
-            g = self.need_group()
-            if name in SUBGROUPS:
-                value = mg.subgroup(g, [g.index_of(self.named(n)) for n in SUBGROUPS[name]])
-            else:
-                value = self.words(_word(ELEMENTS[name]))
-            self._named[name] = value
-        return self._named[name]
-
     def __getitem__(self, name: str) -> UnitaryMatrix:
         if name.startswith("D_"):
             self._displays = self._displays or _displays()
@@ -177,7 +168,9 @@ class _Context:
             if not self._family:
                 self._family = dict(zip(FAMILY_NAMES, d_generators(DParams(CParams(9, 1, 1), 2, 1, 1))))
             return self._family[name]
-        return {"G1": self.g1m, "G2": self.g2m}.get(name) or self.named(name)
+        if name in ELEMENTS:  # the evaluator keeps the word's product
+            return self.words(_word(ELEMENTS[name]))
+        return {"G1": self.g1m, "G2": self.g2m}[name]
 
 
 def _displays() -> dict[str, UnitaryMatrix]:
@@ -257,7 +250,7 @@ def check_theta_id(ctx: _Context):
 
 
 # ---------------------------------------------------------------------------
-# the generators' spectrum, the group closure and N = <A, B>
+# the generators' spectrum and the group closure
 
 
 def check_charpoly(ctx: _Context):
@@ -282,86 +275,25 @@ def check_order162(ctx: _Context):
     return {"order": ctx.group.order}
 
 
-def check_cyclic_intersect(ctx: _Context):
-    g = ctx.need_group()
-    cyc_a = mg.subgroup(g, [g.index_of(ctx["A"])])
-    cyc_b = mg.subgroup(g, [g.index_of(ctx["B"])])
-    meet = mg.intersect(cyc_a, cyc_b)
-    _require(meet.order == 1, f"<A> meet <B> has order {meet.order}")
-    return {"intersection_order": meet.order}
-
-
-# REP-BRAID, GRP-G1AG1-G2SQ, GRP-G2SQ-A7B2 and GRP-G2AG2-AB already imply that
-# N is normal (for example G2 G1^2 G2^-1 = G1^-1 G2^2 G1 = A), so no corruption
-# of the generators fails this check alone; its falsifier alters N instead
-def check_n_normal(ctx: _Context):
-    _require(mg.is_normal(ctx.need_group(), ctx.named("N")), "N is not normal")
-    return {"order_N": ctx.named("N").order}
-
-
-def check_n_invariants(ctx: _Context):
-    n = ctx.named("N")
-    invariants = mg.abelian_invariants(n)
-    _require(n.order == 27, f"|N| = {n.order}")
-    _require(invariants == (9, 3), f"invariants {invariants}")
-    return {"order": n.order, "invariants": list(invariants)}
-
-
-# ---------------------------------------------------------------------------
-# the complement H = <T1, T3> and the factorizations through N and H
-
-
-def check_h_s3(ctx: _Context):
-    g, h = ctx.need_group(), ctx.named("H")
-    _require(h.order == 6, f"|H| = {h.order}")
-    t1t3, t3t1 = (g.index_of(ctx.words(_word(w))) for w in ("T1 T3", "T3 T1"))
-    _require(t1t3 != t3t1, "H is abelian")
-    order3 = {x for x in h.members if mg.subgroup(g, [x]).order == 3}
-    _require(order3 == {t1t3, t3t1}, "order-3 elements are not T1 T3 and T3 T1")
-    return {"order": h.order}
-
-
-def check_h_members(ctx: _Context):
-    h = ctx.named("H")
-    names = ("T3", "D_T1", "D_T3T1T3", "D_T1T3", "D_T3T1")
-    want = {0, *(h.group.index_of(ctx[n]) for n in names)}  # 0 is the identity
-    _require(set(h.members) == want, "H element set mismatch")
-
-
-def check_hn_trivial(ctx: _Context):
-    _require(mg.intersect(ctx.named("H"), ctx.named("N")).order == 1, "H meet N nontrivial")
-
-
-def _factorization(x: str, n: str, h: str):
-    """The check that `decompose` splits the element `x` over N and H into
-    the words `n` and `h`."""
-
-    def check(ctx: _Context):
-        g = ctx.need_group()
-        parts = mg.decompose(g, g.index_of(ctx[x]), ctx.named("N"), ctx.named("H"))
-        want = tuple(g.index_of(ctx.words(_word(w))) for w in (n, h))
-        _require(parts == want, f"{x} != {n} * {h}")
-
-    return check
-
-
 # ---------------------------------------------------------------------------
 # the semidirect structure and the conjugacy to the family group
 
 
 def check_semidirect(ctx: _Context):
-    g = ctx.need_group()
-    report = mg.semidirect_verify(g, ctx.named("N"), ctx.named("H"))
-    _require(report.all_ok, f"semidirect flags: {report}")
-    pairs = {mg.decompose(g, x, ctx.named("N"), ctx.named("H")) for x in range(g.order)}
-    _require(len(pairs) == g.order, "factorizations are not distinct")
-    return {**report._asdict(), "distinct_factorizations": len(pairs)}
+    """The premises make N normal, N meet H trivial and G = NH, so each
+    element factors uniquely as n h and |G| = |N| |H| = 27 * 6; that count
+    is compared with the closure's."""
+    n = ctx.need_group().order
+    _require(n == 27 * 6, f"|N| |H| = 162 but the closure has order {n}")
+    return {
+        "normal": True, "trivial_intersection": True, "order_product": True,
+        "product_bijective": True, "distinct_factorizations": n,
+    }
 
 
 def check_family_order(ctx: _Context):
-    """GRP-ISO-D91211's rows give V G V^-1 = D as matrix sets, so D has the
-    braid image's order, read from its one closure."""
-    _rows_hold(ctx, "GRP-ISO-D91211")
+    """GRP-ISO-D91211's rows, its premise, give V G V^-1 = D as matrix sets,
+    so D has the braid image's order, read from its one closure."""
     n = ctx.need_group().order
     _require(n == 162, f"family group order {n}")
     return {"order": n}
@@ -403,19 +335,25 @@ IDENTITIES = {
         ("B^3", True, "", "B^3 != I"), ("B", False, "", "B = I"),
     ],
     "GRP-AB-COMMUTE": [("A B", True, "B A", "A and B do not commute")],
+    # <A>'s one subgroup of order 3 is {I, A^3, A^6}
+    "GRP-CYCLIC-INTERSECT": [("B", False, "A^3", "B = A^3"), ("B", False, "A^6", "B = A^6")],
+    "GRP-N-NORMAL": [
+        ("G1 B G1^-1", True, "A^3 B^2", "G1 B G1^-1 != A^3 B^2"),
+        ("G2 B G2^-1", True, "B^2", "G2 B G2^-1 != B^2"),
+    ],
     "GRP-G1AG1-G2SQ": [("G1 A G1^-1", True, "G2^2", "G1 A G1^-1 != G2^2")],
     "GRP-G2SQ-A7B2": [("G2^2", True, "A^7 B^2", "G2^2 != A^7 B^2")],
     "GRP-G2AG2-AB": [
         ("G2 A G2^-1", True, "G1^2", "G2 A G2^-1 != G1^2"),
         ("G1^2", True, "A B", "G1^2 != A B"),
     ],
-    # T1 first: without the closure the check fails on the name T1
     "GRP-T1T2T3": [
         ("T1^2", True, "", "T1^2 != I"), ("T1", False, "", "T1 = I"),
         ("T2^2", True, "", "T2^2 != I"), ("T2", False, "", "T2 = I"),
         ("G2 G1^2 G2 G1^2", True, "", "(G2 G1^2)^2 != I"), ("G2 G1^2", False, "", "G2 G1^2 = I"),
         ("T3", True, "D_T3", "T3 is not diag(-1,-1,1)"),
     ],
+    "GRP-H-S3": [("T1 T3", False, "T3 T1", "T1 T3 = T3 T1")],
     "GRP-H-MATRICES": [
         ("T1", True, "D_T1", "T1 display mismatch"),
         ("T3 T1 T3", True, "D_T3T1T3", "T3 T1 T3 display mismatch"),
@@ -442,6 +380,8 @@ IDENTITIES = {
         ("G1^2 G2", True, "B^2 T3 T1 T3", "G1^2 G2 != B^2 T3 T1 T3"),
         ("G2^-1 G1^-2 T3 T1 T3", True, "B^2", "(G1^2 G2)^-1 T3 T1 T3 != B^2"),
     ],
+    "GRP-PSI-G1": [("G1", True, "A^5 B^2 T3", "G1 != A^5 B^2 * T3")],
+    "GRP-PSI-G2": [("G2", True, "A^-1 B T3 T1 T3", "G2 != A^-1 B * T3 T1 T3")],
     "GRP-PRESENTATION": [
         ("A^9", True, "", "A^9 != I"),
         ("B^3", True, "", "B^3 != I"),
@@ -465,14 +405,58 @@ IDENTITIES = {
 }
 
 
-def _rows_hold(ctx: _Context, check_id: str) -> None:
-    """The rows of `check_id` in IDENTITIES, in order; a false one raises."""
+# The checks whose conclusion rests on other checks' rows, by check id: the
+# ids whose rows prove it besides its own (Rotman, *An Introduction to the
+# Theory of Groups*, Ch. 2 and 7).  With N = <A, B>, H = <T1, T3> and
+# G = <G1, G2>, the chain runs:
+#  - |N| = 27, N = <A> x <B> ~ Z9 x Z3: A has order 9, B order 3 and AB = BA;
+#    <B> has prime order, so it meets <A> trivially unless it is <A>'s one
+#    subgroup of order 3, that is unless B is A^3 or A^6.
+#  - N is normal: G1 and G2 conjugate A and B into N, and conjugation is an
+#    automorphism, so g N g^-1 = N for both generators, hence for all of G.
+#  - H ~ S3, |H| = 6: T1^2 = T3^2 = (T1 T3)^3 = I make H a quotient of S3,
+#    and T1 T3 != T3 T1 rules out its abelian quotients.  So H is
+#    {I, T1, T3, T3 T1 T3, T1 T3, T3 T1}, its elements of order 3 are T1 T3
+#    and T3 T1, and the display rows and T3 = D_T3 pin all six.
+#  - N meet H = 1: |N| is odd, so N holds no involution, and N's eight
+#    elements of order 3, the A^3i B^j other than I, are the list that
+#    neither T1 T3 nor T3 T1 is in.
+#  - G = NH, |G| = 162: G1 = A^5 B^2 T3 and G2 = A^-1 B T3 T1 T3 put both
+#    generators in NH, a subgroup since N is normal, so G = NH; as N meet
+#    H = 1 each element factors uniquely as n h, and |G| = 27 * 6 = 162,
+#    which GRP-SEMIDIRECT compares with the closure's count.
+# A check fails with the first failing row among its own and its premises'.
+PREMISES = {
+    "GRP-CYCLIC-INTERSECT": ("GRP-AB-ORDERS",),
+    "GRP-N-INVARIANTS": ("GRP-AB-ORDERS", "GRP-AB-COMMUTE", "GRP-CYCLIC-INTERSECT"),
+    "GRP-N-NORMAL": ("GRP-G1AG1-G2SQ", "GRP-G2SQ-A7B2", "GRP-G2AG2-AB", "GRP-N-INVARIANTS"),
+    "GRP-H-S3": ("GRP-PRESENTATION",),
+    "GRP-H-MATRICES": ("GRP-H-S3", "GRP-T1T2T3"),
+    "GRP-HN-TRIVIAL": ("GRP-ORDER3-NOT-IN-LIST", "GRP-N-INVARIANTS", "GRP-H-S3"),
+    "GRP-PSI-G1": ("GRP-HN-TRIVIAL",),
+    "GRP-PSI-G2": ("GRP-HN-TRIVIAL",),
+    "GRP-SEMIDIRECT": ("GRP-N-NORMAL", "GRP-HN-TRIVIAL", "GRP-PSI-G1", "GRP-PSI-G2"),
+    # V G V^-1 = D as matrix sets, so |D| = |G|
+    "GRP-D-FAMILY-ORDER": ("GRP-ISO-D91211",),
+}
+
+
+def _rows_hold(ctx: _Context, check_id: str, seen: Optional[set] = None) -> None:
+    """The rows of `check_id` in IDENTITIES, in order, then those of its
+    PREMISES, depth first, each check's rows once; a false row raises.
+    Rows already evaluated cost no product: the evaluator keeps them."""
+    seen = set() if seen is None else seen
+    seen.add(check_id)
     for lhs, holds, rhs, message in IDENTITIES.get(check_id, ()):
         _require(ctx.words.equal(_word(lhs), _word(rhs)) == holds, message)
+    for premise in PREMISES.get(check_id, ()):
+        if premise not in seen:
+            _rows_hold(ctx, premise, seen)
 
 
 def _run_check(ctx: _Context, check_id: str, fn) -> Optional[dict]:
-    """One check: its rows, then `fn`, whose value is the witness."""
+    """One check: its rows and its premises' rows, then `fn`, whose value is
+    the witness."""
     _rows_hold(ctx, check_id)
     return fn(ctx)
 
@@ -482,7 +466,8 @@ def _rows_only(ctx: _Context):
     return None
 
 
-# a constant witness states only what the check's rows have just proved
+# a constant witness states only what the rows of the check and of its
+# premises have just proved
 CHECKS = (
     ("TL-DELTAS", "loop values: delta_0 = delta_4 = 1, delta_2 = 2, delta_1 = sqrt(3), delta_5 = 0", check_deltas),
     ("TL-RVALUES", "conjugated twist eigenvalues on a fused charge-2 pair", check_rvalues),
@@ -499,21 +484,21 @@ CHECKS = (
     ("GRP-A-DEF", "(G2 F)^2 equals A = g1 g2^2 g1^-1", _rows_only),
     ("GRP-AB-ORDERS", "A has order 9 and B has order 3", lambda ctx: {"order_A": 9, "order_B": 3}),
     ("GRP-AB-COMMUTE", "A and B commute", _rows_only),
-    ("GRP-CYCLIC-INTERSECT", "<A> and <B> intersect trivially", check_cyclic_intersect),
-    ("GRP-N-NORMAL", "the subgroup <A, B> is normal in the whole group", check_n_normal),
-    ("GRP-N-INVARIANTS", "<A, B> is abelian of order 27 with invariants (9, 3)", check_n_invariants),
+    ("GRP-CYCLIC-INTERSECT", "<A> and <B> intersect trivially", lambda ctx: {"intersection_order": 1}),
+    ("GRP-N-NORMAL", "the subgroup <A, B> is normal in the whole group", lambda ctx: {"order_N": 27}),
+    ("GRP-N-INVARIANTS", "<A, B> is abelian of order 27 with invariants (9, 3)", lambda ctx: {"order": 27, "invariants": [9, 3]}),
     ("GRP-G1AG1-G2SQ", "G1 A G1^-1 equals G2^2", _rows_only),
     ("GRP-G2SQ-A7B2", "G2^2 equals A^7 B^2", _rows_only),
     ("GRP-G2AG2-AB", "G2 A G2^-1 equals G1^2 equals A B", _rows_only),
     ("GRP-T1T2T3", "T1, T2, G2 G1^2 have order 2 and T3 = diag(-1,-1,1)", lambda ctx: {"orders": [2, 2, 2]}),
-    ("GRP-H-S3", "<T1, T3> is a non-abelian order-6 group with order-3 elements T1 T3, T3 T1", check_h_s3),
-    ("GRP-H-MATRICES", "the six elements of H match their explicit matrices", check_h_members),
-    ("GRP-HN-TRIVIAL", "H and N intersect trivially", check_hn_trivial),
+    ("GRP-H-S3", "<T1, T3> is a non-abelian order-6 group with order-3 elements T1 T3, T3 T1", lambda ctx: {"order": 6}),
+    ("GRP-H-MATRICES", "the six elements of H match their explicit matrices", _rows_only),
+    ("GRP-HN-TRIVIAL", "H and N intersect trivially", _rows_only),
     ("GRP-ORDER3-NOT-IN-LIST", "T1 T3 and T3 T1 differ from all eight listed elements of N", _rows_only),
     ("GRP-G2SQG1-FACTOR", "G2^2 G1 is an involution factoring as A^3 B * T3", _rows_only),
     ("GRP-G1SQG2-FACTOR", "G1^2 G2 factors as B^2 * T3 T1 T3", _rows_only),
-    ("GRP-PSI-G1", "G1 decomposes as (A^5 B^2, T3)", _factorization("G1", "A^5 B^2", "T3")),
-    ("GRP-PSI-G2", "G2 decomposes as (A^-1 B, T3 T1 T3)", _factorization("G2", "A^-1 B", "T3 T1 T3")),
+    ("GRP-PSI-G1", "G1 decomposes as (A^5 B^2, T3)", _rows_only),
+    ("GRP-PSI-G2", "G2 decomposes as (A^-1 B, T3 T1 T3)", _rows_only),
     ("GRP-SEMIDIRECT", "all four semidirect-product certificates hold and the 162 factorizations are distinct", check_semidirect),
     ("GRP-PRESENTATION", "all ten relations of the closing presentation hold exactly", lambda ctx: {"relations_checked": len(IDENTITIES["GRP-PRESENTATION"])}),
     ("GRP-D-FAMILY-ORDER", "the three family generators of D(9,1,1;2,1,1) span a group of order 162", check_family_order),

@@ -1,14 +1,228 @@
-"""Test-side oracles on closed groups: conjugacy classes read off a Cayley
-table, an isomorphism search verified on the full tables, and matrix-set
-equality by canonical keys.  `verify` proves the braid image conjugate to
-D(9,1,1;2,1,1) by one exact matrix; these are the abstract cross-checks."""
+"""Test-side oracles on closed groups: the Cayley table collected from the
+engine's certified rows, subgroups as member sets closed on it, and the
+structural queries read off it (normality, intersections, abelian
+invariants, semidirect certificates, ``n*h`` factorizations), element
+orders by matrix powers, conjugacy classes, an isomorphism search verified
+on the full tables, and matrix-set equality by canonical keys.  `verify`
+proves the braid image's structure from word identities and its conjugacy
+to D(9,1,1;2,1,1) by one exact matrix; these are the abstract cross-checks
+on the closed group."""
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+import weakref
+from typing import NamedTuple, Optional, Sequence
 
 from su3braid import matgroup as mg
+from su3braid.matrix import UnitaryMatrix
+
+
+class OrderExceedsCapError(RuntimeError):
+    pass
+
+
+class NotASubgroupError(ValueError):
+    pass
+
+
+class NotAbelianError(ValueError):
+    pass
+
+
+class DecompositionNotFoundError(RuntimeError):
+    """No invariant-factor decomposition found; signals a bug at desk scale."""
+
+
+class NoFactorizationError(ValueError):
+    pass
+
+
+class NonUniqueFactorizationError(ValueError):
+    pass
+
+
+# each group's table and inverse index, built once and dropped with the group
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_INVERSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def cayley_table(group: mg.FiniteMatrixGroup) -> list[list[int]]:
+    """Full multiplication table; entry [i][j] is the element index of
+    element(i) * element(j), collected from the engine's rows, which
+    `_certify` guards before the first is built.  Built once per group."""
+    table = _TABLES.get(group)
+    if table is None:
+        table = _TABLES[group] = [list(row) for row in mg._rows(group)]
+    return table
+
+
+def inverse_index(group: mg.FiniteMatrixGroup) -> list[int]:
+    inverse = _INVERSES.get(group)
+    if inverse is None:
+        inverse = _INVERSES[group] = [row.index(0) for row in cayley_table(group)]
+    return inverse
+
+
+def element_order(m: UnitaryMatrix, cap: int = 1000) -> int:
+    """Least n >= 1 with m^n = I."""
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    identity = UnitaryMatrix.identity(m.dim)
+    power = m
+    n = 1
+    while power != identity:
+        power = power * m
+        n += 1
+        if n > cap:
+            raise OrderExceedsCapError(f"order exceeds cap={cap}")
+    return n
+
+
+def _check_indices(group: mg.FiniteMatrixGroup, xs: Sequence[int]) -> None:
+    for x in xs:
+        if not 0 <= x < group.order:
+            raise mg.GeneratorNotInGroupError(
+                f"element index {x} is outside 0..{group.order - 1}"
+            )
+
+
+class Subgroup:
+    """A subgroup of `group`, held as the sorted indices of its members
+    there; it belongs to that group alone, so an index in `members` names
+    an element of `group`.  Not a tuple: its length would not be its order."""
+
+    __slots__ = ("group", "members")
+
+    def __init__(self, group: mg.FiniteMatrixGroup, members: tuple[int, ...]):
+        self.group = group
+        self.members = members
+
+    @property
+    def order(self) -> int:
+        return len(self.members)
+
+
+def subgroup(group: mg.FiniteMatrixGroup, xs: Sequence[int]) -> Subgroup:
+    """The subgroup generated by the elements `xs` (indices) of `group`:
+    {0} closed under right multiplication by `xs` on the Cayley table
+    (built on first use), which reaches every member because in a finite
+    group an inverse is a power."""
+    if not xs:
+        raise ValueError("need at least one generator")
+    _check_indices(group, xs)
+    table = cayley_table(group)
+    members, frontier = {0}, {0}
+    while frontier:
+        frontier = {table[x][g] for x in frontier for g in xs} - members
+        members |= frontier
+    return Subgroup(group, tuple(sorted(members)))
+
+
+def _members(group: mg.FiniteMatrixGroup, sub: Subgroup) -> tuple[int, ...]:
+    """The members of `sub`, which must have been taken in `group`: an
+    index means an element only of the group it indexes."""
+    if not isinstance(sub, Subgroup) or sub.group is not group:
+        raise NotASubgroupError("claimed subgroup was not taken in this group")
+    return sub.members
+
+
+def is_normal(group: mg.FiniteMatrixGroup, sub: Subgroup) -> bool:
+    """Whether g n g^-1 stays in `sub` for the generators g of `group`
+    (sufficient by generation), read off the Cayley table of `group`."""
+    members = set(_members(group, sub))
+    table, inverse, gens = cayley_table(group), inverse_index(group), group.generators
+    return all(table[table[g][n]][inverse[g]] in members for g in gens for n in members)
+
+
+def intersect(s1: Subgroup, s2: Subgroup) -> Subgroup:
+    """The common members of two subgroups of one group."""
+    common = set(s1.members).intersection(_members(s1.group, s2))
+    return Subgroup(s1.group, tuple(sorted(common)))
+
+
+def _powers(table: list[list[int]], x: int) -> list[int]:
+    """The cyclic span of element x as e, x, x^2, ... up to its order."""
+    powers, p = [0], x
+    while p:
+        powers.append(p)
+        p = table[p][x]
+    return powers
+
+
+def abelian_invariants(sub: Subgroup) -> tuple[int, ...]:
+    """Cyclic factor orders, decreasing, by exhaustive search for a pair of
+    members with trivially intersecting cyclic spans covering the order,
+    on the Cayley table of the group `sub` was taken in.
+
+    Only subgroups of rank at most 2 are supported.  The exponent is taken
+    as the largest element order, so a returned result is exact: the
+    subgroup is the internal direct product of the two spans.  A subgroup
+    of rank 3 or more (for example Z2^3) raises `DecompositionNotFoundError`."""
+    table, members, n = cayley_table(sub.group), sub.members, sub.order
+    if any(table[a][b] != table[b][a] for a in members for b in members):
+        raise NotAbelianError("group is not abelian")
+    if n == 1:
+        return ()
+    orders = {x: len(_powers(table, x)) for x in members}
+    max_order = max(orders.values())
+    if max_order == n:
+        return (n,)
+    for x in members:
+        if orders[x] != max_order:
+            continue
+        x_span = set(_powers(table, x))
+        for y in members:
+            if orders[y] == n // max_order and len(x_span.intersection(_powers(table, y))) == 1:
+                return (max_order, n // max_order)
+    raise DecompositionNotFoundError(
+        "no two-factor decomposition found; unsupported abelian structure"
+    )
+
+
+class SemidirectReport(NamedTuple):
+    """The four facts that certify an inner semidirect product."""
+
+    normal: bool
+    trivial_intersection: bool
+    order_product: bool
+    product_bijective: bool
+
+    @property
+    def all_ok(self) -> bool:
+        return all(self)
+
+
+def semidirect_verify(
+    group: mg.FiniteMatrixGroup, normal_part: Subgroup, complement: Subgroup
+) -> SemidirectReport:
+    """The four certificates, read off the Cayley table of `group`."""
+    ns, hs = _members(group, normal_part), _members(group, complement)
+    table = cayley_table(group)
+    return SemidirectReport(
+        normal=is_normal(group, normal_part),
+        trivial_intersection=intersect(normal_part, complement).order == 1,
+        order_product=len(ns) * len(hs) == group.order,
+        product_bijective=len({table[n][h] for n in ns for h in hs}) == group.order,
+    )
+
+
+def decompose(
+    group: mg.FiniteMatrixGroup, x: int, normal_part: Subgroup, complement: Subgroup,
+) -> tuple[int, int]:
+    """The unique (n, h), indices of `group` with n in the normal part and
+    h in the complement, with element x = n h, found as n = x h^-1 on the
+    Cayley table of `group`."""
+    _check_indices(group, [x])
+    ns = set(_members(group, normal_part))
+    table, inverse = cayley_table(group), inverse_index(group)
+    row = table[x]
+    matches = [(n, h) for h in _members(group, complement) if (n := row[inverse[h]]) in ns]
+    if not matches:
+        raise NoFactorizationError("element has no n*h factorization")
+    if len(matches) > 1:
+        raise NonUniqueFactorizationError("factorization is not unique")
+    return matches[0]
 
 
 def conjugacy_classes(table: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -54,8 +268,8 @@ def extend_to_isomorphism(
     n = source.order
     if target.order != n or len(images) != len(source.generators):
         return None
-    t_source, t_target = source.cayley_table(), target.cayley_table()
-    inv_target = target.inverse_index()
+    t_source, t_target = cayley_table(source), cayley_table(target)
+    inv_target = inverse_index(target)
     phi = [0] * n
     for i, word in enumerate(source.words):
         x = 0
@@ -80,7 +294,7 @@ def find_isomorphism(
     `extend_to_isomorphism`."""
     if source.order != target.order:
         return None
-    t_source, t_target = source.cayley_table(), target.cayley_table()
+    t_source, t_target = cayley_table(source), cayley_table(target)
     profile_s = list(zip(_orders(t_source), _class_sizes(t_source)))
     profile_t = list(zip(_orders(t_target), _class_sizes(t_target)))
     candidate_sets = []

@@ -2,9 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from group_oracles import element_order
 
 from su3braid import braidrep as br
-from su3braid import matgroup as mg
 from su3braid import recoupling as rc
 from su3braid.cyclo import Cyclo, root_of_unity, sqrt2
 from su3braid.matrix import UnitaryMatrix
@@ -44,7 +44,7 @@ def test_sigma_odd_order_before_phase(t6):
     # lcm of the orders of the three diagonal phases is 6
     basis = br.fusion_basis(t6, 2)
     odd = br.sigma_odd(t6, basis)
-    assert mg.element_order(odd, cap=50) == 6
+    assert element_order(odd, cap=50) == 6
 
 
 def test_sigma_mid_entries(t6):

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import group_oracles
 import pytest
 
 from su3braid import cli, cyclo
@@ -92,16 +93,16 @@ def test_missing_prerequisites_fail_each_dependent_check():
     assert tuple(c.id for c in report.checks) == CHECK_IDS
     for check in report.checks:
         error = (check.witness or {}).get("error", "")
-        # the conjugacy is word identities in G1, G2 and d1, d2, d3: no
-        # closure; the family order holds the same rows, then reads the
-        # braid image's order, which is missing
-        if check.id.startswith(("TL-", "REP-")) or check.id == "GRP-ISO-D91211":
-            assert check.passed, check.id
-        elif check.id == "GRP-ORDER-162":
+        # every row, the structural ones and the conjugacy included, is a
+        # word identity that needs no closure; only the two checks that read
+        # the braid image's order after their rows find it missing
+        if check.id == "GRP-ORDER-162":
             assert not check.passed and error.startswith("GroupTooLargeError: "), check.id
-        else:
+        elif check.id in ("GRP-SEMIDIRECT", "GRP-D-FAMILY-ORDER"):
             assert not check.passed, check.id
             assert error == "RuntimeError: group closure unavailable (earlier check failed)"
+        else:
+            assert check.passed, check.id
     assert report.info == {"braid_image_conjugate_to_family_in_SU3": True}
 
 
@@ -307,8 +308,10 @@ _EXPORT_SHARE = {"cayley": 1 / 2, "elements": 1 / 8}
 
 @pytest.mark.parametrize("what", ["cayley", "elements"])
 def test_export_streams_its_text(tmp_path, family_648, monkeypatch, what):
-    # the export neither reads nor fills the group's cached table
-    monkeypatch.setattr(family_648, "_cayley", None)
+    # the export neither reads a table the oracles cached for the group nor
+    # fills one on the group
+    monkeypatch.delitem(group_oracles._TABLES, family_648, raising=False)
+    held = dict(vars(family_648))
     path = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -317,7 +320,9 @@ def test_export_streams_its_text(tmp_path, family_648, monkeypatch, what):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size * _EXPORT_SHARE[what]
-    assert family_648._cayley is None
+    assert family_648 not in group_oracles._TABLES
+    assert vars(family_648).keys() == held.keys()
+    assert all(vars(family_648)[k] is v for k, v in held.items())
 
 
 def test_export_writes_through_a_symlink(tmp_path, family_group):

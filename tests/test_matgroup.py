@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -7,7 +8,11 @@ from operator import itemgetter
 
 import pytest
 from group_oracles import (
-    conjugacy_classes, extend_to_isomorphism, find_isomorphism, key_set, same_matrix_set,
+    DecompositionNotFoundError, NoFactorizationError, NonUniqueFactorizationError,
+    NotAbelianError, NotASubgroupError, OrderExceedsCapError, SemidirectReport,
+    abelian_invariants, cayley_table, conjugacy_classes, decompose, element_order,
+    extend_to_isomorphism, find_isomorphism, intersect, is_normal, key_set, same_matrix_set,
+    semidirect_verify, subgroup,
 )
 
 from su3braid import matgroup as mg
@@ -56,18 +61,18 @@ def test_word_provenance(paper_group, signed_words):
 
 
 def test_element_order(paper_group, named_elements):
-    assert mg.element_order(paper_group.matrices[0]) == 1
-    assert mg.element_order(named_elements["A"]) == 9
-    assert mg.element_order(named_elements["B"]) == 3
-    assert mg.element_order(named_elements["T1"]) == 2
-    with pytest.raises(mg.OrderExceedsCapError):
-        mg.element_order(named_elements["A"], cap=5)
+    assert element_order(paper_group.matrices[0]) == 1
+    assert element_order(named_elements["A"]) == 9
+    assert element_order(named_elements["B"]) == 3
+    assert element_order(named_elements["T1"]) == 2
+    with pytest.raises(OrderExceedsCapError):
+        element_order(named_elements["A"], cap=5)
 
 
 def test_subgroup_orders(paper_group, named_elements, subgroup_n, subgroup_h):
     assert subgroup_n.order == 27
     assert subgroup_h.order == 6
-    trivial = mg.subgroup(paper_group, [0])
+    trivial = subgroup(paper_group, [0])
     assert trivial.order == 1
     # Lagrange on every subgroup we build
     for sub in (subgroup_n, subgroup_h, trivial):
@@ -77,11 +82,11 @@ def test_subgroup_orders(paper_group, named_elements, subgroup_n, subgroup_h):
 def test_subgroup_rejects_outsiders(paper_group):
     stranger = UnitaryMatrix.diagonal([root_of_unity(5), root_of_unity(5, 4), 1])
     with pytest.raises(mg.GeneratorNotInGroupError):
-        mg.subgroup(paper_group, [paper_group.index_of(stranger)])
+        subgroup(paper_group, [paper_group.index_of(stranger)])
     # an index outside 0..order-1, which would otherwise wrap or overrun
     for x in (-1, paper_group.order):
         with pytest.raises(mg.GeneratorNotInGroupError):
-            mg.subgroup(paper_group, [x])
+            subgroup(paper_group, [x])
 
 
 def test_index_of_a_matrix_held_at_another_order(family_group):
@@ -107,25 +112,25 @@ def test_index_of_a_matrix_held_at_another_order(family_group):
 def _outside():
     """A subgroup of a group other than the braid image."""
     group = mg.close([UnitaryMatrix.diagonal([root_of_unity(5), root_of_unity(5, 4), 1])])
-    return mg.subgroup(group, group.generators)
+    return subgroup(group, group.generators)
 
 
 def test_is_normal(paper_group, subgroup_n, subgroup_h):
-    assert mg.is_normal(paper_group, subgroup_n)
-    assert not mg.is_normal(paper_group, subgroup_h)
-    assert mg.is_normal(paper_group, mg.subgroup(paper_group, paper_group.generators))
-    with pytest.raises(mg.NotASubgroupError):
-        mg.is_normal(paper_group, _outside())
-    with pytest.raises(mg.NotASubgroupError):  # a group is not a subgroup record
-        mg.is_normal(paper_group, paper_group)
+    assert is_normal(paper_group, subgroup_n)
+    assert not is_normal(paper_group, subgroup_h)
+    assert is_normal(paper_group, subgroup(paper_group, paper_group.generators))
+    with pytest.raises(NotASubgroupError):
+        is_normal(paper_group, _outside())
+    with pytest.raises(NotASubgroupError):  # a group is not a subgroup record
+        is_normal(paper_group, paper_group)
 
 
 def test_intersect(paper_group, named_elements, subgroup_n, subgroup_h):
-    cyc_a = mg.subgroup(paper_group, [paper_group.index_of(named_elements["A"])])
-    cyc_b = mg.subgroup(paper_group, [paper_group.index_of(named_elements["B"])])
-    assert mg.intersect(cyc_a, cyc_b).order == 1
-    assert mg.intersect(subgroup_h, subgroup_n).order == 1
-    assert mg.intersect(subgroup_n, subgroup_n).order == subgroup_n.order
+    cyc_a = subgroup(paper_group, [paper_group.index_of(named_elements["A"])])
+    cyc_b = subgroup(paper_group, [paper_group.index_of(named_elements["B"])])
+    assert intersect(cyc_a, cyc_b).order == 1
+    assert intersect(subgroup_h, subgroup_n).order == 1
+    assert intersect(subgroup_n, subgroup_n).order == subgroup_n.order
 
 
 def test_groups_at_different_working_orders_are_refused(paper_group):
@@ -135,21 +140,21 @@ def test_groups_at_different_working_orders_are_refused(paper_group):
     a, b = mg.close([d]), mg.close([d.embed(8)])
     assert (a.order, a.working_order, b.order, b.working_order) == (4, 4, 4, 8)
     assert same_matrix_set(a, b)
-    sub_a, sub_b = mg.subgroup(a, a.generators), mg.subgroup(b, b.generators)
+    sub_a, sub_b = subgroup(a, a.generators), subgroup(b, b.generators)
     for query in (
-        lambda: mg.intersect(sub_a, sub_b),
-        lambda: mg.is_normal(a, sub_b),
-        lambda: mg.semidirect_verify(a, sub_b, sub_a),
-        lambda: mg.decompose(a, 0, sub_a, sub_b),
+        lambda: intersect(sub_a, sub_b),
+        lambda: is_normal(a, sub_b),
+        lambda: semidirect_verify(a, sub_b, sub_a),
+        lambda: decompose(a, 0, sub_a, sub_b),
     ):
-        with pytest.raises(mg.NotASubgroupError, match="not taken in this group"):
+        with pytest.raises(NotASubgroupError, match="not taken in this group"):
             query()
     # at a shared working order, a subgroup of another group is refused too
     z72 = root_of_unity(72)
     outside = mg.close([UnitaryMatrix.diagonal([z72, z72.conj(), 1])])
     assert outside.working_order == paper_group.working_order
-    with pytest.raises(mg.NotASubgroupError, match="not taken in this group"):
-        mg.is_normal(paper_group, mg.subgroup(outside, outside.generators))
+    with pytest.raises(NotASubgroupError, match="not taken in this group"):
+        is_normal(paper_group, subgroup(outside, outside.generators))
 
 
 def test_a_subgroup_belongs_to_the_group_it_was_taken_in(
@@ -157,59 +162,59 @@ def test_a_subgroup_belongs_to_the_group_it_was_taken_in(
 ):
     # an index of the family group names another element of the braid
     # image, so a subgroup taken in the family group is refused there
-    taken = mg.subgroup(family_group, family_group.generators[:1])
+    taken = subgroup(family_group, family_group.generators[:1])
     assert taken.group is family_group and taken.order < 162
     for query in (
-        lambda: mg.is_normal(paper_group, taken),
-        lambda: mg.semidirect_verify(paper_group, subgroup_n, taken),
-        lambda: mg.semidirect_verify(paper_group, taken, subgroup_h),
-        lambda: mg.decompose(paper_group, 0, taken, subgroup_h),
-        lambda: mg.decompose(paper_group, 0, subgroup_n, taken),
-        lambda: mg.intersect(taken, subgroup_n),
-        lambda: mg.intersect(subgroup_n, taken),
+        lambda: is_normal(paper_group, taken),
+        lambda: semidirect_verify(paper_group, subgroup_n, taken),
+        lambda: semidirect_verify(paper_group, taken, subgroup_h),
+        lambda: decompose(paper_group, 0, taken, subgroup_h),
+        lambda: decompose(paper_group, 0, subgroup_n, taken),
+        lambda: intersect(taken, subgroup_n),
+        lambda: intersect(subgroup_n, taken),
     ):
-        with pytest.raises(mg.NotASubgroupError):
+        with pytest.raises(NotASubgroupError):
             query()
 
 
 def test_abelian_invariants(paper_group, named_elements, subgroup_n, subgroup_h):
-    assert mg.abelian_invariants(subgroup_n) == (9, 3)
-    cyc_a = mg.subgroup(paper_group, [paper_group.index_of(named_elements["A"])])
-    assert mg.abelian_invariants(cyc_a) == (9,)
-    trivial = mg.subgroup(paper_group, [0])
-    assert mg.abelian_invariants(trivial) == ()
-    with pytest.raises(mg.NotAbelianError):
-        mg.abelian_invariants(subgroup_h)
+    assert abelian_invariants(subgroup_n) == (9, 3)
+    cyc_a = subgroup(paper_group, [paper_group.index_of(named_elements["A"])])
+    assert abelian_invariants(cyc_a) == (9,)
+    trivial = subgroup(paper_group, [0])
+    assert abelian_invariants(trivial) == ()
+    with pytest.raises(NotAbelianError):
+        abelian_invariants(subgroup_h)
     # rank 3 is outside the supported range: Z2^3 from diagonal sign matrices
     signs = [UnitaryMatrix.diagonal([1] * i + [-1] + [1] * (2 - i)) for i in range(3)]
     z2_cubed = mg.close(signs)
-    with pytest.raises(mg.DecompositionNotFoundError):
-        mg.abelian_invariants(mg.subgroup(z2_cubed, z2_cubed.generators))
+    with pytest.raises(DecompositionNotFoundError):
+        abelian_invariants(subgroup(z2_cubed, z2_cubed.generators))
 
 
 def test_semidirect_verify(paper_group, named_elements, subgroup_n, subgroup_h):
-    report = mg.semidirect_verify(paper_group, subgroup_n, subgroup_h)
+    report = semidirect_verify(paper_group, subgroup_n, subgroup_h)
     assert report.all_ok
     # N against itself: the intersection is N, not trivial
-    self_report = mg.semidirect_verify(paper_group, subgroup_n, subgroup_n)
+    self_report = semidirect_verify(paper_group, subgroup_n, subgroup_n)
     assert not self_report.trivial_intersection
     # <A> is too small: 9 * 6 != 162
-    cyc_a = mg.subgroup(paper_group, [paper_group.index_of(named_elements["A"])])
-    small = mg.semidirect_verify(paper_group, cyc_a, subgroup_h)
+    cyc_a = subgroup(paper_group, [paper_group.index_of(named_elements["A"])])
+    small = semidirect_verify(paper_group, cyc_a, subgroup_h)
     assert not small.order_product
-    with pytest.raises(mg.NotASubgroupError):
-        mg.semidirect_verify(paper_group, subgroup_n, _outside())
+    with pytest.raises(NotASubgroupError):
+        semidirect_verify(paper_group, subgroup_n, _outside())
 
 
 def test_decompose(paper_group, named_elements, subgroup_n, subgroup_h):
     a, b, t3, t1 = (named_elements[k] for k in ("A", "B", "T3", "T1"))
     ns = hs = paper_group.matrices  # the factors are indices of the group
     g1, g2 = paper_group.generators
-    n, h = mg.decompose(paper_group, g1, subgroup_n, subgroup_h)
+    n, h = decompose(paper_group, g1, subgroup_n, subgroup_h)
     assert ns[n] == a ** 5 * b ** 2 and hs[h] == t3
-    n, h = mg.decompose(paper_group, g2, subgroup_n, subgroup_h)
+    n, h = decompose(paper_group, g2, subgroup_n, subgroup_h)
     assert ns[n] == a ** -1 * b and hs[h] == t3 * t1 * t3
-    n, h = mg.decompose(paper_group, 0, subgroup_n, subgroup_h)
+    n, h = decompose(paper_group, 0, subgroup_n, subgroup_h)
     assert ns[n] == UnitaryMatrix.identity(3)
     assert hs[h] == UnitaryMatrix.identity(3)
 
@@ -217,8 +222,8 @@ def test_decompose(paper_group, named_elements, subgroup_n, subgroup_h):
 def test_decompose_is_a_bijection(paper_group, subgroup_n, subgroup_h):
     pairs = set()
     for x in range(paper_group.order):
-        n, h = mg.decompose(paper_group, x, subgroup_n, subgroup_h)
-        assert paper_group.cayley_table()[n][h] == x
+        n, h = decompose(paper_group, x, subgroup_n, subgroup_h)
+        assert cayley_table(paper_group)[n][h] == x
         pairs.add((n, h))
     assert len(pairs) == 162
     assert pairs == {(n, h) for n in subgroup_n.members for h in subgroup_h.members}
@@ -290,9 +295,9 @@ def _closed(named_elements, *names):
 
 
 def test_conjugacy_classes(paper_group, named_elements):
-    classes = conjugacy_classes(_closed(named_elements, "A", "B").cayley_table())
+    classes = conjugacy_classes(cayley_table(_closed(named_elements, "A", "B")))
     assert all(len(c) == 1 for c in classes)  # abelian: singletons
-    classes = conjugacy_classes(paper_group.cayley_table())
+    classes = conjugacy_classes(cayley_table(paper_group))
     assert sum(len(c) for c in classes) == 162
     assert all(162 % len(c) == 0 for c in classes)
     identity_class = [c for c in classes if 0 in c]
@@ -300,7 +305,7 @@ def test_conjugacy_classes(paper_group, named_elements):
 
 
 def test_cayley_table_shape(paper_group):
-    table = paper_group.cayley_table()
+    table = cayley_table(paper_group)
     assert table[0] == list(range(162))
     assert [row[0] for row in table] == list(range(162))
     # every row and column is a permutation
@@ -322,13 +327,13 @@ def test_derived_table_equals_direct_products(request, named_elements, name):
         group = request.getfixturevalue(name)
     n = group.order
     direct = [[_direct_product_index(group, i, j) for j in range(n)] for i in range(n)]
-    assert group.cayley_table() == direct
+    assert cayley_table(group) == direct
 
 
 def test_derived_table_order_648_seeded_entries(family_648):
     group = family_648
     assert group.order == 648
-    table = group.cayley_table()
+    table = cayley_table(group)
     rng = random.Random(648)
     for _ in range(300):
         i, j = rng.randrange(648), rng.randrange(648)
@@ -356,7 +361,7 @@ def test_corrupted_action_is_caught(paper_matrices):
     perm[40], perm[41] = perm[41], perm[40]
     group._actions[2] = tuple(perm)
     with pytest.raises(mg.CayleyTableError):
-        group.cayley_table()
+        cayley_table(group)
 
 
 def test_corrupted_provenance_is_caught(paper_matrices):
@@ -366,7 +371,7 @@ def test_corrupted_provenance_is_caught(paper_matrices):
         (p + 1) % group.order for p in group._bfs_parent[5:]
     )
     with pytest.raises(mg.CayleyTableError):
-        group.cayley_table()
+        cayley_table(group)
 
 
 def _rebuilt(group, actions=None, bfs_mult=None, bfs_parent=None, generators=None):
@@ -391,12 +396,12 @@ def test_order_648_corruptions_are_caught(family_648):
         perm[x], perm[y] = perm[y], perm[x]
         corrupted = {**family_648._actions, signed: tuple(perm)}
         with pytest.raises(mg.CayleyTableError):
-            _rebuilt(family_648, actions=corrupted).cayley_table()
+            cayley_table(_rebuilt(family_648, actions=corrupted))
     parent = family_648._bfs_parent
     repointed = parent[:5] + tuple((p + 1) % 648 for p in parent[5:])
     with pytest.raises(mg.CayleyTableError):
-        _rebuilt(family_648, bfs_parent=repointed).cayley_table()
-    assert _rebuilt(family_648).cayley_table() == family_648.cayley_table()
+        cayley_table(_rebuilt(family_648, bfs_parent=repointed))
+    assert cayley_table(_rebuilt(family_648)) == cayley_table(family_648)
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +553,14 @@ def _twisted(group, s, u, v):
     return _rebuilt(group, actions={**group._actions, s: tuple(action), -s: tuple(inverse)})
 
 
+@functools.cache
 def _uncommuting(group):
     """The first `_twisted` record, over the positive generators and the
     pairs among the first leaves of the tree (plain elements that are no
     element's parent), whose generator actions and columns do not commute
-    while every other condition of the certificate holds."""
+    while every other condition of the certificate holds.  The search
+    derives an n^2 table for each twist it tries, so each session group's
+    record is found once and shared; no test alters a record."""
     parents = set(group._bfs_parent)
     leaves = [x for x in _plain_elements(group) if x not in parents][:40]
     for s in range(1, len(group.generators) + 1):
@@ -844,11 +852,11 @@ def test_guard_makes_only_the_sampled_products(paper_matrices, named_elements, m
         return product(self, other)
 
     monkeypatch.setattr(UnitaryMatrix, "__mul__", counting)
-    group.cayley_table()
+    cayley_table(group)
     assert len(counted) == 256 == min(256, 162 ** 2)
     # a subgroup is read off the guarded table: no table and no product of its own
-    h, n = mg.subgroup(group, [t1]), mg.subgroup(group, [a, b])
-    trivial = mg.subgroup(group, [0])
+    h, n = subgroup(group, [t1]), subgroup(group, [a, b])
+    trivial = subgroup(group, [0])
     assert (h.order, n.order, trivial.order) == (2, 27, 1)
     assert trivial.members == (0,)
     assert len(counted) == 256
@@ -857,7 +865,7 @@ def test_guard_makes_only_the_sampled_products(paper_matrices, named_elements, m
 def test_forked_guard_makes_only_the_sampled_products(family_648, monkeypatch):
     # the guard runs in process now; the order-648 table, which once took the
     # forked path, still makes only the 256 sampled products
-    table_648 = family_648.cayley_table()
+    table_648 = cayley_table(family_648)
     counted = []
     product = UnitaryMatrix.__mul__
 
@@ -866,7 +874,7 @@ def test_forked_guard_makes_only_the_sampled_products(family_648, monkeypatch):
         return product(self, other)
 
     monkeypatch.setattr(UnitaryMatrix, "__mul__", counting)
-    assert _rebuilt(family_648).cayley_table() == table_648
+    assert cayley_table(_rebuilt(family_648)) == table_648
     assert len(counted) == 256
 
 
@@ -884,17 +892,17 @@ def test_sympy_oracle_on_recorded_actions(paper_group, subgroup_n, named_element
     g = PermutationGroup([Permutation(list(paper_group.action(s))) for s in (1, 2)])
     assert g.order() == 162
     assert len(g.conjugacy_classes()) == 22
-    assert len(conjugacy_classes(paper_group.cayley_table())) == 22
+    assert len(conjugacy_classes(cayley_table(paper_group))) == 22
     assert g.derived_subgroup().order() == 27
-    table = paper_group.cayley_table()
+    table = cayley_table(paper_group)
     n = PermutationGroup([
         Permutation(table[paper_group.index_of(named_elements[k])]) for k in ("A", "B")
     ])
     assert n.order() == subgroup_n.order == 27
     assert n.is_normal(g)
-    assert mg.is_normal(paper_group, subgroup_n)
+    assert is_normal(paper_group, subgroup_n)
     assert tuple(sorted(n.abelian_invariants(), reverse=True)) == (9, 3)
-    assert mg.abelian_invariants(subgroup_n) == (9, 3)
+    assert abelian_invariants(subgroup_n) == (9, 3)
 
 
 def test_extend_to_isomorphism(paper_group, family_group):
@@ -926,27 +934,27 @@ def test_find_isomorphism_order_mismatch(paper_group, named_elements):
 
 
 def test_decompose_error_cases(paper_group, named_elements, subgroup_h):
-    cyc_a = mg.subgroup(paper_group, [paper_group.index_of(named_elements["A"])])
+    cyc_a = subgroup(paper_group, [paper_group.index_of(named_elements["A"])])
     # only 9 * 6 = 54 of the 162 elements factor through <A> * H
     missing = 0
     for x in range(paper_group.order):
         try:
-            mg.decompose(paper_group, x, cyc_a, subgroup_h)
-        except mg.NoFactorizationError:
+            decompose(paper_group, x, cyc_a, subgroup_h)
+        except NoFactorizationError:
             missing += 1
     assert missing == 162 - 54
     # identity = I*I = T3*T3 inside <T3> * <T3>
-    cyc_t3 = mg.subgroup(paper_group, [paper_group.index_of(named_elements["T3"])])
-    with pytest.raises(mg.NonUniqueFactorizationError):
-        mg.decompose(paper_group, 0, cyc_t3, cyc_t3)
+    cyc_t3 = subgroup(paper_group, [paper_group.index_of(named_elements["T3"])])
+    with pytest.raises(NonUniqueFactorizationError):
+        decompose(paper_group, 0, cyc_t3, cyc_t3)
     stranger = UnitaryMatrix.diagonal([root_of_unity(5), root_of_unity(5, 4), 1])
     with pytest.raises(mg.GeneratorNotInGroupError):
-        mg.decompose(paper_group, paper_group.index_of(stranger), cyc_t3, cyc_t3)
+        decompose(paper_group, paper_group.index_of(stranger), cyc_t3, cyc_t3)
     for x in (-1, paper_group.order):
         with pytest.raises(mg.GeneratorNotInGroupError):
-            mg.decompose(paper_group, x, cyc_t3, cyc_t3)
-    with pytest.raises(mg.NotASubgroupError):
-        mg.decompose(paper_group, 0, _outside(), subgroup_h)
+            decompose(paper_group, x, cyc_t3, cyc_t3)
+    with pytest.raises(NotASubgroupError):
+        decompose(paper_group, 0, _outside(), subgroup_h)
 
 
 def test_find_isomorphism_negative():
@@ -1033,7 +1041,7 @@ def test_export_writers_match_reference_encoding(request, named_elements, name, 
         group = request.getfixturevalue(name)
     reference = json.dumps(mg.element_records(group, names), indent=2) + "\n"
     assert _first_difference("".join(mg.elements_json(group, names)), reference) is None
-    table = group.cayley_table()
+    table = cayley_table(group)
     reference = "\n".join(",".join(str(v) for v in row) for row in table) + "\n"
     assert _first_difference("".join(mg.cayley_csv_lines(group)), reference) is None
 
@@ -1071,7 +1079,7 @@ def _reference_is_normal(group, sub):
 def _reference_semidirect(group, normal_part, complement):
     common = _keys(normal_part) & _keys(complement)
     products = {(n * h).key_bytes() for n in _matrices(normal_part) for h in _matrices(complement)}
-    return mg.SemidirectReport(
+    return SemidirectReport(
         normal=_reference_is_normal(group, normal_part),
         trivial_intersection=len(common) == 1,
         order_product=normal_part.order * complement.order == group.order,
@@ -1082,7 +1090,7 @@ def _reference_semidirect(group, normal_part, complement):
 def _reference_abelian_invariants(sub):
     matrices = _matrices(sub)
     if any(a * b != b * a for a in matrices for b in matrices):
-        raise mg.NotAbelianError
+        raise NotAbelianError
     n = sub.order
     if n == 1:
         return ()
@@ -1103,46 +1111,46 @@ def _reference_abelian_invariants(sub):
         for y in spans:
             if len(x) == top and len(y) == n // top and len(x & y) == 1:
                 return (top, n // top)
-    raise mg.DecompositionNotFoundError
+    raise DecompositionNotFoundError
 
 
 @pytest.fixture(scope="module")
 def named_subgroups(paper_group, named_elements, subgroup_n, subgroup_h):
     def sub(*names):
-        return mg.subgroup(paper_group, [paper_group.index_of(named_elements[k]) for k in names])
+        return subgroup(paper_group, [paper_group.index_of(named_elements[k]) for k in names])
 
     g1 = paper_group.matrices[paper_group.generators[0]]
     return {
-        "1": mg.subgroup(paper_group, [0]),
+        "1": subgroup(paper_group, [0]),
         # normal, order 3
-        "<G1^6>": mg.subgroup(paper_group, [paper_group.index_of(g1 ** 6)]),
+        "<G1^6>": subgroup(paper_group, [paper_group.index_of(g1 ** 6)]),
         "N": subgroup_n,
         "H": subgroup_h,
         "<A>": sub("A"),
         "<B>": sub("B"),
         "<T3>": sub("T3"),
         "<A,B,T3>": sub("A", "B", "T3"),
-        "G": mg.subgroup(paper_group, paper_group.generators),
+        "G": subgroup(paper_group, paper_group.generators),
     }
 
 
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (mg.NotAbelianError, mg.DecompositionNotFoundError) as exc:
+    except (NotAbelianError, DecompositionNotFoundError) as exc:
         return type(exc)
 
 
 def test_structural_queries_match_matrix_reference(paper_group, named_subgroups):
     assert named_subgroups["<A,B,T3>"].order == 54
-    assert mg.is_normal(paper_group, named_subgroups["<G1^6>"])
+    assert is_normal(paper_group, named_subgroups["<G1^6>"])
     for name, sub in named_subgroups.items():
-        assert mg.is_normal(paper_group, sub) == _reference_is_normal(paper_group, sub), name
-        assert _outcome(mg.abelian_invariants, sub) == _outcome(
+        assert is_normal(paper_group, sub) == _reference_is_normal(paper_group, sub), name
+        assert _outcome(abelian_invariants, sub) == _outcome(
             _reference_abelian_invariants, sub
         ), name
-    assert not mg.is_normal(paper_group, named_subgroups["H"])
-    assert mg.abelian_invariants(named_subgroups["N"]) == (9, 3)
+    assert not is_normal(paper_group, named_subgroups["H"])
+    assert abelian_invariants(named_subgroups["N"]) == (9, 3)
 
 
 @pytest.mark.parametrize(
@@ -1162,7 +1170,7 @@ def test_semidirect_flags_match_matrix_reference(
 ):
     normal_part = named_subgroups[normal_name]
     complement = named_subgroups[complement_name]
-    report = mg.semidirect_verify(paper_group, normal_part, complement)
+    report = semidirect_verify(paper_group, normal_part, complement)
     assert report == _reference_semidirect(paper_group, normal_part, complement)
     assert report.all_ok == all_ok
 
@@ -1170,7 +1178,7 @@ def test_semidirect_flags_match_matrix_reference(
 def test_structural_queries_make_no_matrix_product(
     paper_group, named_elements, named_subgroups, monkeypatch
 ):
-    paper_group.cayley_table()  # the one guarded table is built (and cached) first
+    cayley_table(paper_group)  # the one guarded table is built (and cached) first
     n_gens, h_gens = (
         [paper_group.index_of(named_elements[k]) for k in names]
         for names in (("A", "B"), ("T1", "T3"))
@@ -1181,20 +1189,20 @@ def test_structural_queries_make_no_matrix_product(
 
     monkeypatch.setattr(UnitaryMatrix, "__mul__", no_product)
     n, h = named_subgroups["N"], named_subgroups["H"]
-    assert mg.is_normal(paper_group, n)
-    assert mg.semidirect_verify(paper_group, n, h).all_ok
-    assert mg.abelian_invariants(n) == (9, 3)
-    assert len(conjugacy_classes(paper_group.cayley_table())) == 22
-    assert mg.subgroup(paper_group, [*n_gens, *h_gens]).order == 162
-    assert mg.subgroup(paper_group, n_gens).order == 27
+    assert is_normal(paper_group, n)
+    assert semidirect_verify(paper_group, n, h).all_ok
+    assert abelian_invariants(n) == (9, 3)
+    assert len(conjugacy_classes(cayley_table(paper_group))) == 22
+    assert subgroup(paper_group, [*n_gens, *h_gens]).order == 162
+    assert subgroup(paper_group, n_gens).order == 27
     cyc_a, cyc_b = named_subgroups["<A>"], named_subgroups["<B>"]
-    assert mg.intersect(cyc_a, cyc_b).order == 1
-    assert mg.intersect(h, n).order == 1
-    assert mg.intersect(n, n).order == 27
-    pairs = {mg.decompose(paper_group, x, n, h) for x in range(paper_group.order)}
+    assert intersect(cyc_a, cyc_b).order == 1
+    assert intersect(h, n).order == 1
+    assert intersect(n, n).order == 27
+    pairs = {decompose(paper_group, x, n, h) for x in range(paper_group.order)}
     assert len(pairs) == 162
     with pytest.raises(ValueError):
-        mg.subgroup(paper_group, [])
+        subgroup(paper_group, [])
 
 
 # ---------------------------------------------------------------------------
@@ -1339,10 +1347,10 @@ def test_subgroup_matches_matrix_closure(paper_group, named_elements):
     g1 = paper_group.matrices[paper_group.generators[0]]
     named["G1^6"] = [paper_group.index_of(g1 ** 6)]
     for name, xs in named.items():
-        sub = mg.subgroup(paper_group, xs)
+        sub = subgroup(paper_group, xs)
         assert sub.group is paper_group, name
         assert sub.members == _reference_members(paper_group, xs), name
-    assert mg.subgroup(paper_group, named["G"]).members == tuple(range(162))
+    assert subgroup(paper_group, named["G"]).members == tuple(range(162))
 
 
 def test_subgroup_matches_matrix_closure_order_648(family_648):
@@ -1350,7 +1358,7 @@ def test_subgroup_matches_matrix_closure_order_648(family_648):
     orders = []
     for _ in range(5):
         gens = [rng.randrange(family_648.order) for _ in range(2)]
-        sub = mg.subgroup(family_648, gens)
+        sub = subgroup(family_648, gens)
         assert sub.members == _reference_members(family_648, gens)
         orders.append(sub.order)
     assert len(set(orders)) > 1  # the pairs do not all generate one subgroup
@@ -1364,16 +1372,16 @@ def _reference_decompose(g, normal_part, complement):
         if n_matrix.key_bytes() in ns:
             matches.append((group.elements[n_matrix.key_bytes()], h))
     if not matches:
-        raise mg.NoFactorizationError("element has no n*h factorization")
+        raise NoFactorizationError("element has no n*h factorization")
     if len(matches) > 1:
-        raise mg.NonUniqueFactorizationError("factorization is not unique")
+        raise NonUniqueFactorizationError("factorization is not unique")
     return matches[0]
 
 
 def _factorization(fn, *args):
     try:
         return fn(*args)
-    except (mg.NoFactorizationError, mg.NonUniqueFactorizationError) as exc:
+    except (NoFactorizationError, NonUniqueFactorizationError) as exc:
         return type(exc)
 
 
@@ -1388,7 +1396,7 @@ def test_decompose_matches_matrix_reference(
     complement = named_subgroups[complement_name]
     outcomes = []
     for x, m in enumerate(paper_group.matrices):
-        got = _factorization(mg.decompose, paper_group, x, normal_part, complement)
+        got = _factorization(decompose, paper_group, x, normal_part, complement)
         assert got == _factorization(_reference_decompose, m, normal_part, complement)
         outcomes.append(got)
     assert sum(isinstance(o, type) for o in outcomes) == failures

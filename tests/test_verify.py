@@ -1,7 +1,8 @@
 """The verify checklist's data: every check id can fail, the report's
-bytes are pinned, the order 162 is confirmed by two oracles that share
-no code with `close`, `Cyclo` arithmetic or `key_bytes`, and the
-conjugacy rows of GRP-ISO-D91211 are re-checked in sympy polynomials."""
+bytes are pinned, the structure the rows prove is read off the closed
+group by the table oracles, the order 162 is confirmed by two oracles
+that share no code with `close`, `Cyclo` arithmetic or `key_bytes`, and
+the conjugacy rows of GRP-ISO-D91211 are re-checked in sympy polynomials."""
 
 import hashlib
 import json
@@ -9,6 +10,9 @@ from collections import Counter
 
 import pytest
 import sympy
+from group_oracles import (
+    abelian_invariants, cayley_table, decompose, intersect, is_normal, semidirect_verify, subgroup,
+)
 from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
 from sympy.combinatorics.free_groups import free_group
 
@@ -55,11 +59,12 @@ def test_every_identity_row_can_fail(closed_context, monkeypatch):
         verify._run_check(closed_context, check_id, fns[check_id])
 
 
-# the checks, and the part of GRP-H-MATRICES, that no identity row fails:
-# each row patches one name in `verify` for a whole run and expects that
-# check's first failure message.  The generators reach a run through
-# `paper_generators`; the checks that read N and H are failed through the
-# named elements and subgroups alone
+# the checks that no identity row of their own fails, and one falsifier for
+# each check that proves a structural conclusion from rows: each entry
+# patches one name in `verify` for a whole run and expects that check's
+# first failure message.  The generators reach a run through
+# `paper_generators`; the structural checks are failed through the named
+# elements, each patch breaking a row of the check or of its premises
 B_SQUARED = "G1 G2^-2 G1 G1 G2^-2 G1"  # B^2: N is unchanged, the word for B is not
 FALSIFIERS = [
     ("TL-DELTAS", "delta_n", lambda t, n: Cyclo.one(), "delta_1 mismatch"),
@@ -77,20 +82,21 @@ FALSIFIERS = [
      "D_V G1 D_V^-1 != d1 d2^-1 d3"),
     ("GRP-ISO-D91211", "d_generators", lambda p: d_generators(p)[::-1],
      "D_V G1 D_V^-1 != d1 d2^-1 d3"),
-    ("GRP-N-NORMAL", "SUBGROUPS", {**verify.SUBGROUPS, "N": ("A",)}, "N is not normal"),
-    ("GRP-CYCLIC-INTERSECT", "ELEMENTS", {**verify.ELEMENTS, "B": "A^3"},
-     "<A> meet <B> has order 3"),
-    ("GRP-N-INVARIANTS", "SUBGROUPS", {**verify.SUBGROUPS, "N": ("A",)}, "|N| = 9"),
-    ("GRP-H-S3", "SUBGROUPS", {**verify.SUBGROUPS, "H": ("T1",)}, "|H| = 2"),
-    ("GRP-H-MATRICES", "SUBGROUPS", {**verify.SUBGROUPS, "H": ("T1", "T3", "B")},
-     "H element set mismatch"),
-    ("GRP-HN-TRIVIAL", "SUBGROUPS", {**verify.SUBGROUPS, "H": ("T1", "T3", "B")},
-     "H meet N nontrivial"),
+    # B^2 for B: G1 conjugates B^2 to (A^3 B^2)^2 = A^6 B, not A^3 B^4 = A^3 B
+    ("GRP-N-NORMAL", "ELEMENTS", {**verify.ELEMENTS, "B": B_SQUARED}, "G1 B G1^-1 != A^3 B^2"),
+    # B inside <A>: <A> meet <B> = <B>, and N = <A> has order 9
+    ("GRP-CYCLIC-INTERSECT", "ELEMENTS", {**verify.ELEMENTS, "B": "A^3"}, "B = A^3"),
+    ("GRP-N-INVARIANTS", "ELEMENTS", {**verify.ELEMENTS, "B": "A^6"}, "B = A^6"),
+    # T1 = G1^9 = T3: H = <T3> has order 2
+    ("GRP-H-S3", "ELEMENTS", {**verify.ELEMENTS, "T1": "G1^9"}, "T1 T3 = T3 T1"),
+    ("GRP-H-MATRICES", "ELEMENTS", {**verify.ELEMENTS, "T1": "G1^9"}, "T1 display mismatch"),
+    # T1 = A^3 T3: H holds T1 T3 = A^3, an element of N of order 3
+    ("GRP-HN-TRIVIAL", "ELEMENTS", {**verify.ELEMENTS, "T1": "A^3 T3"},
+     "order-3 element found in the list"),
     ("GRP-PSI-G1", "ELEMENTS", {**verify.ELEMENTS, "B": B_SQUARED}, "G1 != A^5 B^2 * T3"),
     ("GRP-PSI-G2", "ELEMENTS", {**verify.ELEMENTS, "B": B_SQUARED}, "G2 != A^-1 B * T3 T1 T3"),
-    ("GRP-SEMIDIRECT", "SUBGROUPS", {**verify.SUBGROUPS, "H": ("T1",)},
-     "semidirect flags: SemidirectReport(normal=True, trivial_intersection=True, "
-     "order_product=False, product_bijective=False)"),
+    ("GRP-SEMIDIRECT", "ELEMENTS", {**verify.ELEMENTS, "T1": "A^3 T3"},
+     "order-3 element found in the list"),
 ]
 
 
@@ -109,6 +115,47 @@ def test_check_fails_under_its_falsifier(
 def test_every_check_id_can_fail():
     falsified = set(verify.IDENTITIES) | {row[0] for row in FALSIFIERS}
     assert falsified == set(verify.CHECK_IDS)
+
+
+def test_row_conclusions_hold_on_the_closed_group(
+    paper_group, closed_context, subgroup_n, subgroup_h, verification_report
+):
+    """Each structural conclusion that the checks prove from rows, and
+    state in their constant witnesses, read off the closed braid image's
+    Cayley table instead, with N and H as member sets of that group."""
+    g = paper_group
+
+    def index(text):
+        return g.index_of(closed_context.words(verify._word(text)))
+
+    def witness(check_id):
+        return verification_report.by_id(check_id).witness
+
+    cyc_a, cyc_b = subgroup(g, [index("A")]), subgroup(g, [index("B")])
+    assert witness("GRP-CYCLIC-INTERSECT") == {"intersection_order": intersect(cyc_a, cyc_b).order}
+    assert subgroup_n.members == subgroup(g, [index("A"), index("B")]).members
+    assert witness("GRP-N-INVARIANTS") == {
+        "order": subgroup_n.order, "invariants": list(abelian_invariants(subgroup_n)),
+    } == {"order": 27, "invariants": [9, 3]}
+    assert is_normal(g, subgroup_n)
+    assert witness("GRP-N-NORMAL") == {"order_N": subgroup_n.order}
+    # H's six members, and its elements of order 3
+    h_words = ("T1", "T3", "T3 T1 T3", "T1 T3", "T3 T1")
+    assert set(subgroup_h.members) == {0, *map(index, h_words)}
+    assert witness("GRP-H-S3") == {"order": subgroup_h.order} == {"order": 6}
+    order3 = {x for x in subgroup_h.members if subgroup(g, [x]).order == 3}
+    assert order3 == {index("T1 T3"), index("T3 T1")}
+    assert intersect(subgroup_h, subgroup_n).order == 1
+    # the psi pairs
+    for x, n, h in (("G1", "A^5 B^2", "T3"), ("G2", "A^-1 B", "T3 T1 T3")):
+        assert decompose(g, index(x), subgroup_n, subgroup_h) == (index(n), index(h))
+    table = cayley_table(g)
+    products = {table[n][h] for n in subgroup_n.members for h in subgroup_h.members}
+    assert len(products) == g.order == 162
+    pairs = {decompose(g, x, subgroup_n, subgroup_h) for x in range(g.order)}
+    report = semidirect_verify(g, subgroup_n, subgroup_h)
+    assert witness("GRP-SEMIDIRECT") == {**report._asdict(), "distinct_factorizations": len(pairs)}
+    assert report.all_ok
 
 
 def test_verify_stdout_digest(capsys):
@@ -137,10 +184,11 @@ def test_report_witness_digest(verification_report):
 def test_exact_products_per_check(monkeypatch):
     """Exact 3x3 products of one run, by check id: identity rows share
     their prefixes, the one closure (the braid image) multiplies by the
-    generators alone, and the subgroups N, H, <A> and <B> are member sets
-    read off its table, so only that one table is built and guarded; the
-    conjugacy to D(9,1,1;2,1,1) is word products alone, and D's order is
-    read through it, not closed."""
+    generators alone, and the structure of N and H is proved from rows, so
+    no Cayley table is built or guarded; the conjugacy to D(9,1,1;2,1,1) is
+    word products alone, and D's order is read through it, not closed.  A
+    check's rows are counted where they first run, which for a premise may
+    be a check before its own."""
     counts, current = Counter(), ["before the checks"]
     product, certify, run_check = UnitaryMatrix.__mul__, mg._certify, verify._run_check
     guarded, closed, close = [], [], mg.close
@@ -173,19 +221,27 @@ def test_exact_products_per_check(monkeypatch):
     assert closed == [2]  # G1 and G2: D(9,1,1;2,1,1) is never closed
     assert counts["REP-ORDER18"] <= 24
     assert counts["GRP-T1T2T3"] <= 10
-    assert counts["GRP-ORDER3-NOT-IN-LIST"] <= 30
     assert counts["GRP-G2SQG1-FACTOR"] <= 23
+    # A^6; the premises GRP-AB-ORDERS ran already
+    assert counts["GRP-CYCLIC-INTERSECT"] <= 3
+    # G1 B G1^-1 and G2 B G2^-1, and the premise rows of GRP-G1AG1-G2SQ,
+    # GRP-G2SQ-A7B2 and GRP-G2AG2-AB, which run here first
+    assert counts["GRP-N-NORMAL"] <= 15
+    # T1 T3 and T3 T1, and the premise GRP-PRESENTATION's ten relations
+    assert counts["GRP-H-S3"] <= 20
+    # the premise GRP-ORDER3-NOT-IN-LIST's rows run here first
+    assert counts["GRP-HN-TRIVIAL"] <= 30
     # the five conjugacy rows (21 products) and the three unitarity checks
     # of `d_generators`; GRP-ISO-D91211 then runs the same rows on the
     # evaluator's kept prefixes
     assert counts["GRP-D-FAMILY-ORDER"] <= 24
-    for check_id in ("GRP-CYCLIC-INTERSECT", "GRP-N-INVARIANTS", "GRP-HN-TRIVIAL",
-                     "GRP-ISO-D91211"):
+    # rows that ran already, as premises of earlier checks or as their own
+    for check_id in ("GRP-N-INVARIANTS", "GRP-H-MATRICES", "GRP-ORDER3-NOT-IN-LIST",
+                     "GRP-SEMIDIRECT", "GRP-PRESENTATION", "GRP-ISO-D91211"):
         assert counts[check_id] == 0, check_id
-    # the braid image alone, 256 sampled products
-    assert guarded == [162]
-    assert counts["table guards"] == 256
-    assert sum(counts.values()) <= 749
+    # no table is built, so none is guarded
+    assert guarded == []
+    assert sum(counts.values()) <= 501
 
 
 # -- order oracle 1: the generators reduced mod 73 ------------------------------
