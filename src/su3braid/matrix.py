@@ -6,7 +6,9 @@ Matrices are immutable tuples of :class:`~su3braid.cyclo.Cyclo` entries.
 automorphism: det(M) conj(det M) = det(M M*) = 1.  Internal products skip
 the re-check since products of unitaries stay unitary under exact
 arithmetic.  Inverses are conjugate transposes and determinants minor
-expansions, which keeps group computations division-free.
+expansions, so no operation here divides.  The determinant is the only
+scalar invariant: the generators' equal characteristic polynomials follow
+from the braid relation (see `verify.PREMISES`), so none is computed.
 """
 
 from __future__ import annotations
@@ -129,12 +131,6 @@ class UnitaryMatrix:
 
     # -- scalar invariants ----------------------------------------------------
 
-    def trace(self) -> Cyclo:
-        acc = self.rows[0][0]
-        for i in range(1, self.dim):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def det(self) -> Cyclo:
         """Laplace expansion down the rows from the last: minors[cols] is the
         determinant of the last len(cols) rows on the columns cols, built
@@ -152,21 +148,6 @@ class UnitaryMatrix:
                 for cols in combinations(range(n), k)
             }
         return minors[tuple(range(n))]
-
-    def charpoly(self) -> tuple[Cyclo, ...]:
-        """Monic characteristic polynomial coefficients, low degree first,
-        by the Faddeev-LeVerrier recursion (exact; divisions are by
-        integers only)."""
-        n = self.dim
-        coeffs = [Cyclo.zero()] * (n + 1)
-        coeffs[n] = Cyclo.one()
-        mk = self
-        for k in range(1, n + 1):
-            bk = -(mk.trace() / k)
-            coeffs[n - k] = bk
-            if k < n:
-                mk = self * _add_scalar(mk, bk)
-        return tuple(coeffs)
 
     def is_unitary(self) -> bool:
         return self * self.conj_transpose() == UnitaryMatrix.identity(self.dim)
@@ -214,9 +195,3 @@ class UnitaryMatrix:
         lines = [" ".join(repr(v) for v in row) for row in self.rows]
         return "UnitaryMatrix(\n  " + "\n  ".join(lines) + "\n)"
 
-
-def _add_scalar(m: UnitaryMatrix, c: Cyclo) -> UnitaryMatrix:
-    rows = [list(row) for row in m.rows]
-    for i in range(m.dim):
-        rows[i][i] = rows[i][i] + c
-    return UnitaryMatrix._make(tuple(tuple(r) for r in rows))

@@ -423,20 +423,21 @@ def _gather(action, row):
     return [action[y] if 0 <= y < len(action) else -1 for y in row]
 
 
-def _derived_table(group):
+def _derived_table(group, columns=None):
     """The table derived from the recorded actions and provenance, without
     the guard: row 0 is the identity, and row i is the action of
     `_bfs_mult[i]` applied to the row of `_bfs_parent[i]`, followed up to
     the root.  An entry it cannot read is -1: one in a row whose parent
-    chain leaves the indices or never reaches 0, or outside an action."""
+    chain leaves the indices or never reaches 0, or outside an action.
+    With `columns`, each row holds only its entries at those indices."""
     n = group.order
-    rows = {0: list(range(n))}
+    rows = {0: list(range(n) if columns is None else columns)}
     for start in range(n):
         chain, i = [], start
         while i not in rows and 0 <= i < n and i not in chain:
             chain.append(i)
             i = group._bfs_parent[i]
-        row = rows.get(i, [-1] * n)
+        row = rows.get(i, [-1] * len(rows[0]))
         for j in reversed(chain):
             row = rows[j] = _gather(group._actions.get(group._bfs_mult[j], ()), row)
     return [rows[i] for i in range(n)]
@@ -462,14 +463,30 @@ def _failed_conditions(group, table):
     return {name for name, ok in checks.items() if not ok}
 
 
+def _derived_row(group, i):
+    """Row i of `_derived_table(group)` alone, built down i's parent chain:
+    -1 throughout when the chain leaves the indices or never reaches 0."""
+    chain = []
+    while i and 0 <= i < group.order and i not in chain:
+        chain.append(i)
+        i = group._bfs_parent[i]
+    row = list(range(group.order)) if i == 0 else [-1] * group.order
+    for j in reversed(chain):
+        row = _gather(group._actions.get(group._bfs_mult[j], ()), row)
+    return row
+
+
 def _certificate_failures(group):
     """The conditions of `mg._certify` that the record of `group` fails,
-    each judged on its own, on the derived table; it reads only records
-    whose derived table holds element indices."""
+    each judged on its own, on the generator rows and the columns c_b of
+    the derived table, about |S| n entries in place of its n^2; it reads
+    only records whose derived table holds element indices."""
     n, k = group.order, len(group.generators)
-    table = _derived_table(group)
     action = {s: list(group._actions.get(s, ())) for s in range(-k, k + 1) if s}
     gens = list(dict.fromkeys(group.generators))
+    bs = list(dict.fromkeys([0, *gens]))
+    entries = _derived_table(group, bs)
+    column = {b: [row[c] for row in entries] for c, b in enumerate(bs)}
     positive = range(1, k + 1)
     holds = {
         "tree": all(
@@ -480,10 +497,12 @@ def _certificate_failures(group):
             len(action[-s]) == n and [action[-s][y] for y in action[s][:n]] == list(range(n))
             for s in positive
         ),
-        "column 0": [row[0] for row in table] == list(range(n)),
-        "generator rows": all(table[a] == action[s] for s, a in enumerate(group.generators, 1)),
+        "column 0": column[0] == list(range(n)),
+        "generator rows": all(
+            _derived_row(group, a) == action[s] for s, a in enumerate(group.generators, 1)
+        ),
         "commute": all(
-            action[s][table[x][b]] == table[action[s][x]][b]
+            action[s][column[b][x]] == column[b][action[s][x]]
             for s in positive for b in gens for x in range(n)
         ),
     }
@@ -558,9 +577,10 @@ def _uncommuting(group):
     """The first `_twisted` record, over the positive generators and the
     pairs among the first leaves of the tree (plain elements that are no
     element's parent), whose generator actions and columns do not commute
-    while every other condition of the certificate holds.  The search
-    derives an n^2 table for each twist it tries, so each session group's
-    record is found once and shared; no test alters a record."""
+    while every other condition of the certificate holds.  Each twist it
+    tries costs a few derived columns, not an n^2 table; each session
+    group's record is still found once and shared, and no test alters a
+    record."""
     parents = set(group._bfs_parent)
     leaves = [x for x in _plain_elements(group) if x not in parents][:40]
     for s in range(1, len(group.generators) + 1):

@@ -1,14 +1,16 @@
 """The sparse exact 3x3 product, the cached matrix keys and the minor
 expansion determinant against the plain triple loop, the per-entry key
-formatter and the Leibniz sum they replace."""
+formatter and the Leibniz sum they replace, also on the non-unitary
+shifted matrices of the characteristic polynomial oracle."""
 
 import random
 from fractions import Fraction
-from itertools import permutations
 
+import matrix_oracles
 import pytest
+from matrix_oracles import charpoly, leibniz_det
 
-from su3braid import braidrep, matrix, recoupling
+from su3braid import braidrep, recoupling
 from su3braid.cyclo import Cyclo, root_of_unity, sqrt2
 from su3braid.matrix import NotUnitaryError, UnitaryMatrix
 
@@ -104,9 +106,9 @@ def test_charpoly_intermediates_match_triple_loop(paper_matrices, family_648, mo
     # charpoly multiplies by M_k + b_k I, which is not unitary
     matrices = list(paper_matrices) + _mixed_matrices(3, 10)
     matrices += list(family_648.matrices[::97])
-    sparse = [m.charpoly() for m in matrices]
+    sparse = [charpoly(m) for m in matrices]
     monkeypatch.setattr(UnitaryMatrix, "__mul__", _reference_mul)
-    dense = [m.charpoly() for m in matrices]
+    dense = [charpoly(m) for m in matrices]
     assert sparse == dense
     assert [[(v.order, v.nums, v.den) for v in c] for c in sparse] == [
         [(v.order, v.nums, v.den) for v in c] for c in dense
@@ -155,54 +157,28 @@ def test_power_equals_the_repeated_product(paper_matrices, monkeypatch):
     assert len(calls) == 3
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length and length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _leibniz_det(m):
-    """The signed sum over all dim! permutations of the products
-    m[0][p(0)] ... m[dim-1][p(dim-1)]."""
-    acc = Cyclo.zero()
-    for perm in permutations(range(m.dim)):
-        term = m.rows[0][perm[0]]
-        for i in range(1, m.dim):
-            term = term * m.rows[i][perm[i]]
-        acc = acc + term if _perm_sign(perm) > 0 else acc - term
-    return acc
-
-
 def test_det_matches_leibniz_on_group_elements(paper_group, family_648):
     matrices = list(paper_group.matrices)
     matrices += random.Random(648).sample(family_648.matrices, 60)
     for m in matrices:
-        assert m.det() == _leibniz_det(m)
+        assert m.det() == leibniz_det(m)
 
 
 def test_det_matches_leibniz_on_charpoly_intermediates(paper_matrices, family_648, monkeypatch):
     # charpoly multiplies by M_k + b_k I, which is not unitary
     shifted = []
-    add_scalar = matrix._add_scalar
+    add_scalar = matrix_oracles.add_scalar
     monkeypatch.setattr(
-        matrix, "_add_scalar", lambda m, c: shifted.append(add_scalar(m, c)) or shifted[-1]
+        matrix_oracles, "add_scalar", lambda m, c: shifted.append(add_scalar(m, c)) or shifted[-1]
     )
     for m in list(paper_matrices) + list(family_648.matrices[::97]) + _mixed_matrices(3, 10):
-        m.charpoly()
+        charpoly(m)
     non_unitary = [m for m in shifted if not m.is_unitary()]
     assert (len(shifted), len(non_unitary)) == (2 * 20, 27)
     for m in shifted:
-        assert m.det() == _leibniz_det(m)
+        assert m.det() == leibniz_det(m)
     for m in _mixed_matrices(4, 30):
-        assert m.det() == _leibniz_det(m)
+        assert m.det() == leibniz_det(m)
 
 
 def test_det_matches_leibniz_on_braid_generators():
@@ -216,7 +192,7 @@ def test_det_matches_leibniz_on_braid_generators():
             except ValueError:  # no known exact square root of a loop value
                 continue
             for m in (mid, braidrep.sigma_odd(t, basis)):
-                assert m.det() == _leibniz_det(m), (r, c)
+                assert m.det() == leibniz_det(m), (r, c)
             dims.append(basis.dim)
     assert len(dims) == 16 and set(dims) == {1, 2, 3}
 
@@ -231,7 +207,7 @@ def test_det_is_the_charpoly_constant_in_dimension_6_and_7(dim):
         tuple(tuple(rng.choice(pool) for _ in range(dim)) for _ in range(dim))
     )
     assert sum(v.is_zero() for row in m.rows for v in row) < dim * dim // 2
-    assert m.det() == (-1) ** dim * m.charpoly()[0]
+    assert m.det() == (-1) ** dim * charpoly(m)[0]
 
 
 def test_from_rows_refuses_empty_non_square_and_non_unitary_input():

@@ -13,6 +13,7 @@ import sympy
 from group_oracles import (
     abelian_invariants, cayley_table, decompose, intersect, is_normal, semidirect_verify, subgroup,
 )
+from matrix_oracles import charpoly
 from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
 from sympy.combinatorics.free_groups import free_group
 
@@ -59,12 +60,23 @@ def test_every_identity_row_can_fail(closed_context, monkeypatch):
         verify._run_check(closed_context, check_id, fns[check_id])
 
 
+def _with_g2_conjugated_by_v():
+    """G1, and G2 conjugated by D_V: the characteristic polynomials stay
+    equal, as the oracle confirms, but the pair breaks the braid relation."""
+    g1, g2 = paper_generators()
+    v = verify._displays()["D_V"]
+    g2 = v * g2 * v.conj_transpose()
+    assert charpoly(g2) == charpoly(g1)
+    return g1, g2
+
+
 # the checks that no identity row of their own fails, and one falsifier for
-# each check that proves a structural conclusion from rows: each entry
-# patches one name in `verify` for a whole run and expects that check's
-# first failure message.  The generators reach a run through
-# `paper_generators`; the structural checks are failed through the named
-# elements, each patch breaking a row of the check or of its premises
+# each check that proves a conclusion from rows (two for REP-CHARPOLY, one
+# for each premise): each entry patches one name in `verify` for a whole
+# run and expects that check's first failure message.  The generators
+# reach a run through `paper_generators`; the structural checks are failed
+# through the named elements, each patch breaking a row of the check or of
+# its premises
 B_SQUARED = "G1 G2^-2 G1 G1 G2^-2 G1"  # B^2: N is unchanged, the word for B is not
 FALSIFIERS = [
     ("TL-DELTAS", "delta_n", lambda t, n: Cyclo.one(), "delta_1 mismatch"),
@@ -72,8 +84,12 @@ FALSIFIERS = [
      "conjugated R-value at label 0 mismatch"),
     ("TL-TET-TABLE", "tet", lambda t, *labels: Cyclo.zero(), "tet (i,j)=(0,0) mismatch"),
     ("TL-THETA-ID", "theta", lambda t, a, b, c: Cyclo.one(), "theta identity at 0"),
-    ("REP-CHARPOLY", "paper_generators", lambda: paper_generators()[::-1],
-     "diagonal of G1 is not the expected spectrum"),
+    # the generators exchanged: the braid relation still holds, but the
+    # premise REP-G1 fails
+    ("REP-CHARPOLY", "paper_generators", lambda: paper_generators()[::-1], "G1 display mismatch"),
+    # G2 conjugated by D_V: equal characteristic polynomials and G1 intact,
+    # but the premise REP-BRAID fails
+    ("REP-CHARPOLY", "paper_generators", _with_g2_conjugated_by_v, "braid relation fails"),
     ("GRP-ORDER-162", "paper_generators", lambda: paper_generators()[:1] * 2, "group order is 18"),
     # d1 and d3 exchanged: they generate the same group, but V G1 V^-1 is
     # not the word d3 d2^-1 d1, and the family order is read through the
@@ -100,8 +116,15 @@ FALSIFIERS = [
 ]
 
 
+def _falsifier_id(i):
+    """Row i's check id, numbered from that check's second row on."""
+    check_id = FALSIFIERS[i][0]
+    earlier = sum(row[0] == check_id for row in FALSIFIERS[:i])
+    return f"{check_id}-{earlier + 1}" if earlier else check_id
+
+
 @pytest.mark.parametrize("check_id, name, patch, message", FALSIFIERS,
-                         ids=[row[0] for row in FALSIFIERS])
+                         ids=map(_falsifier_id, range(len(FALSIFIERS))))
 def test_check_fails_under_its_falsifier(
     verification_report, monkeypatch, check_id, name, patch, message
 ):
@@ -236,12 +259,14 @@ def test_exact_products_per_check(monkeypatch):
     # evaluator's kept prefixes
     assert counts["GRP-D-FAMILY-ORDER"] <= 24
     # rows that ran already, as premises of earlier checks or as their own
-    for check_id in ("GRP-N-INVARIANTS", "GRP-H-MATRICES", "GRP-ORDER3-NOT-IN-LIST",
-                     "GRP-SEMIDIRECT", "GRP-PRESENTATION", "GRP-ISO-D91211"):
+    # (REP-CHARPOLY's premises REP-BRAID and REP-G1 included)
+    for check_id in ("REP-CHARPOLY", "GRP-N-INVARIANTS", "GRP-H-MATRICES",
+                     "GRP-ORDER3-NOT-IN-LIST", "GRP-SEMIDIRECT", "GRP-PRESENTATION",
+                     "GRP-ISO-D91211"):
         assert counts[check_id] == 0, check_id
     # no table is built, so none is guarded
     assert guarded == []
-    assert sum(counts.values()) <= 501
+    assert sum(counts.values()) == 497
 
 
 # -- order oracle 1: the generators reduced mod 73 ------------------------------
