@@ -19,7 +19,7 @@ _PUBLIC = {
         "theory", "theta",
     ),
     "braidrep": (
-        "EmptyBasisError", "FusionBasis", "PhaseMismatchError", "fusion_basis",
+        "FusionBasis", "PhaseMismatchError", "fusion_basis",
         "paper_generators", "sigma_mid", "sigma_odd", "su3_normalize",
     ),
     "matgroup": ("FiniteMatrixGroup", "GroupTooLargeError", "close"),

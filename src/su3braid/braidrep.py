@@ -33,10 +33,6 @@ from .recoupling import (
 )
 
 
-class EmptyBasisError(ValueError):
-    """No admissible internal label exists for the requested charge."""
-
-
 class PhaseMismatchError(ValueError):
     """The supplied phase does not normalize the determinant to one."""
 
@@ -54,11 +50,12 @@ class FusionBasis(NamedTuple):
 
 
 def fusion_basis(t: TheoryParams, c: int) -> FusionBasis:
+    """The internal labels a admissible with (c, c, a), ascending.  The
+    basis is never empty: for a charge c <= r - 2, (c, c, 0) is admissible,
+    so the labels start at 0."""
     if c not in t.label_set:
         raise ValueError(f"charge {c} is outside the label set {t.label_set}")
     labels = tuple(a for a in t.label_set if admissible(t, c, c, a))
-    if not labels:
-        raise EmptyBasisError(f"no admissible internal label for charge {c}")
     return FusionBasis(theory=t, charge=c, labels=labels)
 
 

@@ -8,14 +8,17 @@ at q = A^2:
     [n] = (A^(2n) - A^(-2n)) / (A^2 - A^(-2))
 
 Every quantity below lies in Q(A) = Q(zeta_{N_A}), N_A = 4r / gcd(r - 1, 4r)
-the order of A (5, 14, 32 at r = 5, 7, 8), and is evaluated there.  Each
-public function then embeds its one result into the theory's working order
-lcm(4r, 72) (360, 504, 288), which the braid representation needs for
-sqrt2, sqrt3 and its SU(3) phase; canonical forms are unique and interned,
-so the embedded value is the very object a working-order evaluation would
-build.  The 120 theta, tet and 6j queries of the `recoupling` benchmark,
-written out by `to_dict`, take 12-22 ms in a fresh process, against 27-49 ms
-evaluated at the working order (2-vCPU Xeon VM, Python 3.11.7).
+the order of A (5, 14, 32 at r = 5, 7, 8).  Each quantity has one
+function, which evaluates it there and embeds its one result into the
+theory's working order lcm(4r, 72) (360, 504, 288), which the braid
+representation needs for sqrt2, sqrt3 and its SU(3) phase; canonical forms
+are unique and interned, so the embedded value is the very object a
+working-order evaluation would build.  Nets compose by calling these same
+functions at the Q(A) theory (`_qa_theory`), where every value is held at
+N_A or at 1 and the embedding is the identity.  The 120 theta, tet and 6j
+queries of the `recoupling` benchmark, written out by `to_dict`, take
+12-22 ms in a fresh process, against 27-49 ms evaluated at the working
+order (2-vCPU Xeon VM, Python 3.11.7).
 
 Closed trivalent networks are evaluated through the standard quantum-
 factorial closed forms, division-free: every denominator is a product of
@@ -156,23 +159,19 @@ def _zeta_pow(t: TheoryParams, e: int) -> Cyclo:
     return root_of_unity(t.order, e % t.order)
 
 
-def _quantum_int(t: TheoryParams, n: int) -> Cyclo:
-    # n reduced mod the order of q, then the geometric sum (see quantum_int)
-    q_exponent = 2 * t.a_exponent
-    n %= t.order // math.gcd(t.order, q_exponent)
-    acc = Cyclo.zero()
-    for j in range(n):
-        acc = acc + _zeta_pow(t, q_exponent * (n - 1 - 2 * j))
-    return acc
-
-
 def quantum_int(t: TheoryParams, n: int) -> Cyclo:
     """[n] at q = A^2, computed as the geometric sum q^(n-1) + q^(n-3) + ...
     + q^(1-n), which avoids any division.  q is a root of unity of order
     p = N / gcd(N, 2 * a_exponent) with q^2 != 1, so [n + p] = [n] and
     [-n] = -[n] = [p - n]; n is reduced mod p first, so the sum has fewer
     than p terms for every n."""
-    return _quantum_int(_qa_theory(t.r), n).embed(t.order)
+    qa = _qa_theory(t.r)
+    q_exponent = 2 * qa.a_exponent
+    n %= qa.order // math.gcd(qa.order, q_exponent)
+    value = Cyclo.zero()
+    for j in range(n):
+        value = value + _zeta_pow(qa, q_exponent * (n - 1 - 2 * j))
+    return value.embed(t.order)
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +185,7 @@ def quantum_fact(t: TheoryParams, n: int) -> Cyclo:
         return quantum_fact(qa, n).embed(t.order)
     if n == 0:
         return Cyclo.one()
-    return quantum_fact(t, n - 1) * _quantum_int(t, n)
+    return quantum_fact(t, n - 1) * quantum_int(t, n)
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +200,7 @@ def inv_quantum_fact(t: TheoryParams, n: int) -> Cyclo:
         return inv_quantum_fact(qa, n).embed(t.order)
     if n == 0:
         return Cyclo.one()
-    q = _quantum_int(t, n)
+    q = quantum_int(t, n)
     if q.is_zero():
         raise ZeroDenominatorError(f"[{n}] vanishes at r = {t.r}")
     return inv_quantum_fact(t, n - 1) * q.inv()
@@ -219,16 +218,12 @@ def _factorial_product(
     return -value if odd else value
 
 
-def _delta(t: TheoryParams, n: int) -> Cyclo:
-    value = _quantum_int(t, n + 1)
-    return -value if n % 2 else value
-
-
 def delta_n(t: TheoryParams, n: int) -> Cyclo:
     """Loop value of the closed n-strand projector: (-1)^n [n+1]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _delta(_qa_theory(t.r), n).embed(t.order)
+    value = quantum_int(_qa_theory(t.r), n + 1)
+    return (-value if n % 2 else value).embed(t.order)
 
 
 def r_value(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
@@ -260,43 +255,36 @@ def theta(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
     return _factorial_product(_qa_theory(t.r), odd, num, den).embed(t.order)
 
 
-def _inv_theta(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
-    odd, num, den = _theta_factorials(t, a, b, c)
-    return _factorial_product(t, odd, den, num)
-
-
 def inv_theta(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
     """1/theta(a, b, c): the same closed form with the factorials swapped."""
-    return _inv_theta(_qa_theory(t.r), a, b, c).embed(t.order)
-
-
-def _tet(t: TheoryParams, a: int, b: int, e: int, c: int, d: int, f: int) -> Cyclo:
-    triples = ((a, d, e), (b, c, e), (a, b, f), (c, d, f))
-    for triple in triples:
-        if not admissible(t, *triple):
-            raise InadmissibleTripleError(f"vertex {triple} is not admissible")
-    half = [(x + y + z) // 2 for x, y, z in triples]
-    squares = [(b + d + e + f) // 2, (a + c + e + f) // 2, (a + b + c + d) // 2]
-    acc = Cyclo.zero()
-    for s in range(max(half), min(squares) + 1):
-        acc = acc + _factorial_product(
-            t, s % 2 == 1, (s + 1,), [s - ai for ai in half] + [bj - s for bj in squares]
-        )
-    outer = _factorial_product(
-        t, False, [bj - ai for bj in squares for ai in half], (a, b, c, d, e, f)
-    )
-    return outer * acc
+    odd, num, den = _theta_factorials(t, a, b, c)
+    return _factorial_product(_qa_theory(t.r), odd, den, num).embed(t.order)
 
 
 def tet(t: TheoryParams, a: int, b: int, e: int, c: int, d: int, f: int) -> Cyclo:
     """Exact tetrahedral-net value T[a b e; c d f]; see the module docstring
     for the vertex convention."""
-    return _tet(_qa_theory(t.r), a, b, e, c, d, f).embed(t.order)
+    triples = ((a, d, e), (b, c, e), (a, b, f), (c, d, f))
+    for triple in triples:
+        if not admissible(t, *triple):
+            raise InadmissibleTripleError(f"vertex {triple} is not admissible")
+    qa = _qa_theory(t.r)
+    half = [(x + y + z) // 2 for x, y, z in triples]
+    squares = [(b + d + e + f) // 2, (a + c + e + f) // 2, (a + b + c + d) // 2]
+    acc = Cyclo.zero()
+    for s in range(max(half), min(squares) + 1):
+        acc = acc + _factorial_product(
+            qa, s % 2 == 1, (s + 1,), [s - ai for ai in half] + [bj - s for bj in squares]
+        )
+    outer = _factorial_product(
+        qa, False, [bj - ai for bj in squares for ai in half], (a, b, c, d, e, f)
+    )
+    return (outer * acc).embed(t.order)
 
 
 def sixj(t: TheoryParams, a: int, b: int, k: int, c: int, d: int, i: int) -> Cyclo:
     """6j-symbol {a b k; c d i} = T[a b k; c d i] * delta_i / (theta(a,d,i) theta(c,b,k))."""
     qa = _qa_theory(t.r)
-    value = _tet(qa, a, b, k, c, d, i) * _delta(qa, i)
-    value = value * _inv_theta(qa, a, d, i) * _inv_theta(qa, c, b, k)
+    value = tet(qa, a, b, k, c, d, i) * delta_n(qa, i)
+    value = value * inv_theta(qa, a, d, i) * inv_theta(qa, c, b, k)
     return value.embed(t.order)

@@ -31,6 +31,15 @@ def test_fusion_basis(t6):
         br.fusion_basis(t6, 9)
 
 
+@pytest.mark.parametrize("r", range(3, 17))
+def test_every_fusion_basis_starts_at_the_trivial_label(r):
+    # (c, c, 0) is admissible for every charge c <= r - 2: 2c is even, the
+    # triangle holds and 2c <= 2k, so no basis is empty
+    t = rc.theory(r)
+    for c in t.label_set:
+        assert br.fusion_basis(t, c).labels[0] == 0, c
+
+
 def test_sigma_odd_matches_display(t6):
     basis = br.fusion_basis(t6, 2)
     odd = br.sigma_odd(t6, basis)

@@ -347,22 +347,56 @@ def sample_label_sets(t, rng, size, count, valid):
     return sorted(found)
 
 
+def is_tet(t, x):
+    """The four tet vertices of (a, b, e, c, d, f) are admissible."""
+    a, b, e, c, d, f = x
+    return all(rc.admissible(t, *v) for v in ((a, d, e), (b, c, e), (a, b, f), (c, d, f)))
+
+
+def is_sixj(t, x):
+    """A tet label set whose second 6j normalisation theta(a, d, i) is defined."""
+    return is_tet(t, x) and rc.admissible(t, x[0], x[4], x[5])
+
+
 def test_public_evaluators_return_the_working_order_value_at_r13():
     t = rc.theory(13)
     rng = random.Random(13)
-
-    def tet_ok(x):
-        a, b, e, c, d, f = x
-        return all(rc.admissible(t, *v) for v in ((a, d, e), (b, c, e), (a, b, f), (c, d, f)))
-
     for x in sample_label_sets(t, rng, 3, 8, lambda x: rc.admissible(t, *x)):
         assert fields(t, rc.theta(t, *x)) == fields(t, ref_theta(t, *x)), x
         assert fields(t, rc.inv_theta(t, *x)) == fields(t, 1 / ref_theta(t, *x)), x
-    for x in sample_label_sets(t, rng, 6, 6, tet_ok):
+    for x in sample_label_sets(t, rng, 6, 6, lambda x: is_tet(t, x)):
         assert fields(t, rc.tet(t, *x)) == fields(t, ref_tet(t, *x)), x
-    sixjs = lambda x: tet_ok(x) and rc.admissible(t, x[0], x[4], x[5])
-    for x in sample_label_sets(t, rng, 6, 6, sixjs):
+    for x in sample_label_sets(t, rng, 6, 6, lambda x: is_sixj(t, x)):
         assert fields(t, rc.sixj(t, *x)) == fields(t, ref_sixj(t, *x)), x
+
+
+@pytest.mark.parametrize("r", [5, 6, 13])
+def test_each_quantity_has_one_route_through_q_a(r):
+    # every public evaluator also takes the Q(A) theory: there it returns the
+    # value held at N_A (or at 1 when rational), and that value, embedded
+    # into the working order, is the very object the working-order call gives
+    t, qa = rc.theory(r), rc._qa_theory(r)
+    rng = random.Random(r)
+
+    def one_route(name, *args):
+        f = getattr(rc, name)
+        value = f(qa, *args)
+        assert value.order in (qa.order, 1), (name, args, value.order)
+        assert value.embed(t.order) is f(t, *args), (name, args)
+
+    for n in range(-r, 2 * r):
+        one_route("quantum_int", n)
+    for n in range(2 * r):
+        one_route("quantum_fact", n)
+        one_route("delta_n", n)
+    for x in sample_label_sets(t, rng, 3, 8, lambda x: rc.admissible(t, *x)):
+        one_route("r_value", *x)
+        one_route("theta", *x)
+        one_route("inv_theta", *x)
+    for x in sample_label_sets(t, rng, 6, 6, lambda x: is_tet(t, x)):
+        one_route("tet", *x)
+    for x in sample_label_sets(t, rng, 6, 6, lambda x: is_sixj(t, x)):
+        one_route("sixj", *x)
 
 
 @pytest.mark.parametrize("r", [5, 6, 13])
