@@ -7,7 +7,7 @@ conjugate transposes, which is exact because every element is unitary.
 
 An element is named by its index in its group (0 is the identity), and
 every operation takes and returns indices of the group it is called on;
-`index_of` maps a matrix to its index.  Element ordering is deterministic
+the engine has no lookup by matrix.  Element ordering is deterministic
 (BFS layer, then key), so exports and reports reproduce byte-for-byte.
 Every element has the shortest generator word found during closure: a
 tuple of signed 1-based generator indices, negative meaning inverse.
@@ -35,20 +35,11 @@ import random
 from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .cyclo import NonDivisibleOrderError
 from .matrix import UnitaryMatrix
 
 
 class GroupTooLargeError(RuntimeError):
     """Closure exceeded its cap; the input likely generates an infinite group."""
-
-
-class GeneratorNotInGroupError(ValueError):
-    pass
-
-
-class UnboundNameError(KeyError):
-    pass
 
 
 class CayleyTableError(RuntimeError):
@@ -61,7 +52,8 @@ Word = tuple[int, ...]
 class FiniteMatrixGroup:
     """A closed set of unitary matrices with a distinguished generator list.
 
-    Element i is stored once, as `matrices[i]`, `keys[i]` and `words[i]`.
+    Element i is stored once, as `matrices[i]`, `keys[i]` and `words[i]`,
+    and is named by its index alone: the group keeps no lookup by matrix.
     Besides the elements, a group keeps what its closure learned: the BFS
     provenance (element i is generator `_bfs_mult[i]` times element
     `_bfs_parent[i]`) and the left-multiplication action of every signed
@@ -85,9 +77,6 @@ class FiniteMatrixGroup:
         self.keys = keys
         self.words = words
         self.generators = generators
-        # the one element lookup: canonical key -> element index
-        self.elements: dict[bytes, int] = {k: i for i, k in enumerate(keys)}
-        self.dim = matrices[0].dim
         self._bfs_mult = bfs_mult
         self._bfs_parent = bfs_parent
         self._actions = dict(actions)
@@ -100,26 +89,6 @@ class FiniteMatrixGroup:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def index_of(self, m: UnitaryMatrix) -> int:
-        """Index of the element equal to `m`, held at any working order (a
-        divisor, a multiple or neither of the group's): keys compare only
-        within one order, so a miss is looked up again with every entry
-        brought to the group's."""
-        idx = self.elements.get(m.key_bytes())
-        if idx is None:
-            try:
-                idx = self.elements.get(m.embed(self.working_order).key_bytes())
-            except NonDivisibleOrderError:  # an entry outside Q(zeta_W)
-                pass
-        if idx is None:
-            raise GeneratorNotInGroupError("element is not in the group")
-        return idx
-
-    def action(self, signed: int) -> tuple[int, ...]:
-        """Left multiplication by generator `signed` (1-based, negative for
-        the inverse) as a permutation: entry x is the index of g * element(x)."""
-        return self._actions[signed]
 
 
 # seeded entries of every derived table compared with direct exact products;
@@ -164,7 +133,8 @@ def _certify(group: FiniteMatrixGroup) -> None:
     the left regular action of the group S generates, so s_x, the element
     of H taking 0 to x, is left multiplication by element x: these passes
     force the table.  The samples check the actions themselves, each
-    sampled entry found by walking its row's tree path.  So the guard
+    sampled entry found by walking its row's tree path and its key compared
+    with the exact product's (a closure's keys are distinct).  So the guard
     reads about |S|^2 n integers and builds no row, and it reads no
     action entry or provenance step it has not bounded."""
     n, gens, actions = group.order, group.generators, group._actions
@@ -208,7 +178,7 @@ def _certify(group: FiniteMatrixGroup) -> None:
     for _ in range(min(_TABLE_SAMPLE, n * n)):
         i, j = rng.randrange(n), rng.randrange(n)
         product = group.matrices[i] * group.matrices[j]
-        if group.elements.get(product.key_bytes()) != _entries(group, i, [j])[0]:
+        if group.keys[_entries(group, i, [j])[0]] != product.key_bytes():
             raise CayleyTableError(
                 f"derived table entry ({i}, {j}) disagrees with the exact product"
             )
@@ -360,7 +330,7 @@ NamedWord = Sequence[tuple[str, int]]
 class WordEvaluator:
     """The one word evaluator: products of named words over `gens`, a name ->
     matrix lookup that needs only `__getitem__` (so it may build its
-    matrices on demand).  A word multiplies `gens[name] ** power` left to
+    matrices on demand; a name it lacks raises its `KeyError`).  A word multiplies `gens[name] ** power` left to
     right from its first factor (no product by an identity).  Every prefix
     it multiplies is kept for the life of the evaluator, so words that share
     a prefix, or a factor such as ("A", 3), multiply it once."""
@@ -381,11 +351,7 @@ class WordEvaluator:
             factor = self._prefixes.get(word[k:k + 1])  # a one-factor prefix
             if factor is None:
                 name, power = word[k]
-                try:
-                    m = self.gens[name]
-                except KeyError:
-                    raise UnboundNameError(name) from None
-                factor = self._prefixes[word[k:k + 1]] = m ** power
+                factor = self._prefixes[word[k:k + 1]] = self.gens[name] ** power
             acc = factor if acc is None else acc * factor
             self._prefixes[word[:k + 1]] = acc
         return acc

@@ -1,5 +1,5 @@
 import pytest
-from group_oracles import subgroup
+from group_oracles import index_of, subgroup
 from hypothesis import HealthCheck, settings
 
 from su3braid import braidrep, matgroup, recoupling
@@ -73,14 +73,14 @@ def signed_words(paper_group):
 @pytest.fixture(scope="session")
 def subgroup_n(paper_group, named_elements):
     return subgroup(
-        paper_group, [paper_group.index_of(named_elements[k]) for k in ("A", "B")]
+        paper_group, [index_of(paper_group, named_elements[k]) for k in ("A", "B")]
     )
 
 
 @pytest.fixture(scope="session")
 def subgroup_h(paper_group, named_elements):
     return subgroup(
-        paper_group, [paper_group.index_of(named_elements[k]) for k in ("T1", "T3")]
+        paper_group, [index_of(paper_group, named_elements[k]) for k in ("T1", "T3")]
     )
 
 

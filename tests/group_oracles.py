@@ -3,7 +3,8 @@ engine's certified rows, subgroups as member sets closed on it, and the
 structural queries read off it (normality, intersections, abelian
 invariants, semidirect certificates, ``n*h`` factorizations), element
 orders by matrix powers, conjugacy classes, an isomorphism search verified
-on the full tables, and matrix-set equality by canonical keys.  `verify`
+on the full tables, and a matrix's index and matrix-set equality by
+canonical keys.  `verify`
 proves the braid image's structure from word identities and its conjugacy
 to D(9,1,1;2,1,1) by one exact matrix; these are the abstract cross-checks
 on the closed group."""
@@ -79,12 +80,17 @@ def element_order(m: UnitaryMatrix, cap: int = 1000) -> int:
     return n
 
 
+def index_of(group: mg.FiniteMatrixGroup, m: UnitaryMatrix) -> int:
+    """Index of the element equal to `m`, held at any working order whose
+    field holds its entries; a `ValueError` when `m` is not in the group.
+    Keys compare only within one order, so `m` is brought to the group's."""
+    return group.keys.index(m.embed(group.working_order).key_bytes())
+
+
 def _check_indices(group: mg.FiniteMatrixGroup, xs: Sequence[int]) -> None:
     for x in xs:
         if not 0 <= x < group.order:
-            raise mg.GeneratorNotInGroupError(
-                f"element index {x} is outside 0..{group.order - 1}"
-            )
+            raise ValueError(f"element index {x} is outside 0..{group.order - 1}")
 
 
 class Subgroup:
@@ -327,4 +333,4 @@ def same_matrix_set(a: mg.FiniteMatrixGroup, b: mg.FiniteMatrixGroup) -> bool:
     """Whether two groups hold the same matrices, compared by key at a
     common working order."""
     common = math.lcm(a.working_order, b.working_order)
-    return a.dim == b.dim and key_set(a.matrices, common) == key_set(b.matrices, common)
+    return a.matrices[0].dim == b.matrices[0].dim and key_set(a.matrices, common) == key_set(b.matrices, common)

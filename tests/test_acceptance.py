@@ -9,8 +9,8 @@ import random
 from fractions import Fraction
 
 from group_oracles import (
-    abelian_invariants, cayley_table, decompose, element_order, intersect, is_normal,
-    semidirect_verify, subgroup,
+    abelian_invariants, cayley_table, decompose, element_order, index_of, intersect,
+    is_normal, semidirect_verify, subgroup,
 )
 from matrix_oracles import charpoly
 
@@ -128,8 +128,8 @@ def test_c08_abelian_subgroup(paper_group, named_elements, subgroup_n, verificat
     a, b = named_elements["A"], named_elements["B"]
     ok = element_order(a) == 9 and element_order(b) == 3
     ok = ok and a * b == b * a
-    cyc_a = subgroup(paper_group, [paper_group.index_of(a)])
-    cyc_b = subgroup(paper_group, [paper_group.index_of(b)])
+    cyc_a = subgroup(paper_group, [index_of(paper_group, a)])
+    cyc_b = subgroup(paper_group, [index_of(paper_group, b)])
     ok = ok and intersect(cyc_a, cyc_b).order == 1
     ok = ok and subgroup_n.order == 27
     ok = ok and abelian_invariants(subgroup_n) == (9, 3)
@@ -258,7 +258,7 @@ def test_c14_family_group_and_isomorphism(paper_group, family_group, verificatio
     s = sqrt2(72) / 2
     v = UnitaryMatrix.from_rows([[s, 0, -s], [0, root_of_unity(3, 2), 0], [s, 0, s]])
     v_inv = v.conj_transpose()
-    phi = [family_group.index_of(v * g * v_inv) for g in paper_group.matrices]
+    phi = [index_of(family_group, v * g * v_inv) for g in paper_group.matrices]
     t_s, t_t = cayley_table(paper_group), cayley_table(family_group)
     ok = ok and len(set(phi)) == 162
     ok = ok and all(
