@@ -3,7 +3,8 @@ export and recoupling queries.
 
 `verify` runs the checklist of `su3braid.verify` and prints one line per
 check.  Exit status: 0 success, 1 verify FAIL, 2 bad input (clean message
-on stderr, never a traceback).
+on stderr, never a traceback); a `--cap` too small for the braid image's
+closure is bad input.
 
 Each subcommand imports the layers it uses when it runs: `group --from
 familyD ...` and `family` load neither the verifier, the braid
@@ -256,6 +257,13 @@ def _run_verify(args: argparse.Namespace) -> int:
     print(f"overall: {'PASS' if report.overall else 'FAIL'}")
     if args.json:
         _write_text(args.json, [report.to_json() + "\n"])
+    # when every failure is the closure passing --cap, the cap is at fault,
+    # not the checklist: bad input, not a verify FAIL.  The checks read one
+    # closure under one cap, so they share its message
+    prefix = f"{mg.GroupTooLargeError.__name__}: "
+    errors = {c.witness["error"] for c in report.checks if not c.passed}
+    if errors and all(error.startswith(prefix) for error in errors):
+        raise mg.GroupTooLargeError(errors.pop().removeprefix(prefix))
     return 0 if report.overall else 1
 
 

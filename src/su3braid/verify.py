@@ -1,22 +1,22 @@
 """The fixed verification checklist behind `su3braid verify`.
 
-`CHECKS` is an ordered table of `(id, description, fn)` entries covering
-every claim about the braid-generated SU(3) subgroup of order 162: the
-recoupling constants behind the generators, the generator matrices
-themselves, the normal abelian subgroup and symmetric-group complement,
-the semidirect factorization, the closing presentation, and its
-conjugacy in SU(3), by one exact unitary matrix, to the family group
+`CHECKS` is an ordered table of `(id, description, witness)` entries
+covering every claim about the braid-generated SU(3) subgroup of order
+162: the recoupling constants behind the generators, the generator
+matrices themselves, the normal abelian subgroup and symmetric-group
+complement, the semidirect factorization, the closing presentation, and
+its conjugacy in SU(3), by one exact unitary matrix, to the family group
 D(9,1,1;2,1,1).  One runner serves every check: it evaluates the check's
-rows in `IDENTITIES` (possibly none), then calls its `fn` with the shared
-`_Context`, and what `fn` returns (a dict or None) is the witness.  A
-failing row or `fn` raises; failures become report entries, never
+rows in `IDENTITIES` (possibly none), then reads its witness, a dict or
+None, calling it with the shared `_Context` when it is a function.  A
+failing row or function raises; failures become report entries, never
 exceptions, so a corrupted input produces a clean red report.
 
-Every claim a word can state is a row of `IDENTITIES`: the braid
-relation, the conjugation identities, the N*H factorizations, the ten
-relations, the element orders (x has order exactly n when x^n = I and
-x^(n/p) != I for each prime p dividing n), the comparisons with the
-paper's explicit displays, which are the named matrices `D_G1` ...
+Every claim a word can state is a row `(lhs, holds, rhs)` of
+`IDENTITIES`, which fails with its own text, "lhs != rhs" or "lhs = rhs":
+the braid relation, the conjugation identities, the N*H factorizations,
+the ten relations, the element orders (`_order`), the comparisons with
+the paper's explicit displays, which are the named matrices `D_G1` ...
 `D_T3T1` (`_displays`), and the conjugation by the matrix `D_V` between
 G1, G2 and the family generators d1, d2, d3.  The named elements
 (`ELEMENTS`) are data too.  Words are short text such as "G2^2 G1^-1",
@@ -29,17 +29,19 @@ equal characteristic polynomials follow from the braid relation, which
 makes them similar, and their spectrum from G1's diagonal display; and
 the structure of the group (N = <A, B> normal of order 27, H = <T1, T3>
 a copy of S3 meeting it trivially, G = NH) is proved from rows too.  A
-run closes one group, the braid image (GRP-ORDER-162, bounded by `cap`),
-and reads only its order: GRP-SEMIDIRECT compares it with |N| |H|, and
-GRP-D-FAMILY-ORDER reads the order of D(9,1,1;2,1,1) through the
-conjugacy rows instead of closing that group.  No other check needs the
-closure.
+run closes one group, the braid image, on first use and under `cap`, and
+reads only its order: GRP-ORDER-162 compares it with 162, GRP-SEMIDIRECT
+with |N| |H|, and GRP-D-FAMILY-ORDER reads the order of D(9,1,1;2,1,1)
+through the conjugacy rows instead of closing that group.  No other check
+needs the closure.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from . import matgroup as mg
@@ -135,42 +137,44 @@ FAMILY_NAMES = ("d1", "d2", "d3")
 
 
 class _Context:
-    """State the checks share.  `group`, the run's one closure, is closed
-    by GRP-ORDER-162 under the bound `cap` and kept even when its order is
-    wrong; it stays None when the closure raised.  `ctx[name]` is the
-    name -> matrix lookup that words are evaluated with: G1 and G2 are the
-    generators as passed, the named elements their `ELEMENTS` words, d1, d2
-    and d3 the family generators, from one `d_generators` call and never
-    closed, and the displays `D_*`; all but G1 and G2 are built on first
-    use, so that a failure lands in the check that asked for them, and none
-    needs the closure.  `words` evaluates every word of the run, keeping
-    each prefix it multiplies.  `info` collects the report's informational
-    entries."""
+    """State the checks share.  `ctx[name]` is the name -> matrix lookup
+    that words are evaluated with: G1 and G2 are the generators as passed,
+    the named elements their `ELEMENTS` words, d1, d2 and d3 the family
+    generators, from one `d_generators` call and never closed, and the
+    displays `D_*`.  `group` is the run's one closure, the braid image
+    under the bound `cap`.  All but G1 and G2 are built on first use and
+    kept, so that a failure lands in the check that asked for them; a
+    closure that raised is not kept, so each check that reads `group`
+    closes it again and fails with the closure's own error.  `words`
+    evaluates every word of the run, keeping each prefix it multiplies.
+    `info` collects the report's informational entries."""
 
     def __init__(self, generators: tuple[UnitaryMatrix, UnitaryMatrix], cap: int):
         self.g1m, self.g2m = generators
         self.cap = cap
         self.t = theory(6)
         self.rt3 = sqrt3(self.t.order)
-        self.group: Optional[mg.FiniteMatrixGroup] = None
         self.info: dict = {}
-        self._displays: dict = {}
-        self._family: dict = {}
         self.words = mg.WordEvaluator(self)
 
-    def need_group(self) -> mg.FiniteMatrixGroup:
-        if self.group is None:
-            raise RuntimeError("group closure unavailable (earlier check failed)")
-        return self.group
+    @cached_property
+    def group(self) -> mg.FiniteMatrixGroup:
+        return mg.close([self.g1m, self.g2m], cap=self.cap)
+
+    @cached_property
+    def displays(self) -> dict[str, UnitaryMatrix]:
+        return _displays()
+
+    @cached_property
+    def family(self) -> dict[str, UnitaryMatrix]:
+        """The generators of D(9,1,1;2,1,1)."""
+        return dict(zip(FAMILY_NAMES, d_generators(DParams(CParams(9, 1, 1), 2, 1, 1))))
 
     def __getitem__(self, name: str) -> UnitaryMatrix:
         if name.startswith("D_"):
-            self._displays = self._displays or _displays()
-            return self._displays[name]
-        if name in FAMILY_NAMES:  # the generators of D(9,1,1;2,1,1)
-            if not self._family:
-                self._family = dict(zip(FAMILY_NAMES, d_generators(DParams(CParams(9, 1, 1), 2, 1, 1))))
-            return self._family[name]
+            return self.displays[name]
+        if name in FAMILY_NAMES:
+            return self.family[name]
         if name in ELEMENTS:  # the evaluator keeps the word's product
             return self.words(_word(ELEMENTS[name]))
         return {"G1": self.g1m, "G2": self.g2m}[name]
@@ -273,9 +277,9 @@ def check_spectrum(ctx: _Context):
 
 
 def check_order162(ctx: _Context):
-    ctx.group = mg.close([ctx.g1m, ctx.g2m], cap=ctx.cap)
-    _require(ctx.group.order == 162, f"group order is {ctx.group.order}")
-    return {"order": ctx.group.order}
+    n = ctx.group.order
+    _require(n == 162, f"group order is {n}")
+    return {"order": n}
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +290,7 @@ def check_semidirect(ctx: _Context):
     """The premises make N normal, N meet H trivial and G = NH, so each
     element factors uniquely as n h and |G| = |N| |H| = 27 * 6; that count
     is compared with the closure's."""
-    n = ctx.need_group().order
+    n = ctx.group.order
     _require(n == 27 * 6, f"|N| |H| = 162 but the closure has order {n}")
     return {
         "normal": True, "trivial_intersection": True, "order_product": True,
@@ -297,7 +301,7 @@ def check_semidirect(ctx: _Context):
 def check_family_order(ctx: _Context):
     """GRP-ISO-D91211's rows, its premise, give V G V^-1 = D as matrix sets,
     so D has the braid image's order, read from its one closure."""
-    n = ctx.need_group().order
+    n = ctx.group.order
     _require(n == 162, f"family group order {n}")
     return {"order": n}
 
@@ -311,99 +315,91 @@ def check_conjugacy(ctx: _Context):
     ctx.info["braid_image_conjugate_to_family_in_SU3"] = True
     return {
         "V": [[x.to_dict() for x in row] for row in v.rows],
-        "words": [f"{lhs} = {rhs}" for lhs, _, rhs, _ in IDENTITIES["GRP-ISO-D91211"]],
+        "words": [f"{lhs} = {rhs}" for lhs, _, rhs in IDENTITIES["GRP-ISO-D91211"]],
     }
 
 
 # ---------------------------------------------------------------------------
-# the word identities, by check id: rows (lhs, holds, rhs, failure message),
-# each passing when lhs = rhs is `holds`; "" is the identity, D_* names
-# the displays and d1, d2, d3 the family generators.  An element x has
-# order exactly n when x^n = I and x^(n/p) != I for each prime p dividing
-# n.  Rows run in order and a check fails with its first failing row's
-# message.
+def _order(x: str, n: int) -> list[tuple[str, bool, str]]:
+    """The rows that give x order exactly n: x^n = I, then x^(n/p) != I for
+    each prime p dividing n, in increasing p.  A power of a name is written
+    "x^k", and a power of a product is k copies of it."""
+    def power(k: int) -> str:
+        if " " in x:
+            return " ".join([x] * k)
+        return x if k == 1 else f"{x}^{k}"
+
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    return [(power(n), True, ""), *((power(n // p), False, "") for p in primes)]
+
+
+# the word identities, by check id: rows (lhs, holds, rhs), each passing
+# when lhs = rhs is `holds`; "" is the identity, D_* names the displays and
+# d1, d2, d3 the family generators.  Rows run in order, and a check fails
+# with its first false row, written "lhs != rhs" or "lhs = rhs".
 IDENTITIES = {
-    "REP-G1": [("G1", True, "D_G1", "G1 display mismatch")],
-    "REP-G2": [("G2", True, "D_G2", "G2 display mismatch")],
-    "REP-BRAID": [("G1 G2 G1", True, "G2 G1 G2", "braid relation fails")],
-    "REP-SQUARES-COMMUTE": [("G1^2 G2^2", True, "G2^2 G1^2", "squares do not commute")],
-    "REP-ORDER18": [
-        ("G1^18", True, "", "G1^18 != I"), ("G1^9", False, "", "G1^9 = I"), ("G1^6", False, "", "G1^6 = I"),
-        ("G2^18", True, "", "G2^18 != I"), ("G2^9", False, "", "G2^9 = I"), ("G2^6", False, "", "G2^6 = I"),
-    ],
-    "GRP-F-MATRIX": [("F", True, "D_F", "F word does not match the explicit matrix")],
-    "GRP-A-DEF": [("G2 F G2 F", True, "A", "(G2 F)^2 != G1 G2^2 G1^-1")],
-    "GRP-AB-ORDERS": [
-        ("A^9", True, "", "A^9 != I"), ("A^3", False, "", "A^3 = I"),
-        ("B^3", True, "", "B^3 != I"), ("B", False, "", "B = I"),
-    ],
-    "GRP-AB-COMMUTE": [("A B", True, "B A", "A and B do not commute")],
+    "REP-G1": [("G1", True, "D_G1")],
+    "REP-G2": [("G2", True, "D_G2")],
+    "REP-BRAID": [("G1 G2 G1", True, "G2 G1 G2")],
+    "REP-SQUARES-COMMUTE": [("G1^2 G2^2", True, "G2^2 G1^2")],
+    "REP-ORDER18": [*_order("G1", 18), *_order("G2", 18)],
+    "GRP-F-MATRIX": [("F", True, "D_F")],
+    "GRP-A-DEF": [("G2 F G2 F", True, "A")],
+    "GRP-AB-ORDERS": [*_order("A", 9), *_order("B", 3)],
+    "GRP-AB-COMMUTE": [("A B", True, "B A")],
     # <A>'s one subgroup of order 3 is {I, A^3, A^6}
-    "GRP-CYCLIC-INTERSECT": [("B", False, "A^3", "B = A^3"), ("B", False, "A^6", "B = A^6")],
-    "GRP-N-NORMAL": [
-        ("G1 B G1^-1", True, "A^3 B^2", "G1 B G1^-1 != A^3 B^2"),
-        ("G2 B G2^-1", True, "B^2", "G2 B G2^-1 != B^2"),
-    ],
-    "GRP-G1AG1-G2SQ": [("G1 A G1^-1", True, "G2^2", "G1 A G1^-1 != G2^2")],
-    "GRP-G2SQ-A7B2": [("G2^2", True, "A^7 B^2", "G2^2 != A^7 B^2")],
-    "GRP-G2AG2-AB": [
-        ("G2 A G2^-1", True, "G1^2", "G2 A G2^-1 != G1^2"),
-        ("G1^2", True, "A B", "G1^2 != A B"),
-    ],
-    "GRP-T1T2T3": [
-        ("T1^2", True, "", "T1^2 != I"), ("T1", False, "", "T1 = I"),
-        ("T2^2", True, "", "T2^2 != I"), ("T2", False, "", "T2 = I"),
-        ("G2 G1^2 G2 G1^2", True, "", "(G2 G1^2)^2 != I"), ("G2 G1^2", False, "", "G2 G1^2 = I"),
-        ("T3", True, "D_T3", "T3 is not diag(-1,-1,1)"),
-    ],
-    "GRP-H-S3": [("T1 T3", False, "T3 T1", "T1 T3 = T3 T1")],
+    "GRP-CYCLIC-INTERSECT": [("B", False, "A^3"), ("B", False, "A^6")],
+    "GRP-N-NORMAL": [("G1 B G1^-1", True, "A^3 B^2"), ("G2 B G2^-1", True, "B^2")],
+    "GRP-G1AG1-G2SQ": [("G1 A G1^-1", True, "G2^2")],
+    "GRP-G2SQ-A7B2": [("G2^2", True, "A^7 B^2")],
+    "GRP-G2AG2-AB": [("G2 A G2^-1", True, "G1^2"), ("G1^2", True, "A B")],
+    "GRP-T1T2T3": [*_order("T1", 2), *_order("T2", 2), *_order("G2 G1^2", 2), ("T3", True, "D_T3")],
+    "GRP-H-S3": [("T1 T3", False, "T3 T1")],
     "GRP-H-MATRICES": [
-        ("T1", True, "D_T1", "T1 display mismatch"),
-        ("T3 T1 T3", True, "D_T3T1T3", "T3 T1 T3 display mismatch"),
-        ("T1 T3", True, "D_T1T3", "T1 T3 display mismatch"),
-        ("T3 T1", True, "D_T3T1", "T3 T1 display mismatch"),
+        ("T1", True, "D_T1"),
+        ("T3 T1 T3", True, "D_T3T1T3"),
+        ("T1 T3", True, "D_T1T3"),
+        ("T3 T1", True, "D_T3T1"),
     ],
     "GRP-ORDER3-NOT-IN-LIST": [
-        (t, False, n, "order-3 element found in the list")
+        (t, False, n)
         for t in ("T1 T3", "T3 T1")
         for n in ("A^3", "A^6", "A^3 B", "A^6 B", "A^3 B^2", "A^6 B^2", "B", "B^2")
     ],
     "GRP-G2SQG1-FACTOR": [
-        ("G2 G1 G2 G2 G1 G2", True, "", "(G2 G1 G2)^2 != I"),
-        ("G2 G1 G2 G1 G2 G1", True, "", "(G2 G1)^3 != I"),
-        ("G1 G2 G1 G2 G1 G2", True, "", "(G1 G2)^3 != I"),
-        ("G2^2 G1 G2^2 G1", True, "", "(G2^2 G1)^2 != I"),
-        ("G2^2 G1", True, "A^3 B T3", "G2^2 G1 != A^3 B T3"),
-        ("G1^-1 G2^-2 T3", True, "A^3 B", "(G2^2 G1)^-1 T3 != A^3 B"),
-        # these two give A^3 B order exactly 3, since 3 is prime
-        ("A^3 B A^3 B A^3 B", True, "", "(A^3 B)^3 != I"),
-        ("A^3 B", False, "", "A^3 B = I"),
+        ("G2 G1 G2 G2 G1 G2", True, ""),
+        ("G2 G1 G2 G1 G2 G1", True, ""),
+        ("G1 G2 G1 G2 G1 G2", True, ""),
+        ("G2^2 G1 G2^2 G1", True, ""),
+        ("G2^2 G1", True, "A^3 B T3"),
+        ("G1^-1 G2^-2 T3", True, "A^3 B"),
+        *_order("A^3 B", 3),
     ],
     "GRP-G1SQG2-FACTOR": [
-        ("G1^2 G2", True, "B^2 T3 T1 T3", "G1^2 G2 != B^2 T3 T1 T3"),
-        ("G2^-1 G1^-2 T3 T1 T3", True, "B^2", "(G1^2 G2)^-1 T3 T1 T3 != B^2"),
+        ("G1^2 G2", True, "B^2 T3 T1 T3"),
+        ("G2^-1 G1^-2 T3 T1 T3", True, "B^2"),
     ],
-    "GRP-PSI-G1": [("G1", True, "A^5 B^2 T3", "G1 != A^5 B^2 * T3")],
-    "GRP-PSI-G2": [("G2", True, "A^-1 B T3 T1 T3", "G2 != A^-1 B * T3 T1 T3")],
+    "GRP-PSI-G1": [("G1", True, "A^5 B^2 T3")],
+    "GRP-PSI-G2": [("G2", True, "A^-1 B T3 T1 T3")],
     "GRP-PRESENTATION": [
-        ("A^9", True, "", "A^9 != I"),
-        ("B^3", True, "", "B^3 != I"),
-        ("T1^2", True, "", "T1^2 != I"),
-        ("T3^2", True, "", "T3^2 != I"),
-        ("T1 T3 T1 T3 T1 T3", True, "", "(T1 T3)^3 != I"),
-        ("T3 T1 T3 T1 T3 T1", True, "", "(T3 T1)^3 != I"),
-        ("T1 A T1^-1", True, "A", "T1 A T1^-1 != A"),
-        ("T3 A T3^-1", True, "A^7 B^2", "T3 A T3^-1 != A^7 B^2"),
-        ("T1 B T1^-1", True, "A^6 B^2", "T1 B T1^-1 != A^6 B^2"),
-        ("T3 B T3^-1", True, "A^3 B^2", "T3 B T3^-1 != A^3 B^2"),
+        ("A^9", True, ""),
+        ("B^3", True, ""),
+        ("T1^2", True, ""),
+        ("T3^2", True, ""),
+        ("T1 T3 T1 T3 T1 T3", True, ""),
+        ("T3 T1 T3 T1 T3 T1", True, ""),
+        ("T1 A T1^-1", True, "A"),
+        ("T3 A T3^-1", True, "A^7 B^2"),
+        ("T1 B T1^-1", True, "A^6 B^2"),
+        ("T3 B T3^-1", True, "A^3 B^2"),
     ],
     # V G V^-1 inside D, then V^-1 D V inside G
     "GRP-ISO-D91211": [
-        ("D_V G1 D_V^-1", True, "d1 d2^-1 d3", "D_V G1 D_V^-1 != d1 d2^-1 d3"),
-        ("D_V G2 D_V^-1", True, "d3 d2^2", "D_V G2 D_V^-1 != d3 d2^2"),
-        ("D_V^-1 d1 D_V", True, "G1^-1 G2^-5", "D_V^-1 d1 D_V != G1^-1 G2^-5"),
-        ("D_V^-1 d2 D_V", True, "G2^-2 G1^4", "D_V^-1 d2 D_V != G2^-2 G1^4"),
-        ("D_V^-1 d3 D_V", True, "G2^-1 G1^-2", "D_V^-1 d3 D_V != G2^-1 G1^-2"),
+        ("D_V G1 D_V^-1", True, "d1 d2^-1 d3"),
+        ("D_V G2 D_V^-1", True, "d3 d2^2"),
+        ("D_V^-1 d1 D_V", True, "G1^-1 G2^-5"),
+        ("D_V^-1 d2 D_V", True, "G2^-2 G1^4"),
+        ("D_V^-1 d3 D_V", True, "G2^-1 G1^-2"),
     ],
 }
 
@@ -450,31 +446,28 @@ PREMISES = {
 
 def _rows_hold(ctx: _Context, check_id: str, seen: Optional[set] = None) -> None:
     """The rows of `check_id` in IDENTITIES, in order, then those of its
-    PREMISES, depth first, each check's rows once; a false row raises.
-    Rows already evaluated cost no product: the evaluator keeps them."""
+    PREMISES, depth first, each check's rows once; a false row raises with
+    its own text.  Rows already evaluated cost no product: the evaluator
+    keeps them."""
     seen = set() if seen is None else seen
     seen.add(check_id)
-    for lhs, holds, rhs, message in IDENTITIES.get(check_id, ()):
-        _require(ctx.words.equal(_word(lhs), _word(rhs)) == holds, message)
+    for lhs, holds, rhs in IDENTITIES.get(check_id, ()):
+        if ctx.words.equal(_word(lhs), _word(rhs)) != holds:
+            raise AssertionError(f"{lhs} {'!=' if holds else '='} {rhs or 'I'}")
     for premise in PREMISES.get(check_id, ()):
         if premise not in seen:
             _rows_hold(ctx, premise, seen)
 
 
-def _run_check(ctx: _Context, check_id: str, fn) -> Optional[dict]:
-    """One check: its rows and its premises' rows, then `fn`, whose value is
-    the witness."""
+def _run_check(ctx: _Context, check_id: str, witness) -> Optional[dict]:
+    """One check: its rows and its premises' rows, then its witness, called
+    with `ctx` when it is a function."""
     _rows_hold(ctx, check_id)
-    return fn(ctx)
+    return witness(ctx) if callable(witness) else copy.deepcopy(witness)
 
 
-def _rows_only(ctx: _Context):
-    """The `fn` of a check that its rows state in full: no witness."""
-    return None
-
-
-# a constant witness states only what the rows of the check and of its
-# premises have just proved
+# a witness that is a value, not a function, states only what the rows of
+# the check and of its premises have just proved; None when they say it all
 CHECKS = (
     ("TL-DELTAS", "loop values: delta_0 = delta_4 = 1, delta_2 = 2, delta_1 = sqrt(3), delta_5 = 0", check_deltas),
     ("TL-RVALUES", "conjugated twist eigenvalues on a fused charge-2 pair", check_rvalues),
@@ -482,30 +475,30 @@ CHECKS = (
     ("TL-THETA-ID", "theta(2,2,i) equals the tet with one edge labeled 0", check_theta_id),
     ("REP-G1", "phase-normalized odd braid generator equals its explicit display", lambda ctx: {"det": _approx(ctx["G1"].det())}),
     ("REP-G2", "phase-normalized middle braid generator equals its explicit display", lambda ctx: {"det": _approx(ctx["G2"].det())}),
-    ("REP-BRAID", "braid relation G1 G2 G1 = G2 G1 G2", _rows_only),
-    ("REP-SQUARES-COMMUTE", "the generator squares commute", _rows_only),
-    ("REP-ORDER18", "both generators have exact order 18", lambda ctx: {"order_G1": 18, "order_G2": 18}),
+    ("REP-BRAID", "braid relation G1 G2 G1 = G2 G1 G2", None),
+    ("REP-SQUARES-COMMUTE", "the generator squares commute", None),
+    ("REP-ORDER18", "both generators have exact order 18", {"order_G1": 18, "order_G2": 18}),
     ("REP-CHARPOLY", "equal characteristic polynomials; spectrum as displayed", check_spectrum),
     ("GRP-ORDER-162", "the two generators span a group of order 162", check_order162),
     ("GRP-F-MATRIX", "the word g1 g2 g1^-2 equals the explicit matrix F", lambda ctx: {"entry_00": _approx(ctx["F"].rows[0][0])}),
-    ("GRP-A-DEF", "(G2 F)^2 equals A = g1 g2^2 g1^-1", _rows_only),
-    ("GRP-AB-ORDERS", "A has order 9 and B has order 3", lambda ctx: {"order_A": 9, "order_B": 3}),
-    ("GRP-AB-COMMUTE", "A and B commute", _rows_only),
-    ("GRP-CYCLIC-INTERSECT", "<A> and <B> intersect trivially", lambda ctx: {"intersection_order": 1}),
-    ("GRP-N-NORMAL", "the subgroup <A, B> is normal in the whole group", lambda ctx: {"order_N": 27}),
-    ("GRP-N-INVARIANTS", "<A, B> is abelian of order 27 with invariants (9, 3)", lambda ctx: {"order": 27, "invariants": [9, 3]}),
-    ("GRP-G1AG1-G2SQ", "G1 A G1^-1 equals G2^2", _rows_only),
-    ("GRP-G2SQ-A7B2", "G2^2 equals A^7 B^2", _rows_only),
-    ("GRP-G2AG2-AB", "G2 A G2^-1 equals G1^2 equals A B", _rows_only),
-    ("GRP-T1T2T3", "T1, T2, G2 G1^2 have order 2 and T3 = diag(-1,-1,1)", lambda ctx: {"orders": [2, 2, 2]}),
-    ("GRP-H-S3", "<T1, T3> is a non-abelian order-6 group with order-3 elements T1 T3, T3 T1", lambda ctx: {"order": 6}),
-    ("GRP-H-MATRICES", "the six elements of H match their explicit matrices", _rows_only),
-    ("GRP-HN-TRIVIAL", "H and N intersect trivially", _rows_only),
-    ("GRP-ORDER3-NOT-IN-LIST", "T1 T3 and T3 T1 differ from all eight listed elements of N", _rows_only),
-    ("GRP-G2SQG1-FACTOR", "G2^2 G1 is an involution factoring as A^3 B * T3", _rows_only),
-    ("GRP-G1SQG2-FACTOR", "G1^2 G2 factors as B^2 * T3 T1 T3", _rows_only),
-    ("GRP-PSI-G1", "G1 decomposes as (A^5 B^2, T3)", _rows_only),
-    ("GRP-PSI-G2", "G2 decomposes as (A^-1 B, T3 T1 T3)", _rows_only),
+    ("GRP-A-DEF", "(G2 F)^2 equals A = g1 g2^2 g1^-1", None),
+    ("GRP-AB-ORDERS", "A has order 9 and B has order 3", {"order_A": 9, "order_B": 3}),
+    ("GRP-AB-COMMUTE", "A and B commute", None),
+    ("GRP-CYCLIC-INTERSECT", "<A> and <B> intersect trivially", {"intersection_order": 1}),
+    ("GRP-N-NORMAL", "the subgroup <A, B> is normal in the whole group", {"order_N": 27}),
+    ("GRP-N-INVARIANTS", "<A, B> is abelian of order 27 with invariants (9, 3)", {"order": 27, "invariants": [9, 3]}),
+    ("GRP-G1AG1-G2SQ", "G1 A G1^-1 equals G2^2", None),
+    ("GRP-G2SQ-A7B2", "G2^2 equals A^7 B^2", None),
+    ("GRP-G2AG2-AB", "G2 A G2^-1 equals G1^2 equals A B", None),
+    ("GRP-T1T2T3", "T1, T2, G2 G1^2 have order 2 and T3 = diag(-1,-1,1)", {"orders": [2, 2, 2]}),
+    ("GRP-H-S3", "<T1, T3> is a non-abelian order-6 group with order-3 elements T1 T3, T3 T1", {"order": 6}),
+    ("GRP-H-MATRICES", "the six elements of H match their explicit matrices", None),
+    ("GRP-HN-TRIVIAL", "H and N intersect trivially", None),
+    ("GRP-ORDER3-NOT-IN-LIST", "T1 T3 and T3 T1 differ from all eight listed elements of N", None),
+    ("GRP-G2SQG1-FACTOR", "G2^2 G1 is an involution factoring as A^3 B * T3", None),
+    ("GRP-G1SQG2-FACTOR", "G1^2 G2 factors as B^2 * T3 T1 T3", None),
+    ("GRP-PSI-G1", "G1 decomposes as (A^5 B^2, T3)", None),
+    ("GRP-PSI-G2", "G2 decomposes as (A^-1 B, T3 T1 T3)", None),
     ("GRP-SEMIDIRECT", "all four semidirect-product certificates hold and the 162 factorizations are distinct", check_semidirect),
     ("GRP-PRESENTATION", "all ten relations of the closing presentation hold exactly", lambda ctx: {"relations_checked": len(IDENTITIES["GRP-PRESENTATION"])}),
     ("GRP-D-FAMILY-ORDER", "the three family generators of D(9,1,1;2,1,1) span a group of order 162", check_family_order),
@@ -525,11 +518,10 @@ def run_theorem1_verification(
     """
     ctx = _Context(paper_generators() if generators is None else generators, cap)
     report = VerificationReport([], ctx.info)
-    for check_id, description, fn in CHECKS:
+    for check_id, description, witness in CHECKS:
         try:
-            witness = _run_check(ctx, check_id, fn)
-            report.checks.append(Check(check_id, description, True, witness))
+            check = Check(check_id, description, True, _run_check(ctx, check_id, witness))
         except Exception as exc:  # noqa: BLE001 - failures are report entries
-            error = {"error": f"{type(exc).__name__}: {exc}"}
-            report.checks.append(Check(check_id, description, False, error))
+            check = Check(check_id, description, False, {"error": f"{type(exc).__name__}: {exc}"})
+        report.checks.append(check)
     return report

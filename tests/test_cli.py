@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import group_oracles
 import pytest
 
-from su3braid import cli, cyclo
+from su3braid import cli, cyclo, verify
 from su3braid import matgroup as mg
 from su3braid import recoupling as rc
 from su3braid.cli import export_group, main, query
@@ -88,22 +89,107 @@ def test_corrupted_generator_fails_braid_check(paper_matrices):
     assert tuple(c.id for c in report.checks) == CHECK_IDS
 
 
+CLOSURE_CHECKS = ("GRP-ORDER-162", "GRP-SEMIDIRECT", "GRP-D-FAMILY-ORDER")
+
+
 def test_missing_prerequisites_fail_each_dependent_check():
     report = run_theorem1_verification(cap=100)
     assert tuple(c.id for c in report.checks) == CHECK_IDS
     for check in report.checks:
-        error = (check.witness or {}).get("error", "")
         # every row, the structural ones and the conjugacy included, is a
-        # word identity that needs no closure; only the two checks that read
-        # the braid image's order after their rows find it missing
-        if check.id == "GRP-ORDER-162":
-            assert not check.passed and error.startswith("GroupTooLargeError: "), check.id
-        elif check.id in ("GRP-SEMIDIRECT", "GRP-D-FAMILY-ORDER"):
+        # word identity that needs no closure; the three checks that read
+        # the braid image's order each close it and fail with its own error
+        if check.id in CLOSURE_CHECKS:
             assert not check.passed, check.id
-            assert error == "RuntimeError: group closure unavailable (earlier check failed)"
+            assert check.witness == {"error": "GroupTooLargeError: closure exceeded cap=100; "
+                                              "generators may not span a finite group"}, check.id
         else:
             assert check.passed, check.id
     assert report.info == {"braid_image_conjugate_to_family_in_SU3": True}
+
+
+def test_cli_verify_cap_below_the_closure_exits_2(tmp_path, capsys):
+    """A cap that only the closure passes is bad input, not a verify FAIL:
+    the check lines and the report come out as before, then one error line."""
+    path = tmp_path / "report.json"
+    assert main(["verify", "--cap", "161", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: closure exceeded cap=161; generators may not span a finite group\n"
+    assert [line for line in captured.out.splitlines() if line.startswith("[FAIL]")] == [
+        "[FAIL] GRP-ORDER-162: the two generators span a group of order 162",
+        "[FAIL] GRP-SEMIDIRECT: all four semidirect-product certificates hold and the 162 "
+        "factorizations are distinct",
+        "[FAIL] GRP-D-FAMILY-ORDER: the three family generators of D(9,1,1;2,1,1) span a group "
+        "of order 162",
+    ]
+    assert captured.out.endswith("overall: FAIL\n")
+    report = VerificationReport.from_json(path.read_text())
+    assert {c.id for c in report.checks if not c.passed} == set(CLOSURE_CHECKS)
+
+
+def test_cli_verify_other_failures_keep_exit_1(monkeypatch, capsys):
+    """A failing check that is not the closure's cap keeps verify's FAIL
+    exit, with or without a capped closure beside it."""
+    monkeypatch.setitem(verify.IDENTITIES, "REP-BRAID", [("G1 G2 G1", False, "G2 G1 G2")])
+    for argv in (["verify"], ["verify", "--cap", "161"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "[FAIL] REP-BRAID: braid relation G1 G2 G1 = G2 G1 G2" in captured.out
+
+
+# -- the console pins of the CI workflow, computed in process ---------------
+# Each digest is of what the workflow's `python -c` line prints, its final
+# newline included: the exact part of an output (orders and coefficients),
+# floats left out.
+
+
+def _printed_sha256(*values, sep=" "):
+    out = io.StringIO()
+    print(*values, sep=sep, file=out)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _exact(value):
+    """A `Cyclo.to_dict` value as "order:coeffs"."""
+    return f"{value['order']}:{','.join(value['coeffs'])}"
+
+
+def test_sixj_r13_digest(capsys):
+    assert main(["query", "sixj", "8", "6", "8", "8", "6", "8", "--r", "13"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert _printed_sha256(d["order"], ",".join(d["coeffs"])) == (
+        "a4d74a6274c7e6086e546b0c1f9f2858b6eb3af341d0132492dfbf4c70871270"
+    )
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([], "037740093e748ed0e1758dd0c71be253a2f693c4f76e6f108190514ba30c67b6"),
+    (["--r", "4", "--charge", "1"], "945fd237faaf2c12547cceac179ce2d6349a509b3c290a821e9b3d00cb41e3a2"),
+], ids=["default", "r4-charge1"])
+def test_rep_digest(capsys, argv, digest):
+    assert main(["rep", *argv]) == 0
+    d = json.loads(capsys.readouterr().out)
+    entries = (_exact(v) for k in ("sigma_odd", "sigma_mid") for row in d[k]["rows"] for v in row)
+    assert _printed_sha256(d["labels"], *entries) == digest
+
+
+def test_order_648_export_digests(tmp_path, capsys):
+    elements, cayley = tmp_path / "e.json", tmp_path / "c.csv"
+    assert main(["group", "--from", "familyD", "18", "1", "1", "2", "1", "1",
+                 "--emit-elements", str(elements), "--emit-cayley", str(cayley)]) == 0
+    assert capsys.readouterr().out.startswith("order: 648\n")
+    assert hashlib.sha256(cayley.read_bytes()).hexdigest() == (
+        "58c55d0f0d774a7dccd6cdeda2520124ee63dba0a91d036274946434d235ebb9"
+    )
+    records = (
+        " ".join([str(r["index"]), r["key"], r["word"],
+                  *(_exact(v) for row in r["matrix"]["rows"] for v in row)])
+        for r in json.loads(elements.read_text())
+    )
+    assert _printed_sha256(*records, sep="\n") == (
+        "1436c69009cc92445b90b71a59babca3456087d4bed26c7bb2fa825939e43501"
+    )
 
 
 def test_query_values():

@@ -1,8 +1,9 @@
-"""The verify checklist's data: every check id can fail, the report's
-bytes are pinned, the structure the rows prove is read off the closed
-group by the table oracles, the order 162 is confirmed by two oracles
-that share no code with `close`, `Cyclo` arithmetic or `key_bytes`, and
-the conjugacy rows of GRP-ISO-D91211 are re-checked in sympy polynomials."""
+"""The verify checklist's data: every check id can fail, every false row
+fails exactly the checks that rest on it, the report's bytes are pinned,
+the structure the rows prove is read off the closed group by the table
+oracles, the order 162 is confirmed by two oracles that share no code
+with `close`, `Cyclo` arithmetic or `key_bytes`, and the conjugacy rows
+of GRP-ISO-D91211 are re-checked in sympy polynomials."""
 
 import hashlib
 import json
@@ -43,22 +44,122 @@ def closed_context(paper_matrices, paper_group):
 def _perturbed(rows, i):
     """Row i made false: an equality gains a right factor G1 (G1 != I), an
     inequality gets its left side on the right."""
-    lhs, holds, rhs, message = rows[i]
-    row = (lhs, holds, f"{rhs} G1".strip() if holds else lhs, message)
+    lhs, holds, rhs = rows[i]
+    row = (lhs, holds, f"{rhs} G1".strip() if holds else lhs)
     return rows[:i] + [row] + rows[i + 1:]
 
 
 def test_every_identity_row_can_fail(closed_context, monkeypatch):
-    fns = {check_id: fn for check_id, _, fn in verify.CHECKS}
+    """Each row, made false, fails its check with that row's own text; no
+    perturbed row has an empty side, so the text is "lhs != rhs" or
+    "lhs = rhs" as written."""
+    witnesses = {check_id: witness for check_id, _, witness in verify.CHECKS}
     for check_id, rows in verify.IDENTITIES.items():
-        verify._run_check(closed_context, check_id, fns[check_id])
-        for i, row in enumerate(rows):
-            monkeypatch.setitem(verify.IDENTITIES, check_id, _perturbed(rows, i))
+        verify._run_check(closed_context, check_id, witnesses[check_id])
+        for i in range(len(rows)):
+            perturbed = _perturbed(rows, i)
+            lhs, holds, rhs = perturbed[i]
+            monkeypatch.setitem(verify.IDENTITIES, check_id, perturbed)
             with pytest.raises(AssertionError) as failure:
-                verify._run_check(closed_context, check_id, fns[check_id])
-            assert str(failure.value) == row[3], (check_id, i)
+                verify._run_check(closed_context, check_id, witnesses[check_id])
+            assert str(failure.value) == f"{lhs} {'!=' if holds else '='} {rhs}", (check_id, i)
         monkeypatch.setitem(verify.IDENTITIES, check_id, rows)
-        verify._run_check(closed_context, check_id, fns[check_id])
+        verify._run_check(closed_context, check_id, witnesses[check_id])
+
+
+@pytest.mark.parametrize("row, text", [
+    (("G1^9", True, ""), "G1^9 != I"),
+    (("G1^18", False, ""), "G1^18 = I"),
+    (("G1", True, "D_G2"), "G1 != D_G2"),
+    (("G1 G2 G1", False, "G2 G1 G2"), "G1 G2 G1 = G2 G1 G2"),
+])
+def test_a_false_row_fails_with_its_own_text(closed_context, monkeypatch, row, text):
+    monkeypatch.setitem(verify.IDENTITIES, "REP-BRAID", [row])
+    with pytest.raises(AssertionError) as failure:
+        verify._rows_hold(closed_context, "REP-BRAID")
+    assert str(failure.value) == text
+
+
+# sha256 of `json.dumps(verify.IDENTITIES)`: every row's text, row for row,
+# the exact orders included as `_order` writes them
+IDENTITIES_SHA256 = "ded9a11398f495bae15b3d0b426dc1d388eabd957a6923fd83bcd0a1883671d9"
+
+
+def test_identity_rows_digest():
+    text = json.dumps(verify.IDENTITIES)
+    assert hashlib.sha256(text.encode()).hexdigest() == IDENTITIES_SHA256
+    assert sum(map(len, verify.IDENTITIES.values())) == 80
+
+
+# The proof graph, written out apart from `PREMISES`: for each check with
+# rows, the other checks that a false row of it fails, those whose
+# conclusion rests on it (the chain in `verify.PREMISES`'s comment).
+ALSO_FAILS = {
+    "REP-G1": {"REP-CHARPOLY"},
+    "REP-G2": set(),
+    "REP-BRAID": {"REP-CHARPOLY"},
+    "REP-SQUARES-COMMUTE": set(),
+    "REP-ORDER18": set(),
+    "GRP-F-MATRIX": set(),
+    "GRP-A-DEF": set(),
+    "GRP-AB-ORDERS": {"GRP-CYCLIC-INTERSECT", "GRP-N-INVARIANTS", "GRP-N-NORMAL", "GRP-HN-TRIVIAL",
+                      "GRP-PSI-G1", "GRP-PSI-G2", "GRP-SEMIDIRECT"},
+    "GRP-AB-COMMUTE": {"GRP-N-INVARIANTS", "GRP-N-NORMAL", "GRP-HN-TRIVIAL",
+                       "GRP-PSI-G1", "GRP-PSI-G2", "GRP-SEMIDIRECT"},
+    "GRP-CYCLIC-INTERSECT": {"GRP-N-INVARIANTS", "GRP-N-NORMAL", "GRP-HN-TRIVIAL",
+                             "GRP-PSI-G1", "GRP-PSI-G2", "GRP-SEMIDIRECT"},
+    "GRP-N-NORMAL": {"GRP-SEMIDIRECT"},
+    "GRP-G1AG1-G2SQ": {"GRP-N-NORMAL", "GRP-SEMIDIRECT"},
+    "GRP-G2SQ-A7B2": {"GRP-N-NORMAL", "GRP-SEMIDIRECT"},
+    "GRP-G2AG2-AB": {"GRP-N-NORMAL", "GRP-SEMIDIRECT"},
+    "GRP-T1T2T3": {"GRP-H-MATRICES"},
+    "GRP-H-S3": {"GRP-H-MATRICES", "GRP-HN-TRIVIAL", "GRP-PSI-G1", "GRP-PSI-G2", "GRP-SEMIDIRECT"},
+    "GRP-H-MATRICES": set(),
+    "GRP-ORDER3-NOT-IN-LIST": {"GRP-HN-TRIVIAL", "GRP-PSI-G1", "GRP-PSI-G2", "GRP-SEMIDIRECT"},
+    "GRP-G2SQG1-FACTOR": set(),
+    "GRP-G1SQG2-FACTOR": set(),
+    "GRP-PSI-G1": {"GRP-SEMIDIRECT"},
+    "GRP-PSI-G2": {"GRP-SEMIDIRECT"},
+    "GRP-PRESENTATION": {"GRP-H-S3", "GRP-H-MATRICES", "GRP-HN-TRIVIAL",
+                         "GRP-PSI-G1", "GRP-PSI-G2", "GRP-SEMIDIRECT"},
+    "GRP-ISO-D91211": {"GRP-D-FAMILY-ORDER"},
+}
+
+
+def test_every_false_row_fails_exactly_its_dependents(closed_context, monkeypatch):
+    """Each of the 80 rows made false in turn, and the whole checklist run
+    on the closed context: the failing checks are the row's own and those
+    `ALSO_FAILS` lists, so every `PREMISES` edge that no other path covers
+    is pinned."""
+    assert set(ALSO_FAILS) == set(verify.IDENTITIES)
+    monkeypatch.setattr(verify, "_Context", lambda generators, cap: closed_context)
+    generators = (closed_context.g1m, closed_context.g2m)
+    assert verify.run_theorem1_verification(generators).overall
+    for check_id, rows in verify.IDENTITIES.items():
+        for i in range(len(rows)):
+            monkeypatch.setitem(verify.IDENTITIES, check_id, _perturbed(rows, i))
+            report = verify.run_theorem1_verification(generators)
+            failed = {c.id for c in report.checks if not c.passed}
+            assert failed == {check_id} | ALSO_FAILS[check_id], (check_id, i)
+        monkeypatch.setitem(verify.IDENTITIES, check_id, rows)
+
+
+def test_premises_are_checks_and_acyclic():
+    assert set(verify.PREMISES) <= set(verify.CHECK_IDS)
+    assert {p for premises in verify.PREMISES.values() for p in premises} <= set(verify.CHECK_IDS)
+    done, active = set(), set()
+
+    def visit(check_id):
+        assert check_id not in active, f"a cycle through {check_id}"
+        if check_id not in done:
+            active.add(check_id)
+            for premise in verify.PREMISES.get(check_id, ()):
+                visit(premise)
+            active.remove(check_id)
+            done.add(check_id)
+
+    for check_id in verify.CHECK_IDS:
+        visit(check_id)
 
 
 def _with_g2_conjugated_by_v():
@@ -74,7 +175,7 @@ def _with_g2_conjugated_by_v():
 # the checks that no identity row of their own fails, and one falsifier for
 # each check that proves a conclusion from rows (two for REP-CHARPOLY, one
 # for each premise): each entry patches one name in `verify` for a whole
-# run and expects that check's first failure message.  The generators
+# run and expects that check's failure text.  The generators
 # reach a run through `paper_generators`; the structural checks are failed
 # through the named elements, each patch breaking a row of the check or of
 # its premises
@@ -87,10 +188,10 @@ FALSIFIERS = [
     ("TL-THETA-ID", "theta", lambda t, a, b, c: Cyclo.one(), "theta identity at 0"),
     # the generators exchanged: the braid relation still holds, but the
     # premise REP-G1 fails
-    ("REP-CHARPOLY", "paper_generators", lambda: paper_generators()[::-1], "G1 display mismatch"),
+    ("REP-CHARPOLY", "paper_generators", lambda: paper_generators()[::-1], "G1 != D_G1"),
     # G2 conjugated by D_V: equal characteristic polynomials and G1 intact,
     # but the premise REP-BRAID fails
-    ("REP-CHARPOLY", "paper_generators", _with_g2_conjugated_by_v, "braid relation fails"),
+    ("REP-CHARPOLY", "paper_generators", _with_g2_conjugated_by_v, "G1 G2 G1 != G2 G1 G2"),
     ("GRP-ORDER-162", "paper_generators", lambda: paper_generators()[:1] * 2, "group order is 18"),
     # d1 and d3 exchanged: they generate the same group, but V G1 V^-1 is
     # not the word d3 d2^-1 d1, and the family order is read through the
@@ -106,14 +207,12 @@ FALSIFIERS = [
     ("GRP-N-INVARIANTS", "ELEMENTS", {**verify.ELEMENTS, "B": "A^6"}, "B = A^6"),
     # T1 = G1^9 = T3: H = <T3> has order 2
     ("GRP-H-S3", "ELEMENTS", {**verify.ELEMENTS, "T1": "G1^9"}, "T1 T3 = T3 T1"),
-    ("GRP-H-MATRICES", "ELEMENTS", {**verify.ELEMENTS, "T1": "G1^9"}, "T1 display mismatch"),
+    ("GRP-H-MATRICES", "ELEMENTS", {**verify.ELEMENTS, "T1": "G1^9"}, "T1 != D_T1"),
     # T1 = A^3 T3: H holds T1 T3 = A^3, an element of N of order 3
-    ("GRP-HN-TRIVIAL", "ELEMENTS", {**verify.ELEMENTS, "T1": "A^3 T3"},
-     "order-3 element found in the list"),
-    ("GRP-PSI-G1", "ELEMENTS", {**verify.ELEMENTS, "B": B_SQUARED}, "G1 != A^5 B^2 * T3"),
-    ("GRP-PSI-G2", "ELEMENTS", {**verify.ELEMENTS, "B": B_SQUARED}, "G2 != A^-1 B * T3 T1 T3"),
-    ("GRP-SEMIDIRECT", "ELEMENTS", {**verify.ELEMENTS, "T1": "A^3 T3"},
-     "order-3 element found in the list"),
+    ("GRP-HN-TRIVIAL", "ELEMENTS", {**verify.ELEMENTS, "T1": "A^3 T3"}, "T1 T3 = A^3"),
+    ("GRP-PSI-G1", "ELEMENTS", {**verify.ELEMENTS, "B": B_SQUARED}, "G1 != A^5 B^2 T3"),
+    ("GRP-PSI-G2", "ELEMENTS", {**verify.ELEMENTS, "B": B_SQUARED}, "G2 != A^-1 B T3 T1 T3"),
+    ("GRP-SEMIDIRECT", "ELEMENTS", {**verify.ELEMENTS, "T1": "A^3 T3"}, "T1 T3 = A^3"),
 ]
 
 
@@ -229,9 +328,9 @@ def test_exact_products_per_check(monkeypatch):
         finally:
             current.pop()
 
-    def tagged(ctx, check_id, fn):
+    def tagged(ctx, check_id, witness):
         current.append(check_id)
-        return run_check(ctx, check_id, fn)
+        return run_check(ctx, check_id, witness)
 
     def closing(generators, cap):
         closed.append(len(generators))
@@ -332,8 +431,8 @@ def test_presentation_rows_with_ab_commute_present_order_162():
         return w
 
     rows = verify.IDENTITIES["GRP-PRESENTATION"] + verify.IDENTITIES["GRP-AB-COMMUTE"]
-    assert all(holds for _, holds, _, _ in rows)
-    relators = [word(lhs) * word(rhs) ** -1 for lhs, _, rhs, _ in rows]
+    assert all(holds for _, holds, _ in rows)
+    relators = [word(lhs) * word(rhs) ** -1 for lhs, _, rhs in rows]
     cosets = coset_enumeration_r(FpGroup(free, relators), [])
     cosets.compress()
     assert len(cosets.table) == 162
@@ -415,7 +514,7 @@ def _oracle_rows(names, v):
             out = factor if out is None else _matmul(out, factor)
         return out
 
-    return [product(lhs) == product(rhs) for lhs, _, rhs, _ in verify.IDENTITIES["GRP-ISO-D91211"]]
+    return [product(lhs) == product(rhs) for lhs, _, rhs in verify.IDENTITIES["GRP-ISO-D91211"]]
 
 
 def test_conjugacy_rows_hold_in_sympy(oracle_names):
