@@ -114,13 +114,14 @@ MAX_WORKING_ORDER = 4096
 # it row by row, holding only the rows still waiting for their tree
 # children.  Measured on a 2-vCPU Xeon VM, Python 3.11.7, cold processes
 # (3 runs each), peak RSS from `wait4`: both exports of an order-2592 group
-# (`familyD 36 1 1 2 1 1`) take 0.54-0.59 s and 23 MB, and of order 4050
+# (`familyD 36 1 1 2 1 1`) take 0.20 s and 23 MB, and of order 4050
 # (`familyD 45 1 1 2 1 1`, the largest D(n,1,1;2,1,1) under the cap)
-# 1.2-1.5 s and 30 MB.  Closure time grows with the elements closed and
+# 0.37-0.41 s and 30 MB.  Closure time grows with the elements closed and
 # with the working order.  Worst case at the bound: `group --from familyD
-# 1021 1 1 4084 1 1`, working order 4084, reaches the cap in 1.2-1.9 s and
-# 69 MB (9 runs, wall time drifting with the host; 3.4-3.5 s and 119 MB
-# when the closure also multiplied by the inverse generators).
+# 1021 1 1 4084 1 1`, working order 4084, reaches the cap in 0.41-0.44 s
+# and 20 MB; it took 69 MB when the closure keyed each product by its key
+# text, about 12.5 KB at that order, and 119 MB when it also multiplied by
+# the inverse generators.
 MAX_GROUP_CAP = 4096
 
 

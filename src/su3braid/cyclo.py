@@ -12,9 +12,12 @@ Values are interned: every constructor ends in one table lookup, so a
 canonical (order, nums, den) is one object, and zero is ``Cyclo.zero()``
 itself.  Each object carries a serial id from a module counter, and the
 product and sum memos are keyed by the pair of operand ids, so a memo hit
-hashes two ints and never calls ``__hash__`` or ``__eq__``; :func:`dot`,
-the entry of a matrix product, sums over those memos.  Ids are never
-reused, so clearing the tables could not alias an old memo entry.
+hashes two ints and never calls ``__hash__`` or ``__eq__``; a matrix
+product sums over those memos (see :func:`dot`).  At one order the
+interning is also an identity test: two values held there are equal
+exactly when they are one object, so the group closure names a matrix by
+the serial ids of its entries.  Ids are never reused, so clearing the
+tables could not alias an old memo entry or a closure's key.
 Nothing clears them yet: the intern table, like the memos, grows for the
 life of the process, and it keeps every value ever built, conjugates,
 Galois images and embeddings included; every CLI process measured keeps
@@ -56,9 +59,9 @@ and the operation memos are insert-only dicts whose entries are idempotent,
 safe for concurrent reads once built.  Two threads interning one value at
 once may each build an object; ``dict.setdefault`` keeps the first stored,
 and both return it, so a race costs one discarded object and never a memo
-hit.  Were a second object of one value ever to escape (say, from a cleared
-table), it would still be equal by value and would only miss the memo
-entries keyed by the first.
+hit.  A second object of one value must never escape (say, from a cleared
+table): it would still be equal by value, but a closure meeting both would
+count one group element twice.
 """
 
 from __future__ import annotations
@@ -590,7 +593,9 @@ def dot(xs: Iterable[Cyclo], ys: Iterable[Cyclo]) -> Cyclo:
     the order at which a sum that passes through a rational is held), and
     0 when there is none.  Zero is tested by identity and every product
     and partial sum is first looked up in the memos, so a hit makes no
-    Python-level call."""
+    Python-level call.  A minor of `UnitaryMatrix.det` is one; a matrix
+    product forms each entry of its rows as the same sum, in the same
+    order, so each entry is this function's interned result."""
     acc = None
     for x, y in zip(xs, ys):
         if x is _ZERO or y is _ZERO:

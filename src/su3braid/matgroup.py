@@ -1,9 +1,11 @@
 """Finite matrix-group engine over exact cyclotomic scalars.
 
 Groups are closed element sets built by breadth-first multiplication from
-a generator list.  Equality of elements is byte-exact on canonical scalar
-coefficients; no floating point enters any decision.  Inverses are
-conjugate transposes, which is exact because every element is unitary.
+a generator list.  Every entry is held at one working order, where each
+value is one interned scalar object, so the closure tells elements apart
+by the serial ids of their entries and that is exact equality; no
+floating point enters any decision.  Inverses are conjugate transposes,
+which is exact because every element is unitary.
 
 An element is named by its index in its group (0 is the identity), and
 every operation takes and returns indices of the group it is called on;
@@ -58,7 +60,7 @@ class FiniteMatrixGroup:
     provenance (element i is generator `_bfs_mult[i]` times element
     `_bfs_parent[i]`) and the left-multiplication action of every signed
     generator as a permutation of element indices.  The Cayley table is
-    composed from these integers (`_rows`).
+    composed from these integers (`cayley_csv_lines`).
     """
 
     def __init__(
@@ -98,11 +100,11 @@ _TABLE_SAMPLE = 256
 
 
 def _certify(group: FiniteMatrixGroup) -> None:
-    """Soundness guard for the table T that `_rows` derives from the
-    closure's record, run on that record before any row is built: integer
-    passes, then a fixed-seed sample of direct exact products.  Its passes
-    run in order, and the first that fails raises a `CayleyTableError`
-    naming the element, generator or entry involved.
+    """Soundness guard for the table T that `cayley_csv_lines` derives from
+    the closure's record, run on that record before any row is built:
+    integer passes, then a fixed-seed sample of direct exact products.
+    Its passes run in order, and the first that fails raises a
+    `CayleyTableError` naming the element, generator or entry involved.
 
     Row 0 of T is the identity and row i is s_i = l_m o s_p, where element
     i was first reached as generator m times element p (m = `_bfs_mult[i]`,
@@ -196,34 +198,13 @@ def _entries(group: FiniteMatrixGroup, i: int, xs: Sequence[int]) -> list[int]:
     return list(xs)
 
 
-def _rows(group: FiniteMatrixGroup) -> Iterator[tuple[int, ...]]:
-    """The rows of the Cayley table in index order, certified by `_certify`
-    at the call, before the first row is built.  Row i is the action of
-    `_bfs_mult[i]` applied to the row of `_bfs_parent[i]`, and a row is
-    dropped once its last tree child is built, so only the rows of the
-    tree's frontier are held."""
-    _certify(group)
-    parent, mult, actions = group._bfs_parent, group._bfs_mult, group._actions
-    last = {p: i for i, p in enumerate(parent)}  # each parent's last child
-    held: dict[int, tuple[int, ...]] = {}
-
-    def row(i: int) -> tuple[int, ...]:
-        if i:
-            p = parent[i]
-            # one C-level gather; from order 2 on a row holds two or more
-            # indices, so itemgetter gives a tuple
-            r = itemgetter(*(held.pop(p) if last[p] == i else held[p]))(actions[mult[i]])
-        else:
-            r = tuple(range(group.order))
-        if i in last:
-            held[i] = r
-        return r
-
-    return map(row, range(group.order))
-
-
 # ---------------------------------------------------------------------------
 # closure
+
+
+def _entry_ids(m: UnitaryMatrix) -> tuple[int, ...]:
+    """The serial ids of m's entries, row by row."""
+    return tuple([v._id for row in m.rows for v in row])
 
 
 def close(
@@ -251,36 +232,37 @@ def close(
             raise ValueError("generators must share a dimension")
         order = math.lcm(order, g.scalar_order())
     embedded = [g.embed(order) for g in generators]
-    gen_keys = [g.key_bytes() for g in embedded]
-    identity = UnitaryMatrix.identity(dim)
-    matrices = [identity]
-    keys = [identity.key_bytes()]
-    index = {keys[0]: 0}
+    # at one working order every entry is the one interned object of its
+    # value (see su3braid.cyclo), so its entries' serial ids name a matrix
+    gen_ids = [_entry_ids(g) for g in embedded]
+    matrices = [UnitaryMatrix.identity(dim)]
+    index = {_entry_ids(matrices[0]): 0}
     # row[x] is the index of g * matrices[x]; a repeated generator shares
     # its row
-    rows: dict[bytes, list[int]] = {k: [] for k in gen_keys}
-    steps = [(g, rows[k]) for k, g in dict(zip(gen_keys, embedded)).items()]
+    rows: dict[tuple[int, ...], list[int]] = {k: [] for k in gen_ids}
+    steps = [(g, rows[k]) for k, g in dict(zip(gen_ids, embedded)).items()]
     for m in matrices:  # the list grows as the loop walks it
         for g, row in steps:
             product = g * m
-            key = product.key_bytes()
+            key = _entry_ids(product)
             x = index.get(key)
             if x is None:
-                if len(keys) == cap:
+                if len(matrices) == cap:
                     raise GroupTooLargeError(
                         f"closure exceeded cap={cap}; generators may not span a finite group"
                     )
-                x = index[key] = len(keys)
-                keys.append(key)
+                x = index[key] = len(matrices)
                 matrices.append(product)
             row.append(x)
+    # the key text, built for the elements only: it orders each BFS layer
+    keys = [m.key_bytes() for m in matrices]
 
     # each signed generator's row, an inverse's being its generator's row
     # inverted; a signed generator multiplying by the same element as an
     # earlier one (an involution's inverse, a repeated generator) takes no
     # part in the words
     signed_rows: dict[int, list[int]] = {}
-    for i, k in enumerate(gen_keys, 1):
+    for i, k in enumerate(gen_ids, 1):
         inverse = [0] * len(keys)
         for x, y in enumerate(rows[k]):
             inverse[y] = x
@@ -314,7 +296,7 @@ def close(
             bfs_parent.append(p)
     return FiniteMatrixGroup(
         order, tuple(matrices[x] for x in reached), tuple(keys[x] for x in reached),
-        tuple(words), tuple(at[rows[k][0]] for k in gen_keys),
+        tuple(words), tuple(at[rows[k][0]] for k in gen_ids),
         tuple(bfs_mult), tuple(bfs_parent),
         {signed: tuple(at[row[x]] for x in reached) for signed, row in signed_rows.items()},
     )
@@ -436,26 +418,27 @@ def elements_json(
 def _record_texts(group: FiniteMatrixGroup, words: list[str]) -> Iterator[str]:
     """The pieces of `elements_json`, given each element's word already
     rendered and JSON-encoded."""
-    # keyed by canonical bytes, not by value: `to_dict` prints the order, so
-    # equal values held at different orders render differently
-    fragments: dict[bytes, tuple[str, str]] = {}
+    # keyed by serial id, one per canonical (order, nums, den), not by
+    # value: `to_dict` prints the order, so equal values held at different
+    # orders render differently
+    fragments: dict[int, tuple[str, str]] = {}
     # each distinct matrix row rendered once, exact and approx, keyed the
-    # same way by its entries' bytes
-    row_texts: dict[tuple[bytes, ...], tuple[str, str]] = {}
+    # same way by its entries' ids
+    row_texts: dict[tuple[int, ...], tuple[str, str]] = {}
     # an entry sits at indent 10: inside the list, record, matrix, rows and row
     pad = "\n" + " " * 10
     for i, (key, word, m) in enumerate(zip(group.keys, words, group.matrices)):
         exact_rows, approx_rows = [], []
         for row in m.rows:
-            row_key = tuple([v.key_bytes() for v in row])
+            row_key = tuple([v._id for v in row])
             text = row_texts.get(row_key)
             if text is None:
                 exact, approx = [], []
                 for v in row:
-                    fragment = fragments.get(v.key_bytes())
+                    fragment = fragments.get(v._id)
                     if fragment is None:
                         d = v.to_dict()
-                        fragment = fragments[v.key_bytes()] = (
+                        fragment = fragments[v._id] = (
                             json.dumps(d, indent=2).replace("\n", pad),
                             json.dumps(d["approx"], indent=2).replace("\n", pad),
                         )
@@ -480,11 +463,34 @@ def _record_texts(group: FiniteMatrixGroup, words: list[str]) -> Iterator[str]:
 def cayley_csv_lines(group: FiniteMatrixGroup) -> Iterator[str]:
     """The Cayley table as CSV, one newline-terminated line per row.
 
-    The table is certified here, before the lines are returned, so a
-    `CayleyTableError` fails the call, before a writer opens its file; each
-    row is then built and rendered as it is consumed, and neither the
-    table nor the text is ever held whole."""
-    # one label per element, not one str(int) per table entry; with one
-    # element itemgetter gives the label "0" itself, which joins to "0"
-    labels = [str(i) for i in range(group.order)]
-    return (",".join(itemgetter(*row)(labels)) + "\n" for row in _rows(group))
+    The table is certified here (`_certify`), before the lines are
+    returned, so a `CayleyTableError` fails the call, before a writer opens
+    its file; each line is then built as it is consumed, and neither the
+    table nor the text is ever held whole.
+
+    Row i of the table is the action of `_bfs_mult[i]` applied to the row
+    of `_bfs_parent[i]`, so line i gathers, through its parent's row, from
+    that action with its targets already mapped to labels.  The gather is
+    one itemgetter per parent, shared by its children, and is dropped once
+    its last child is built: only the rows of the tree's frontier are held,
+    and an integer row is built only for an element with children."""
+    _certify(group)
+    n = group.order
+    parent, mult, actions = group._bfs_parent, group._bfs_mult, group._actions
+    labels = [str(i) for i in range(n)]
+    labelled = {s: list(map(labels.__getitem__, action)) for s, action in actions.items()}
+    last = {p: i for i, p in enumerate(parent)}  # each parent's last child
+    # from order 2 on a row holds two or more indices, so a gather gives a
+    # tuple; the one row of order 1 has no children
+    gathers = {0: itemgetter(*range(n))} if n > 1 else {}
+
+    def line(i: int) -> str:
+        if not i:
+            return ",".join(labels) + "\n"
+        p, m = parent[i], mult[i]
+        gather = gathers.pop(p) if last[p] == i else gathers[p]
+        if i in last:
+            gathers[i] = itemgetter(*gather(actions[m]))
+        return ",".join(gather(labelled[m])) + "\n"
+
+    return map(line, range(n))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .cyclo import Cyclo, CycloLike, _coerce, dot
+from .cyclo import _ADD_MEMO, _MUL_MEMO, _ONE, _ZERO, Cyclo, CycloLike, _coerce, dot
 
 
 class NotUnitaryError(ValueError):
@@ -88,12 +88,45 @@ class UnitaryMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        # each entry sums its nonzero products in index order through the
-        # scalar memos (see cyclo.dot); lists build faster than generators
-        columns = tuple(zip(*other.rows))
-        return UnitaryMatrix._make(
-            tuple([tuple([dot(row, column) for column in columns]) for row in self.rows])
-        )
+        # row i of the product is the sum, for increasing k, of a * (row k of
+        # other) over the nonzero a = self[i][k], so each entry adds its
+        # nonzero products in index order through the scalar memos, as `dot`
+        # does, and is the same interned object.  A zero entry of the running
+        # sum takes the next product as it is (0 + p is p).  A row whose one
+        # nonzero entry is 1 is the other's row tuple itself, and a row with
+        # one nonzero entry scales one row and adds nothing
+        mul_memo, add_memo = _MUL_MEMO, _ADD_MEMO
+        other_rows = other.rows
+        rows = []
+        for row in self.rows:
+            acc = None
+            k = -1  # a plain counter: a zip or range per row measured slower here
+            for a in row:
+                k += 1
+                if a is _ZERO:
+                    continue
+                if a is _ONE:
+                    scaled = other_rows[k]
+                else:
+                    aid = a._id
+                    scaled = [
+                        _ZERO if y is _ZERO
+                        else hit if (hit := mul_memo.get((aid, y._id))) is not None
+                        else a * y
+                        for y in other_rows[k]
+                    ]
+                if acc is None:
+                    acc = scaled
+                else:
+                    acc = [
+                        y if x is _ZERO
+                        else x if y is _ZERO
+                        else hit if (hit := add_memo.get((x._id, y._id))) is not None
+                        else x + y
+                        for x, y in zip(acc, scaled)
+                    ]
+            rows.append((_ZERO,) * self.dim if acc is None else tuple(acc))
+        return UnitaryMatrix(tuple(rows), True)  # `_make` without its call
 
     def __pow__(self, exponent: int) -> "UnitaryMatrix":
         """Binary powering from the first factor, not from the identity:
@@ -161,7 +194,9 @@ class UnitaryMatrix:
             a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
         )
 
-    __hash__ = None  # in a group, hash an element by its key_bytes or use its index
+    # in a group, use an element's index; `matgroup.close` keys a product by
+    # its entries' serial ids, which name it at one working order
+    __hash__ = None
 
     def scalar_order(self) -> int:
         """Smallest cyclotomic order containing every entry."""
@@ -180,7 +215,8 @@ class UnitaryMatrix:
 
     def key_bytes(self) -> bytes:
         """Canonical byte key: entry representations are unique per value,
-        so equal matrices built from a common working order share keys."""
+        so equal matrices built from a common working order share keys.  A
+        group's element order and its exports read this text."""
         return b"%d|" % self.dim + b";".join(v.key_bytes() for row in self.rows for v in row)
 
     def to_dict(self) -> dict:

@@ -1,5 +1,5 @@
-"""Test-side oracles on closed groups: the Cayley table collected from the
-engine's certified rows, subgroups as member sets closed on it, and the
+"""Test-side oracles on closed groups: the Cayley table read back from the
+engine's certified CSV export, subgroups as member sets closed on it, and the
 structural queries read off it (normality, intersections, abelian
 invariants, semidirect certificates, ``n*h`` factorizations), element
 orders by matrix powers, conjugacy classes, an isomorphism search verified
@@ -50,11 +50,13 @@ _INVERSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def cayley_table(group: mg.FiniteMatrixGroup) -> list[list[int]]:
     """Full multiplication table; entry [i][j] is the element index of
-    element(i) * element(j), collected from the engine's rows, which
+    element(i) * element(j), parsed from the lines of the CSV export, which
     `_certify` guards before the first is built.  Built once per group."""
     table = _TABLES.get(group)
     if table is None:
-        table = _TABLES[group] = [list(row) for row in mg._rows(group)]
+        table = _TABLES[group] = [
+            [int(x) for x in line.split(",")] for line in mg.cayley_csv_lines(group)
+        ]
     return table
 
 

@@ -1,9 +1,10 @@
-"""Test-side oracles on matrices: the determinant as the Leibniz sum over
-all permutations, and the monic characteristic polynomial by the
-Faddeev-LeVerrier recursion.  The recursion multiplies by the shifted
-matrices M_k + b_k I, which are not unitary, so the product and
-determinant tests read them too.  `verify` proves the generators' equal
-characteristic polynomials from the braid relation; these compute them."""
+"""Test-side oracles on matrices: the product as the dense schoolbook
+triple loop, the determinant as the Leibniz sum over all permutations, and
+the monic characteristic polynomial by the Faddeev-LeVerrier recursion.
+The recursion multiplies by the shifted matrices M_k + b_k I, which are
+not unitary, so the product and determinant tests read them too.
+`verify` proves the generators' equal characteristic polynomials from the
+braid relation; these compute them."""
 
 from __future__ import annotations
 
@@ -11,6 +12,22 @@ from itertools import permutations
 
 from su3braid.cyclo import Cyclo
 from su3braid.matrix import UnitaryMatrix
+
+
+def schoolbook_mul(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
+    """The full triple loop: every sum starts at the index-0 product and
+    adds all dim products, zero factors included."""
+    bcols = tuple(zip(*b.rows))
+    out = []
+    for arow in a.rows:
+        line = []
+        for bcol in bcols:
+            acc = arow[0] * bcol[0]
+            for x, y in zip(arow[1:], bcol[1:]):
+                acc = acc + x * y
+            line.append(acc)
+        out.append(tuple(line))
+    return UnitaryMatrix._make(tuple(out))
 
 
 def _perm_sign(perm):

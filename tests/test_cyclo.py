@@ -352,6 +352,34 @@ def test_equal_canonical_values_are_one_object():
     assert root_of_unity(4) == root_of_unity(8, 2) and root_of_unity(4) is not root_of_unity(8, 2)
 
 
+def test_equal_values_at_one_working_order_are_one_object():
+    # the closure names a matrix by its entries' serial ids, which is exact
+    # only if every path to a value held at the working order ends at one
+    # object: a product, an embedding, a root of unity, a sum whose partial
+    # sum is rational, and `dot`, whose zero factors are skipped
+    z = root_of_unity(72)
+    target = root_of_unity(72, 21)
+    half = Fraction(1, 2)
+    through_rational = z ** 21 + (half - target)
+    assert through_rational is Cyclo.rational(half)
+    paths = [
+        root_of_unity(72, 10) * root_of_unity(72, 11),
+        z ** 21,
+        root_of_unity(24, 7).embed(72),
+        root_of_unity(72, 21 + 72 * 3),
+        (through_rational + target) - half,
+        dot([z ** 20, Cyclo.zero(), sqrt2(72)], [z, z, Cyclo.zero()]),
+        target.conj().conj(),
+        target * Fraction(2, 3) * Fraction(3, 2),
+    ]
+    assert [v is target for v in paths] == [True] * len(paths)
+    assert {v._id for v in paths} == {target._id}
+    # a value with several terms and a denominator, reached two ways
+    x = Fraction(3, 7) * z ** 17 - root_of_unity(8).embed(72)
+    y = (z ** 17 - Fraction(7, 3) * root_of_unity(72, 9)) * Fraction(3, 7)
+    assert x is y and x.order == 72
+
+
 def _reference_dot(xs, ys):
     acc = xs[0] * ys[0]
     for x, y in zip(xs[1:], ys[1:]):

@@ -1255,7 +1255,9 @@ def _reference_close(generators, cap=100_000):
     transpose, in one layered loop of its own.  A signed generator equal
     to an earlier one shares its slot; each layer keeps the least word per
     new key, is checked against the cap and is appended in key order, and
-    the action entries that reached a new element are filled in after."""
+    the action entries that reached a new element are filled in after.  It
+    tells matrices apart by their key text, where `close` reads the serial
+    ids of their entries."""
     order = math.lcm(*(g.scalar_order() for g in generators))
     distinct, slot_of_key, slot_of_signed, generator_keys = [], {}, {}, []
     for i, g in enumerate(generators, 1):
@@ -1321,6 +1323,15 @@ CLOSURE_INPUTS = {
     "[g, g]": lambda: [paper_generators()[0]] * 2,
     "[g, g^-1]": lambda: [paper_generators()[1] ** k for k in (1, -1)],
     "[I]": lambda: [UnitaryMatrix.identity(3)],
+    # one generator held at twice its order: both embed into order 144, where
+    # they are one matrix
+    "[g, g at order 144]": lambda: [paper_generators()[0], paper_generators()[0].embed(144)],
+    # 2x2 generators at orders 4, 3 and 1 closing at working order 12
+    "orders 4, 3 and 1": lambda: [
+        UnitaryMatrix.diagonal([root_of_unity(4), root_of_unity(4, 3)]),
+        UnitaryMatrix.diagonal([root_of_unity(3), root_of_unity(3, 2)]),
+        UnitaryMatrix.from_rows([[0, 1], [-1, 0]]),
+    ],
 }
 
 
@@ -1332,6 +1343,23 @@ def test_close_matches_the_signed_matrix_closure(name):
     assert group.generators == ref.generators
     assert group.working_order == ref.working_order
     assert group.matrices == ref.matrices
+
+
+@pytest.mark.parametrize("name", [*CLOSURE_INPUTS, "familyD 45"])
+def test_close_orders_each_layer_by_key_text(name):
+    # the closure tells products apart by their entries' serial ids; the key
+    # text, built afterwards for the elements alone, still fixes the order
+    if name == "familyD 45":
+        group = mg.close(d_generators(DParams(CParams(45, 1, 1), 2, 1, 1)))
+        assert group.order == 4050
+    else:
+        group = mg.close(CLOSURE_INPUTS[name]())
+    assert list(group.keys) == [m.key_bytes() for m in group.matrices]
+    assert len(set(group.keys)) == group.order
+    assert [len(w) for w in group.words] == sorted(len(w) for w in group.words)
+    for _, layer in itertools.groupby(range(group.order), key=lambda i: len(group.words[i])):
+        keys = [group.keys[i] for i in layer]
+        assert keys == sorted(keys), name
 
 
 def test_close_over_the_cap_fails_as_the_signed_closure(paper_matrices):

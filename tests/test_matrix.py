@@ -1,6 +1,6 @@
-"""The sparse exact 3x3 product, the cached matrix keys and the minor
-expansion determinant against the plain triple loop, the per-entry key
-formatter and the Leibniz sum they replace, also on the non-unitary
+"""The row-by-row exact product, the cached matrix keys and the minor
+expansion determinant against the plain triple loop and `dot`, the
+per-entry key formatter and the Leibniz sum, also on the non-unitary
 shifted matrices of the characteristic polynomial oracle."""
 
 import random
@@ -8,27 +8,13 @@ from fractions import Fraction
 
 import matrix_oracles
 import pytest
-from matrix_oracles import charpoly, leibniz_det
+from hypothesis import given
+from hypothesis import strategies as st
+from matrix_oracles import charpoly, leibniz_det, schoolbook_mul
 
 from su3braid import braidrep, recoupling
-from su3braid.cyclo import Cyclo, root_of_unity, sqrt2
+from su3braid.cyclo import Cyclo, dot, root_of_unity, sqrt2
 from su3braid.matrix import NotUnitaryError, UnitaryMatrix
-
-
-def _reference_mul(a, b):
-    """The full triple loop: every sum starts at the index-0 product and
-    adds all three products, zero factors included."""
-    bcols = tuple(zip(*b.rows))
-    out = []
-    for arow in a.rows:
-        line = []
-        for bcol in bcols:
-            acc = arow[0] * bcol[0]
-            for x, y in zip(arow[1:], bcol[1:]):
-                acc = acc + x * y
-            line.append(acc)
-        out.append(tuple(line))
-    return UnitaryMatrix._make(tuple(out))
 
 
 def _reference_key(m):
@@ -44,7 +30,7 @@ def _representation(m):
 
 
 def _assert_same_product(a, b):
-    product, reference = a * b, _reference_mul(a, b)
+    product, reference = a * b, schoolbook_mul(a, b)
     assert product == reference
     assert _representation(product) == _representation(reference)
     assert product.key_bytes() == _reference_key(reference)
@@ -102,12 +88,60 @@ def test_product_matches_triple_loop_on_mixed_order_entries():
             _assert_same_product(a, b)
 
 
+# entries for drawn factors: the 72nd roots of unity (the phases of a
+# monomial row), working-order values with several terms and rationals,
+# which are held at order 1 beside them
+_PHASES = [root_of_unity(72, k) for k in range(72)]
+_WORKING = [
+    root_of_unity(72, 5), root_of_unity(72, 9) + root_of_unity(72, 40), sqrt2(72),
+    Fraction(3, 7) * root_of_unity(72, 17) - root_of_unity(72, 9),
+]
+_RATIONALS = [Cyclo.one(), Cyclo.rational(-1), Cyclo.rational(Fraction(-2, 3)), Cyclo.rational(3)]
+
+
+def _drawn_row(dim):
+    """A row that is all zero but one 1, all zero but one phase, dense, or
+    a mix of zeros, rationals and working-order values."""
+    zero = Cyclo.zero()
+
+    def single(k, v):
+        return tuple(v if j == k else zero for j in range(dim))
+
+    position = st.integers(0, dim - 1)
+    return st.one_of(
+        position.map(lambda k: single(k, Cyclo.one())),
+        st.builds(single, position, st.sampled_from(_PHASES)),
+        st.tuples(*[st.sampled_from(_WORKING + _RATIONALS)] * dim),
+        st.tuples(*[st.sampled_from([zero, *_WORKING[:2], *_RATIONALS])] * dim),
+    )
+
+
+def _drawn_matrix(dim):
+    return st.tuples(*[_drawn_row(dim)] * dim).map(UnitaryMatrix._make)
+
+
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(_drawn_matrix(dim), _drawn_matrix(dim))))
+def test_product_entries_are_the_interned_dot_of_row_and_column(factors):
+    a, b = factors
+    product = a * b
+    columns = list(zip(*b.rows))
+    for row, out in zip(a.rows, product.rows):
+        assert [entry._id for entry in out] == [dot(row, column)._id for column in columns]
+        nonzero = [k for k, v in enumerate(row) if not v.is_zero()]
+        if len(nonzero) == 1 and row[nonzero[0]] is Cyclo.one():
+            assert out is b.rows[nonzero[0]]  # the other's row itself, no scalar product
+    reference = schoolbook_mul(a, b)
+    assert [[v._id for v in row] for row in product.rows] == [
+        [v._id for v in row] for row in reference.rows
+    ]
+
+
 def test_charpoly_intermediates_match_triple_loop(paper_matrices, family_648, monkeypatch):
     # charpoly multiplies by M_k + b_k I, which is not unitary
     matrices = list(paper_matrices) + _mixed_matrices(3, 10)
     matrices += list(family_648.matrices[::97])
     sparse = [charpoly(m) for m in matrices]
-    monkeypatch.setattr(UnitaryMatrix, "__mul__", _reference_mul)
+    monkeypatch.setattr(UnitaryMatrix, "__mul__", schoolbook_mul)
     dense = [charpoly(m) for m in matrices]
     assert sparse == dense
     assert [[(v.order, v.nums, v.den) for v in c] for c in sparse] == [
