@@ -1,15 +1,16 @@
+import contextlib
 import hashlib
 import io
 import json
 import os
-import subprocess
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import group_oracles
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_console import C648_SHA256, _console
 
 from su3braid import cli, cyclo, verify
 from su3braid import matgroup as mg
@@ -138,10 +139,10 @@ def test_cli_verify_other_failures_keep_exit_1(monkeypatch, capsys):
         assert "[FAIL] REP-BRAID: braid relation G1 G2 G1 = G2 G1 G2" in captured.out
 
 
-# -- the console pins of the CI workflow, computed in process ---------------
-# Each digest is of what the workflow's `python -c` line prints, its final
-# newline included: the exact part of an output (orders and coefficients),
-# floats left out.
+# -- the output pins of the command line, computed in process ---------------
+# Each digest is of the exact part of an output (orders and coefficients),
+# floats left out, printed one value after another, its final newline
+# included.  test_console bounds the time of the slowest runs.
 
 
 def _printed_sha256(*values, sep=" "):
@@ -179,9 +180,7 @@ def test_order_648_export_digests(tmp_path, capsys):
     assert main(["group", "--from", "familyD", "18", "1", "1", "2", "1", "1",
                  "--emit-elements", str(elements), "--emit-cayley", str(cayley)]) == 0
     assert capsys.readouterr().out.startswith("order: 648\n")
-    assert hashlib.sha256(cayley.read_bytes()).hexdigest() == (
-        "58c55d0f0d774a7dccd6cdeda2520124ee63dba0a91d036274946434d235ebb9"
-    )
+    assert hashlib.sha256(cayley.read_bytes()).hexdigest() == C648_SHA256
     records = (
         " ".join([str(r["index"]), r["key"], r["word"],
                   *(_exact(v) for row in r["matrix"]["rows"] for v in row)])
@@ -421,25 +420,13 @@ def test_export_writes_through_a_symlink(tmp_path, family_group):
     assert target.read_text() == "".join(mg.cayley_csv_lines(family_group))
 
 
-def _run_child(argv, **kwargs):
-    """`python -m su3braid` with `argv` in a child process, whose fd 1 the
-    caller chooses, so that opening /dev/stdout neither truncates a capture
-    file nor bypasses one."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "su3braid", *argv], env=env, text=True, timeout=60, **kwargs
-    )
-
-
 C3_TO_DEV_STDOUT = ["group", "--from", "familyC", "1", "0", "0", "--emit-cayley", "/dev/stdout"]
 
 
-def test_cayley_export_to_dev_stdout():
-    proc = _run_child(C3_TO_DEV_STDOUT, capture_output=True)  # fd 1 is a pipe
-    assert proc.returncode == 0, proc.stderr
-    assert "0,1,2\n1,2,0\n2,0,1\n" in proc.stdout
+def test_cayley_export_to_dev_stdout(tmp_path):
+    code, out, err, _ = _console(tmp_path, *C3_TO_DEV_STDOUT)  # fd 1 is a pipe
+    assert code == 0, err
+    assert "0,1,2\n1,2,0\n2,0,1\n" in out
 
 
 def test_dev_stdout_with_stdout_on_a_file(tmp_path):
@@ -447,21 +434,21 @@ def test_dev_stdout_with_stdout_on_a_file(tmp_path):
     # written from offset 0, and the printed lines overwrote part of the table
     out = tmp_path / "out.txt"
     with open(out, "w") as fh:
-        proc = _run_child(C3_TO_DEV_STDOUT, stdout=fh, stderr=subprocess.PIPE)
-    assert proc.returncode == 0, proc.stderr
+        code, _, err, _ = _console(tmp_path, *C3_TO_DEV_STDOUT, stdout=fh)
+    assert code == 0, err
     assert out.read_text() == (
         "order: 3\n0,1,2\n1,2,0\n2,0,1\ncayley table written to /dev/stdout\n"
     )
     with open(out, "w") as fh:
-        proc = _run_child(["verify", "--json", "/dev/stdout"], stdout=fh, stderr=subprocess.PIPE)
-    assert proc.returncode == 0, proc.stderr
+        code, _, err, _ = _console(tmp_path, "verify", "--json", "/dev/stdout", stdout=fh)
+    assert code == 0, err
     lines, _, report = out.read_text().partition("overall: PASS\n")
     assert len(lines.splitlines()) == len(CHECK_IDS) + 1  # the checks and the info line
     assert VerificationReport.from_json(report).overall
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
-def test_closed_pipe_on_stdout_and_stderr_exits_2(monkeypatch, unbuffered):
+def test_closed_pipe_on_stdout_and_stderr_exits_2(tmp_path, monkeypatch, unbuffered):
     # the error line went to the same closed pipe, and that write raised
     # again, so the exit status was 1, the verify-FAIL code (or 120 from the
     # flush at exit when stdout is buffered)
@@ -469,11 +456,11 @@ def test_closed_pipe_on_stdout_and_stderr_exits_2(monkeypatch, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = _run_child(["query", "sixj", "2", "2", "2", "2", "2", "2"],
-                          stdout=write_end, stderr=write_end)
+        code, *_ = _console(tmp_path, "query", "sixj", "2", "2", "2", "2", "2", "2",
+                            stdout=write_end, stderr=write_end)
     finally:
         os.close(write_end)
-    assert proc.returncode == 2
+    assert code == 2
 
 
 def test_paper_group_export_has_162_records(tmp_path, paper_group):
@@ -493,6 +480,8 @@ def test_cli_verify_json(tmp_path, capsys):
     assert "overall: PASS" in captured
     report = VerificationReport.from_json(path.read_text())
     assert report.overall
+    assert tuple(c.id for c in report.checks) == CHECK_IDS
+    assert report.info == {"braid_image_conjugate_to_family_in_SU3": True}
 
 
 def test_cli_verify_unwritable_json_exits_2(tmp_path, capsys):
@@ -540,3 +529,78 @@ def test_cli_verify_cap_below_1_exits_2(capsys):
         captured = capsys.readouterr()
         assert captured.err == "error: --cap must be positive\n"
         assert captured.out == ""  # refused before the checklist runs
+
+
+# -- the parser's grammar, drawn ---------------------------------------------
+# Every argument vector the parser accepts exits 0, 1 or 2, soon and without
+# a traceback.  The integers are boundary and negative values of a small
+# range, or huge ones.  The family parameters stay at 5 or less, so that no
+# draw closes a large group: at working order 60 or less, even a closure
+# that passes the 4096 cap takes about 35 ms.
+
+_HUGE = st.sampled_from([-(10**30), -(2**63), 2**63, 10**30])
+
+
+def _ints(low, high):
+    # one draw in eight is huge, so that a command with six parameters
+    # still draws all six from the small range now and then
+    small = st.integers(low, high)
+    return st.sampled_from([small] * 7 + [_HUGE]).flatmap(lambda ints: ints)
+
+
+_R = _ints(-1, cli.MAX_R + 1)
+_LABEL = _ints(-1, cli.MAX_R)
+_FAMILY = _ints(-1, 5)
+_PHASE = st.tuples(_ints(-2, 9), _ints(-2, 9)).map("{0[0]}/{0[1]}".format) | _ints(-2, 9)
+
+
+@st.composite
+def _argvs(draw):
+    def values(strategy, arity, min_size=1):
+        # as many as the command takes, or another count
+        size = draw(st.just(arity) | st.integers(min_size, 7))
+        argv.extend(str(draw(strategy)) for _ in range(size))
+
+    def option(name, strategy):
+        # NAME=VALUE, so that a value such as "-1/3" is not read as an option
+        if draw(st.booleans()):
+            argv.append(f"{name}={draw(strategy)}")
+
+    argv = [draw(st.sampled_from(["verify", "rep", "query", "group", "family"]))]
+    if argv[0] == "verify":
+        option("--cap", _ints(-1, 200))
+    elif argv[0] == "rep":
+        option("--r", _R)
+        option("--charge", _LABEL)
+        option("--phase", _PHASE)
+    elif argv[0] == "query":
+        argv.append(draw(st.sampled_from(sorted(cli._QUERIES))))
+        values(_LABEL, cli._QUERIES[argv[1]][0])
+        option("--r", _R)
+    elif argv[0] == "group":
+        source = draw(st.sampled_from(["paper", "familyC", "familyD", "familyE"]))
+        argv.extend(["--from", source])
+        values(_FAMILY, {"familyC": 3, "familyD": 6}.get(source, 0), min_size=0)
+        option("--cap", _ints(-1, 200) | st.sampled_from([cli.MAX_GROUP_CAP, cli.MAX_GROUP_CAP + 1]))
+    else:
+        argv.append(draw(st.sampled_from(["C", "D"])))
+        values(_FAMILY, {"C": 3, "D": 6}[argv[1]])
+    return argv
+
+
+@given(_argvs())
+def test_drawn_argv_exits_0_1_or_2_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 2.0, argv
+    err = err.getvalue()
+    if code == 2:
+        # one error line and nothing else
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
+    else:
+        assert err == "", argv
+        # exit 1 is verify's FAIL and nothing else
+        assert code == 0 or (code == 1 and argv[0] == "verify"
+                             and out.getvalue().endswith("overall: FAIL\n")), (argv, code)
