@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cyclo import Cyclo, _coerce, root_of_unity, sqrt2, sqrt3
+from .cyclo import Cyclo, _coerce, combine, root_of_unity, sqrt2, sqrt3
 from .matrix import UnitaryMatrix
 from .recoupling import (
     TheoryParams,
@@ -79,24 +79,21 @@ def sigma_mid(t: TheoryParams, basis: FusionBasis) -> UnitaryMatrix:
     labels = basis.labels
     inv_thetas = {a: inv_theta(t, c, c, a) for a in labels}
     roots = {a: _sqrt_delta(delta_n(t, a), t.order) for a in labels}
-    tets = {
-        (i, a): tet(t, c, c, i, c, c, a)
+    # tets[i][x] = T[c c i; c c labels[x]]
+    tets = [[tet(t, c, c, i, c, c, a) for a in labels] for i in labels]
+    weights = [
+        delta_n(t, i) * r_value(t, i, c, c).conj() * inv_thetas[i] * inv_thetas[i]
         for i in labels
-        for a in labels
-    }
-    summand = {
-        i: delta_n(t, i) * r_value(t, i, c, c).conj() * inv_thetas[i] * inv_thetas[i]
-        for i in labels
-    }
-    rows = []
-    for a in labels:
-        row = []
-        for b in labels:
-            acc = Cyclo.zero()
-            for i in labels:
-                acc = acc + summand[i] * tets[(i, a)] * tets[(i, b)]
-            row.append(roots[a] * roots[b] * inv_thetas[a] * inv_thetas[b] * acc)
-        rows.append(row)
+    ]
+    # sums[x][y] = sum_i (weights[i] * tets[i][x]) * tets[i][y], in one kernel call
+    sums = combine(
+        [[w * tet_i[x] for w, tet_i in zip(weights, tets)] for x in range(len(labels))],
+        tets,
+    )
+    rows = [
+        [roots[a] * roots[b] * inv_thetas[a] * inv_thetas[b] * s for b, s in zip(labels, line)]
+        for a, line in zip(labels, sums)
+    ]
     return UnitaryMatrix.from_rows(rows)
 
 

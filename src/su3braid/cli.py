@@ -256,7 +256,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     for key, value in report.info.items():
         print(f"[info] {key} = {value}")
     print(f"overall: {'PASS' if report.overall else 'FAIL'}")
-    if args.json:
+    if args.json is not None:
         _write_text(args.json, [report.to_json() + "\n"])
     # when every failure is the closure passing --cap, the cap is at fault,
     # not the checklist: bad input, not a verify FAIL.  The checks read one
@@ -271,7 +271,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 def _run_rep(args: argparse.Namespace) -> int:
     t = _theory(args.r)
     # refuse a bad phase before the basis and generator work
-    phase = _parse_phase(args.phase, t.order) if args.phase else None
+    phase = _parse_phase(args.phase, t.order) if args.phase is not None else None
     from .braidrep import fusion_basis, sigma_mid, sigma_odd, su3_normalize
 
     basis = fusion_basis(t, args.charge)
@@ -299,10 +299,10 @@ def _run_group(args: argparse.Namespace) -> int:
         raise ValueError(f"--cap must be between 1 and {MAX_GROUP_CAP}")
     group, names = _group_from_spec(args.source, args.cap)
     print(f"order: {group.order}")
-    if args.emit_elements:
+    if args.emit_elements is not None:
         export_group(group, "elements", args.emit_elements, names)
         print(f"elements written to {args.emit_elements}")
-    if args.emit_cayley:
+    if args.emit_cayley is not None:
         export_group(group, "cayley", args.emit_cayley)
         print(f"cayley table written to {args.emit_cayley}")
     return 0

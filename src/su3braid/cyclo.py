@@ -12,8 +12,9 @@ Values are interned: every constructor ends in one table lookup, so a
 canonical (order, nums, den) is one object, and zero is ``Cyclo.zero()``
 itself.  Each object carries a serial id from a module counter, and the
 product and sum memos are keyed by the pair of operand ids, so a memo hit
-hashes two ints and never calls ``__hash__`` or ``__eq__``; a matrix
-product sums over those memos (see :func:`dot`).  At one order the
+hashes two ints and never calls ``__hash__`` or ``__eq__``.  Every sum of
+products in the package is one call to :func:`combine`, which reads those
+memos directly; otherwise only the operators read them.  At one order the
 interning is also an identity test: two values held there are equal
 exactly when they are one object, so the group closure names a matrix by
 the serial ids of its entries.  Ids are never reused, so clearing the
@@ -69,7 +70,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -587,28 +588,50 @@ _MUL_MEMO: dict[tuple[int, int], Cyclo] = {}
 _ADD_MEMO: dict[tuple[int, int], Cyclo] = {}
 
 
-def dot(xs: Iterable[Cyclo], ys: Iterable[Cyclo]) -> Cyclo:
-    """sum_k xs[k] * ys[k] over the pairs whose factors are both nonzero,
-    added in index order from the first such product (association decides
-    the order at which a sum that passes through a rational is held), and
-    0 when there is none.  Zero is tested by identity and every product
-    and partial sum is first looked up in the memos, so a hit makes no
-    Python-level call.  A minor of `UnitaryMatrix.det` is one; a matrix
-    product forms each entry of its rows as the same sum, in the same
-    order, so each entry is this function's interned result."""
-    acc = None
-    for x, y in zip(xs, ys):
-        if x is _ZERO or y is _ZERO:
-            continue
-        p = _MUL_MEMO.get((x._id, y._id))
-        if p is None:
-            p = x * y
-        if acc is None:
-            acc = p
-        else:
-            total = _ADD_MEMO.get((acc._id, p._id))
-            acc = acc + p if total is None else total
-    return _ZERO if acc is None else acc
+def combine(rows: Sequence[Sequence[Cyclo]], vectors: Sequence[Sequence[Cyclo]]
+            ) -> tuple[tuple[Cyclo, ...], ...]:
+    """Row i of the result is sum_k rows[i][k] * vectors[k], a tuple as long
+    as the vectors: each entry adds its nonzero products in index order from
+    the first (association decides the order at which a sum that passes
+    through a rational is held), so it is the one interned value of that
+    sum.  Zero is tested by identity, and every product and partial sum is
+    first looked up in the memos, so a hit makes no Python-level call.  A
+    row whose one nonzero entry is 1 gives that vector's tuple itself, and
+    a row with no nonzero entry gives zeros.  This is the package's one sum
+    of products: a matrix product, the minors of `UnitaryMatrix.det` and
+    the braid generators' mixing sums are calls to it."""
+    mul_memo, add_memo = _MUL_MEMO, _ADD_MEMO
+    out = []
+    for row in rows:
+        acc = None
+        k = -1  # a plain counter: a zip or range per row measured slower here
+        for a in row:
+            k += 1
+            if a is _ZERO:
+                continue
+            if a is _ONE:
+                scaled = vectors[k]
+            else:
+                aid = a._id
+                scaled = [
+                    _ZERO if y is _ZERO
+                    else hit if (hit := mul_memo.get((aid, y._id))) is not None
+                    else a * y
+                    for y in vectors[k]
+                ]
+            if acc is None:
+                acc = scaled
+            else:
+                # a zero of the running sum takes the product as it is (0 + p is p)
+                acc = [
+                    y if x is _ZERO
+                    else x if y is _ZERO
+                    else hit if (hit := add_memo.get((x._id, y._id))) is not None
+                    else x + y
+                    for x, y in zip(acc, scaled)
+                ]
+        out.append((_ZERO,) * len(vectors[0]) if acc is None else tuple(acc))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

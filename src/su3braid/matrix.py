@@ -5,10 +5,13 @@ Matrices are immutable tuples of :class:`~su3braid.cyclo.Cyclo` entries.
 (M M* = I), which gives |det M| = 1 since conjugation is a field
 automorphism: det(M) conj(det M) = det(M M*) = 1.  Internal products skip
 the re-check since products of unitaries stay unitary under exact
-arithmetic.  Inverses are conjugate transposes and determinants minor
-expansions, so no operation here divides.  The determinant is the only
-scalar invariant: the generators' equal characteristic polynomials follow
-from the braid relation (see `verify.PREMISES`), so none is computed.
+arithmetic.  A product and each minor of a determinant are one call to
+:func:`~su3braid.cyclo.combine`, the package's one sum of products, so
+this module reads no memo itself.  Inverses are conjugate transposes and
+determinants minor expansions, so no operation here divides.  The
+determinant is the only scalar invariant: the generators' equal
+characteristic polynomials follow from the braid relation (see
+`verify.PREMISES`), so none is computed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .cyclo import _ADD_MEMO, _MUL_MEMO, _ONE, _ZERO, Cyclo, CycloLike, _coerce, dot
+from .cyclo import Cyclo, CycloLike, _coerce, combine
 
 
 class NotUnitaryError(ValueError):
@@ -88,45 +91,9 @@ class UnitaryMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        # row i of the product is the sum, for increasing k, of a * (row k of
-        # other) over the nonzero a = self[i][k], so each entry adds its
-        # nonzero products in index order through the scalar memos, as `dot`
-        # does, and is the same interned object.  A zero entry of the running
-        # sum takes the next product as it is (0 + p is p).  A row whose one
-        # nonzero entry is 1 is the other's row tuple itself, and a row with
-        # one nonzero entry scales one row and adds nothing
-        mul_memo, add_memo = _MUL_MEMO, _ADD_MEMO
-        other_rows = other.rows
-        rows = []
-        for row in self.rows:
-            acc = None
-            k = -1  # a plain counter: a zip or range per row measured slower here
-            for a in row:
-                k += 1
-                if a is _ZERO:
-                    continue
-                if a is _ONE:
-                    scaled = other_rows[k]
-                else:
-                    aid = a._id
-                    scaled = [
-                        _ZERO if y is _ZERO
-                        else hit if (hit := mul_memo.get((aid, y._id))) is not None
-                        else a * y
-                        for y in other_rows[k]
-                    ]
-                if acc is None:
-                    acc = scaled
-                else:
-                    acc = [
-                        y if x is _ZERO
-                        else x if y is _ZERO
-                        else hit if (hit := add_memo.get((x._id, y._id))) is not None
-                        else x + y
-                        for x, y in zip(acc, scaled)
-                    ]
-            rows.append((_ZERO,) * self.dim if acc is None else tuple(acc))
-        return UnitaryMatrix(tuple(rows), True)  # `_make` without its call
+        # row i is the sum over k of self[i][k] * (row k of other), all rows
+        # in one kernel call: a call per row made monomial products slower
+        return UnitaryMatrix(combine(self.rows, other.rows), True)  # `_make` without its call
 
     def __pow__(self, exponent: int) -> "UnitaryMatrix":
         """Binary powering from the first factor, not from the identity:
@@ -170,17 +137,19 @@ class UnitaryMatrix:
         once from the minors one row smaller: at most dim * (2^(dim-1) - 1)
         scalar products and no division."""
         n = self.dim
-        minors = {(c,): v for c, v in enumerate(self.rows[-1])}
+        # each minor is held as a one-entry vector, so that one kernel call
+        # sums a row's signed entries against the smaller minors
+        minors = {(c,): (v,) for c, v in enumerate(self.rows[-1])}
         for k in range(2, n + 1):
             row = self.rows[n - k]
             minors = {
-                cols: dot(
-                    [-row[c] if j & 1 else row[c] for j, c in enumerate(cols)],
+                cols: combine(
+                    [[-row[c] if j & 1 else row[c] for j, c in enumerate(cols)]],
                     [minors[cols[:j] + cols[j + 1:]] for j in range(k)],
-                )
+                )[0]
                 for cols in combinations(range(n), k)
             }
-        return minors[tuple(range(n))]
+        return minors[tuple(range(n))][0]
 
     def is_unitary(self) -> bool:
         return self * self.conj_transpose() == UnitaryMatrix.identity(self.dim)

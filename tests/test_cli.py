@@ -273,6 +273,22 @@ def test_cli_rep_bad_input_exits_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--json", ""],
+    ["group", "--from", "paper", "--emit-elements", ""],
+    ["group", "--from", "paper", "--emit-cayley", ""],
+    ["rep", "--phase", ""],
+])
+def test_cli_empty_option_value_exits_2(argv, capsys):
+    # an empty value is a value: refused, not read as the option left out
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "''" in captured.err
+    if argv[0] == "rep":
+        assert captured.out == ""  # refused before the basis work
+
+
 def test_cli_paths_invert_only_at_small_orders(monkeypatch):
     """`Cyclo.inv` multiplies dense phi(N)-vectors, slow at large prime
     orders (order 1021 takes seconds); verify, the largest queries and the
@@ -551,7 +567,9 @@ def _ints(low, high):
 _R = _ints(-1, cli.MAX_R + 1)
 _LABEL = _ints(-1, cli.MAX_R)
 _FAMILY = _ints(-1, 5)
-_PHASE = st.tuples(_ints(-2, 9), _ints(-2, 9)).map("{0[0]}/{0[1]}".format) | _ints(-2, 9)
+# an empty value too: `--phase=` is a value, not the option left out
+_PHASE = (st.tuples(_ints(-2, 9), _ints(-2, 9)).map("{0[0]}/{0[1]}".format)
+          | _ints(-2, 9) | st.just(""))
 
 
 @st.composite

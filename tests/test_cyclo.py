@@ -9,18 +9,20 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from matrix_oracles import leibniz_det
 
 from su3braid import cyclo
 from su3braid.cyclo import (
     Cyclo,
     NonDivisibleOrderError,
     _context,
+    combine,
     cyclotomic_polynomial,
-    dot,
     root_of_unity,
     sqrt2,
     sqrt3,
 )
+from su3braid.matrix import UnitaryMatrix
 
 ORDERS = [1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 36, 72]
 
@@ -356,7 +358,7 @@ def test_equal_values_at_one_working_order_are_one_object():
     # the closure names a matrix by its entries' serial ids, which is exact
     # only if every path to a value held at the working order ends at one
     # object: a product, an embedding, a root of unity, a sum whose partial
-    # sum is rational, and `dot`, whose zero factors are skipped
+    # sum is rational, and the kernel `combine`, whose zero factors are skipped
     z = root_of_unity(72)
     target = root_of_unity(72, 21)
     half = Fraction(1, 2)
@@ -368,7 +370,7 @@ def test_equal_values_at_one_working_order_are_one_object():
         root_of_unity(24, 7).embed(72),
         root_of_unity(72, 21 + 72 * 3),
         (through_rational + target) - half,
-        dot([z ** 20, Cyclo.zero(), sqrt2(72)], [z, z, Cyclo.zero()]),
+        _kernel_dot([z ** 20, Cyclo.zero(), sqrt2(72)], [z, z, Cyclo.zero()]),
         target.conj().conj(),
         target * Fraction(2, 3) * Fraction(3, 2),
     ]
@@ -387,12 +389,18 @@ def _reference_dot(xs, ys):
     return acc
 
 
+def _kernel_dot(xs, ys):
+    """sum_k xs[k] * ys[k] as one row of the kernel against one-entry vectors."""
+    (entry,), = combine([xs], [(y,) for y in ys])
+    return entry
+
+
 @given(any_cyclo, any_cyclo, any_cyclo, st.sampled_from([Cyclo.zero(), Cyclo.one()]))
 def test_memo_hits_equal_a_fresh_computation(x, y, z, c):
     pairs = [([x, y], [y, z]), ([c, x, z], [z, c, y]), ([c], [x])]
 
     def kernel():
-        return [x * y, y * x, x + y, y + x, z * c, z + c] + [dot(a, b) for a, b in pairs]
+        return [x * y, y * x, x + y, y + x, z * c, z + c] + [_kernel_dot(a, b) for a, b in pairs]
 
     kernel()  # fills the memos, so the next run reads every result from them
     remembered = kernel()
@@ -403,6 +411,57 @@ def test_memo_hits_equal_a_fresh_computation(x, y, z, c):
     assert [v.key_bytes() for v in remembered[6:]] == [
         _reference_dot(a, b).key_bytes() for a, b in pairs
     ]
+
+
+# -- the sum-of-products kernel ------------------------------------------------
+# Every value below is rational or held at order 72, so an irrational sum
+# is held at 72 whatever its association, and equal values are one object.
+
+PHASES = [root_of_unity(72, k) for k in range(72)]
+WORKING = [
+    root_of_unity(72, 5), root_of_unity(72, 9) + root_of_unity(72, 40), sqrt2(72),
+    Fraction(3, 7) * root_of_unity(72, 17) - root_of_unity(72, 9),
+]
+RATIONALS = [Cyclo.one(), Cyclo.rational(-1), Cyclo.rational(Fraction(-2, 3)), Cyclo.rational(3)]
+
+
+def drawn_row(dim):
+    """A row that is all zero, all zero but one 1, all zero but one phase,
+    dense, or a mix of zeros, rationals and working-order values."""
+    zero = Cyclo.zero()
+
+    def single(k, v):
+        return tuple(v if j == k else zero for j in range(dim))
+
+    position = st.integers(0, dim - 1)
+    return st.one_of(
+        st.just((zero,) * dim),
+        position.map(lambda k: single(k, Cyclo.one())),
+        st.builds(single, position, st.sampled_from(PHASES)),
+        st.tuples(*[st.sampled_from(WORKING + RATIONALS)] * dim),
+        st.tuples(*[st.sampled_from([zero, *WORKING[:2], *RATIONALS])] * dim),
+    )
+
+
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.tuples(*[drawn_row(dim)] * dim),
+    st.integers(1, 4).flatmap(lambda width: st.tuples(*[drawn_row(width)] * dim)),
+)))
+def test_combine_is_the_index_order_sum(factors):
+    rows, vectors = factors
+    out = combine(rows, vectors)
+    assert len(out) == len(rows) and all(type(line) is tuple for line in out)
+    columns = list(zip(*vectors))
+    for row, line in zip(rows, out):
+        assert [entry._id for entry in line] == [_reference_dot(row, col)._id for col in columns]
+        nonzero = [k for k, v in enumerate(row) if v is not Cyclo.zero()]
+        if not nonzero:
+            assert line == (Cyclo.zero(),) * len(columns)
+        elif len(nonzero) == 1 and row[nonzero[0]] is Cyclo.one():
+            assert line is vectors[nonzero[0]]  # the vector itself, no scalar product
+    # the minors of det are kernel calls too
+    m = UnitaryMatrix._make(rows)
+    assert m.det() is leibniz_det(m)
 
 
 # -- field axioms (property tests) ---------------------------------------------

@@ -1,7 +1,7 @@
 """The row-by-row exact product, the cached matrix keys and the minor
-expansion determinant against the plain triple loop and `dot`, the
-per-entry key formatter and the Leibniz sum, also on the non-unitary
-shifted matrices of the characteristic polynomial oracle."""
+expansion determinant against the plain triple loop and the index-order
+sum, the per-entry key formatter and the Leibniz sum, also on the
+non-unitary shifted matrices of the characteristic polynomial oracle."""
 
 import random
 from fractions import Fraction
@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from matrix_oracles import charpoly, leibniz_det, schoolbook_mul
+from test_cyclo import _reference_dot, drawn_row
 
 from su3braid import braidrep, recoupling
-from su3braid.cyclo import Cyclo, dot, root_of_unity, sqrt2
+from su3braid.cyclo import Cyclo, root_of_unity, sqrt2
 from su3braid.matrix import NotUnitaryError, UnitaryMatrix
 
 
@@ -88,36 +89,11 @@ def test_product_matches_triple_loop_on_mixed_order_entries():
             _assert_same_product(a, b)
 
 
-# entries for drawn factors: the 72nd roots of unity (the phases of a
-# monomial row), working-order values with several terms and rationals,
-# which are held at order 1 beside them
-_PHASES = [root_of_unity(72, k) for k in range(72)]
-_WORKING = [
-    root_of_unity(72, 5), root_of_unity(72, 9) + root_of_unity(72, 40), sqrt2(72),
-    Fraction(3, 7) * root_of_unity(72, 17) - root_of_unity(72, 9),
-]
-_RATIONALS = [Cyclo.one(), Cyclo.rational(-1), Cyclo.rational(Fraction(-2, 3)), Cyclo.rational(3)]
-
-
-def _drawn_row(dim):
-    """A row that is all zero but one 1, all zero but one phase, dense, or
-    a mix of zeros, rationals and working-order values."""
-    zero = Cyclo.zero()
-
-    def single(k, v):
-        return tuple(v if j == k else zero for j in range(dim))
-
-    position = st.integers(0, dim - 1)
-    return st.one_of(
-        position.map(lambda k: single(k, Cyclo.one())),
-        st.builds(single, position, st.sampled_from(_PHASES)),
-        st.tuples(*[st.sampled_from(_WORKING + _RATIONALS)] * dim),
-        st.tuples(*[st.sampled_from([zero, *_WORKING[:2], *_RATIONALS])] * dim),
-    )
-
-
+# drawn factors take the kernel test's rows: the 72nd roots of unity (the
+# phases of a monomial row), working-order values with several terms and
+# rationals, which are held at order 1 beside them
 def _drawn_matrix(dim):
-    return st.tuples(*[_drawn_row(dim)] * dim).map(UnitaryMatrix._make)
+    return st.tuples(*[drawn_row(dim)] * dim).map(UnitaryMatrix._make)
 
 
 @given(st.integers(1, 4).flatmap(lambda dim: st.tuples(_drawn_matrix(dim), _drawn_matrix(dim))))
@@ -126,7 +102,8 @@ def test_product_entries_are_the_interned_dot_of_row_and_column(factors):
     product = a * b
     columns = list(zip(*b.rows))
     for row, out in zip(a.rows, product.rows):
-        assert [entry._id for entry in out] == [dot(row, column)._id for column in columns]
+        sums = [_reference_dot(row, column)._id for column in columns]
+        assert [entry._id for entry in out] == sums
         nonzero = [k for k, v in enumerate(row) if not v.is_zero()]
         if len(nonzero) == 1 and row[nonzero[0]] is Cyclo.one():
             assert out is b.rows[nonzero[0]]  # the other's row itself, no scalar product

@@ -90,3 +90,26 @@ def test_public_names_resolve_to_their_defining_objects():
         else:
             raise AssertionError("an unknown name resolved")
     """)
+
+
+def test_only_cyclo_binds_the_memos_and_singletons():
+    # the memos are read by the scalar operators and the one sum-of-products
+    # kernel, `cyclo.combine`, so no other module reaches them, by name or
+    # under another one
+    run_fresh("""
+        import importlib, pkgutil
+        import su3braid
+        from su3braid import cyclo
+
+        OWNED = ("_MUL_MEMO", "_ADD_MEMO", "_ZERO", "_ONE")
+        memos = (cyclo._MUL_MEMO, cyclo._ADD_MEMO)
+        names = [info.name for info in pkgutil.iter_modules(su3braid.__path__, "su3braid.")]
+        assert "su3braid.matrix" in names and "su3braid.braidrep" in names
+        for name in ["su3braid", *names]:
+            if name == "su3braid.cyclo":
+                continue
+            namespace = vars(importlib.import_module(name))
+            bound = {n for n in OWNED if n in namespace}
+            bound |= {n for n, v in namespace.items() if any(v is memo for memo in memos)}
+            assert not bound, f"{name} binds {sorted(bound)}"
+    """)
