@@ -11,7 +11,7 @@ import importlib
 
 # submodule -> the public names it defines
 _PUBLIC = {
-    "cyclo": ("Cyclo", "NonDivisibleOrderError", "Rational", "root_of_unity", "sqrt2", "sqrt3"),
+    "cyclo": ("Cyclo", "NonDivisibleOrderError", "root_of_unity", "sqrt2", "sqrt3"),
     "matrix": ("NotUnitaryError", "UnitaryMatrix"),
     "recoupling": (
         "InadmissibleTripleError", "TheoryParams", "VertexExponents", "ZeroDenominatorError",

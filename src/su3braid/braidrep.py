@@ -11,6 +11,8 @@ symmetric matrix
         * sum_i delta_i conj(R_i^{c,c}) T[c c i; c c alpha] T[c c i; c c beta]
               / theta(c,c,i)^2
 
+A `FusionBasis` carries the theory and the charge it was built for, so
+`sigma_odd(basis)` and `sigma_mid(basis)` take the basis alone.
 Determinant-normalizing by a phase lands the generators in SU(dim).
 """
 
@@ -38,7 +40,8 @@ class PhaseMismatchError(ValueError):
 
 
 class FusionBasis(NamedTuple):
-    """Ordered internal-edge labels of the four-anyon fusion tree space."""
+    """Ordered internal-edge labels of the four-anyon fusion tree space,
+    with the theory and the charge they were built for."""
 
     theory: TheoryParams
     charge: int
@@ -59,24 +62,17 @@ def fusion_basis(t: TheoryParams, c: int) -> FusionBasis:
     return FusionBasis(theory=t, charge=c, labels=labels)
 
 
-def sigma_odd(t: TheoryParams, basis: FusionBasis) -> UnitaryMatrix:
+def sigma_odd(basis: FusionBasis) -> UnitaryMatrix:
     """Braiding of strands 1-2 (and equally 3-4): diagonal in the fusion
-    basis with entries conj(R_alpha^{c,c})."""
-    if basis.theory != t:
-        raise ValueError("basis was built for a different theory")
-    c = basis.charge
-    return UnitaryMatrix.diagonal(
-        [r_value(t, a, c, c).conj() for a in basis.labels]
-    )
+    basis with entries conj(R_alpha^{c,c}), in the basis's theory."""
+    t, c, labels = basis
+    return UnitaryMatrix.diagonal([r_value(t, a, c, c).conj() for a in labels])
 
 
-def sigma_mid(t: TheoryParams, basis: FusionBasis) -> UnitaryMatrix:
+def sigma_mid(basis: FusionBasis) -> UnitaryMatrix:
     """Braiding of the middle strands 2-3: the symmetric unitary mixing
-    matrix described in the module docstring."""
-    if basis.theory != t:
-        raise ValueError("basis was built for a different theory")
-    c = basis.charge
-    labels = basis.labels
+    matrix described in the module docstring, in the basis's theory."""
+    t, c, labels = basis
     inv_thetas = {a: inv_theta(t, c, c, a) for a in labels}
     roots = {a: _sqrt_delta(delta_n(t, a), t.order) for a in labels}
     # tets[i][x] = T[c c i; c c labels[x]]
@@ -108,11 +104,10 @@ def su3_normalize(m: UnitaryMatrix, phase) -> UnitaryMatrix:
 def paper_generators() -> tuple[UnitaryMatrix, UnitaryMatrix]:
     """The two SU(3) braid generators for four charge-2 anyons at level 4,
     phase-normalized by e^(i*pi/9)."""
-    t = theory(6)
-    basis = fusion_basis(t, 2)
+    basis = fusion_basis(theory(6), 2)
     phase = root_of_unity(72, 4)  # e^(i*pi/9)
-    g1 = su3_normalize(sigma_odd(t, basis), phase)
-    g2 = su3_normalize(sigma_mid(t, basis), phase)
+    g1 = su3_normalize(sigma_odd(basis), phase)
+    g2 = su3_normalize(sigma_mid(basis), phase)
     return g1, g2
 
 

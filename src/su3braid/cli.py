@@ -202,14 +202,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integer(text: str, option: str) -> int:
+    """TEXT as an int; a bad value is refused naming its option."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{option} takes integers, got {text!r}") from None
+
+
 def _parse_phase(text: str, theory_order: int) -> Cyclo:
     num, _, den = text.partition("/")
-    p, q = int(num), int(den or "1")
+    p, q = _integer(num, "--phase"), _integer(den or "1", "--phase")
     if q < 1:
         raise ValueError("--phase denominator must be positive")
     _require_order(math.lcm(2 * q, theory_order), "--phase")
     # e^(i*pi*p/q) = zeta_{2q}^p
-    return root_of_unity(2 * q, p % (2 * q))
+    return root_of_unity(2 * q, p)
 
 
 def _family_generators(series: str, params: Sequence[int]) -> tuple[list[UnitaryMatrix], list[str]]:
@@ -237,9 +245,9 @@ def _group_from_spec(spec: Sequence[str], cap: int) -> tuple[mg.FiniteMatrixGrou
 
         g1, g2 = paper_generators()
         return mg.close([g1, g2], cap=cap), ["g1", "g2"]
-    params = [int(v) for v in spec[1:]]
     if kind not in ("familyC", "familyD"):
         raise ValueError(f"unknown group source {kind!r}")
+    params = [_integer(v, f"--from {kind}") for v in spec[1:]]
     gens, names = _family_generators(kind[-1], params)
     return mg.close(gens, cap=cap), names
 
@@ -275,8 +283,8 @@ def _run_rep(args: argparse.Namespace) -> int:
     from .braidrep import fusion_basis, sigma_mid, sigma_odd, su3_normalize
 
     basis = fusion_basis(t, args.charge)
-    odd = sigma_odd(t, basis)
-    mid = sigma_mid(t, basis)
+    odd = sigma_odd(basis)
+    mid = sigma_mid(basis)
     if phase is not None:
         odd = su3_normalize(odd, phase)
         mid = su3_normalize(mid, phase)

@@ -72,8 +72,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 CycloLike = Union["Cyclo", int, Fraction]
 

@@ -7,6 +7,9 @@ at q = A^2:
 
     [n] = (A^(2n) - A^(-2n)) / (A^2 - A^(-2))
 
+A theory is the two integers `TheoryParams(r, order)`, nothing more: A is
+zeta_order^a_exponent, and d is `delta_n(t, 1)`.
+
 Every quantity below lies in Q(A) = Q(zeta_{N_A}), N_A = 4r / gcd(r - 1, 4r)
 the order of A (5, 14, 32 at r = 5, 7, 8).  Each quantity has one
 function, which evaluates it there and embeds its one result into the
@@ -74,49 +77,35 @@ _BASE_ORDER = 72
 
 
 class TheoryParams(NamedTuple):
-    """Level data fixing the recoupling theory (a tuple, so it compares by
-    its fields, as the `lru_cache` keys below need)."""
+    """The theory at index r >= 3 with its values held in Q(zeta_order);
+    A = zeta_{4r}^(r-1), so order * (r - 1) must be a multiple of 4r.  The
+    `lru_cache` keys below hash and compare it as a tuple of two ints."""
 
     r: int
-    k: int
     order: int
-    A: Cyclo
-    d: Cyclo
-    label_set: tuple[int, ...]
-    a_exponent: int  # A == zeta_order ** a_exponent
 
-    def __repr__(self) -> str:
-        return f"TheoryParams(r={self.r}, k={self.k}, order={self.order})"
+    @property
+    def k(self) -> int:
+        """The level r - 2."""
+        return self.r - 2
 
-    def __hash__(self) -> int:
-        # every other field is a function of r and the order, so equal tuples
-        # share r; a cache lookup hashes one int, not the two `Cyclo` fields
-        return hash(self.r)
+    @property
+    def label_set(self) -> tuple[int, ...]:
+        """The labels 0 .. r - 2."""
+        return tuple(range(self.r - 1))
 
-
-def _theory_at(r: int, order: int) -> TheoryParams:
-    """The theory at index r held in Q(zeta_order); A = i * e^(-2*pi*i/(4r))
-    = zeta_{4r}^(r-1), so order * (r - 1) must be a multiple of 4r."""
-    a_exponent = order * (r - 1) // (4 * r) % order
-    a = root_of_unity(order, a_exponent)
-    d = -(a * a) - root_of_unity(order, (-2 * a_exponent) % order)
-    return TheoryParams(
-        r=r,
-        k=r - 2,
-        order=order,
-        A=a,
-        d=d,
-        label_set=tuple(range(r - 1)),
-        a_exponent=a_exponent,
-    )
+    @property
+    def a_exponent(self) -> int:
+        """A == zeta_order ** a_exponent."""
+        return self.order * (self.r - 1) // (4 * self.r)
 
 
 def theory(r: int) -> TheoryParams:
-    """Recoupling theory at index r (level k = r - 2), with exact A and d,
-    held at the working order lcm(4r, 72)."""
+    """Recoupling theory at index r (level k = r - 2), held at the working
+    order lcm(4r, 72)."""
     if r < 3:
         raise ValueError("theory index r must be at least 3")
-    return _theory_at(r, math.lcm(4 * r, _BASE_ORDER))
+    return TheoryParams(r, math.lcm(4 * r, _BASE_ORDER))
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +114,7 @@ def _qa_theory(r: int) -> TheoryParams:
     N_A = 4r / gcd(r - 1, 4r) the order of A: 5, 14, 32 and 13 at r = 5, 7,
     8 and 13, where the working order is 360, 504, 288 and 936.  Every net,
     quantum integer and factorial is evaluated here."""
-    return _theory_at(r, 4 * r // math.gcd(r - 1, 4 * r))
+    return TheoryParams(r, 4 * r // math.gcd(r - 1, 4 * r))
 
 
 class VertexExponents(NamedTuple):
@@ -155,10 +144,6 @@ def admissible(t: TheoryParams, a: int, b: int, c: int) -> bool:
     return a + b + c <= 2 * t.k
 
 
-def _zeta_pow(t: TheoryParams, e: int) -> Cyclo:
-    return root_of_unity(t.order, e % t.order)
-
-
 def quantum_int(t: TheoryParams, n: int) -> Cyclo:
     """[n] at q = A^2, computed as the geometric sum q^(n-1) + q^(n-3) + ...
     + q^(1-n), which avoids any division.  q is a root of unity of order
@@ -170,7 +155,7 @@ def quantum_int(t: TheoryParams, n: int) -> Cyclo:
     n %= qa.order // math.gcd(qa.order, q_exponent)
     value = Cyclo.zero()
     for j in range(n):
-        value = value + _zeta_pow(qa, q_exponent * (n - 1 - 2 * j))
+        value = value + root_of_unity(qa.order, q_exponent * (n - 1 - 2 * j))
     return value.embed(t.order)
 
 
@@ -233,7 +218,7 @@ def r_value(t: TheoryParams, a: int, b: int, c: int) -> Cyclo:
     half_sum = (b + c - a) // 2
     exponent = (b * (b + 2) + c * (c + 2) - a * (a + 2)) // 2
     qa = _qa_theory(t.r)
-    value = _zeta_pow(qa, qa.a_exponent * exponent)
+    value = root_of_unity(qa.order, qa.a_exponent * exponent)
     return (-value if half_sum % 2 else value).embed(t.order)
 
 

@@ -67,7 +67,7 @@ def c_generators(p: CParams) -> list[UnitaryMatrix]:
         [
             root_of_unity(order, scale * p.a),
             root_of_unity(order, scale * p.b),
-            root_of_unity(order, (-scale * (p.a + p.b)) % order),
+            root_of_unity(order, -scale * (p.a + p.b)),
         ]
     )
     return [cycle_matrix(), f]
@@ -81,7 +81,7 @@ def d_generators(p: DParams) -> list[UnitaryMatrix]:
         [
             [root_of_unity(order, scale * p.r), zero, zero],
             [zero, zero, root_of_unity(order, scale * p.s)],
-            [zero, -root_of_unity(order, (-scale * (p.r + p.s)) % order), zero],
+            [zero, -root_of_unity(order, -scale * (p.r + p.s)), zero],
         ]
     )
     e, f = (m.embed(order) for m in c_generators(p.c))

@@ -215,9 +215,12 @@ def _displays() -> dict[str, UnitaryMatrix]:
 def check_deltas(ctx: _Context):
     t = ctx.t
     expected = {0: Cyclo.one(), 1: ctx.rt3, 2: Cyclo.rational(2), 4: Cyclo.one(), 5: Cyclo.zero()}
+    witness = {}
     for n, want in expected.items():
-        _require(delta_n(t, n) == want, f"delta_{n} mismatch")
-    return {f"delta_{n}": _approx(delta_n(t, n)) for n in sorted(expected)}
+        value = delta_n(t, n)
+        _require(value == want, f"delta_{n} mismatch")
+        witness[f"delta_{n}"] = _approx(value)
+    return witness
 
 
 def check_rvalues(ctx: _Context):
@@ -227,10 +230,12 @@ def check_rvalues(ctx: _Context):
         2: -root_of_unity(72, 12),      # -e^(i pi / 3)
         4: root_of_unity(72, 60),       # e^(-i pi / 3)
     }
+    witness = {}
     for a, want in anchors.items():
-        got = r_value(t, a, 2, 2).conj()
-        _require(got == want, f"conjugated R-value at label {a} mismatch")
-    return {f"conj_R_{a}^22": _approx(r_value(t, a, 2, 2).conj()) for a in anchors}
+        value = r_value(t, a, 2, 2).conj()
+        _require(value == want, f"conjugated R-value at label {a} mismatch")
+        witness[f"conj_R_{a}^22"] = _approx(value)
+    return witness
 
 
 def check_tet_table(ctx: _Context):
@@ -243,17 +248,24 @@ def check_tet_table(ctx: _Context):
         (4, 2): -1 / rt3,
         (4, 4): Cyclo.rational(Fraction(1, 2)),
     }
+    witness = {}
     for (i, j), want in table.items():
-        _require(tet(t, 2, 2, j, 2, 2, i) == want, f"tet (i,j)=({i},{j}) mismatch")
-        _require(tet(t, 2, 2, i, 2, 2, j) == want, f"tet symmetry at ({i},{j})")
-    return {f"tet_{i}{j}": _approx(tet(t, 2, 2, j, 2, 2, i)) for i, j in table}
+        value = tet(t, 2, 2, j, 2, 2, i)
+        _require(value == want, f"tet (i,j)=({i},{j}) mismatch")
+        if i != j:  # on the diagonal the mirrored tet is `value` itself
+            _require(tet(t, 2, 2, i, 2, 2, j) == want, f"tet symmetry at ({i},{j})")
+        witness[f"tet_{i}{j}"] = _approx(value)
+    return witness
 
 
 def check_theta_id(ctx: _Context):
     t = ctx.t
+    witness = {}
     for i in (0, 2, 4):
-        _require(theta(t, 2, 2, i) == tet(t, 2, 2, i, 2, 2, 0), f"theta identity at {i}")
-    return {f"theta_22{i}": _approx(theta(t, 2, 2, i)) for i in (0, 2, 4)}
+        value = theta(t, 2, 2, i)
+        _require(value == tet(t, 2, 2, i, 2, 2, 0), f"theta identity at {i}")
+        witness[f"theta_22{i}"] = _approx(value)
+    return witness
 
 
 # ---------------------------------------------------------------------------

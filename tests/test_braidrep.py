@@ -42,7 +42,7 @@ def test_every_fusion_basis_starts_at_the_trivial_label(r):
 
 def test_sigma_odd_matches_display(t6):
     basis = br.fusion_basis(t6, 2)
-    odd = br.sigma_odd(t6, basis)
+    odd = br.sigma_odd(basis)
     display = UnitaryMatrix.diagonal(
         [root_of_unity(72, 24), -root_of_unity(72, 12), root_of_unity(72, 60)]
     )
@@ -53,13 +53,13 @@ def test_sigma_odd_matches_display(t6):
 def test_sigma_odd_order_before_phase(t6):
     # lcm of the orders of the three diagonal phases is 6
     basis = br.fusion_basis(t6, 2)
-    odd = br.sigma_odd(t6, basis)
+    odd = br.sigma_odd(basis)
     assert element_order(odd, cap=50) == 6
 
 
 def test_sigma_mid_entries(t6):
     basis = br.fusion_basis(t6, 2)
-    mid = br.sigma_mid(t6, basis)
+    mid = br.sigma_mid(basis)
     t_const = sqrt2(72) / 2 * root_of_unity(72, 24)
     t_sq = t_const * t_const
     # (0,0) entry is t^2 = (1/2) e^(4 i pi/3)
@@ -78,14 +78,14 @@ def test_sigma_mid_float_cross_check(t6):
     import numpy as np
 
     basis = br.fusion_basis(t6, 2)
-    mid = br.sigma_mid(t6, basis)
+    mid = br.sigma_mid(basis)
     m = np.array([[v.to_complex() for v in row] for row in mid.rows])
     assert np.allclose(m @ m.conj().T, np.eye(3), atol=1e-12)
 
 
 def test_su3_normalize(t6):
     basis = br.fusion_basis(t6, 2)
-    odd = br.sigma_odd(t6, basis)
+    odd = br.sigma_odd(basis)
     phase = root_of_unity(72, 4)
     g1 = br.su3_normalize(odd, phase)
     assert g1.det() == 1
@@ -142,8 +142,8 @@ def test_generator_spectrum(paper_matrices):
 def test_small_charges_build_unitaries(t6):
     for c in (0, 1, 3, 4):
         basis = br.fusion_basis(t6, c)
-        odd = br.sigma_odd(t6, basis)
-        mid = br.sigma_mid(t6, basis)
+        odd = br.sigma_odd(basis)
+        mid = br.sigma_mid(basis)
         assert odd.is_unitary()
         assert mid.is_unitary()
         assert all(mid.rows[i][j] == mid.rows[j][i] for i in range(mid.dim) for j in range(i))

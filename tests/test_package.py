@@ -71,7 +71,7 @@ def test_public_names_resolve_to_their_defining_objects():
         # a submodule is an attribute of the bare package
         assert su3braid.matgroup is importlib.import_module("su3braid.matgroup")
 
-        assert len(su3braid.__all__) == len(set(su3braid.__all__)) == 39
+        assert len(su3braid.__all__) == len(set(su3braid.__all__)) == 38
         for name in su3braid.__all__:
             module = importlib.import_module(f"su3braid.{su3braid._SOURCE[name]}")
             assert getattr(su3braid, name) is getattr(module, name), name

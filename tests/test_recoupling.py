@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from su3braid import cyclo
 from su3braid import recoupling as rc
 from su3braid.cyclo import Cyclo, root_of_unity, sqrt3
 
@@ -25,17 +26,33 @@ def t6():
 def test_theory_level4(t6):
     assert t6.k == 4
     assert t6.label_set == (0, 1, 2, 3, 4)
-    assert t6.A == root_of_unity(24, 5).embed(72)
-    assert t6.d == sqrt3(t6.order)
-    # cross-check: delta_1 equals the loop value d
-    assert rc.delta_n(t6, 1) == t6.d
+    a = root_of_unity(t6.order, t6.a_exponent)
+    assert a == root_of_unity(24, 5).embed(72)
+    # cross-check: delta_1 equals the loop value d = -A^2 - A^-2 = sqrt(3)
+    d = -(a * a) - root_of_unity(t6.order, -2 * t6.a_exponent)
+    assert d == sqrt3(t6.order)
+    assert rc.delta_n(t6, 1) == d
 
 
 def test_theory_small_levels():
     t3 = rc.theory(3)
-    assert t3.k == 1 and t3.d == 1
+    assert t3.k == 1 and rc.delta_n(t3, 1) == 1
     with pytest.raises(ValueError):
         rc.theory(2)
+
+
+def test_theory_is_plain_integers():
+    assert rc.TheoryParams._fields == ("r", "order")
+    t6 = rc.theory(6)
+    assert t6 == (6, 72) and hash(t6) == hash((6, 72))
+    # building a theory builds no scalar
+    interned = len(cyclo._INTERNED)
+    rc.theory(97), rc._qa_theory(97)
+    assert len(cyclo._INTERNED) == interned
+    # A = zeta_{4r}^(r-1), at the working order
+    for r in range(3, 17):
+        t = rc.theory(r)
+        assert root_of_unity(t.order, t.a_exponent) == root_of_unity(4 * r, r - 1)
 
 
 def test_quantum_int_values(t6):
@@ -80,8 +97,8 @@ def test_quantum_fact(t6):
 
 
 def test_quantum_fact_cache_hit_hashes_no_cyclo(t6, monkeypatch):
-    # a theory hashes by r; equal theories, built apart, share the entries
-    assert hash(t6) == hash(6) and rc.theory(6) == t6
+    # a theory is two ints; equal theories, built apart, share the entries
+    assert rc.theory(6) == t6 and hash(rc.theory(6)) == hash(t6)
     want = rc.quantum_fact(t6, 4), rc.inv_quantum_fact(t6, 4)
     hashed = []
     cyclo_hash = Cyclo.__hash__

@@ -287,6 +287,25 @@ def test_verify_stdout_digest(capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_STDOUT_SHA256
 
 
+def test_recoupling_checks_evaluate_each_quantity_once(monkeypatch, paper_matrices):
+    """Each check compares a quantity and writes its witness from one
+    evaluation; the mirrored tet of a diagonal table entry is not evaluated
+    again."""
+    calls = Counter()
+    for name in ("delta_n", "r_value", "tet", "theta"):
+        def counting(t, *labels, _evaluate=getattr(verify, name), _name=name):
+            calls[_name, labels] += 1
+            return _evaluate(t, *labels)
+
+        monkeypatch.setattr(verify, name, counting)
+    ctx = verify._Context(paper_matrices, cap=2000)
+    for check in (verify.check_deltas, verify.check_rvalues,
+                  verify.check_tet_table, verify.check_theta_id):
+        calls.clear()
+        check(ctx)
+        assert calls and set(calls.values()) == {1}, (check.__name__, calls)
+
+
 def test_report_witness_digest(verification_report):
     """Every witness, pinned: floats rounded to 9 places (and -0.0 made 0.0)
     so that the digest does not depend on the platform's libm."""
