@@ -211,8 +211,8 @@ def _integer(text: str, option: str) -> int:
 
 
 def _parse_phase(text: str, theory_order: int) -> Cyclo:
-    num, _, den = text.partition("/")
-    p, q = _integer(num, "--phase"), _integer(den or "1", "--phase")
+    num, slash, den = text.partition("/")
+    p, q = _integer(num, "--phase"), _integer(den, "--phase") if slash else 1
     if q < 1:
         raise ValueError("--phase denominator must be positive")
     _require_order(math.lcm(2 * q, theory_order), "--phase")

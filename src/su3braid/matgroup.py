@@ -16,17 +16,17 @@ tuple of signed 1-based generator indices, negative meaning inverse.
 
 Only :func:`close` closes a group from matrices, and it multiplies by the
 generators alone: in a finite group an inverse is a power, so the forward
-closure reaches every element, and each inverse generator's action is the
-inverse permutation of its generator's.  The signed closure that fixes
-element order and words is then integer work.  The Cayley table is
-derived from the recorded actions down the closure's tree, certified
-before its first row is built (`_certify`), and only streamed, by the CSV
-export; the engine never holds it whole.  Structural queries on a closed group
-(subgroups, normality, factorizations) are not part of the engine: the
-verifier proves the paper's group structure from word identities.  The
-exact products go through the interned scalars and their memos keyed by
-serial ids (see :mod:`su3braid.cyclo`); threads may share them, a race
-there costing at most one discarded scalar object.
+closure reaches every element.  The signed closure that fixes element
+order and words is then integer work.  A group keeps its words, which
+spell the closure's tree, and its generators' actions, the inverses'
+being derived.  The Cayley table is derived from them and certified
+before its first row is built (`_certify`), so a Cayley export vouches
+for the words too; it is only streamed, by the CSV export.  Structural
+queries on a closed group (subgroups, normality, factorizations) are not
+part of the engine: the verifier proves the paper's group structure from
+word identities.  The exact products go through the interned scalars and
+their memos keyed by serial ids (see :mod:`su3braid.cyclo`); threads may
+share them, a race there costing at most one discarded scalar object.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ class FiniteMatrixGroup:
 
     Element i is stored once, as `matrices[i]`, `keys[i]` and `words[i]`,
     and is named by its index alone: the group keeps no lookup by matrix.
-    Besides the elements, a group keeps what its closure learned: the BFS
-    provenance (element i is generator `_bfs_mult[i]` times element
-    `_bfs_parent[i]`) and the left-multiplication action of every signed
-    generator as a permutation of element indices.  The Cayley table is
-    composed from these integers (`cayley_csv_lines`).
+    Besides the elements, a group keeps what its closure learned: the
+    left-multiplication action of each generator s, `_actions[s]`, as a
+    permutation of element indices.  The words are the BFS tree: element i
+    is `words[i][0]` times the element with word `words[i][1:]`.  The
+    Cayley table is composed from these integers (`cayley_csv_lines`).
     """
 
     def __init__(
@@ -70,8 +70,6 @@ class FiniteMatrixGroup:
         keys: tuple[bytes, ...],
         words: tuple[Word, ...],
         generators: tuple[int, ...],
-        bfs_mult: tuple[int, ...],
-        bfs_parent: tuple[int, ...],
         actions: Mapping[int, tuple[int, ...]],
     ):
         self.working_order = working_order
@@ -79,8 +77,6 @@ class FiniteMatrixGroup:
         self.keys = keys
         self.words = words
         self.generators = generators
-        self._bfs_mult = bfs_mult
-        self._bfs_parent = bfs_parent
         self._actions = dict(actions)
 
     # -- basic queries --------------------------------------------------------
@@ -99,60 +95,73 @@ class FiniteMatrixGroup:
 _TABLE_SAMPLE = 256
 
 
-def _certify(group: FiniteMatrixGroup) -> None:
+def _inverse(perm: Sequence[int]) -> list[int]:
+    """The inverse of a permutation of range(len(perm))."""
+    inverse = [0] * len(perm)
+    for x, y in enumerate(perm):
+        inverse[y] = x
+    return inverse
+
+
+def _certify(group: FiniteMatrixGroup) -> tuple[list[int], list[int], dict]:
     """Soundness guard for the table T that `cayley_csv_lines` derives from
     the closure's record, run on that record before any row is built:
     integer passes, then a fixed-seed sample of direct exact products.
     Its passes run in order, and the first that fails raises a
-    `CayleyTableError` naming the element, generator or entry involved.
+    `CayleyTableError` naming the element, generator or entry involved;
+    else it returns the derivation it certified, `(mult, parent, actions)`.
 
-    Row 0 of T is the identity and row i is s_i = l_m o s_p, where element
-    i was first reached as generator m times element p (m = `_bfs_mult[i]`,
-    p = `_bfs_parent[i]`) and l_m is m's recorded action.  Write c_b for
-    column b, x -> T[x][b], built down the same tree as c_b(0) = b,
+    Row 0 of T is the identity and row i is s_i = l_m o s_p, where the
+    word of element i is m followed by that of element p (m = `mult[i]`,
+    p = `parent[i]`) and l_m is m's action, an inverse's derived.  Write c_b
+    for column b, x -> T[x][b], built down the same tree as c_b(0) = b,
     c_b(i) = l_m(c_b(p)), and S for the distinct positive generators.
-    The passes are: the provenance is a tree (each p < i, each m a signed
-    generator); (P) every positive generator's action is a permutation of
-    range(n); each inverse generator's action is its generator's inverted;
-    (I) column 0 is the identity; each generator's row equals its action;
-    and (C) l_a o c_b = c_b o l_a for all a, b in S.  Let H be the group
-    the l_a generate; it holds the inverses' actions, so every row built
-    down the tree is in H.  By (C) every element of H commutes with every
-    c_b, so one that fixes 0 fixes every index that steps x -> c_b(x),
-    b in S, reach from 0.  (R) These steps reach every index, so they need
-    no pass of their own: c_b(w(0)) = w(c_b(0)) = (w o l_b)(0) for w in H,
-    the row of b being l_b, so they reach H's orbit of 0, which holds
-    s_x(0) = x for every index x by (I).  So an element of H is fixed by
-    its value at 0, and |H| <= n.  The n rows are distinct since s_x(0) = x, so the
-    rows are H, which acts regularly on the indices.  Then each column
-    x -> s_x(y) is injective, T is a Latin square, and s_{s_x(b)} =
-    s_x o s_b for every index b, both sides being elements of H that agree
-    at 0.  This is the standard fact that a permutation group centralizing
-    a transitive action is semiregular (Dixon and Mortimer, *Permutation
-    Groups*, Thm 4.2A).
+    The passes are: the words are a tree (word 0 is empty, each p < i, each
+    m a signed generator); (P) every positive generator's action is a
+    permutation of range(n), and only then is each inverse's derived from
+    it; (I) column 0 is the identity; each generator's row equals its
+    action; and (C) l_a o c_b = c_b o l_a for all a, b in S.  Let H be the
+    group the l_a generate; it holds the inverses' actions, so every row
+    built down the tree is in H.  By (C) every element of H commutes with
+    every c_b, so one that fixes 0 fixes every index that steps
+    x -> c_b(x), b in S, reach from 0.  (R) These steps reach every index,
+    so they need no pass of their own: c_b(w(0)) = w(c_b(0)) = (w o l_b)(0)
+    for w in H, the row of b being l_b, so they reach H's orbit of 0, which
+    holds s_x(0) = x for every index x by (I).  So an element of H is fixed
+    by its value at 0, and |H| <= n.  The n rows are distinct since
+    s_x(0) = x, so the rows are H, which acts regularly on the indices.
+    Then each column x -> s_x(y) is injective, T is a Latin square, and
+    s_{s_x(b)} = s_x o s_b for every index b, both sides being elements of
+    H that agree at 0.  This is the standard fact that a permutation group
+    centralizing a transitive action is semiregular (Dixon and Mortimer,
+    *Permutation Groups*, Thm 4.2A).
 
     With true actions, as `close` records them from exact products, H is
     the left regular action of the group S generates, so s_x, the element
     of H taking 0 to x, is left multiplication by element x: these passes
-    force the table.  The samples check the actions themselves, each
-    sampled entry found by walking its row's tree path and its key compared
-    with the exact product's (a closure's keys are distinct).  So the guard
-    reads about |S|^2 n integers and builds no row, and it reads no
-    action entry or provenance step it has not bounded."""
-    n, gens, actions = group.order, group.generators, group._actions
-    mult, parent = group._bfs_mult, group._bfs_parent
-    for i in range(1, n):
-        if not (0 <= parent[i] < i and 0 < abs(mult[i]) <= len(gens)):
+    force the table, and so each element is the product of its word.  The
+    samples check the actions themselves, each sampled entry found by
+    walking its row's tree path and its key compared with the exact
+    product's (a closure's keys are distinct).  So the guard reads about
+    |S|^2 n integers and builds no row, and it reads no action entry or
+    word it has not bounded."""
+    n, gens, words = group.order, group.generators, group.words
+    mult, parent, first = [], [], {}  # first: each word's first element
+    for i, word in enumerate(words):
+        p = first.get(word[1:]) if word else (None if i else -1)  # only 0's is empty
+        if p is None or word and not 0 < abs(word[0]) <= len(gens):
             raise CayleyTableError(
                 f"element {i} is not recorded as a generator times an earlier one"
             )
-    full, identity = set(range(n)), list(range(n))
+        mult.append(word[0] if word else 0)
+        parent.append(p)
+        first.setdefault(word, i)
+    full, identity, actions = set(range(n)), list(range(n)), {}
     for s in range(1, len(gens) + 1):
-        action, inverse = actions.get(s, ()), actions.get(-s, ())
+        action = group._actions.get(s, ())
         if len(action) != n or full != set(action):  # (P)
             raise CayleyTableError(f"recorded action of generator {s} is not a permutation")
-        if len(inverse) != n or list(map(inverse.__getitem__, action)) != identity:
-            raise CayleyTableError(f"recorded action of generator {-s} is not its inverse's")
+        actions[s], actions[-s] = action, _inverse(action)
 
     def column(b: int) -> list[int]:
         c = [b]
@@ -163,7 +172,7 @@ def _certify(group: FiniteMatrixGroup) -> None:
     if column(0) != identity:  # (I)
         raise CayleyTableError("derived table column 0 is not the identity")
     for s, a in enumerate(gens, 1):
-        if _entries(group, a, identity) != list(actions[s]):
+        if _entries((mult, parent, actions), a, identity) != list(actions[s]):
             raise CayleyTableError(
                 f"derived table row {a} differs from the action of generator {s}"
             )
@@ -180,19 +189,21 @@ def _certify(group: FiniteMatrixGroup) -> None:
     for _ in range(min(_TABLE_SAMPLE, n * n)):
         i, j = rng.randrange(n), rng.randrange(n)
         product = group.matrices[i] * group.matrices[j]
-        if group.keys[_entries(group, i, [j])[0]] != product.key_bytes():
+        if group.keys[_entries((mult, parent, actions), i, [j])[0]] != product.key_bytes():
             raise CayleyTableError(
                 f"derived table entry ({i}, {j}) disagrees with the exact product"
             )
+    return mult, parent, actions
 
 
-def _entries(group: FiniteMatrixGroup, i: int, xs: Sequence[int]) -> list[int]:
-    """Entries T[i][x], x in xs, of the derived table, found by applying the
-    actions along element i's tree path from the root."""
+def _entries(derived: tuple, i: int, xs: Sequence[int]) -> list[int]:
+    """Entries T[i][x], x in xs, of the table `_certify` derived, found by
+    applying the actions along element i's tree path from the root."""
+    mult, parent, actions = derived
     path = []
     while i:
-        path.append(group._actions[group._bfs_mult[i]])
-        i = group._bfs_parent[i]
+        path.append(actions[mult[i]])
+        i = parent[i]
     for action in reversed(path):
         xs = list(map(action.__getitem__, xs))
     return list(xs)
@@ -211,8 +222,8 @@ def close(
     generators: Sequence[UnitaryMatrix], cap: int = 100_000
 ) -> FiniteMatrixGroup:
     """Breadth-first closure of the generators and their inverses under
-    left multiplication, recording each signed generator's action on the
-    element indices.  Raises GroupTooLargeError past the cap.
+    left multiplication, recording the words and each generator's action
+    on the element indices.  Raises GroupTooLargeError past the cap.
 
     Only the generators themselves multiply matrices, in one forward pass
     over the elements in the order it finds them: in a finite group an
@@ -220,7 +231,7 @@ def close(
     every element, and each inverse generator's action is the inverse
     permutation of its generator's.  The signed closure, which fixes the
     element order and the words, then runs once, on those integer
-    actions."""
+    actions; the group keeps only the generators' own."""
     if not generators:
         raise ValueError("need at least one generator")
     if cap < 1:
@@ -263,10 +274,7 @@ def close(
     # part in the words
     signed_rows: dict[int, list[int]] = {}
     for i, k in enumerate(gen_ids, 1):
-        inverse = [0] * len(keys)
-        for x, y in enumerate(rows[k]):
-            inverse[y] = x
-        signed_rows[i], signed_rows[-i] = rows[k], inverse
+        signed_rows[i], signed_rows[-i] = rows[k], _inverse(rows[k])
     multipliers: dict[int, tuple[int, list[int]]] = {}
     for signed, row in signed_rows.items():
         multipliers.setdefault(row[0], (signed, row))
@@ -274,31 +282,25 @@ def close(
     # element and is appended in key order
     at = [-1] * len(keys)  # forward index -> element index
     at[0] = 0
-    reached, words, bfs_mult, bfs_parent = [0], [()], [0], [-1]
-    start = 0
+    reached, words, start = [0], [()], 0
     while start < len(reached):
-        layer: dict[int, tuple[Word, int]] = {}
-        for p in range(start, len(reached)):
-            x, word = reached[p], words[p]
+        layer: dict[int, Word] = {}
+        for x, word in zip(reached[start:], words[start:]):
             for signed, row in multipliers.values():
                 y = row[x]
                 if at[y] < 0:
                     candidate = (signed,) + word
-                    if y not in layer or candidate < layer[y][0]:
-                        layer[y] = candidate, p
+                    if y not in layer or candidate < layer[y]:
+                        layer[y] = candidate
         start = len(reached)
         for y in sorted(layer, key=keys.__getitem__):
-            word, p = layer[y]
             at[y] = len(reached)
             reached.append(y)
-            words.append(word)
-            bfs_mult.append(word[0])
-            bfs_parent.append(p)
+            words.append(layer[y])
     return FiniteMatrixGroup(
         order, tuple(matrices[x] for x in reached), tuple(keys[x] for x in reached),
         tuple(words), tuple(at[rows[k][0]] for k in gen_ids),
-        tuple(bfs_mult), tuple(bfs_parent),
-        {signed: tuple(at[row[x]] for x in reached) for signed, row in signed_rows.items()},
+        {i: tuple(at[rows[k][x]] for x in reached) for i, k in enumerate(gen_ids, 1)},
     )
 
 
@@ -468,15 +470,15 @@ def cayley_csv_lines(group: FiniteMatrixGroup) -> Iterator[str]:
     its file; each line is then built as it is consumed, and neither the
     table nor the text is ever held whole.
 
-    Row i of the table is the action of `_bfs_mult[i]` applied to the row
-    of `_bfs_parent[i]`, so line i gathers, through its parent's row, from
-    that action with its targets already mapped to labels.  The gather is
-    one itemgetter per parent, shared by its children, and is dropped once
-    its last child is built: only the rows of the tree's frontier are held,
-    and an integer row is built only for an element with children."""
-    _certify(group)
+    Row i of the table is the action of generator `words[i][0]` applied
+    to the row of its parent, the element whose word is `words[i][1:]`, so
+    line i gathers, through its parent's row, from that action with its
+    targets already mapped to labels.  The gather is one itemgetter per
+    parent, shared by its children, and is dropped once its last child is
+    built: only the rows of the tree's frontier are held, and an integer
+    row is built only for an element with children."""
+    mult, parent, actions = _certify(group)
     n = group.order
-    parent, mult, actions = group._bfs_parent, group._bfs_mult, group._actions
     labels = [str(i) for i in range(n)]
     labelled = {s: list(map(labels.__getitem__, action)) for s, action in actions.items()}
     last = {p: i for i, p in enumerate(parent)}  # each parent's last child

@@ -178,9 +178,7 @@ class UnitaryMatrix:
         return order
 
     def embed(self, order: int) -> "UnitaryMatrix":
-        return UnitaryMatrix._make(
-            tuple(tuple(v.embed(order) if v.order > 1 else v for v in row) for row in self.rows)
-        )
+        return UnitaryMatrix._make(tuple(tuple(v.embed(order) for v in row) for row in self.rows))
 
     def key_bytes(self) -> bytes:
         """Canonical byte key: entry representations are unique per value,
@@ -189,11 +187,11 @@ class UnitaryMatrix:
         return b"%d|" % self.dim + b";".join(v.key_bytes() for row in self.rows for v in row)
 
     def to_dict(self) -> dict:
-        floats = [[v.to_complex() for v in row] for row in self.rows]
+        rows = [[v.to_dict() for v in row] for row in self.rows]
         return {
             "dim": self.dim,
-            "rows": [[v.to_dict() for v in row] for row in self.rows],
-            "float_rows": [[[z.real, z.imag] for z in row] for row in floats],
+            "rows": rows,
+            "float_rows": [[list(d["approx"]) for d in row] for row in rows],
         }
 
     def __repr__(self) -> str:

@@ -277,12 +277,16 @@ def test_cli_rep_bad_input_exits_2(capsys):
     (["rep", "--phase", "abc"], "error: --phase takes integers, got 'abc'\n"),
     (["rep", "--phase", "1/x"], "error: --phase takes integers, got 'x'\n"),
     (["rep", "--phase", "1.5"], "error: --phase takes integers, got '1.5'\n"),
+    (["rep", "--phase", "1/"], "error: --phase takes integers, got ''\n"),
     (["group", "--from", "familyC", "9", "a", "1"],
      "error: --from familyC takes integers, got 'a'\n"),
     (["group", "--from", "familyD", "9", "1", "1", "2", "1", "s"],
      "error: --from familyD takes integers, got 's'\n"),
     (["group", "--from", "familyE", "x"], "error: unknown group source 'familyE'\n"),
-], ids=["phase-word", "phase-denominator", "phase-decimal", "familyC", "familyD", "unknown-source"])
+], ids=[
+    "phase-word", "phase-denominator", "phase-decimal", "phase-empty-denominator", "familyC",
+    "familyD", "unknown-source",
+])
 def test_cli_non_integer_value_names_its_option(argv, err, capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", err)

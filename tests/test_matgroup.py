@@ -345,18 +345,24 @@ def test_derived_table_order_648_seeded_entries(family_648):
 
 
 def test_actions_are_left_multiplication(paper_group):
+    # the record holds the positive actions; the guard derives the inverses'
+    _, _, actions = mg._certify(paper_group)
+    assert set(paper_group._actions) == {1, 2}
     for signed in (1, -1, 2, -2):
         g = paper_group.matrices[paper_group.generators[abs(signed) - 1]]
         if signed < 0:
             g = g.conj_transpose()
-        perm = paper_group._actions[signed]
+        else:
+            assert actions[signed] == paper_group._actions[signed]
+        perm = actions[signed]
         assert sorted(perm) == list(range(162))
-        for x in (0, 5, 77, 161):
+        for x in range(162):
             product = g * paper_group.matrices[x]
             assert paper_group.keys.index(product.key_bytes()) == perm[x]
     # an involution's inverse shares its action
     t3 = mg.close([UnitaryMatrix.diagonal([-1, -1, 1])])
-    assert t3._actions[1] == t3._actions[-1] == (1, 0)
+    _, _, actions = mg._certify(t3)
+    assert list(actions[1]) == list(actions[-1]) == [1, 0]
 
 
 def test_corrupted_action_is_caught(paper_matrices):
@@ -368,31 +374,51 @@ def test_corrupted_action_is_caught(paper_matrices):
         cayley_table(group)
 
 
+def _repointed_words(group):
+    """The words of `group` with the parent of every element past the
+    generator layer re-pointed: element i >= 5 keeps its word's first
+    letter, followed by the word of the element after its parent."""
+    n, words = group.order, group.words
+    _, parent = _word_tree(group)
+    return words[:5] + tuple((words[i][0],) + words[(parent[i] + 1) % n] for i in range(5, n))
+
+
 def test_corrupted_provenance_is_caught(paper_matrices):
     group = mg.close(list(paper_matrices))
-    # re-point the parent of every element past the generator layer
-    group._bfs_parent = group._bfs_parent[:5] + tuple(
-        (p + 1) % group.order for p in group._bfs_parent[5:]
-    )
+    group.words = _repointed_words(group)
     with pytest.raises(mg.CayleyTableError):
         cayley_table(group)
 
 
-def _rebuilt(group, actions=None, bfs_mult=None, bfs_parent=None, generators=None):
+def _rebuilt(group, actions=None, words=None, generators=None):
     """A copy of `group` whose table is not built yet, with the given
-    actions, provenance or generator indices in place of the closure's."""
+    positive actions, words or generator indices in place of the closure's."""
     return mg.FiniteMatrixGroup(
-        group.working_order, group.matrices, group.keys, group.words,
+        group.working_order, group.matrices, group.keys,
+        group.words if words is None else words,
         group.generators if generators is None else generators,
-        group._bfs_mult if bfs_mult is None else bfs_mult,
-        group._bfs_parent if bfs_parent is None else bfs_parent,
         group._actions if actions is None else actions,
     )
 
 
+@pytest.mark.parametrize("name", ["paper_group", "family_648"])
+def test_swapped_words_fail_the_cayley_export(request, name):
+    # the table is derived along the words, so two words swapped within one
+    # BFS layer, the matrices, keys and actions left alone, fail the guard
+    # when the export is called, before it yields a line
+    group = request.getfixturevalue(name)
+    x = _plain_elements(group)[0]
+    y = next(y for y in range(x + 1, group.order) if len(group.words[y]) == len(group.words[x]))
+    words = list(group.words)
+    words[x], words[y] = words[y], words[x]
+    with pytest.raises(mg.CayleyTableError, match="^derived table column 0 is not the identity$"):
+        mg.cayley_csv_lines(_rebuilt(group, words=tuple(words)))
+
+
 def test_order_648_corruptions_are_caught(family_648):
     # a generator that is not an involution: its inverse has its own action
-    signed = next(s for s in family_648._actions if family_648._actions[s] != family_648._actions[-s])
+    _, _, derived = mg._certify(family_648)
+    signed = next(s for s in family_648._actions if list(derived[s]) != list(derived[-s]))
     rng = random.Random(6)
     for _ in range(4):
         perm = list(family_648._actions[signed])
@@ -401,10 +427,8 @@ def test_order_648_corruptions_are_caught(family_648):
         corrupted = {**family_648._actions, signed: tuple(perm)}
         with pytest.raises(mg.CayleyTableError):
             cayley_table(_rebuilt(family_648, actions=corrupted))
-    parent = family_648._bfs_parent
-    repointed = parent[:5] + tuple((p + 1) % 648 for p in parent[5:])
     with pytest.raises(mg.CayleyTableError):
-        cayley_table(_rebuilt(family_648, bfs_parent=repointed))
+        cayley_table(_rebuilt(family_648, words=_repointed_words(family_648)))
     assert cayley_table(_rebuilt(family_648)) == cayley_table(family_648)
 
 
@@ -420,6 +444,34 @@ def _generator_indices(group):
     return out
 
 
+def _signed_actions(group):
+    """The signed actions of the record of `group`, without the guard: each
+    positive one as recorded, and each inverse's read off it, -1 at an
+    index that it does not take."""
+    n, out = group.order, {}
+    for s in range(1, len(group.generators) + 1):
+        action = list(group._actions.get(s, ()))
+        inverse = [-1] * n
+        for x, y in enumerate(action):
+            if 0 <= y < n:
+                inverse[y] = x
+        out[s], out[-s] = action, inverse
+    return out
+
+
+def _word_tree(group):
+    """(mult, parent) read off the words, without the guard: element i is
+    generator `words[i][0]` times the first element whose word is
+    `words[i][1:]`, and its parent is -1 when no element has that word (or
+    its own word is empty)."""
+    first = {}
+    for i, word in enumerate(group.words):
+        first.setdefault(word, i)
+    mult = [word[0] if word else 0 for word in group.words]
+    parent = [first.get(word[1:], -1) if word else -1 for word in group.words]
+    return mult, parent
+
+
 def _gather(action, row):
     """action o row, with -1 for an entry that is no index of `action`."""
     if min(row) >= 0 and max(row) < len(action):
@@ -428,22 +480,22 @@ def _gather(action, row):
 
 
 def _derived_table(group, columns=None):
-    """The table derived from the recorded actions and provenance, without
+    """The table derived from the recorded actions along the words, without
     the guard: row 0 is the identity, and row i is the action of
-    `_bfs_mult[i]` applied to the row of `_bfs_parent[i]`, followed up to
-    the root.  An entry it cannot read is -1: one in a row whose parent
+    `mult[i]` applied to the row of `parent[i]` (`_word_tree`), followed up
+    to the root.  An entry it cannot read is -1: one in a row whose parent
     chain leaves the indices or never reaches 0, or outside an action.
     With `columns`, each row holds only its entries at those indices."""
-    n = group.order
+    n, (mult, parent), actions = group.order, _word_tree(group), _signed_actions(group)
     rows = {0: list(range(n) if columns is None else columns)}
     for start in range(n):
         chain, i = [], start
         while i not in rows and 0 <= i < n and i not in chain:
             chain.append(i)
-            i = group._bfs_parent[i]
+            i = parent[i]
         row = rows.get(i, [-1] * len(rows[0]))
         for j in reversed(chain):
-            row = rows[j] = _gather(group._actions.get(group._bfs_mult[j], ()), row)
+            row = rows[j] = _gather(actions.get(mult[j], ()), row)
     return [rows[i] for i in range(n)]
 
 
@@ -452,12 +504,12 @@ def _failed_conditions(group, table):
     square, generator rows equal to their actions, Light's test."""
     n = len(table)
     full = set(range(n))
-    gens = _generator_indices(group)
+    gens, actions = _generator_indices(group), _signed_actions(group)
     checks = {
         "identity": table[0] == list(range(n)) and [row[0] for row in table] == list(range(n)),
         "latin": all(set(row) == full for row in table)
         and all(set(col) == full for col in zip(*table)),
-        "action": all(tuple(table[a]) == group._actions[s] for s, a in gens.items()),
+        "action": all(table[a] == actions[s] for s, a in gens.items()),
         # (x*a)*y == x*(a*y) for every y, as whole rows
         "light": all(
             table[table[x][a]] == [table[x][ay] for ay in table[a]]
@@ -470,14 +522,28 @@ def _failed_conditions(group, table):
 def _derived_row(group, i):
     """Row i of `_derived_table(group)` alone, built down i's parent chain:
     -1 throughout when the chain leaves the indices or never reaches 0."""
+    (mult, parent), actions = _word_tree(group), _signed_actions(group)
     chain = []
     while i and 0 <= i < group.order and i not in chain:
         chain.append(i)
-        i = group._bfs_parent[i]
+        i = parent[i]
     row = list(range(group.order)) if i == 0 else [-1] * group.order
     for j in reversed(chain):
-        row = _gather(group._actions.get(group._bfs_mult[j], ()), row)
+        row = _gather(actions.get(mult[j], ()), row)
     return row
+
+
+def _words_are_a_tree(words, k):
+    """Whether word 0 is empty and each other is one of the k generators or
+    their inverses followed by the word of an earlier element."""
+    if words[0] != ():
+        return False
+    earlier = {()}
+    for word in words[1:]:
+        if not (word and word[1:] in earlier and 0 < abs(word[0]) <= k):
+            return False
+        earlier.add(word)
+    return True
 
 
 def _certificate_failures(group):
@@ -486,21 +552,15 @@ def _certificate_failures(group):
     the derived table, about |S| n entries in place of its n^2; it reads
     only records whose derived table holds element indices."""
     n, k = group.order, len(group.generators)
-    action = {s: list(group._actions.get(s, ())) for s in range(-k, k + 1) if s}
+    action = _signed_actions(group)
     gens = list(dict.fromkeys(group.generators))
     bs = list(dict.fromkeys([0, *gens]))
     entries = _derived_table(group, bs)
     column = {b: [row[c] for row in entries] for c, b in enumerate(bs)}
     positive = range(1, k + 1)
     holds = {
-        "tree": all(
-            0 <= group._bfs_parent[i] < i and 0 < abs(group._bfs_mult[i]) <= k for i in range(1, n)
-        ),
+        "tree": _words_are_a_tree(group.words, k),
         "permutation": all(sorted(action[s]) == list(range(n)) for s in positive),
-        "inverse": all(
-            len(action[-s]) == n and [action[-s][y] for y in action[s][:n]] == list(range(n))
-            for s in positive
-        ),
         "column 0": column[0] == list(range(n)),
         "generator rows": all(
             _derived_row(group, a) == action[s] for s, a in enumerate(group.generators, 1)
@@ -521,23 +581,30 @@ def _plain_elements(group):
 
 def _renamed(group, sigma, provenance=False):
     """`group` with element x renamed sigma[x], for an involution sigma, in
-    its actions, and in its provenance too when `provenance` is set (sigma
-    then fixes 0)."""
+    its actions, and in its words too when `provenance` is set (sigma then
+    fixes 0)."""
     n = group.order
     actions = {
         s: tuple(sigma[action[sigma[x]]] for x in range(n)) for s, action in group._actions.items()
     }
     if not provenance:
         return _rebuilt(group, actions=actions)
-    return _rebuilt(
-        group, actions=actions,
-        bfs_mult=tuple(group._bfs_mult[sigma[x]] for x in range(n)),
-        bfs_parent=(-1, *(sigma[group._bfs_parent[sigma[x]]] for x in range(1, n))),
-    )
+    return _rebuilt(group, actions=actions, words=tuple(group.words[sigma[x]] for x in range(n)))
 
 
-def _with_action(group, signed, action):
-    return _rebuilt(group, actions={**group._actions, signed: tuple(action)})
+def _with_words(group, x, word):
+    """`group` with `word` recorded for element x, and each element below x
+    in the tree, whose word ends with x's, moved with it: only the step
+    into x changes."""
+    old = -len(group.words[x])
+    return _rebuilt(group, words=tuple(
+        w[:old] + word if w[old:] == group.words[x] else w for w in group.words
+    ))
+
+
+def _with_action(group, s, action):
+    """`group` with `action` recorded for the positive generator s."""
+    return _rebuilt(group, actions={**group._actions, s: tuple(action)})
 
 
 def _bad_identity(group):
@@ -566,14 +633,11 @@ def _bad_action(group):
 
 def _twisted(group, s, u, v):
     """`group` with the action of generator s composed with the
-    transposition of indices u and v, and its inverse's action inverted to
-    match, so that both are permutations and inverse to each other."""
+    transposition of indices u and v, so that it is still a permutation
+    (its inverse's, derived, follows it)."""
     action = list(group._actions[s])
     action[u], action[v] = action[v], action[u]
-    inverse = [0] * group.order
-    for x, y in enumerate(action):
-        inverse[y] = x
-    return _rebuilt(group, actions={**group._actions, s: tuple(action), -s: tuple(inverse)})
+    return _with_action(group, s, action)
 
 
 @functools.cache
@@ -585,7 +649,7 @@ def _uncommuting(group):
     tries costs a few derived columns, not an n^2 table; each session
     group's record is still found once and shared, and no test alters a
     record."""
-    parents = set(group._bfs_parent)
+    parents = set(_word_tree(group)[1])
     leaves = [x for x in _plain_elements(group) if x not in parents][:40]
     for s in range(1, len(group.generators) + 1):
         for u, v in itertools.combinations(leaves, 2):
@@ -637,22 +701,18 @@ def test_check_table_rejects_each_integer_condition(
 
 
 def _forward_parent(group):
-    """`group` with one element recorded as a generator times a later
-    element, not below it in the tree: the parent chains still reach 0 and
-    derive the true table, but not in index order."""
-    n, parent, mult = group.order, group._bfs_parent, group._bfs_mult
+    """`group` with one element's word a generator followed by the word of
+    a later element, not below it in the tree: the parent chains still
+    reach 0 and derive the true table, but not in index order."""
+    words, (_, parent), actions = group.words, _word_tree(group), _signed_actions(group)
     for i in _plain_elements(group):
-        for m in (m for m in group._actions if m):
-            p = group._actions[-m][i]  # element i is generator m times element p
+        for m in itertools.chain.from_iterable((s, -s) for s in group._actions):
+            p = actions[-m][i]  # element i is generator m times element p
             chain = p
             while chain > 0 and chain != i:
                 chain = parent[chain]
             if p > i and chain == 0:
-                return _rebuilt(
-                    group,
-                    bfs_mult=mult[:i] + (m,) + mult[i + 1:],
-                    bfs_parent=parent[:i] + (p,) + parent[i + 1:],
-                )
+                return _with_words(group, i, (m,) + words[p])
     raise AssertionError("no later element reaches 0 without passing through i")
 
 
@@ -662,29 +722,25 @@ def test_certificate_checks_each_condition(paper_group):
     group = paper_group
     assert _certificate_failures(group) == set()
     mg._certify(group)
-    n, x = group.order, _plain_elements(group)[0]
-    parent, mult = group._bfs_parent, group._bfs_mult
-    swapped = list(group._actions[-1])
-    swapped[0], swapped[1] = swapped[1], swapped[0]
+    n, x, words = group.order, _plain_elements(group)[0], group.words
     not_a_tree = f"element {x} is not recorded as a generator times an earlier one"
     not_a_permutation = "recorded action of generator 2 is not a permutation"
     cases = [
-        # a parent that is a later element, the element itself, or a step by
-        # no generator
+        # a word that is a generator followed by the word of a later element
+        # or by the element's own word, or whose first letter is no generator;
+        # a word for the identity, and an empty word for another element
         ("tree", _forward_parent(group), True,
          "element 5 is not recorded as a generator times an earlier one"),
-        ("tree", _rebuilt(group, bfs_parent=parent[:x] + (x,) + parent[x + 1:]), False, not_a_tree),
-        ("tree", _rebuilt(group, bfs_mult=mult[:x] + (3,) + mult[x + 1:]), False, not_a_tree),
+        ("tree", _with_words(group, x, (1,) + words[x]), False, not_a_tree),
+        ("tree", _with_words(group, x, (3,) + words[x][1:]), False, not_a_tree),
+        ("tree", _rebuilt(group, words=((1,), *words[1:])), False,
+         "element 0 is not recorded as a generator times an earlier one"),
+        ("tree", _with_words(group, x, ()), False, not_a_tree),
         # (P): a repeated entry, an entry out of range, one entry too many
         ("permutation", _bad_latin(group), False, not_a_permutation),
         ("permutation", _with_action(group, 2, [*group._actions[2][:-1], n]), False,
          not_a_permutation),
         ("permutation", _with_action(group, 2, [*group._actions[2], 0]), False, not_a_permutation),
-        # an inverse's action with one entry too many, and with two swapped
-        ("inverse", _with_action(group, -2, [*group._actions[-2], 0]), True,
-         "recorded action of generator -2 is not its inverse's"),
-        ("inverse", _with_action(group, -1, swapped), False,
-         "recorded action of generator -1 is not its inverse's"),
         ("column 0", _bad_identity(group), False, "derived table column 0 is not the identity"),
         ("generator rows", _bad_action(group), True,
          "derived table row 3 differs from the action of generator 1"),
@@ -697,7 +753,7 @@ def test_certificate_checks_each_condition(paper_group):
         with pytest.raises(mg.CayleyTableError, match=f"^{re.escape(text)}$"):
             mg._certify(bad)
     # the samples alone: elements renamed in pairs within their tree layer,
-    # in the actions and the provenance alike, pass every integer condition
+    # in the actions and the words alike, pass every integer condition
     renamed = _renamed_in_layers(group, random.Random(0))
     assert _certificate_failures(renamed) == set()
     assert _failed_conditions(renamed, _derived_table(renamed)) == set()
@@ -707,7 +763,7 @@ def test_certificate_checks_each_condition(paper_group):
 
 def _renamed_in_layers(group, rng):
     """`group` with half its plain elements renamed in pairs, each pair in
-    one layer of the tree, in its actions and provenance alike: every
+    one layer of the tree, in its actions and words alike: every
     integer condition holds, and only the sampled products see it."""
     layers = {}
     for y in _plain_elements(group):
@@ -747,8 +803,9 @@ def _serial_check_table(group, table):
         or any(set(column) != full for column in zip(*table))
     ):
         raise mg.CayleyTableError("derived table is not a Latin square")
+    actions = _signed_actions(group)
     for s, a in rows.items():
-        if tuple(table[a]) != group._actions[s]:
+        if table[a] != actions[s]:
             raise mg.CayleyTableError(
                 f"derived table row {a} differs from the action of generator {s}"
             )
@@ -768,19 +825,20 @@ def _serial_check_table(group, table):
 def _guard_corpus(group, seed):
     """(label, group) cases for the guard: the valid record, the records
     built to fail one serial condition, malformed actions (short, long,
-    empty, with an entry out of range), each signed action corrupted on its
-    own and each positive one with its inverse, elements renamed within
-    their tree layers, and provenance re-pointed, looped, swapped within a
-    layer or naming no generator."""
-    n, k = group.order, len(group.generators)
+    empty, with an entry out of range), each signed action corrupted (an
+    inverse's through its generator's, which its derived action follows)
+    and each positive one twisted again, elements renamed within their
+    tree layers, and words re-pointed, followed by their own element's
+    word, swapped within a layer or starting with no generator."""
+    n, k, words = group.order, len(group.generators), group.words
     rng = random.Random(seed)
     x = rng.choice(_plain_elements(group))
     s = rng.randrange(1, k + 1)
 
-    def acting(label, signed, edit):
-        action = list(group._actions[signed])
+    def acting(label, generator, edit):
+        action = list(group._actions[generator])
         edit(action)
-        return label, _with_action(group, signed, action)
+        return label, _with_action(group, generator, action)
 
     def put(j, value):
         def edit(action):
@@ -792,36 +850,36 @@ def _guard_corpus(group, seed):
             action[i], action[j] = action[j], action[i]
         return edit
 
+    def swap_values(u, v):
+        # the transposition of u and v after the action, so that its
+        # inverse's derived action has its entries at u and v swapped
+        def edit(action):
+            i, j = action.index(u), action.index(v)
+            action[i], action[j] = v, u
+        return edit
+
     yield "valid", group
     for build in (_bad_identity, _bad_latin, _bad_action, _uncommuting):
         yield build.__name__, build(group)
     yield acting("short action", s, list.pop)
     yield acting("long action", s, lambda action: action.append(rng.randrange(n)))
     yield acting("empty action", s, list.clear)
-    yield acting("short inverse action", -s, list.pop)
     yield acting("negative entry", s, put(x, -rng.randrange(1, n)))
     yield acting("out-of-range entry", s, put(x, n + rng.randrange(n)))
     for signed in (1, -1, 2, -2):
-        yield acting(f"action {signed} corrupted", signed, swap(*rng.sample(range(n), 2)))
+        edit = swap if signed > 0 else swap_values
+        yield acting(f"action {signed} corrupted", abs(signed), edit(*rng.sample(range(n), 2)))
     for signed in range(1, k + 1):
-        yield f"action {signed} twisted with its inverse", _twisted(
-            group, signed, *rng.sample(range(n), 2)
-        )
+        yield f"action {signed} twisted", _twisted(group, signed, *rng.sample(range(n), 2))
     yield "renamed in layers", _renamed_in_layers(group, rng)
-    parent, mult = group._bfs_parent, group._bfs_mult
-    yield "re-pointed provenance", _rebuilt(
-        group, bfs_parent=parent[:5] + tuple((p + 1) % n for p in parent[5:])
-    )
-    yield "looped provenance", _rebuilt(group, bfs_parent=parent[:x] + (x,) + parent[x + 1:])
-    yield "no such generator", _rebuilt(group, bfs_mult=mult[:x] + (k + 1,) + mult[x + 1:])
-    depth = len(group.words[x])
-    y = next(y for y in _plain_elements(group) if y != x and len(group.words[y]) == depth)
-    swapped_parent, swapped_mult = list(parent), list(mult)
-    for seq in (swapped_parent, swapped_mult):
-        seq[x], seq[y] = seq[y], seq[x]
-    yield "swapped provenance", _rebuilt(
-        group, bfs_mult=tuple(swapped_mult), bfs_parent=tuple(swapped_parent)
-    )
+    yield "re-pointed words", _rebuilt(group, words=_repointed_words(group))
+    yield "word after its own", _with_words(group, x, (1,) + words[x])
+    yield "no such generator", _with_words(group, x, (k + 1,) + words[x][1:])
+    depth = len(words[x])
+    y = next(y for y in _plain_elements(group) if y != x and len(words[y]) == depth)
+    swapped = list(words)
+    swapped[x], swapped[y] = swapped[y], swapped[x]
+    yield "swapped words", _rebuilt(group, words=tuple(swapped))
 
 
 # the serial guard's failures, and the passes of `mg._certify`, by their
@@ -829,8 +887,8 @@ def _guard_corpus(group, seed):
 # `test_check_table_rejects_each_integer_condition`)
 _FAILURE_KINDS = ("row 0 or column 0", "Latin square", "differs from the action", "exact product")
 _PASS_KINDS = (
-    "earlier one", "not a permutation", "its inverse's", "column 0", "differs from the action",
-    "products", "exact product",
+    "earlier one", "not a permutation", "column 0", "differs from the action", "products",
+    "exact product",
 )
 
 
@@ -1243,8 +1301,6 @@ def _reference_members(group, xs):
 def _assert_same_closure(sub, ref):
     assert sub.keys == ref.keys
     assert sub.words == ref.words
-    assert sub._bfs_mult == ref._bfs_mult
-    assert sub._bfs_parent == ref._bfs_parent
     assert sub._actions == ref._actions
     assert [sub.keys[g] for g in sub.generators] == [ref.keys[g] for g in ref.generators]
 
@@ -1257,7 +1313,8 @@ def _reference_close(generators, cap=100_000):
     new key, is checked against the cap and is appended in key order, and
     the action entries that reached a new element are filled in after.  It
     tells matrices apart by their key text, where `close` reads the serial
-    ids of their entries."""
+    ids of their entries.  Returns the group, which records the positive
+    generators' actions, and every signed generator's action."""
     order = math.lcm(*(g.scalar_order() for g in generators))
     distinct, slot_of_key, slot_of_signed, generator_keys = [], {}, {}, []
     for i, g in enumerate(generators, 1):
@@ -1273,7 +1330,6 @@ def _reference_close(generators, cap=100_000):
     identity = UnitaryMatrix.identity(generators[0].dim)
     elements = {identity.key_bytes(): 0}
     keys, matrices, words = [identity.key_bytes()], [identity], [()]
-    bfs_mult, bfs_parent = [0], [-1]
     action = [[] for _ in distinct]
     frontier = [0]
     while frontier:
@@ -1303,15 +1359,15 @@ def _reference_close(generators, cap=100_000):
             keys.append(key)
             matrices.append(product)
             words.append(word)
-            bfs_mult.append(signed)
-            bfs_parent.append(parent_idx)
         for slot, parent_idx, key in pending:
             action[slot][parent_idx] = elements[key]
-    return mg.FiniteMatrixGroup(
+    actions = {signed: tuple(action[slot]) for signed, slot in slot_of_signed.items()}
+    group = mg.FiniteMatrixGroup(
         order, tuple(matrices), tuple(keys), tuple(words),
-        tuple(elements[k] for k in generator_keys), tuple(bfs_mult), tuple(bfs_parent),
-        {signed: tuple(action[slot]) for signed, slot in slot_of_signed.items()},
+        tuple(elements[k] for k in generator_keys),
+        {s: action for s, action in actions.items() if s > 0},
     )
+    return group, actions
 
 
 CLOSURE_INPUTS = {
@@ -1338,8 +1394,12 @@ CLOSURE_INPUTS = {
 @pytest.mark.parametrize("name", CLOSURE_INPUTS)
 def test_close_matches_the_signed_matrix_closure(name):
     generators = CLOSURE_INPUTS[name]()
-    group, ref = mg.close(generators), _reference_close(generators)
+    group, (ref, actions) = mg.close(generators), _reference_close(generators)
     _assert_same_closure(group, ref)
+    # each inverse generator's action, as the guard derives it, is the one
+    # the exact products give
+    _, _, derived = mg._certify(group)
+    assert {s: tuple(action) for s, action in derived.items()} == actions
     assert group.generators == ref.generators
     assert group.working_order == ref.working_order
     assert group.matrices == ref.matrices
